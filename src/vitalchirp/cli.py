@@ -200,8 +200,12 @@ def _write_processing_csvs(out: Path, extras) -> None:
                 out / f"range_profile_{tag}.csv",
                 {"range_m": profile.ranges, "magnitude": profile.magnitudes},
             )
-            for tgt in frames.truth or ():
-                ext = pipelines.extract_target_phase(frames, tgt.nominal_range)
+            targets = frames.truth or ()
+            ranges = [t.nominal_range for t in targets]
+            phases = pipelines._target_phases(frames, ranges) if ranges else []
+            for tgt, ext in zip(targets, phases):
+                if isinstance(ext, TargetSelectionError):
+                    continue  # the target's report carries the selection error
                 formats.write_series_csv(
                     out / f"phase_{tag}_{tgt.subject.id}.csv",
                     {

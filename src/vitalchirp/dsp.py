@@ -8,6 +8,7 @@ inputs and safe for concurrent use on disjoint data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ class BandpassSpec:
         return self.high_edge * (1.0 + TRANSITION_FRACTION)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterCoeffs:
     """Stable cascade of second-order sections realizing a BandpassSpec."""
 
@@ -104,6 +105,7 @@ class FilterCoeffs:
         )
 
 
+@functools.lru_cache(maxsize=128)  # bounded: specs come from callers
 def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     """Design an elliptic (Cauer) bandpass as second-order sections.
 
@@ -111,6 +113,9 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     magnitude inside [-ripple, 0] dB, stopband attenuation met beyond the
     transition edges, and every pole strictly inside the unit circle.  A
     violated constraint raises :class:`FilterDesignError` naming it.
+
+    Equal specs share one memoised, read-only :class:`FilterCoeffs`; a
+    failed design is not cached, so it raises on every call.
     """
     sos = sps.ellip(
         spec.order,
@@ -121,6 +126,7 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
         fs=spec.sample_rate,
         output="sos",
     )
+    sos.setflags(write=False)
     coeffs = FilterCoeffs(sos=sos, spec=spec)
     _check_conformance(coeffs, spec)
     return coeffs
@@ -171,16 +177,17 @@ def filter_zero_phase(
     cascade once instead (group delay included).
     """
     x = np.asarray(series, dtype=float)
+    sos = coeffs.sos.copy()  # scipy's filter kernel rejects read-only buffers
     if single_pass:
-        return sps.sosfilt(coeffs.sos, x)
+        return sps.sosfilt(sos, x)
     padlen = x.size - 1
-    min_len = 3 * (2 * coeffs.sos.shape[0] + 1)
+    min_len = 3 * (2 * sos.shape[0] + 1)
     if x.size <= min_len:
         raise ValueError(
             f"series of {x.size} samples is too short for zero-phase filtering "
             f"(need more than {min_len})"
         )
-    return sps.sosfiltfilt(coeffs.sos, x, padlen=padlen)
+    return sps.sosfiltfilt(sos, x, padlen=padlen)
 
 
 @dataclass

@@ -131,14 +131,17 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
 def read_frames(path: str | Path) -> DechirpFrameSet:
     """Read a frames container, validating structure and payload size."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4:
-        raise CorruptFramesError(f"{path}: truncated before header length (offset 0)")
-    (hlen,) = struct.unpack("<I", raw[:4])
-    if len(raw) < 4 + hlen:
+    with path.open("rb") as fh:
+        head = fh.read(4)
+        if len(head) < 4:
+            raise CorruptFramesError(f"{path}: truncated before header length (offset 0)")
+        (hlen,) = struct.unpack("<I", head)
+        blob = fh.read(hlen)
+    payload_len = path.stat().st_size - 4 - hlen
+    if len(blob) < hlen:
         raise CorruptFramesError(f"{path}: truncated inside JSON header (offset 4)")
     try:
-        header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFramesError(f"{path}: invalid JSON header (offset 4): {exc}") from exc
     if header.get("format") != FRAMES_MAGIC or header.get("version") != FRAMES_VERSION:
@@ -146,13 +149,12 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
 
     slow, fast = int(header["slow_count"]), int(header["fast_count"])
     expected = slow * fast * 8
-    payload = raw[4 + hlen :]
-    if len(payload) != expected:
+    if payload_len != expected:
         raise CorruptFramesError(
-            f"{path}: payload of {len(payload)} bytes at offset {4 + hlen}, "
+            f"{path}: payload of {payload_len} bytes at offset {4 + hlen}, "
             f"expected {expected} ({slow}x{fast} float64)"
         )
-    samples = np.frombuffer(payload, dtype="<f8").reshape(slow, fast).copy()
+    samples = np.fromfile(path, "<f8", slow * fast, offset=4 + hlen).reshape(slow, fast)
     if not np.all(np.isfinite(samples)):
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
     truth = tuple(_target_from_dict(t) for t in header.get("truth", [])) or None

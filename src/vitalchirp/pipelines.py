@@ -8,6 +8,9 @@ resolutions.
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
+Each call transforms a frame set once (hann fast-time FFT); the profile,
+every target's bin series and every sweep duration are read from those
+spectra, whose first rows equal the truncated frames' spectra bit for bit.
 
 Measurement spectra are chosen per band to stay honest on short records.
 The respiration filter at 50 Sa/s has poles within 0.002 of the unit
@@ -23,7 +26,7 @@ are produced and exported either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,16 +122,8 @@ class BandResult:
     spectrum: dsp.MagnitudeSpectrum
 
 
-def _analyze_band(
-    series: np.ndarray,
-    sample_rate: float,
-    band: tuple[float, float],
-    order: int,
-    ripple: float,
-    atten: float,
-    window: str,
-    measure_on: str = "filtered",
-) -> BandResult:
+def _analyze_band(series, sample_rate, band, order, ripple, atten, window,
+                  measure_on) -> BandResult:
     """Filter into one band, locate the peak, measure rate and 3-dB width.
 
     ``measure_on`` selects which spectrum the peak and width are read
@@ -143,12 +138,7 @@ def _analyze_band(
     filtered = dsp.filter_zero_phase(coeffs, x)
     nfft = SPECTRUM_PAD * x.size
     band_spec = dsp.spectrum(filtered, sample_rate, window=window, nfft=nfft)
-    if measure_on == "filtered":
-        source = filtered
-    elif measure_on == "raw":
-        source = x
-    else:
-        raise ValueError(f"measure_on must be 'filtered' or 'raw', got {measure_on!r}")
+    source = x if measure_on == "raw" else filtered
     # Rate estimation uses a hann window: it suppresses the tone's own
     # negative-frequency image, whose leakage biases the refined peak by
     # up to a bin on short records.  The 3-dB resolution is measured on
@@ -192,6 +182,38 @@ def _processing_metadata(sample_rate, duration, order, ripple, atten, window) ->
     }
 
 
+def _rates_report(series, sample_rate, label, modality, truth, order, ripple, atten,
+                  window, metadata, **fields) -> tuple[VitalsReport, BandResult, BandResult]:
+    """Both bands of ``series`` as one report; errors against ``truth`` if given."""
+    resp = _analyze_band(series, sample_rate, RESP_BAND, order, ripple, atten,
+                         window, measure_on="raw")
+    heart = _analyze_band(series, sample_rate, HEART_BAND, order, ripple, atten,
+                          window, measure_on="filtered")
+    report = VitalsReport(
+        label=label,
+        modality=modality,
+        respiration_rpm=resp.rate_per_min,
+        heartbeat_bpm=heart.rate_per_min,
+        resp_3db_hz=resp.width_hz,
+        heart_3db_hz=heart.width_hz,
+        flags={
+            "resp_detected": resp.detected,
+            "heart_detected": heart.detected,
+            "resp_edge_peak": resp.at_edge,
+            "heart_edge_peak": heart.at_edge,
+        },
+        metadata=metadata,
+        **fields,
+    )
+    if truth is not None:
+        if resp.detected:
+            report.resp_error_rpm = resp.rate_per_min - truth.respiration_rate
+        if heart.detected:
+            report.heart_error_bpm = heart.rate_per_min - truth.heartbeat_rate
+        report.metadata["truth_amplitudes_assumed"] = True
+    return report, resp, heart
+
+
 def contact_rates(
     intensity: IntensityRecord | np.ndarray,
     sample_rate: float = 50.0,
@@ -205,44 +227,25 @@ def contact_rates(
 ) -> VitalsReport:
     """Respiration and heartbeat rates from a contact intensity record.
 
-    Needs at least 5 s of data.  A band with no spectral energy is
-    reported as not detected rather than raising.
+    Needs at least 5 s of finite samples.  A band with no spectral
+    energy is reported as not detected rather than raising.
     """
     if isinstance(intensity, IntensityRecord):
         series = intensity.samples
         sample_rate = intensity.grid.sample_rate
     else:
         series = np.asarray(intensity, dtype=float)
+    if not np.all(np.isfinite(series)):
+        raise ValueError(f"record holds {np.sum(~np.isfinite(series))} non-finite samples")
     duration = series.size / sample_rate
     if duration < MIN_DURATION_S:
         raise ValueError(f"record of {duration:.2f} s is shorter than {MIN_DURATION_S} s")
 
-    resp = _analyze_band(series, sample_rate, RESP_BAND, order, ripple, atten,
-                         window, measure_on="raw")
-    heart = _analyze_band(series, sample_rate, HEART_BAND, order, ripple, atten,
-                          window, measure_on="filtered")
-
-    report = VitalsReport(
-        label=label or (truth.id if truth is not None else "contact"),
-        modality="contact",
-        respiration_rpm=resp.rate_per_min,
-        heartbeat_bpm=heart.rate_per_min,
-        resp_3db_hz=resp.width_hz,
-        heart_3db_hz=heart.width_hz,
-        flags={
-            "resp_detected": resp.detected,
-            "heart_detected": heart.detected,
-            "resp_edge_peak": resp.at_edge,
-            "heart_edge_peak": heart.at_edge,
-        },
-        metadata=_processing_metadata(sample_rate, duration, order, ripple, atten, window),
+    report, resp, heart = _rates_report(
+        series, sample_rate, label or (truth.id if truth is not None else "contact"),
+        "contact", truth, order, ripple, atten, window,
+        _processing_metadata(sample_rate, duration, order, ripple, atten, window),
     )
-    if truth is not None:
-        if resp.detected:
-            report.resp_error_rpm = resp.rate_per_min - truth.respiration_rate
-        if heart.detected:
-            report.heart_error_bpm = heart.rate_per_min - truth.heartbeat_rate
-        report.metadata["truth_amplitudes_assumed"] = True
     if keep_series:
         report.metadata["series"] = {
             "resp_filtered": resp.filtered,
@@ -278,6 +281,13 @@ def _beat_to_range(chirp, freq):
     return SPEED_OF_LIGHT * freq / (2.0 * chirp.chirp_rate)
 
 
+def _profile(frames: DechirpFrameSet, mags: np.ndarray) -> RangeProfile:
+    """Range profile from per-frame fast-time FFT magnitudes."""
+    freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
+    bin_width = _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
+    return RangeProfile(_beat_to_range(frames.chirp, freqs), mags.mean(axis=0), bin_width)
+
+
 def range_profile(frames: DechirpFrameSet, window: str = "rectangular") -> RangeProfile:
     """Per-frame fast-time FFT magnitude averaged over slow time.
 
@@ -289,12 +299,13 @@ def range_profile(frames: DechirpFrameSet, window: str = "rectangular") -> Range
         samples = samples * np.hanning(frames.fast_count)[None, :]
     elif window != "rectangular":
         raise ValueError(f"unsupported window {window!r}")
-    mags = np.abs(np.fft.rfft(samples, axis=1)).mean(axis=0)
-    freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    bin_width = _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
-    return RangeProfile(
-        ranges=_beat_to_range(frames.chirp, freqs), magnitudes=mags, bin_width=bin_width
-    )
+    return _profile(frames, np.abs(np.fft.rfft(samples, axis=1)))
+
+
+def _hann_spectra(frames: DechirpFrameSet) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed fast-time rFFT of every frame, and its magnitude."""
+    spec = np.fft.rfft(frames.samples * np.hanning(frames.fast_count)[None, :], axis=1)
+    return spec, np.abs(spec)
 
 
 @dataclass
@@ -306,6 +317,48 @@ class PhaseSeries:
     bin_index: int
     bin_range: float
     reference_scale: float
+
+
+def _target_phases(frames, target_ranges, dc_compensation=False, spectra=None, rows=None
+                   ) -> list[PhaseSeries | TargetSelectionError]:
+    """:func:`extract_target_phase` for each range, on the first ``rows`` frames.
+
+    ``spectra`` is ``_hann_spectra(frames)``, whose first ``rows`` rows
+    equal the spectra of the truncated frames bit for bit.  A failed
+    selection yields its :class:`TargetSelectionError` in place of a series.
+    """
+    spec, mags = spectra or _hann_spectra(frames)
+    profile = _profile(frames, mags[:rows])
+    peaks = profile.peak_indices()
+    slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
+    slope_window = (
+        2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
+        / (SPEED_OF_LIGHT * frames.fast_rate)
+    )
+    scale = slope_motion / (slope_motion + slope_window)
+    results = []
+    for target_range in target_ranges:
+        if peaks.size == 0:
+            results.append(TargetSelectionError("range profile has no peaks"))
+            continue
+        nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
+        if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
+            results.append(TargetSelectionError(
+                f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
+                f"at {profile.ranges[nearest]:.3f} m"
+            ))
+            continue
+        series = spec[:rows, nearest]
+        if dc_compensation:
+            series = series - series.mean()
+        results.append(PhaseSeries(
+            phase=dsp.unwrap_phase(np.angle(series)) * scale,
+            slow_rate=frames.slow_rate,
+            bin_index=nearest,
+            bin_range=float(profile.ranges[nearest]),
+            reference_scale=scale,
+        ))
+    return results
 
 
 def extract_target_phase(
@@ -333,37 +386,10 @@ def extract_target_phase(
     clutter by construction, so it defaults off; it is kept for parity
     with quadrature receivers that need it.
     """
-    profile = range_profile(frames, window="hann")
-    peaks = profile.peak_indices()
-    if peaks.size == 0:
-        raise TargetSelectionError("range profile has no peaks")
-    peak_ranges = profile.ranges[peaks]
-    nearest = int(peaks[np.argmin(np.abs(peak_ranges - target_range))])
-    if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
-        raise TargetSelectionError(
-            f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
-            f"at {profile.ranges[nearest]:.3f} m"
-        )
-
-    windowed = frames.samples * np.hanning(frames.fast_count)[None, :]
-    series = np.fft.rfft(windowed, axis=1)[:, nearest]
-    if dc_compensation:
-        series = series - series.mean()
-
-    phase = dsp.unwrap_phase(np.angle(series))
-    n = frames.fast_count
-    slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
-    slope_window = (
-        2.0 * np.pi * frames.chirp.chirp_rate * (n - 1) / (SPEED_OF_LIGHT * frames.fast_rate)
-    )
-    scale = slope_motion / (slope_motion + slope_window)
-    return PhaseSeries(
-        phase=phase * scale,
-        slow_rate=frames.slow_rate,
-        bin_index=nearest,
-        bin_range=float(profile.ranges[nearest]),
-        reference_scale=scale,
-    )
+    (result,) = _target_phases(frames, [target_range], dc_compensation)
+    if isinstance(result, TargetSelectionError):
+        raise result
+    return result
 
 
 def contactless_rates(
@@ -380,7 +406,9 @@ def contactless_rates(
 
     ``target_ranges`` defaults to the nominal ranges of the frame set's
     ground truth.  A selection failure on one target is reported in that
-    target's flags without aborting the others.  Truth subjects (from
+    target's flags without aborting the others.  Requests that resolve
+    to the same range bin read the same phase series, so each of their
+    reports carries ``flags["shared_bin"] = True``.  Truth subjects (from
     ``truth`` or the frame set) are matched to targets by nearest
     nominal range.
     """
@@ -391,64 +419,37 @@ def contactless_rates(
         target_ranges = [t.nominal_range for t in truth_targets]
     if not target_ranges:
         raise ValueError("at least one target range is required")
+    return _prefix_rates(frames, _hann_spectra(frames), frames.slow_count, target_ranges,
+                         truth_targets, dc_compensation, order, ripple, atten, window)
 
-    duration = frames.slow_count / frames.slow_rate
+
+def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets, dc_compensation=False,
+                  order=4, ripple=1.0, atten=40.0, window="rectangular") -> list[VitalsReport]:
+    """:func:`contactless_rates` on the first ``rows`` frames, from ``spectra``."""
+    duration = rows / frames.slow_rate
+    phases = _target_phases(frames, target_ranges, dc_compensation, spectra, rows)
+    bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
-    for i, rng_req in enumerate(target_ranges):
-        matched = None
-        if truth_targets:
-            matched = min(truth_targets, key=lambda t: abs(t.nominal_range - rng_req))
+    for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
+        matched = min(truth_targets or (), key=lambda t: abs(t.nominal_range - rng_req),
+                      default=None)
         label = matched.subject.id if matched is not None else f"target-{i}"
-        try:
-            extraction = extract_target_phase(frames, rng_req, dc_compensation)
-        except TargetSelectionError as exc:
-            reports.append(
-                VitalsReport(
-                    label=label,
-                    modality="contactless",
-                    flags={"resp_detected": False, "heart_detected": False,
-                           "selection_error": str(exc)},
-                    metadata=_processing_metadata(
-                        frames.slow_rate, duration, order, ripple, atten, window
-                    ),
-                )
-            )
+        metadata = _processing_metadata(frames.slow_rate, duration, order, ripple, atten, window)
+        if isinstance(extraction, TargetSelectionError):
+            reports.append(VitalsReport(
+                label, "contactless", metadata=metadata,
+                flags={"resp_detected": False, "heart_detected": False,
+                       "selection_error": str(extraction)},
+            ))
             continue
-
-        resp = _analyze_band(
-            extraction.phase, frames.slow_rate, RESP_BAND, order, ripple, atten,
-            window, measure_on="raw"
+        metadata.update(requested_range_m=rng_req, dc_compensation=dc_compensation)
+        report, _, _ = _rates_report(
+            extraction.phase, frames.slow_rate, label, "contactless",
+            matched.subject if matched is not None else None,
+            order, ripple, atten, window, metadata, range_m=extraction.bin_range,
         )
-        heart = _analyze_band(
-            extraction.phase, frames.slow_rate, HEART_BAND, order, ripple, atten,
-            window, measure_on="filtered"
-        )
-        report = VitalsReport(
-            label=label,
-            modality="contactless",
-            respiration_rpm=resp.rate_per_min,
-            heartbeat_bpm=heart.rate_per_min,
-            resp_3db_hz=resp.width_hz,
-            heart_3db_hz=heart.width_hz,
-            range_m=extraction.bin_range,
-            flags={
-                "resp_detected": resp.detected,
-                "heart_detected": heart.detected,
-                "resp_edge_peak": resp.at_edge,
-                "heart_edge_peak": heart.at_edge,
-            },
-            metadata=_processing_metadata(
-                frames.slow_rate, duration, order, ripple, atten, window
-            ),
-        )
-        report.metadata["requested_range_m"] = rng_req
-        report.metadata["dc_compensation"] = dc_compensation
-        if matched is not None:
-            if resp.detected:
-                report.resp_error_rpm = resp.rate_per_min - matched.subject.respiration_rate
-            if heart.detected:
-                report.heart_error_bpm = heart.rate_per_min - matched.subject.heartbeat_rate
-            report.metadata["truth_amplitudes_assumed"] = True
+        if bins.count(extraction.bin_index) > 1:
+            report.flags["shared_bin"] = True
         reports.append(report)
     return reports
 
@@ -465,16 +466,7 @@ class SweepEntry:
     skipped: str | None = None
 
     def to_row(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "modality": self.modality,
-            "label": self.label,
-            "respiration_rpm": self.respiration_rpm,
-            "heartbeat_bpm": self.heartbeat_bpm,
-            "resp_3db_hz": self.resp_3db_hz,
-            "heart_3db_hz": self.heart_3db_hz,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -498,57 +490,48 @@ def resolution_sweep(
 
     Each duration is a truncation of the source record anchored at t=0
     (sliding windows are not used); the matching rates chain runs on the
-    truncation.  Durations longer than the source are flagged in their
-    entry and the remaining durations still run.  Durations below 5 s
-    are rejected.
+    truncation; for frames, a prefix slice of spectra computed once per
+    call, which equals ``contactless_rates(source.truncated(d))`` bit for
+    bit.  Durations longer than the source are flagged in their entry and
+    the remaining durations still run.  Durations below 5 s are rejected.
     """
     if not durations:
         raise ValueError("at least one duration is required")
     if any(d < MIN_DURATION_S for d in durations):
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s")
 
-    entries = []
     if isinstance(source, DechirpFrameSet):
-        available = source.duration
         rng_req = target_range
         if rng_req is None:
             if not source.truth:
                 raise ValueError("target_range required for frames without truth")
             rng_req = source.truth[0].nominal_range
-        for d in durations:
-            if d > available + 1e-9:
-                entries.append(
-                    SweepEntry(d, "contactless", label or "target",
-                               skipped=f"duration exceeds {available:.1f} s record")
-                )
-                continue
-            reports = contactless_rates(
-                source.truncated(d), target_ranges=[rng_req], **chain_options
-            )
-            r = reports[0]
-            entries.append(
-                SweepEntry(d, "contactless", r.label, r.respiration_rpm,
-                           r.heartbeat_bpm, r.resp_3db_hz, r.heart_3db_hz)
-            )
+        modality, default_label, available = "contactless", "target", source.duration
+        spectra = _hann_spectra(source)
+
+        def rates(d):
+            rows = source.truncated(d).slow_count  # a view: no copy, no transform
+            return _prefix_rates(source, spectra, rows, [rng_req], source.truth,
+                                 **chain_options)[0]
     else:
         if isinstance(source, IntensityRecord):
             series = source.samples
             sample_rate = source.grid.sample_rate
         else:
             series = np.asarray(source, dtype=float)
-        available = series.size / sample_rate
-        for d in durations:
-            if d > available + 1e-9:
-                entries.append(
-                    SweepEntry(d, "contact", label or "contact",
-                               skipped=f"duration exceeds {available:.1f} s record")
-                )
-                continue
-            n = int(round(d * sample_rate))
-            r = contact_rates(series[:n], sample_rate, truth=truth, label=label,
-                              **chain_options)
-            entries.append(
-                SweepEntry(d, "contact", r.label, r.respiration_rpm,
-                           r.heartbeat_bpm, r.resp_3db_hz, r.heart_3db_hz)
-            )
+        modality, default_label, available = "contact", "contact", series.size / sample_rate
+
+        def rates(d):
+            return contact_rates(series[: int(round(d * sample_rate))], sample_rate,
+                                 truth=truth, label=label, **chain_options)
+
+    entries = []
+    for d in durations:
+        if d > available + 1e-9:
+            entries.append(SweepEntry(d, modality, label or default_label,
+                                      skipped=f"duration exceeds {available:.1f} s record"))
+            continue
+        r = rates(d)
+        entries.append(SweepEntry(d, modality, r.label, r.respiration_rpm, r.heartbeat_bpm,
+                                  r.resp_3db_hz, r.heart_3db_hz))
     return SweepReport(entries=entries)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vitalchirp.cli import main
+from vitalchirp.formats import read_frames
+from vitalchirp.pipelines import extract_target_phase
 
 CONFIG = {
     "duration_s": 60.0,
@@ -122,6 +124,29 @@ class TestProcess:
         assert (out / "range_profile_1549.36nm.csv").is_file()
         assert (out / "contact_1549.36nm_waveforms.csv").is_file()
         assert (out / "phase_1549.36nm_subject-b.csv").is_file()
+
+    def test_csv_phase_series_match_extract_target_phase(self, bundle_dir, tmp_path):
+        out = tmp_path / "reports-csv"
+        assert main(["process", str(bundle_dir), "--out", str(out),
+                     "--format", "csv"]) == 0
+        frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
+        for tgt in frames.truth:
+            data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
+                              delimiter=",", skiprows=1)
+            want = extract_target_phase(frames, tgt.nominal_range).phase
+            np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
+
+    def test_non_finite_contact_sample_processing_exit(self, bundle_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "nan"
+        shutil.copytree(bundle_dir, broken)
+        csv = broken / "channel_1549.92" / "contact.csv"
+        lines = csv.read_text().splitlines()
+        lines[100] = lines[100].split(",")[0] + ",nan"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["process", str(broken), "--out", str(tmp_path / "out")]) == 4
+        assert "1 non-finite" in capsys.readouterr().err
 
     def test_missing_bundle(self, tmp_path):
         assert main(["process", str(tmp_path / "nothing")]) == 3

@@ -69,6 +69,20 @@ class TestDesignBandpass:
         assert all(len(s) == 5 for s in coeffs.sections)
         assert coeffs.gain == 1.0
 
+    def test_equal_specs_share_one_read_only_design(self):
+        first = design_bandpass(BandpassSpec(0.13, 0.5, 50.0, 1.0, 40.0, 4))
+        assert design_bandpass(BandpassSpec(0.13, 0.5, 50.0, 1.0, 40.0, 4)) is first
+        before = first.sos.copy()
+        with pytest.raises(ValueError):
+            first.sos[0, 0] = 0.0
+        assert np.array_equal(design_bandpass(RESP_SPEC).sos, before)
+
+    def test_failed_design_raises_on_every_call(self):
+        spec = BandpassSpec(0.13, 0.5, 50.0, 1.0, 40.0, 1)
+        for _ in range(2):
+            with pytest.raises(FilterDesignError, match="stopband"):
+                design_bandpass(spec)
+
 
 class TestFilterZeroPhase:
     def test_inband_tone_preserved_zero_lag(self):

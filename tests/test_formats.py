@@ -31,6 +31,15 @@ class TestFramesContainer:
         assert loaded.acquisition == small_frames.acquisition
         assert loaded.truth[0].subject.id == "subject-b"
 
+    def test_read_samples_are_one_writable_contiguous_array(self, small_frames, tmp_path):
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        samples = formats.read_frames(path).samples
+        assert samples.flags.writeable
+        assert samples.flags.c_contiguous
+        assert samples.dtype == np.float64
+        assert np.array_equal(samples, small_frames.samples)
+
     def test_layout_is_documented_format(self, small_frames, tmp_path):
         path = tmp_path / "frames.bin"
         formats.write_frames(small_frames, path)

@@ -59,6 +59,12 @@ class TestContactRates:
         assert rep.respiration_rpm is None
         assert rep.heartbeat_bpm is None
 
+    def test_non_finite_samples_rejected_with_count(self):
+        series = np.ones(3000)
+        series[[10, 2000]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="2 non-finite"):
+            contact_rates(series, 50.0)
+
     def test_too_short_record(self):
         with pytest.raises(ValueError):
             contact_rates(np.ones(100), 50.0)
@@ -215,6 +221,22 @@ class TestContactlessRates:
         assert "selection_error" in reports[0].flags
         assert reports[1].flags["resp_detected"]
 
+    def test_targets_sharing_a_bin_flagged(self, chirp, subjects):
+        # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak
+        frames = synth_dechirp_frames(
+            [RadarTarget(subjects["subject-b"], 1.00),
+             RadarTarget(subjects["subject-c"], 1.06)],
+            chirp, AcquisitionParams(), seed=1,
+        )
+        b, c = contactless_rates(frames)
+        assert b.range_m == c.range_m
+        assert b.flags["shared_bin"] and c.flags["shared_bin"]
+
+    def test_distinct_bins_carry_no_shared_flag(self, chirp, subjects):
+        targets, acq = two_person_scene()
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        assert all("shared_bin" not in r.flags for r in contactless_rates(frames))
+
     def test_phase_scale_invariance(self, chirp, subjects):
         targets, acq = two_person_scene()
         frames = synth_dechirp_frames(targets, chirp, acq, seed=5)
@@ -295,3 +317,54 @@ class TestResolutionSweep:
         rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
         with pytest.raises(ValueError):
             resolution_sweep(rec, [2.0, 10.0])
+
+
+class TestOneTransformPerCall:
+    """The frame matrix is transformed once per call; results match per-call runs."""
+
+    DURATIONS = [5.0, 7.3, 20.0, 60.0, 70.0]
+
+    @pytest.fixture(scope="class")
+    def frames(self, chirp):
+        targets, acq = two_person_scene()
+        return synth_dechirp_frames(targets, chirp, acq, seed=3)
+
+    def test_sweep_rows_equal_truncated_runs(self, frames):
+        for rng in (1.00, 1.65):
+            for dc in (False, True):
+                sweep = resolution_sweep(frames, self.DURATIONS, target_range=rng,
+                                         dc_compensation=dc)
+                for entry in sweep.entries:
+                    if entry.duration_s > frames.duration:
+                        assert entry.skipped is not None
+                        continue
+                    (rep,) = contactless_rates(frames.truncated(entry.duration_s),
+                                               target_ranges=[rng], dc_compensation=dc)
+                    assert (entry.respiration_rpm, entry.heartbeat_bpm,
+                            entry.resp_3db_hz, entry.heart_3db_hz) == (
+                        rep.respiration_rpm, rep.heartbeat_bpm,
+                        rep.resp_3db_hz, rep.heart_3db_hz)
+
+    def test_multi_target_equals_single_target_calls(self, frames):
+        both = contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
+        for rng, rep in zip([1.00, 1.65, 6.0], both):
+            (alone,) = contactless_rates(frames, target_ranges=[rng])
+            assert rep.to_dict() == alone.to_dict()
+
+    def test_one_fast_time_fft_per_call(self, frames, monkeypatch):
+        import vitalchirp.pipelines as pipelines
+
+        calls = []
+        rfft = pipelines.np.fft.rfft
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(pipelines.np.fft, "rfft", counting)
+        contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
+        assert calls == [frames.samples.shape]
+        calls.clear()
+        resolution_sweep(frames, self.DURATIONS, target_range=1.00)
+        assert calls == [frames.samples.shape]
