@@ -6,71 +6,27 @@ frequency-quadrupled FMCW radar de-chirping, and the digital processing
 that turns both signals into respiration and heartbeat rates.
 """
 
-from .physio import (
-    PRESET_SUBJECTS,
-    SubjectVitals,
-    TimeGrid,
-    make_time_grid,
-    preset_subject,
-    synth_motion,
-)
+__version__ = "0.1.0"  # before the submodule imports: formats reads it
+
+from .physio import make_time_grid, preset_subject, synth_motion
 from .photonics import (
-    SPEED_OF_LIGHT,
-    ChirpParams,
     FbgProfile,
     IfLfmParams,
-    IntensityRecord,
-    ModulatorModel,
     contact_intensity,
     derive_chirp,
-    fbg_transmission,
     fbg_transmission_db,
-    sideband_weights,
 )
 from .radar import (
     AcquisitionParams,
-    DechirpFrameSet,
     RadarTarget,
     synth_dechirp_frames,
     unambiguous_range,
 )
-from .dsp import (
-    BandpassSpec,
-    Bandwidth3dB,
-    FilterCoeffs,
-    FilterDesignError,
-    MagnitudeSpectrum,
-    Peak,
-    bandwidth_3db,
-    design_bandpass,
-    filter_zero_phase,
-    frequency_response,
-    peak_search,
-    spectrum,
-    unwrap_phase,
-)
+from .dsp import BandpassSpec, design_bandpass, frequency_response
 from .pipelines import (
-    HEART_BAND,
-    RESP_BAND,
-    PhaseSeries,
-    RangeProfile,
-    SweepReport,
-    TargetSelectionError,
-    VitalsReport,
     contact_rates,
     contactless_rates,
     extract_target_phase,
     range_profile,
     resolution_sweep,
 )
-from .scenario import (
-    Scenario,
-    ScenarioBundle,
-    ScenarioValidationError,
-    ValidationReport,
-    WdmChannel,
-    run_scenario,
-    validate_scenario,
-)
-
-__version__ = "0.1.0"

@@ -293,7 +293,8 @@ def cmd_filter_design(args) -> int:
         )
         sections = [list(s) for s in coeffs.sections]
         (out / "coefficients.json").write_text(
-            json.dumps({"sos": sections, "gain": coeffs.gain,
+            # scipy folds the overall gain into the first section
+            json.dumps({"sos": sections, "gain": 1.0,
                         "spec": {"low_edge": spec.low_edge, "high_edge": spec.high_edge,
                                  "sample_rate": spec.sample_rate,
                                  "passband_ripple": spec.passband_ripple,
@@ -345,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_filt.add_argument("--band", type=float, nargs=2, required=True,
                         metavar=("LOW", "HIGH"), help="passband edges in Hz")
     p_filt.add_argument("--sample-rate", type=float, required=True)
-    p_filt.add_argument("--ripple", type=float, default=1.0)
-    p_filt.add_argument("--atten", type=float, default=40.0)
-    p_filt.add_argument("--order", type=int, default=4)
+    p_filt.add_argument("--ripple", type=float, default=dsp.BandpassSpec.passband_ripple)
+    p_filt.add_argument("--atten", type=float, default=dsp.BandpassSpec.stopband_atten)
+    p_filt.add_argument("--order", type=int, default=dsp.BandpassSpec.order)
     p_filt.add_argument("--out", help="output directory")
     p_filt.set_defaults(func=cmd_filter_design)
     return parser

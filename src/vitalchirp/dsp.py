@@ -91,8 +91,7 @@ class FilterCoeffs:
     """Stable cascade of second-order sections realizing a BandpassSpec."""
 
     sos: np.ndarray
-    spec: BandpassSpec | None = None
-    gain: float = 1.0  # scipy folds the overall gain into the first section
+    spec: BandpassSpec
 
     @property
     def sections(self) -> list[tuple[float, float, float, float, float]]:
@@ -133,12 +132,10 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
 
 
 def frequency_response(
-    coeffs: FilterCoeffs, n: int = DENSE_GRID_POINTS, sample_rate: float | None = None
+    coeffs: FilterCoeffs, n: int = DENSE_GRID_POINTS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex response of the cascade on ``n`` points from 0 to Nyquist."""
-    fs = sample_rate if sample_rate is not None else coeffs.spec.sample_rate
-    freqs, h = sps.sosfreqz(coeffs.sos, worN=n, fs=fs)
-    return freqs, h
+    return sps.sosfreqz(coeffs.sos, worN=n, fs=coeffs.spec.sample_rate)
 
 
 def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
@@ -165,21 +162,16 @@ def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
         )
 
 
-def filter_zero_phase(
-    coeffs: FilterCoeffs, series: np.ndarray, single_pass: bool = False
-) -> np.ndarray:
+def filter_zero_phase(coeffs: FilterCoeffs, series: np.ndarray) -> np.ndarray:
     """Apply the cascade with zero net phase (forward, then reversed).
 
     Zero-phase application preserves waveform timing, at the cost of
     squaring the magnitude response.  Edge transients are handled by
     reflecting the full series at both ends before filtering; the output
-    has the input's length.  ``single_pass=True`` applies the causal
-    cascade once instead (group delay included).
+    has the input's length.
     """
     x = np.asarray(series, dtype=float)
     sos = coeffs.sos.copy()  # scipy's filter kernel rejects read-only buffers
-    if single_pass:
-        return sps.sosfilt(sos, x)
     padlen = x.size - 1
     min_len = 3 * (2 * sos.shape[0] + 1)
     if x.size <= min_len:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
 from .physio import PRESET_SUBJECTS, SubjectVitals, TimeGrid
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
@@ -40,7 +41,6 @@ __all__ = [
     "CorruptFramesError",
     "write_frames",
     "read_frames",
-    "write_frames_csv",
     "write_series_csv",
     "write_fbg_response_csv",
     "scenario_to_dict",
@@ -57,7 +57,6 @@ __all__ = [
 FRAMES_MAGIC = "vitalchirp-frames"
 FRAMES_VERSION = 1
 TOOL_NAME = "vitalchirp"
-TOOL_VERSION = "0.1.0"
 
 FLOAT_FMT = "%.12g"
 
@@ -67,14 +66,6 @@ class CorruptFramesError(IOError):
 
 
 # ---------------------------------------------------------------- frames bin
-
-def _chirp_to_dict(chirp: ChirpParams) -> dict:
-    return asdict(chirp)
-
-
-def _acq_to_dict(acq: AcquisitionParams) -> dict:
-    return asdict(acq)
-
 
 def _subject_to_dict(subject: SubjectVitals) -> dict:
     d = asdict(subject)
@@ -115,8 +106,8 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
         "fast_rate_sa_s": frames.fast_rate,
         "dtype": "<f8",
         "order": "C",
-        "chirp": _chirp_to_dict(frames.chirp),
-        "acquisition": _acq_to_dict(frames.acquisition),
+        "chirp": asdict(frames.chirp),
+        "acquisition": asdict(frames.acquisition),
     }
     if frames.truth:
         header["truth"] = [_target_to_dict(t) for t in frames.truth]
@@ -168,11 +159,6 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     )
 
 
-def write_frames_csv(frames: DechirpFrameSet, path: str | Path) -> None:
-    """Plain-matrix CSV export for small frame sets (one row per slow index)."""
-    np.savetxt(path, frames.samples, delimiter=",", fmt=FLOAT_FMT)
-
-
 # ------------------------------------------------------------------- CSVs
 
 def write_series_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
@@ -217,16 +203,12 @@ def write_fbg_response_csv(
 
 # --------------------------------------------------------- scenario config
 
-def _fbg_to_dict(fbg: FbgProfile) -> dict:
-    return asdict(fbg)
-
-
 def _channel_to_dict(ch: WdmChannel) -> dict:
     return {
         "wavelength_nm": ch.wavelength_nm,
         "roles": sorted(ch.roles),
         "if_lfm": asdict(ch.if_lfm),
-        "fbg": _fbg_to_dict(ch.fbg) if ch.fbg is not None else None,
+        "fbg": asdict(ch.fbg) if ch.fbg is not None else None,
         "fiber_length_km": ch.fiber_length_km,
         "fiber_loss_db_per_km": ch.fiber_loss_db_per_km,
         "carrier_power_mw": ch.carrier_power_mw,
@@ -249,7 +231,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "duration_s": s.duration,
         "seed": s.seed,
         "contact_sample_rate": s.contact_sample_rate,
-        "acquisition": _acq_to_dict(s.acquisition),
+        "acquisition": asdict(s.acquisition),
         "channels": channels,
     }
 
@@ -324,7 +306,7 @@ def scenario_hash(config: dict) -> str:
 def build_manifest(command: str, parameters: dict, config: dict, seed: int) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "parameters": parameters,
         "scenario_sha256": scenario_hash(config),

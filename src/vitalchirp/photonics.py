@@ -2,8 +2,6 @@
 
 Covers the pieces of the optical chain that shape both monitoring paths:
 
-* Mach-Zehnder modulator sideband weights at the maximum-transmission
-  bias point (even-order sidebands only).
 * Gaussian FBG transmission notch and carrier-edge transduction of
   chest-wall displacement into detected optical power.
 * Derivation of the frequency-quadrupled transmit chirp (beating the
@@ -20,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.special import jv
 
 from .physio import TimeGrid
 
@@ -30,14 +26,14 @@ __all__ = [
     "IfLfmParams",
     "ChirpParams",
     "FbgProfile",
-    "ModulatorModel",
     "IntensityRecord",
     "derive_chirp",
     "fbg_transmission",
     "fbg_transmission_db",
     "contact_intensity",
-    "sideband_weights",
 ]
+
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact by the SI definition of the metre
 
 DEFAULT_CONTACT_NOISE_RMS = 0.005
 
@@ -235,39 +231,3 @@ def contact_intensity(
         "operating_offset_hz": fbg.operating_offset,
     }
     return IntensityRecord(samples=power, grid=grid, edge_warning=edge, metadata=meta)
-
-
-@dataclass(frozen=True)
-class ModulatorModel:
-    """Mach-Zehnder modulator drive: modulation index and bias point.
-
-    At the maximum-transmission point (MATP) the output carries only the
-    carrier and even-order sidebands; at quadrature (QTP) the echo mixer
-    is linear in the drive and is absorbed into the analytic de-chirp
-    model rather than simulated here.
-    """
-
-    modulation_index: float
-    bias: str = "matp"
-
-    def __post_init__(self):
-        if self.modulation_index <= 0:
-            raise ValueError("modulation_index must be > 0")
-        if self.bias not in ("matp", "qtp"):
-            raise ValueError(f"bias must be 'matp' or 'qtp', got {self.bias!r}")
-
-
-def sideband_weights(mod: ModulatorModel) -> tuple[float, float]:
-    """Field weights of the carrier and one 2nd-order sideband at MATP.
-
-    Returns ``(J0(m), J2(m))``; power fractions are the squares, and
-    J0^2 + 2 J2^2 never exceeds the input power.  In the m -> 0 limit
-    the weights tend to (1, 0).
-    """
-    if mod.bias != "matp":
-        raise ValueError(
-            "sideband_weights models the MATP bias only; the QTP echo mixer "
-            "is folded into the analytic de-chirp model"
-        )
-    m = mod.modulation_index
-    return float(jv(0, m)), float(jv(2, m))

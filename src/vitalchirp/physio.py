@@ -19,12 +19,14 @@ __all__ = [
     "synth_motion",
     "PRESET_SUBJECTS",
     "preset_subject",
+    "RESP_BAND",
+    "HEART_BAND",
 ]
 
 # Filter passbands of the downstream rate-extraction chain, in Hz.
 # Preset subjects must have their fundamentals inside these bands.
-RESP_BAND_HZ = (0.13, 0.5)
-HEART_BAND_HZ = (0.8, 1.9)
+RESP_BAND = (0.13, 0.5)
+HEART_BAND = (0.8, 1.9)
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,15 @@ def synth_motion(subject: SubjectVitals, grid: TimeGrid) -> np.ndarray:
 
 def _physiological(subject: SubjectVitals) -> SubjectVitals:
     """Validate a preset: fundamentals inside the filter bands, respiration dominant."""
-    if not RESP_BAND_HZ[0] <= subject.resp_freq <= RESP_BAND_HZ[1]:
+    if not RESP_BAND[0] <= subject.resp_freq <= RESP_BAND[1]:
         raise ValueError(
             f"preset {subject.id}: respiration fundamental {subject.resp_freq:.3f} Hz "
-            f"outside {RESP_BAND_HZ}"
+            f"outside {RESP_BAND}"
         )
-    if not HEART_BAND_HZ[0] <= subject.heart_freq <= HEART_BAND_HZ[1]:
+    if not HEART_BAND[0] <= subject.heart_freq <= HEART_BAND[1]:
         raise ValueError(
             f"preset {subject.id}: heartbeat fundamental {subject.heart_freq:.3f} Hz "
-            f"outside {HEART_BAND_HZ}"
+            f"outside {HEART_BAND}"
         )
     if not subject.resp_amplitude > subject.heart_amplitude:
         raise ValueError(f"preset {subject.id}: respiration must dominate chest motion")

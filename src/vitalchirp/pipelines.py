@@ -12,6 +12,10 @@ Each call transforms a frame set once (hann fast-time FFT); the profile,
 every target's bin series and every sweep duration are read from those
 spectra, whose first rows equal the truncated frames' spectra bit for bit.
 
+The chain is fixed: both filters use the :class:`dsp.BandpassSpec`
+defaults (elliptic, order 4, 1 dB ripple, 40 dB stopband), applied
+zero-phase, and every report records them in its metadata.
+
 Measurement spectra are chosen per band to stay honest on short records.
 The respiration filter at 50 Sa/s has poles within 0.002 of the unit
 circle (a settle time near 10 s), so zero-phase ring-in dominates any
@@ -32,12 +36,10 @@ import numpy as np
 
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
-from .physio import SubjectVitals
+from .physio import HEART_BAND, RESP_BAND, SubjectVitals
 from .radar import DechirpFrameSet
 
 __all__ = [
-    "RESP_BAND",
-    "HEART_BAND",
     "VitalsReport",
     "RangeProfile",
     "PhaseSeries",
@@ -50,9 +52,6 @@ __all__ = [
     "contactless_rates",
     "resolution_sweep",
 ]
-
-RESP_BAND = (0.13, 0.5)
-HEART_BAND = (0.8, 1.9)
 
 # Zero-padding factor for measurement spectra: resolves the main lobe
 # well enough for sub-bin refinement and half-power interpolation.
@@ -122,8 +121,7 @@ class BandResult:
     spectrum: dsp.MagnitudeSpectrum
 
 
-def _analyze_band(series, sample_rate, band, order, ripple, atten, window,
-                  measure_on) -> BandResult:
+def _analyze_band(series, sample_rate, band, measure_on) -> BandResult:
     """Filter into one band, locate the peak, measure rate and 3-dB width.
 
     ``measure_on`` selects which spectrum the peak and width are read
@@ -133,11 +131,10 @@ def _analyze_band(series, sample_rate, band, order, ripple, atten, window,
     """
     x = np.asarray(series, dtype=float)
     x = x - x.mean()
-    spec = dsp.BandpassSpec(band[0], band[1], sample_rate, ripple, atten, order)
-    coeffs = dsp.design_bandpass(spec)
+    coeffs = dsp.design_bandpass(dsp.BandpassSpec(band[0], band[1], sample_rate))
     filtered = dsp.filter_zero_phase(coeffs, x)
     nfft = SPECTRUM_PAD * x.size
-    band_spec = dsp.spectrum(filtered, sample_rate, window=window, nfft=nfft)
+    band_spec = dsp.spectrum(filtered, sample_rate, "rectangular", nfft)
     source = x if measure_on == "raw" else filtered
     # Rate estimation uses a hann window: it suppresses the tone's own
     # negative-frequency image, whose leakage biases the refined peak by
@@ -148,7 +145,7 @@ def _analyze_band(series, sample_rate, band, order, ripple, atten, window,
     if peak is None:
         return BandResult(None, None, False, False, filtered, band_spec)
     width_spec = (
-        band_spec if measure_on == "filtered" and window == "rectangular"
+        band_spec if measure_on == "filtered"
         else dsp.spectrum(source, sample_rate, "rectangular", nfft)
     )
     width = dsp.bandwidth_3db(width_spec, peak.refined_freq)
@@ -162,7 +159,7 @@ def _analyze_band(series, sample_rate, band, order, ripple, atten, window,
     )
 
 
-def _processing_metadata(sample_rate, duration, order, ripple, atten, window) -> dict:
+def _processing_metadata(sample_rate, duration) -> dict:
     return {
         "sample_rate_hz": sample_rate,
         "duration_s": duration,
@@ -170,25 +167,23 @@ def _processing_metadata(sample_rate, duration, order, ripple, atten, window) ->
         "heart_band_hz": list(HEART_BAND),
         "filter": {
             "type": "elliptic",
-            "order": order,
-            "passband_ripple_db": ripple,
-            "stopband_atten_db": atten,
+            "order": dsp.BandpassSpec.order,
+            "passband_ripple_db": dsp.BandpassSpec.passband_ripple,
+            "stopband_atten_db": dsp.BandpassSpec.stopband_atten,
             "zero_phase": True,
             "note": "filter order/ripple/attenuation and zero-phase application "
             "are processing defaults, not measured system properties",
         },
-        "window": window,
+        "window": "rectangular",
         "spectrum_pad": SPECTRUM_PAD,
     }
 
 
-def _rates_report(series, sample_rate, label, modality, truth, order, ripple, atten,
-                  window, metadata, **fields) -> tuple[VitalsReport, BandResult, BandResult]:
+def _rates_report(series, sample_rate, label, modality, truth, metadata,
+                  **fields) -> tuple[VitalsReport, BandResult, BandResult]:
     """Both bands of ``series`` as one report; errors against ``truth`` if given."""
-    resp = _analyze_band(series, sample_rate, RESP_BAND, order, ripple, atten,
-                         window, measure_on="raw")
-    heart = _analyze_band(series, sample_rate, HEART_BAND, order, ripple, atten,
-                          window, measure_on="filtered")
+    resp = _analyze_band(series, sample_rate, RESP_BAND, measure_on="raw")
+    heart = _analyze_band(series, sample_rate, HEART_BAND, measure_on="filtered")
     report = VitalsReport(
         label=label,
         modality=modality,
@@ -219,10 +214,6 @@ def contact_rates(
     sample_rate: float = 50.0,
     truth: SubjectVitals | None = None,
     label: str | None = None,
-    order: int = 4,
-    ripple: float = 1.0,
-    atten: float = 40.0,
-    window: str = "rectangular",
     keep_series: bool = False,
 ) -> VitalsReport:
     """Respiration and heartbeat rates from a contact intensity record.
@@ -243,8 +234,7 @@ def contact_rates(
 
     report, resp, heart = _rates_report(
         series, sample_rate, label or (truth.id if truth is not None else "contact"),
-        "contact", truth, order, ripple, atten, window,
-        _processing_metadata(sample_rate, duration, order, ripple, atten, window),
+        "contact", truth, _processing_metadata(sample_rate, duration),
     )
     if keep_series:
         report.metadata["series"] = {
@@ -288,18 +278,13 @@ def _profile(frames: DechirpFrameSet, mags: np.ndarray) -> RangeProfile:
     return RangeProfile(_beat_to_range(frames.chirp, freqs), mags.mean(axis=0), bin_width)
 
 
-def range_profile(frames: DechirpFrameSet, window: str = "rectangular") -> RangeProfile:
-    """Per-frame fast-time FFT magnitude averaged over slow time.
+def range_profile(frames: DechirpFrameSet) -> RangeProfile:
+    """Per-frame rectangular-window fast-time FFT magnitude averaged over slow time.
 
     The frequency axis maps to range through the de-chirp relation
     R = c f / (2 chirp_rate).
     """
-    samples = frames.samples
-    if window == "hann":
-        samples = samples * np.hanning(frames.fast_count)[None, :]
-    elif window != "rectangular":
-        raise ValueError(f"unsupported window {window!r}")
-    return _profile(frames, np.abs(np.fft.rfft(samples, axis=1)))
+    return _profile(frames, np.abs(np.fft.rfft(frames.samples, axis=1)))
 
 
 def _hann_spectra(frames: DechirpFrameSet) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +382,6 @@ def contactless_rates(
     target_ranges: list[float] | None = None,
     truth: tuple | None = None,
     dc_compensation: bool = False,
-    order: int = 4,
-    ripple: float = 1.0,
-    atten: float = 40.0,
-    window: str = "rectangular",
 ) -> list[VitalsReport]:
     """Per-target rates from a de-chirped frame set.
 
@@ -420,21 +401,26 @@ def contactless_rates(
     if not target_ranges:
         raise ValueError("at least one target range is required")
     return _prefix_rates(frames, _hann_spectra(frames), frames.slow_count, target_ranges,
-                         truth_targets, dc_compensation, order, ripple, atten, window)
+                         truth_targets, dc_compensation)
 
 
-def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets, dc_compensation=False,
-                  order=4, ripple=1.0, atten=40.0, window="rectangular") -> list[VitalsReport]:
+def _nearest_truth(truth_targets, target_range):
+    """The truth target whose nominal range is nearest ``target_range``, or None."""
+    return min(truth_targets or (), key=lambda t: abs(t.nominal_range - target_range),
+               default=None)
+
+
+def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets,
+                  dc_compensation) -> list[VitalsReport]:
     """:func:`contactless_rates` on the first ``rows`` frames, from ``spectra``."""
     duration = rows / frames.slow_rate
     phases = _target_phases(frames, target_ranges, dc_compensation, spectra, rows)
     bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
     for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-        matched = min(truth_targets or (), key=lambda t: abs(t.nominal_range - rng_req),
-                      default=None)
+        matched = _nearest_truth(truth_targets, rng_req)
         label = matched.subject.id if matched is not None else f"target-{i}"
-        metadata = _processing_metadata(frames.slow_rate, duration, order, ripple, atten, window)
+        metadata = _processing_metadata(frames.slow_rate, duration)
         if isinstance(extraction, TargetSelectionError):
             reports.append(VitalsReport(
                 label, "contactless", metadata=metadata,
@@ -446,7 +432,7 @@ def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets, dc_compen
         report, _, _ = _rates_report(
             extraction.phase, frames.slow_rate, label, "contactless",
             matched.subject if matched is not None else None,
-            order, ripple, atten, window, metadata, range_m=extraction.bin_range,
+            metadata, range_m=extraction.bin_range,
         )
         if bins.count(extraction.bin_index) > 1:
             report.flags["shared_bin"] = True
@@ -484,7 +470,7 @@ def resolution_sweep(
     truth: SubjectVitals | None = None,
     target_range: float | None = None,
     label: str | None = None,
-    **chain_options,
+    dc_compensation: bool = False,
 ) -> SweepReport:
     """Rates and 3-dB resolutions at several record lengths.
 
@@ -494,6 +480,10 @@ def resolution_sweep(
     call, which equals ``contactless_rates(source.truncated(d))`` bit for
     bit.  Durations longer than the source are flagged in their entry and
     the remaining durations still run.  Durations below 5 s are rejected.
+
+    Every row carries ``label`` if given, else the label the chain gives
+    the source.  Frames take their truth from the frame set, so ``truth``
+    is rejected for them; ``dc_compensation`` applies to frames only.
     """
     if not durations:
         raise ValueError("at least one duration is required")
@@ -501,37 +491,45 @@ def resolution_sweep(
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s")
 
     if isinstance(source, DechirpFrameSet):
+        if truth is not None:
+            raise ValueError("truth applies to contact records; frames carry their own")
         rng_req = target_range
         if rng_req is None:
             if not source.truth:
                 raise ValueError("target_range required for frames without truth")
             rng_req = source.truth[0].nominal_range
-        modality, default_label, available = "contactless", "target", source.duration
+        matched = _nearest_truth(source.truth, rng_req)
+        modality, available = "contactless", source.duration
+        default_label = matched.subject.id if matched is not None else "target-0"
         spectra = _hann_spectra(source)
 
         def rates(d):
             rows = source.truncated(d).slow_count  # a view: no copy, no transform
             return _prefix_rates(source, spectra, rows, [rng_req], source.truth,
-                                 **chain_options)[0]
+                                 dc_compensation)[0]
     else:
+        if dc_compensation:
+            raise ValueError("dc_compensation applies to frames only")
         if isinstance(source, IntensityRecord):
             series = source.samples
             sample_rate = source.grid.sample_rate
         else:
             series = np.asarray(source, dtype=float)
-        modality, default_label, available = "contact", "contact", series.size / sample_rate
+        modality, available = "contact", series.size / sample_rate
+        default_label = truth.id if truth is not None else "contact"
 
         def rates(d):
             return contact_rates(series[: int(round(d * sample_rate))], sample_rate,
-                                 truth=truth, label=label, **chain_options)
+                                 truth=truth)
 
+    row_label = label or default_label
     entries = []
     for d in durations:
         if d > available + 1e-9:
-            entries.append(SweepEntry(d, modality, label or default_label,
+            entries.append(SweepEntry(d, modality, row_label,
                                       skipped=f"duration exceeds {available:.1f} s record"))
             continue
         r = rates(d)
-        entries.append(SweepEntry(d, modality, r.label, r.respiration_rpm, r.heartbeat_bpm,
+        entries.append(SweepEntry(d, modality, row_label, r.respiration_rpm, r.heartbeat_bpm,
                                   r.resp_3db_hz, r.heart_3db_hz))
     return SweepReport(entries=entries)

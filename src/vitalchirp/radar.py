@@ -112,9 +112,6 @@ class DechirpFrameSet:
     def duration(self) -> float:
         return self.slow_count / self.slow_rate
 
-    def slow_times(self) -> np.ndarray:
-        return np.arange(self.slow_count) / self.slow_rate
-
     def truncated(self, duration: float) -> "DechirpFrameSet":
         """First ``duration`` seconds of the record as a new frame set."""
         rows = int(math.floor(duration * self.slow_rate + 1e-9))

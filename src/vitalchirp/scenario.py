@@ -16,14 +16,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .photonics import (
+    SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
     IntensityRecord,
     contact_intensity,
     derive_chirp,
 )
-from .physio import SubjectVitals, make_time_grid, synth_motion
-from .pipelines import HEART_BAND, RESP_BAND
+from .physio import HEART_BAND, RESP_BAND, SubjectVitals, make_time_grid, synth_motion
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget, synth_dechirp_frames
 from .radar import unambiguous_range
 
@@ -106,7 +106,7 @@ class ValidationReport:
 
 
 def _off_itu_grid(wavelength_nm: float) -> bool:
-    freq = 299792458.0 / (wavelength_nm * 1e-9)
+    freq = SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
     rem = (freq - ITU_ANCHOR_HZ) % ITU_SPACING_HZ
     return min(rem, ITU_SPACING_HZ - rem) > ITU_TOLERANCE_HZ
 

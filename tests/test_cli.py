@@ -245,6 +245,7 @@ class TestFilterDesign:
         assert mags[(freqs > 0) & (freqs <= 0.05)].max() <= -40.0
         coeffs = json.loads((out / "coefficients.json").read_text())
         assert len(coeffs["sos"]) == 4
+        assert coeffs["gain"] == 1.0
 
     def test_heartbeat_band_stop_at_half_hz(self, tmp_path):
         out = tmp_path / "fd-h"

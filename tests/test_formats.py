@@ -68,13 +68,6 @@ class TestFramesContainer:
         with pytest.raises(formats.CorruptFramesError):
             formats.read_frames(path)
 
-    def test_frames_csv(self, small_frames, tmp_path):
-        path = tmp_path / "frames.csv"
-        formats.write_frames_csv(small_frames, path)
-        data = np.loadtxt(path, delimiter=",")
-        assert data.shape == small_frames.samples.shape
-        assert np.allclose(data, small_frames.samples, rtol=1e-10)
-
 
 class TestCsvExports:
     def test_motion_csv(self, tmp_path):

@@ -7,12 +7,10 @@ from vitalchirp.photonics import (
     SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
-    ModulatorModel,
     contact_intensity,
     derive_chirp,
     fbg_transmission,
     fbg_transmission_db,
-    sideband_weights,
 )
 from vitalchirp.physio import make_time_grid
 
@@ -153,38 +151,3 @@ class TestDeriveChirp:
         with pytest.raises(ValueError):
             IfLfmParams(center_freq=6.6e9, bandwidth=1e9, pulse_period=1e-5, pulse_width=6e-5)
 
-
-def _bessel_series(order, x, terms=40):
-    """Series oracle: J_n(x) = sum_k (-1)^k (x/2)^(2k+n) / (k! (k+n)!)."""
-    total = 0.0
-    for k in range(terms):
-        total += (-1) ** k * (x / 2) ** (2 * k + order) / (
-            math.factorial(k) * math.factorial(k + order)
-        )
-    return total
-
-
-class TestSidebandWeights:
-    def test_no_modulation_limit(self):
-        carrier, second = sideband_weights(ModulatorModel(modulation_index=1e-8))
-        assert carrier == pytest.approx(1.0, abs=1e-9)
-        assert second == pytest.approx(0.0, abs=1e-9)
-
-    def test_bessel_ratio(self):
-        carrier, second = sideband_weights(ModulatorModel(modulation_index=0.8))
-        oracle = _bessel_series(2, 0.8) / _bessel_series(0, 0.8)
-        assert second / carrier == pytest.approx(oracle, rel=1e-9)
-
-    def test_second_order_monotone(self):
-        ms = np.linspace(0.05, 3.0, 60)
-        seconds = [sideband_weights(ModulatorModel(m))[1] for m in ms]
-        assert np.all(np.diff(seconds) > 0)
-
-    def test_power_bound(self):
-        for m in (0.2, 0.8, 1.5, 3.0):
-            carrier, second = sideband_weights(ModulatorModel(m))
-            assert carrier**2 + 2 * second**2 <= 1.0 + 1e-12
-
-    def test_qtp_not_supported(self):
-        with pytest.raises(ValueError):
-            sideband_weights(ModulatorModel(modulation_index=0.8, bias="qtp"))

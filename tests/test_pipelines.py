@@ -87,6 +87,20 @@ class TestContactRates:
         assert 48.0 <= rep.heartbeat_bpm <= 114.0 or rep.flags["heart_edge_peak"]
 
 
+class TestFixedChain:
+    def test_reports_record_the_fixed_filter_and_window(self, chirp, fbg, subjects):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=10.0)
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        reports = [contact_rates(rec), *contactless_rates(frames, [1.00, 6.0])]
+        assert "selection_error" in reports[2].flags
+        for rep in reports:
+            f = rep.metadata["filter"]
+            assert (f["type"], f["order"], f["passband_ripple_db"], f["stopband_atten_db"],
+                    f["zero_phase"]) == ("elliptic", 4, 1.0, 40.0, True)
+            assert rep.metadata["window"] == "rectangular"
+
+
 class TestRangeProfile:
     def test_two_targets_within_one_bin(self, chirp):
         targets, acq = two_person_scene(noise_rms=0.0)
@@ -317,6 +331,26 @@ class TestResolutionSweep:
         rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
         with pytest.raises(ValueError):
             resolution_sweep(rec, [2.0, 10.0])
+
+    def test_every_row_carries_one_label(self, chirp, fbg, subjects):
+        targets, acq = two_person_scene(duration=20.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        for label, expected in ((None, "subject-c"), ("me", "me")):
+            sweep = resolution_sweep(frames, [5.0, 30.0], target_range=1.65, label=label)
+            assert sweep.entries[1].skipped is not None
+            assert [e.label for e in sweep.entries] == [expected, expected]
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=20.0)
+        sweep = resolution_sweep(rec, [5.0, 30.0], truth=subjects["subject-a"])
+        assert [e.label for e in sweep.entries] == ["subject-a", "subject-a"]
+
+    def test_options_of_the_other_source_rejected(self, chirp, subjects):
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        frames.truth = None
+        with pytest.raises(ValueError, match="truth"):
+            resolution_sweep(frames, [5.0], target_range=1.0, truth=subjects["subject-b"])
+        with pytest.raises(ValueError, match="frames only"):
+            resolution_sweep(np.ones(500), [5.0], dc_compensation=True)
 
 
 class TestOneTransformPerCall:
