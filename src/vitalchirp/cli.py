@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, formats, pipelines
-from .pipelines import TargetSelectionError
 from .scenario import run_scenario, validate_scenario
 
 EXIT_OK = 0
@@ -115,10 +114,10 @@ def _channel_reports(loaded, duration, dc_comp):
             label = ch.contact_subject.id if ch.contact_subject else "contact"
             rep = pipelines.contact_rates(
                 series, rate, truth=ch.contact_subject,
-                label=f"{label}@{ch.wavelength_nm:g}nm", keep_series=True,
+                label=f"{label}@{ch.wavelength_nm:g}nm",
             )
             reports.append(rep)
-            extras.append((ch, rep, None))
+            extras.append((ch, (series, rate), None))
         if ch.frames is not None:
             frames = ch.frames if duration is None else ch.frames.truncated(duration)
             ranges = None if frames.truth else _detect_target_ranges(frames)
@@ -141,22 +140,15 @@ def cmd_process(args) -> int:
     out = _resolve_out(args.out, Path(args.bundle).name + "-reports")
     try:
         reports, extras = _channel_reports(loaded, args.duration, args.dc_comp)
-    except TargetSelectionError as exc:
-        print(f"processing failed: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
     except ValueError as exc:
         print(f"processing failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        payload = []
-        for rep in reports:
-            d = rep.to_dict()
-            d["metadata"].pop("series", None)
-            payload.append(d)
         (out / "reports.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+            json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True),
+            encoding="utf-8",
         )
         if args.format == "csv":
             _write_processing_csvs(out, extras)
@@ -173,23 +165,21 @@ def cmd_process(args) -> int:
 
 
 def _write_processing_csvs(out: Path, extras) -> None:
-    for ch, contact_rep, frames in extras:
+    for ch, contact, frames in extras:
         tag = f"{ch.wavelength_nm:g}nm"
-        if contact_rep is not None and "series" in contact_rep.metadata:
-            series = contact_rep.metadata["series"]
-            n = series["resp_filtered"].size
-            rate = contact_rep.metadata["sample_rate_hz"]
-            t = np.arange(n) / rate
+        if contact is not None:
+            series, rate = contact
+            waves = pipelines.band_waveforms(series, rate)
             formats.write_series_csv(
                 out / f"contact_{tag}_waveforms.csv",
                 {
-                    "t_s": t,
-                    "resp_filtered": series["resp_filtered"],
-                    "heart_filtered": series["heart_filtered"],
+                    "t_s": np.arange(waves["resp_filtered"].size) / rate,
+                    "resp_filtered": waves["resp_filtered"],
+                    "heart_filtered": waves["heart_filtered"],
                 },
             )
             for band in ("resp", "heart"):
-                sp = series[f"{band}_spectrum"]
+                sp = waves[f"{band}_spectrum"]
                 formats.write_series_csv(
                     out / f"contact_{tag}_{band}_spectrum.csv",
                     {"freq_hz": sp.frequencies, "magnitude": sp.magnitudes},
@@ -204,7 +194,7 @@ def _write_processing_csvs(out: Path, extras) -> None:
             ranges = [t.nominal_range for t in targets]
             phases = pipelines._target_phases(frames, ranges) if ranges else []
             for tgt, ext in zip(targets, phases):
-                if isinstance(ext, TargetSelectionError):
+                if isinstance(ext, pipelines.TargetSelectionError):
                     continue  # the target's report carries the selection error
                 formats.write_series_csv(
                     out / f"phase_{tag}_{tgt.subject.id}.csv",
@@ -240,9 +230,10 @@ def cmd_sweep(args) -> int:
                 for tgt in ch.frames.truth or ():
                     rep = pipelines.resolution_sweep(
                         ch.frames, durations, target_range=tgt.nominal_range,
+                        label=f"{tgt.subject.id}@{ch.wavelength_nm:g}nm",
                     )
                     rows.extend(rep.to_rows())
-    except (ValueError, TargetSelectionError) as exc:
+    except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
 

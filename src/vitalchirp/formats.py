@@ -45,7 +45,6 @@ __all__ = [
     "write_fbg_response_csv",
     "scenario_to_dict",
     "scenario_from_dict",
-    "load_scenario",
     "scenario_hash",
     "build_manifest",
     "write_bundle",
@@ -292,11 +291,6 @@ def scenario_from_dict(config: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
-
-
 def scenario_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of a resolved config."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -359,7 +353,6 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
 @dataclass
 class LoadedChannel:
     wavelength_nm: float
-    intensity_t: np.ndarray | None = None
     intensity: np.ndarray | None = None
     contact_sample_rate: float = 50.0
     contact_subject: SubjectVitals | None = None
@@ -394,7 +387,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         lc = LoadedChannel(wavelength_nm=wl)
         contact_csv = chdir / "contact.csv"
         if contact_csv.is_file():
-            lc.intensity_t, lc.intensity = read_intensity_csv(contact_csv)
+            _, lc.intensity = read_intensity_csv(contact_csv)
             lc.contact_sample_rate = float(
                 entry.get("contact_sample_rate", config.get("contact_sample_rate", 50.0))
             )

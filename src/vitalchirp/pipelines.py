@@ -1,9 +1,9 @@
 """End-to-end vital-sign extraction chains.
 
-Contact chain: detected FBG intensity -> detrend -> two zero-phase
-elliptic bandpass filters (respiration 0.13-0.5 Hz, heartbeat
-0.8-1.9 Hz) -> magnitude spectrum -> peak search -> rates and 3-dB
-resolutions.
+Contact chain: detected FBG intensity -> detrend -> respiration band
+(0.13-0.5 Hz) read from the detrended series, heartbeat band
+(0.8-1.9 Hz) from its zero-phase elliptic bandpass output -> magnitude
+spectra -> peak search -> rates and 3-dB resolutions.
 
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
@@ -24,8 +24,10 @@ detrended raw spectrum, which its own line dominates by construction.
 The heartbeat line is far smaller than the respiration line, so its
 band is measured on the time-filtered series, where the respiration
 component is removed before the observation window can spread it; that
-filter settles in about a second.  Filtered waveforms for both bands
-are produced and exported either way.
+filter settles in about a second.  A report therefore costs one
+zero-phase filter; the filtered waveforms of both bands and their
+spectra, which ``process --format csv`` exports, come from
+:func:`band_waveforms` and are never computed for a report.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "SweepReport",
     "TargetSelectionError",
     "contact_rates",
+    "band_waveforms",
     "range_profile",
     "extract_target_phase",
     "contactless_rates",
@@ -111,52 +114,49 @@ class VitalsReport:
         }
 
 
-@dataclass
-class BandResult:
-    rate_per_min: float | None
-    width_hz: float | None
-    detected: bool
-    at_edge: bool
-    filtered: np.ndarray
-    spectrum: dsp.MagnitudeSpectrum
+def _zero_phase(x, sample_rate, band) -> np.ndarray:
+    """``x`` through the fixed elliptic bandpass for ``band``, applied zero-phase."""
+    return dsp.filter_zero_phase(
+        dsp.design_bandpass(dsp.BandpassSpec(band[0], band[1], sample_rate)), x)
 
 
-def _analyze_band(series, sample_rate, band, measure_on) -> BandResult:
-    """Filter into one band, locate the peak, measure rate and 3-dB width.
+def _measure_band(x, sample_rate, band) -> tuple[float | None, float | None, bool]:
+    """Rate per minute, 3-dB width and edge flag of the strongest line of ``x`` in ``band``.
 
-    ``measure_on`` selects which spectrum the peak and width are read
-    from: the zero-phase-filtered series or the detrended raw series
-    (see module docstring).  The filtered waveform and its spectrum are
-    produced regardless, for export.
+    Rate estimation uses a hann window: it suppresses the tone's own
+    negative-frequency image, whose leakage biases the refined peak by
+    up to a bin on short records.  The 3-dB resolution is measured on
+    the rectangular-window spectrum, whose main lobe is the textbook
+    0.886/T.  A band with no spectral energy yields ``(None, None, False)``.
     """
-    x = np.asarray(series, dtype=float)
-    x = x - x.mean()
-    coeffs = dsp.design_bandpass(dsp.BandpassSpec(band[0], band[1], sample_rate))
-    filtered = dsp.filter_zero_phase(coeffs, x)
     nfft = SPECTRUM_PAD * x.size
-    band_spec = dsp.spectrum(filtered, sample_rate, "rectangular", nfft)
-    source = x if measure_on == "raw" else filtered
-    # Rate estimation uses a hann window: it suppresses the tone's own
-    # negative-frequency image, whose leakage biases the refined peak by
-    # up to a bin on short records.  The 3-dB resolution is measured on
-    # the rectangular-window spectrum, whose main lobe is the textbook
-    # 0.886/T.
-    peak = dsp.peak_search(dsp.spectrum(source, sample_rate, "hann", nfft), band)
+    peak = dsp.peak_search(dsp.spectrum(x, sample_rate, "hann", nfft), band)
     if peak is None:
-        return BandResult(None, None, False, False, filtered, band_spec)
-    width_spec = (
-        band_spec if measure_on == "filtered"
-        else dsp.spectrum(source, sample_rate, "rectangular", nfft)
-    )
-    width = dsp.bandwidth_3db(width_spec, peak.refined_freq)
-    return BandResult(
-        rate_per_min=60.0 * peak.refined_freq,
-        width_hz=width.width,
-        detected=True,
-        at_edge=peak.at_edge,
-        filtered=filtered,
-        spectrum=band_spec,
-    )
+        return None, None, False
+    width = dsp.bandwidth_3db(dsp.spectrum(x, sample_rate, "rectangular", nfft),
+                              peak.refined_freq)
+    return 60.0 * peak.refined_freq, width.width, peak.at_edge
+
+
+def _detrended(series) -> np.ndarray:
+    x = np.asarray(series, dtype=float)
+    return x - x.mean()
+
+
+def band_waveforms(series, sample_rate: float) -> dict:
+    """The detrended ``series`` zero-phase filtered into each band, with spectra.
+
+    Keys ``resp_filtered``/``heart_filtered`` and their rectangular spectra
+    ``resp_spectrum``/``heart_spectrum``: ``process --format csv`` exports them.
+    """
+    x = _detrended(series)
+    nfft = SPECTRUM_PAD * x.size
+    out = {}
+    for name, band in (("resp", RESP_BAND), ("heart", HEART_BAND)):
+        out[f"{name}_filtered"] = _zero_phase(x, sample_rate, band)
+        out[f"{name}_spectrum"] = dsp.spectrum(out[f"{name}_filtered"], sample_rate,
+                                               "rectangular", nfft)
+    return out
 
 
 def _processing_metadata(sample_rate, duration) -> dict:
@@ -180,33 +180,35 @@ def _processing_metadata(sample_rate, duration) -> dict:
 
 
 def _rates_report(series, sample_rate, label, modality, truth, metadata,
-                  **fields) -> tuple[VitalsReport, BandResult, BandResult]:
+                  **fields) -> VitalsReport:
     """Both bands of ``series`` as one report; errors against ``truth`` if given."""
-    resp = _analyze_band(series, sample_rate, RESP_BAND, measure_on="raw")
-    heart = _analyze_band(series, sample_rate, HEART_BAND, measure_on="filtered")
+    x = _detrended(series)
+    resp_rate, resp_width, resp_edge = _measure_band(x, sample_rate, RESP_BAND)
+    heart_rate, heart_width, heart_edge = _measure_band(
+        _zero_phase(x, sample_rate, HEART_BAND), sample_rate, HEART_BAND)
     report = VitalsReport(
         label=label,
         modality=modality,
-        respiration_rpm=resp.rate_per_min,
-        heartbeat_bpm=heart.rate_per_min,
-        resp_3db_hz=resp.width_hz,
-        heart_3db_hz=heart.width_hz,
+        respiration_rpm=resp_rate,
+        heartbeat_bpm=heart_rate,
+        resp_3db_hz=resp_width,
+        heart_3db_hz=heart_width,
         flags={
-            "resp_detected": resp.detected,
-            "heart_detected": heart.detected,
-            "resp_edge_peak": resp.at_edge,
-            "heart_edge_peak": heart.at_edge,
+            "resp_detected": resp_rate is not None,
+            "heart_detected": heart_rate is not None,
+            "resp_edge_peak": resp_edge,
+            "heart_edge_peak": heart_edge,
         },
         metadata=metadata,
         **fields,
     )
     if truth is not None:
-        if resp.detected:
-            report.resp_error_rpm = resp.rate_per_min - truth.respiration_rate
-        if heart.detected:
-            report.heart_error_bpm = heart.rate_per_min - truth.heartbeat_rate
+        if resp_rate is not None:
+            report.resp_error_rpm = resp_rate - truth.respiration_rate
+        if heart_rate is not None:
+            report.heart_error_bpm = heart_rate - truth.heartbeat_rate
         report.metadata["truth_amplitudes_assumed"] = True
-    return report, resp, heart
+    return report
 
 
 def contact_rates(
@@ -214,7 +216,6 @@ def contact_rates(
     sample_rate: float = 50.0,
     truth: SubjectVitals | None = None,
     label: str | None = None,
-    keep_series: bool = False,
 ) -> VitalsReport:
     """Respiration and heartbeat rates from a contact intensity record.
 
@@ -232,18 +233,10 @@ def contact_rates(
     if duration < MIN_DURATION_S:
         raise ValueError(f"record of {duration:.2f} s is shorter than {MIN_DURATION_S} s")
 
-    report, resp, heart = _rates_report(
+    return _rates_report(
         series, sample_rate, label or (truth.id if truth is not None else "contact"),
         "contact", truth, _processing_metadata(sample_rate, duration),
     )
-    if keep_series:
-        report.metadata["series"] = {
-            "resp_filtered": resp.filtered,
-            "heart_filtered": heart.filtered,
-            "resp_spectrum": resp.spectrum,
-            "heart_spectrum": heart.spectrum,
-        }
-    return report
 
 
 @dataclass
@@ -271,11 +264,15 @@ def _beat_to_range(chirp, freq):
     return SPEED_OF_LIGHT * freq / (2.0 * chirp.chirp_rate)
 
 
+def _bin_width(frames: DechirpFrameSet) -> float:
+    return _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
+
+
 def _profile(frames: DechirpFrameSet, mags: np.ndarray) -> RangeProfile:
     """Range profile from per-frame fast-time FFT magnitudes."""
     freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    bin_width = _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
-    return RangeProfile(_beat_to_range(frames.chirp, freqs), mags.mean(axis=0), bin_width)
+    return RangeProfile(_beat_to_range(frames.chirp, freqs), mags.mean(axis=0),
+                        _bin_width(frames))
 
 
 def range_profile(frames: DechirpFrameSet) -> RangeProfile:
@@ -301,7 +298,6 @@ class PhaseSeries:
     slow_rate: float
     bin_index: int
     bin_range: float
-    reference_scale: float
 
 
 def _target_phases(frames, target_ranges, dc_compensation=False, spectra=None, rows=None
@@ -341,7 +337,6 @@ def _target_phases(frames, target_ranges, dc_compensation=False, spectra=None, r
             slow_rate=frames.slow_rate,
             bin_index=nearest,
             bin_range=float(profile.ranges[nearest]),
-            reference_scale=scale,
         ))
     return results
 
@@ -391,7 +386,8 @@ def contactless_rates(
     to the same range bin read the same phase series, so each of their
     reports carries ``flags["shared_bin"] = True``.  Truth subjects (from
     ``truth`` or the frame set) are matched to targets by nearest
-    nominal range.
+    nominal range within 2 range bins of the request; an unmatched
+    target is labelled ``target-<i>`` and carries no error fields.
     """
     truth_targets = truth if truth is not None else frames.truth
     if target_ranges is None:
@@ -404,10 +400,16 @@ def contactless_rates(
                          truth_targets, dc_compensation)
 
 
-def _nearest_truth(truth_targets, target_range):
-    """The truth target whose nominal range is nearest ``target_range``, or None."""
-    return min(truth_targets or (), key=lambda t: abs(t.nominal_range - target_range),
-               default=None)
+def _nearest_truth(frames, truth_targets, target_range):
+    """The truth target nearest ``target_range`` within 2 range bins, or None.
+
+    That is the tolerance range selection applies, so a request that
+    selects a peak far from every truth target is neither labelled as one
+    nor scored against its rates.
+    """
+    tol = 2.0 * _bin_width(frames)
+    near = [t for t in truth_targets or () if abs(t.nominal_range - target_range) <= tol]
+    return min(near, key=lambda t: abs(t.nominal_range - target_range), default=None)
 
 
 def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets,
@@ -418,7 +420,7 @@ def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets,
     bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
     for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-        matched = _nearest_truth(truth_targets, rng_req)
+        matched = _nearest_truth(frames, truth_targets, rng_req)
         label = matched.subject.id if matched is not None else f"target-{i}"
         metadata = _processing_metadata(frames.slow_rate, duration)
         if isinstance(extraction, TargetSelectionError):
@@ -429,7 +431,7 @@ def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets,
             ))
             continue
         metadata.update(requested_range_m=rng_req, dc_compensation=dc_compensation)
-        report, _, _ = _rates_report(
+        report = _rates_report(
             extraction.phase, frames.slow_rate, label, "contactless",
             matched.subject if matched is not None else None,
             metadata, range_m=extraction.bin_range,
@@ -451,16 +453,13 @@ class SweepEntry:
     heart_3db_hz: float | None = None
     skipped: str | None = None
 
-    def to_row(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SweepReport:
     entries: list[SweepEntry]
 
     def to_rows(self) -> list[dict]:
-        return [e.to_row() for e in self.entries]
+        return [asdict(e) for e in self.entries]
 
 
 def resolution_sweep(
@@ -478,8 +477,9 @@ def resolution_sweep(
     (sliding windows are not used); the matching rates chain runs on the
     truncation; for frames, a prefix slice of spectra computed once per
     call, which equals ``contactless_rates(source.truncated(d))`` bit for
-    bit.  Durations longer than the source are flagged in their entry and
-    the remaining durations still run.  Durations below 5 s are rejected.
+    bit.  Durations longer than the source, and for frames a failed target
+    selection, are flagged in the entry's ``skipped`` and the remaining
+    durations still run.  Durations below 5 s are rejected.
 
     Every row carries ``label`` if given, else the label the chain gives
     the source.  Frames take their truth from the frame set, so ``truth``
@@ -498,7 +498,7 @@ def resolution_sweep(
             if not source.truth:
                 raise ValueError("target_range required for frames without truth")
             rng_req = source.truth[0].nominal_range
-        matched = _nearest_truth(source.truth, rng_req)
+        matched = _nearest_truth(source, source.truth, rng_req)
         modality, available = "contactless", source.duration
         default_label = matched.subject.id if matched is not None else "target-0"
         spectra = _hann_spectra(source)
@@ -531,5 +531,6 @@ def resolution_sweep(
             continue
         r = rates(d)
         entries.append(SweepEntry(d, modality, row_label, r.respiration_rpm, r.heartbeat_bpm,
-                                  r.resp_3db_hz, r.heart_3db_hz))
+                                  r.resp_3db_hz, r.heart_3db_hz,
+                                  r.flags.get("selection_error")))
     return SweepReport(entries=entries)

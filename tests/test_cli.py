@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vitalchirp.cli import main
-from vitalchirp.formats import read_frames
-from vitalchirp.pipelines import extract_target_phase
+from vitalchirp.formats import read_bundle, read_frames
+from vitalchirp.pipelines import band_waveforms, extract_target_phase
 
 CONFIG = {
     "duration_s": 60.0,
@@ -136,6 +136,31 @@ class TestProcess:
             want = extract_target_phase(frames, tgt.nominal_range).phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
+    def test_csv_contact_series_match_band_waveforms(self, bundle_dir, tmp_path):
+        out = tmp_path / "reports-csv"
+        assert main(["process", str(bundle_dir), "--out", str(out),
+                     "--format", "csv"]) == 0
+
+        def load(name):
+            return np.loadtxt(out / name, delimiter=",", skiprows=1)
+
+        def at_12g(values):  # the precision write_series_csv keeps
+            return np.char.mod("%.12g", values).astype(float)
+
+        for ch in read_bundle(bundle_dir).channels:
+            tag = f"{ch.wavelength_nm:g}nm"
+            waves = band_waveforms(ch.intensity, ch.contact_sample_rate)
+            data = load(f"contact_{tag}_waveforms.csv")
+            np.testing.assert_array_equal(
+                data[:, 0], at_12g(np.arange(ch.intensity.size) / ch.contact_sample_rate))
+            np.testing.assert_array_equal(data[:, 1], at_12g(waves["resp_filtered"]))
+            np.testing.assert_array_equal(data[:, 2], at_12g(waves["heart_filtered"]))
+            for band in ("resp", "heart"):
+                data = load(f"contact_{tag}_{band}_spectrum.csv")
+                sp = waves[f"{band}_spectrum"]
+                np.testing.assert_array_equal(data[:, 0], at_12g(sp.frequencies))
+                np.testing.assert_array_equal(data[:, 1], at_12g(sp.magnitudes))
+
     def test_non_finite_contact_sample_processing_exit(self, bundle_dir, tmp_path, capsys):
         import shutil
 
@@ -215,6 +240,17 @@ class TestSweep:
         csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert csv_lines[0].startswith("duration_s,")
         assert len(csv_lines) == 1 + len(rows)
+
+    def test_every_row_labelled_with_its_channel(self, bundle_dir, tmp_path):
+        out = tmp_path / "sweep-labels"
+        assert main(["sweep", str(bundle_dir), "--out", str(out), "--durations", "5"]) == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [(r["modality"], r["label"]) for r in rows] == [
+            ("contact", "subject-a@1549.36nm"),
+            ("contactless", "subject-b@1549.36nm"),
+            ("contactless", "subject-c@1549.36nm"),
+            ("contact", "subject-d@1549.92nm"),
+        ]
 
     def test_single_duration(self, bundle_dir, tmp_path):
         out = tmp_path / "sweep1"

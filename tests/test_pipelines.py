@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from vitalchirp import dsp
 from vitalchirp.photonics import contact_intensity
-from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
+from vitalchirp.physio import (
+    HEART_BAND,
+    RESP_BAND,
+    SubjectVitals,
+    make_time_grid,
+    preset_subject,
+    synth_motion,
+)
 from vitalchirp.pipelines import (
     TargetSelectionError,
+    band_waveforms,
     contact_rates,
     contactless_rates,
     extract_target_phase,
@@ -99,6 +108,49 @@ class TestFixedChain:
             assert (f["type"], f["order"], f["passband_ripple_db"], f["stopband_atten_db"],
                     f["zero_phase"]) == ("elliptic", 4, 1.0, 40.0, True)
             assert rep.metadata["window"] == "rectangular"
+
+
+class TestMeasuringOnly:
+    """A report filters once and takes four spectra; exports come from band_waveforms."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import vitalchirp.pipelines as pipelines
+
+        counts = {"filter_zero_phase": 0, "spectrum": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(pipelines.dsp, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipelines.dsp, name, counting)
+        return counts
+
+    def test_one_filter_and_four_spectra_per_contact_report(self, fbg, subjects, counts):
+        rep = contact_rates(contact_record(subjects["subject-a"], fbg, noise_rms=0.005))
+        assert rep.flags["resp_detected"] and rep.flags["heart_detected"]
+        assert counts == {"filter_zero_phase": 1, "spectrum": 4}
+
+    def test_one_filter_per_contactless_report(self, chirp, counts):
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        contactless_rates(frames, target_ranges=[1.00])
+        assert counts == {"filter_zero_phase": 1, "spectrum": 4}
+        contactless_rates(frames)
+        assert counts == {"filter_zero_phase": 3, "spectrum": 12}
+
+    def test_band_waveforms_are_the_zero_phase_bands_of_the_detrended_series(self, fbg,
+                                                                            subjects):
+        x = contact_record(subjects["subject-a"], fbg, noise_rms=0.005).samples
+        waves = band_waveforms(x, 50.0)
+        for band, name in ((RESP_BAND, "resp"), (HEART_BAND, "heart")):
+            want = dsp.filter_zero_phase(
+                dsp.design_bandpass(dsp.BandpassSpec(*band, 50.0)), x - x.mean())
+            np.testing.assert_array_equal(waves[f"{name}_filtered"], want)
+            spec = waves[f"{name}_spectrum"]
+            want_spec = dsp.spectrum(want, 50.0, "rectangular", 8 * x.size)
+            np.testing.assert_array_equal(spec.frequencies, want_spec.frequencies)
+            np.testing.assert_array_equal(spec.magnitudes, want_spec.magnitudes)
 
 
 class TestRangeProfile:
@@ -235,6 +287,18 @@ class TestContactlessRates:
         assert "selection_error" in reports[0].flags
         assert reports[1].flags["resp_detected"]
 
+    def test_far_request_matches_no_truth(self, chirp):
+        # 6.0 m selects a noise peak; the nearest truth target is 4.35 m away
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        near, far = contactless_rates(frames, [1.00, 6.0])
+        assert "selection_error" not in far.flags
+        assert far.label == "target-1"
+        assert far.resp_error_rpm is None and far.heart_error_bpm is None
+        assert "truth_amplitudes_assumed" not in far.metadata
+        assert near.label == "subject-b" and near.resp_error_rpm is not None
+        assert resolution_sweep(frames, [5.0], target_range=6.0).entries[0].label == "target-0"
+
     def test_targets_sharing_a_bin_flagged(self, chirp, subjects):
         # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak
         frames = synth_dechirp_frames(
@@ -320,6 +384,16 @@ class TestResolutionSweep:
             assert e.skipped is None
             assert abs(e.resp_3db_hz / (0.886 / e.duration_s) - 1) <= 0.2
 
+    def test_frames_selection_error_reaches_skipped(self, chirp, subjects):
+        frames = synth_dechirp_frames(
+            [RadarTarget(subjects["subject-b"], 1.00)], chirp,
+            AcquisitionParams(noise_rms=0.0, duration=20.0),
+        )
+        sweep = resolution_sweep(frames, [5.0, 10.0], target_range=6.0)
+        for e in sweep.entries:
+            assert e.skipped is not None and "no range peak" in e.skipped
+            assert e.respiration_rpm is None
+
     def test_excessive_duration_flagged_others_proceed(self, fbg, subjects):
         rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
         sweep = resolution_sweep(rec, [5.0, 60.0, 20.0], truth=subjects["subject-a"])
@@ -381,9 +455,11 @@ class TestOneTransformPerCall:
 
     def test_multi_target_equals_single_target_calls(self, frames):
         both = contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
+        # 6.0 m matches no truth target, so its label is its request index
+        assert [r.label for r in both] == ["subject-b", "subject-c", "target-2"]
         for rng, rep in zip([1.00, 1.65, 6.0], both):
             (alone,) = contactless_rates(frames, target_ranges=[rng])
-            assert rep.to_dict() == alone.to_dict()
+            assert dict(rep.to_dict(), label=None) == dict(alone.to_dict(), label=None)
 
     def test_one_fast_time_fft_per_call(self, frames, monkeypatch):
         import vitalchirp.pipelines as pipelines
