@@ -68,7 +68,7 @@ for ch in loaded.channels:
                             truth=ch.contact_subject)
         rows.append((rep, ch.wavelength_nm, ch.contact_subject))
     if ch.frames is not None:
-        for rep, tgt in zip(contactless_rates(ch.frames), ch.targets):
+        for rep, tgt in zip(contactless_rates(ch.frames), ch.frames.truth):
             rows.append((rep, ch.wavelength_nm, tgt.subject))
 
 print()

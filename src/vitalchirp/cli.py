@@ -13,9 +13,11 @@ current directory) in a directory derived from the inputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +83,7 @@ def cmd_simulate(args) -> int:
 def _load_bundle(bundle_dir: str):
     try:
         return formats.read_bundle(bundle_dir), EXIT_OK
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return None, EXIT_IO
-    except formats.CorruptFramesError as exc:
+    except (FileNotFoundError, formats.CorruptFramesError) as exc:
         print(str(exc), file=sys.stderr)
         return None, EXIT_IO
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -92,45 +91,47 @@ def _load_bundle(bundle_dir: str):
         return None, EXIT_VALIDATION
 
 
-def _detect_target_ranges(frames, rel_threshold=0.3):
-    """Range-profile peaks to process when a bundle carries no truth."""
+def _frames_targets(frames) -> list[tuple[float, str]]:
+    """``(range, name)`` of each person a frame set is processed for.
+
+    The truth targets' nominal ranges and subject ids when the frames carry
+    truth; otherwise the range-profile peaks of at least 0.3 x the
+    strongest, in ascending range, named ``target-<i>``.
+    """
+    if frames.truth:
+        return [(t.nominal_range, t.subject.id) for t in frames.truth]
     profile = pipelines.range_profile(frames)
     idx = profile.peak_indices()
-    if idx.size == 0:
-        return []
-    keep = idx[profile.magnitudes[idx] >= rel_threshold * profile.magnitudes[idx[0]]]
-    return sorted(float(profile.ranges[k]) for k in keep)
+    mags = profile.magnitudes[idx]
+    keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
+    ranges = sorted(float(r) for r in profile.ranges[keep])
+    return [(r, f"target-{i}") for i, r in enumerate(ranges)]
 
 
-def _channel_reports(loaded, duration, dc_comp):
-    reports = []
-    extras = []
+def _channels(loaded, duration=None):
+    """Each channel as ``(tag, contact, frames, targets)``, cut to ``duration`` s.
+
+    ``tag`` is ``<wavelength>nm``; ``contact`` is ``(series, sample_rate,
+    subject, name)`` or None; ``targets`` is :func:`_frames_targets` of the
+    cut frames, or empty.  A cut past either record raises ``ValueError``.
+    Every command labels its outputs ``<name>@<tag>`` from these names.
+    """
     for ch in loaded.channels:
+        contact = frames = None
         if ch.intensity is not None:
-            series = ch.intensity
-            rate = ch.contact_sample_rate
+            series, rate = ch.intensity, ch.contact_sample_rate
             if duration is not None:
-                series = series[: int(round(duration * rate))]
-            label = ch.contact_subject.id if ch.contact_subject else "contact"
-            rep = pipelines.contact_rates(
-                series, rate, truth=ch.contact_subject,
-                label=f"{label}@{ch.wavelength_nm:g}nm",
-            )
-            reports.append(rep)
-            extras.append((ch, (series, rate), None))
+                n = int(round(duration * rate))
+                if not 1 <= n <= series.size:
+                    raise ValueError(
+                        f"cannot truncate {series.size / rate:.1f} s record to {duration} s")
+                series = series[:n]
+            subject = ch.contact_subject
+            contact = (series, rate, subject, subject.id if subject else "contact")
         if ch.frames is not None:
             frames = ch.frames if duration is None else ch.frames.truncated(duration)
-            ranges = None if frames.truth else _detect_target_ranges(frames)
-            if ranges == []:
-                continue
-            channel_reports = pipelines.contactless_rates(
-                frames, target_ranges=ranges, dc_compensation=dc_comp
-            )
-            for rep in channel_reports:
-                rep.label = f"{rep.label}@{ch.wavelength_nm:g}nm"
-            reports.extend(channel_reports)
-            extras.append((ch, None, frames))
-    return reports, extras
+        targets = _frames_targets(frames) if frames is not None else []
+        yield f"{ch.wavelength_nm:g}nm", contact, frames, targets
 
 
 def cmd_process(args) -> int:
@@ -139,7 +140,19 @@ def cmd_process(args) -> int:
         return status
     out = _resolve_out(args.out, Path(args.bundle).name + "-reports")
     try:
-        reports, extras = _channel_reports(loaded, args.duration, args.dc_comp)
+        channels = list(_channels(loaded, args.duration))
+        reports = []
+        for tag, contact, frames, targets in channels:
+            if contact is not None:
+                series, rate, subject, name = contact
+                reports.append(pipelines.contact_rates(series, rate, truth=subject,
+                                                       label=f"{name}@{tag}"))
+            if targets:
+                found = pipelines.contactless_rates(
+                    frames, [r for r, _ in targets], dc_compensation=args.dc_comp)
+                for rep, (_, name) in zip(found, targets):
+                    rep.label = f"{name}@{tag}"
+                reports.extend(found)
     except ValueError as exc:
         print(f"processing failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
@@ -151,7 +164,7 @@ def cmd_process(args) -> int:
             encoding="utf-8",
         )
         if args.format == "csv":
-            _write_processing_csvs(out, extras)
+            _write_processing_csvs(out, channels)
     except OSError as exc:
         print(f"cannot write reports: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -164,11 +177,10 @@ def cmd_process(args) -> int:
     return EXIT_OK
 
 
-def _write_processing_csvs(out: Path, extras) -> None:
-    for ch, contact, frames in extras:
-        tag = f"{ch.wavelength_nm:g}nm"
+def _write_processing_csvs(out: Path, channels) -> None:
+    for tag, contact, frames, targets in channels:
         if contact is not None:
-            series, rate = contact
+            series, rate, _, _ = contact
             waves = pipelines.band_waveforms(series, rate)
             formats.write_series_csv(
                 out / f"contact_{tag}_waveforms.csv",
@@ -190,14 +202,12 @@ def _write_processing_csvs(out: Path, extras) -> None:
                 out / f"range_profile_{tag}.csv",
                 {"range_m": profile.ranges, "magnitude": profile.magnitudes},
             )
-            targets = frames.truth or ()
-            ranges = [t.nominal_range for t in targets]
-            phases = pipelines._target_phases(frames, ranges) if ranges else []
-            for tgt, ext in zip(targets, phases):
+            phases = pipelines._target_phases(frames, [r for r, _ in targets]) if targets else []
+            for (_, name), ext in zip(targets, phases):
                 if isinstance(ext, pipelines.TargetSelectionError):
                     continue  # the target's report carries the selection error
                 formats.write_series_csv(
-                    out / f"phase_{tag}_{tgt.subject.id}.csv",
+                    out / f"phase_{tag}_{name}.csv",
                     {
                         "t_s": np.arange(ext.phase.size) / ext.slow_rate,
                         "phase_rad": ext.phase,
@@ -218,21 +228,15 @@ def cmd_sweep(args) -> int:
     out = _resolve_out(args.out, Path(args.bundle).name + "-sweep")
     rows = []
     try:
-        for ch in loaded.channels:
-            if ch.intensity is not None:
-                label = ch.contact_subject.id if ch.contact_subject else "contact"
-                rep = pipelines.resolution_sweep(
-                    ch.intensity, durations, sample_rate=ch.contact_sample_rate,
-                    truth=ch.contact_subject, label=f"{label}@{ch.wavelength_nm:g}nm",
-                )
-                rows.extend(rep.to_rows())
-            if ch.frames is not None:
-                for tgt in ch.frames.truth or ():
-                    rep = pipelines.resolution_sweep(
-                        ch.frames, durations, target_range=tgt.nominal_range,
-                        label=f"{tgt.subject.id}@{ch.wavelength_nm:g}nm",
-                    )
-                    rows.extend(rep.to_rows())
+        for tag, contact, frames, targets in _channels(loaded):
+            if contact is not None:
+                series, rate, subject, name = contact
+                rows.extend(pipelines.resolution_sweep(
+                    series, durations, sample_rate=rate, truth=subject,
+                    label=f"{name}@{tag}").to_rows())
+            for rng, name in targets:
+                rows.extend(pipelines.resolution_sweep(
+                    frames, durations, target_range=rng, label=f"{name}@{tag}").to_rows())
     except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
@@ -244,10 +248,10 @@ def cmd_sweep(args) -> int:
         )
         header = ["duration_s", "modality", "label", "respiration_rpm",
                   "heartbeat_bpm", "resp_3db_hz", "heart_3db_hz", "skipped"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if row[k] is None else str(row[k]) for k in header))
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([row[k] for k in header] for row in rows)
     except OSError as exc:
         print(f"cannot write sweep outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -286,11 +290,7 @@ def cmd_filter_design(args) -> int:
         (out / "coefficients.json").write_text(
             # scipy folds the overall gain into the first section
             json.dumps({"sos": sections, "gain": 1.0,
-                        "spec": {"low_edge": spec.low_edge, "high_edge": spec.high_edge,
-                                 "sample_rate": spec.sample_rate,
-                                 "passband_ripple": spec.passband_ripple,
-                                 "stopband_atten": spec.stopband_atten,
-                                 "order": spec.order}},
+                        "spec": asdict(spec)},
                        indent=2),
             encoding="utf-8",
         )

@@ -203,17 +203,7 @@ def write_fbg_response_csv(
 # --------------------------------------------------------- scenario config
 
 def _channel_to_dict(ch: WdmChannel) -> dict:
-    return {
-        "wavelength_nm": ch.wavelength_nm,
-        "roles": sorted(ch.roles),
-        "if_lfm": asdict(ch.if_lfm),
-        "fbg": asdict(ch.fbg) if ch.fbg is not None else None,
-        "fiber_length_km": ch.fiber_length_km,
-        "fiber_loss_db_per_km": ch.fiber_loss_db_per_km,
-        "carrier_power_mw": ch.carrier_power_mw,
-        "sideband_power_mw": ch.sideband_power_mw,
-        "contact_noise_rms": ch.contact_noise_rms,
-    }
+    return {**asdict(ch), "roles": sorted(ch.roles)}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -336,7 +326,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:
             write_frames(result.frames, chdir / "frames.bin")
-            entry["targets"] = [_target_to_dict(t) for t in result.targets]
+            entry["targets"] = [_target_to_dict(t) for t in result.frames.truth or ()]
         truth["channels"][f"{wl:g}"] = entry
 
     (outdir / "truth.json").write_text(
@@ -357,7 +347,6 @@ class LoadedChannel:
     contact_sample_rate: float = 50.0
     contact_subject: SubjectVitals | None = None
     frames: DechirpFrameSet | None = None
-    targets: tuple[RadarTarget, ...] = ()
 
 
 @dataclass
@@ -396,8 +385,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         frames_bin = chdir / "frames.bin"
         if frames_bin.is_file():
             lc.frames = read_frames(frames_bin)
-            lc.targets = tuple(_target_from_dict(t) for t in entry.get("targets", []))
-            if lc.frames.truth is None and lc.targets:
-                lc.frames.truth = lc.targets
+            if lc.frames.truth is None and entry.get("targets"):
+                lc.frames.truth = tuple(_target_from_dict(t) for t in entry["targets"])
         loaded.channels.append(lc)
     return loaded

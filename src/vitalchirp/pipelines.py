@@ -159,6 +159,11 @@ def band_waveforms(series, sample_rate: float) -> dict:
     return out
 
 
+def _check_duration(duration) -> None:
+    if duration < MIN_DURATION_S:
+        raise ValueError(f"record of {duration:.2f} s is shorter than {MIN_DURATION_S} s")
+
+
 def _processing_metadata(sample_rate, duration) -> dict:
     return {
         "sample_rate_hz": sample_rate,
@@ -230,8 +235,7 @@ def contact_rates(
     if not np.all(np.isfinite(series)):
         raise ValueError(f"record holds {np.sum(~np.isfinite(series))} non-finite samples")
     duration = series.size / sample_rate
-    if duration < MIN_DURATION_S:
-        raise ValueError(f"record of {duration:.2f} s is shorter than {MIN_DURATION_S} s")
+    _check_duration(duration)
 
     return _rates_report(
         series, sample_rate, label or (truth.id if truth is not None else "contact"),
@@ -375,32 +379,31 @@ def extract_target_phase(
 def contactless_rates(
     frames: DechirpFrameSet,
     target_ranges: list[float] | None = None,
-    truth: tuple | None = None,
     dc_compensation: bool = False,
 ) -> list[VitalsReport]:
-    """Per-target rates from a de-chirped frame set.
+    """Per-target rates from a de-chirped frame set of at least 5 s.
 
     ``target_ranges`` defaults to the nominal ranges of the frame set's
     ground truth.  A selection failure on one target is reported in that
     target's flags without aborting the others.  Requests that resolve
     to the same range bin read the same phase series, so each of their
-    reports carries ``flags["shared_bin"] = True``.  Truth subjects (from
-    ``truth`` or the frame set) are matched to targets by nearest
-    nominal range within 2 range bins of the request; an unmatched
-    target is labelled ``target-<i>`` and carries no error fields.
+    reports carries ``flags["shared_bin"] = True``.  The frame set's truth
+    subjects are matched to targets by nearest nominal range within 2
+    range bins of the request; an unmatched target is labelled
+    ``target-<i>`` and carries no error fields.
     """
-    truth_targets = truth if truth is not None else frames.truth
+    _check_duration(frames.duration)
     if target_ranges is None:
-        if not truth_targets:
+        if not frames.truth:
             raise ValueError("no target_ranges given and frames carry no truth")
-        target_ranges = [t.nominal_range for t in truth_targets]
+        target_ranges = [t.nominal_range for t in frames.truth]
     if not target_ranges:
         raise ValueError("at least one target range is required")
     return _prefix_rates(frames, _hann_spectra(frames), frames.slow_count, target_ranges,
-                         truth_targets, dc_compensation)
+                         dc_compensation)
 
 
-def _nearest_truth(frames, truth_targets, target_range):
+def _nearest_truth(frames, target_range):
     """The truth target nearest ``target_range`` within 2 range bins, or None.
 
     That is the tolerance range selection applies, so a request that
@@ -408,19 +411,18 @@ def _nearest_truth(frames, truth_targets, target_range):
     nor scored against its rates.
     """
     tol = 2.0 * _bin_width(frames)
-    near = [t for t in truth_targets or () if abs(t.nominal_range - target_range) <= tol]
+    near = [t for t in frames.truth or () if abs(t.nominal_range - target_range) <= tol]
     return min(near, key=lambda t: abs(t.nominal_range - target_range), default=None)
 
 
-def _prefix_rates(frames, spectra, rows, target_ranges, truth_targets,
-                  dc_compensation) -> list[VitalsReport]:
+def _prefix_rates(frames, spectra, rows, target_ranges, dc_compensation) -> list[VitalsReport]:
     """:func:`contactless_rates` on the first ``rows`` frames, from ``spectra``."""
     duration = rows / frames.slow_rate
     phases = _target_phases(frames, target_ranges, dc_compensation, spectra, rows)
     bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
     for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-        matched = _nearest_truth(frames, truth_targets, rng_req)
+        matched = _nearest_truth(frames, rng_req)
         label = matched.subject.id if matched is not None else f"target-{i}"
         metadata = _processing_metadata(frames.slow_rate, duration)
         if isinstance(extraction, TargetSelectionError):
@@ -498,15 +500,14 @@ def resolution_sweep(
             if not source.truth:
                 raise ValueError("target_range required for frames without truth")
             rng_req = source.truth[0].nominal_range
-        matched = _nearest_truth(source, source.truth, rng_req)
+        matched = _nearest_truth(source, rng_req)
         modality, available = "contactless", source.duration
         default_label = matched.subject.id if matched is not None else "target-0"
         spectra = _hann_spectra(source)
 
         def rates(d):
             rows = source.truncated(d).slow_count  # a view: no copy, no transform
-            return _prefix_rates(source, spectra, rows, [rng_req], source.truth,
-                                 dc_compensation)[0]
+            return _prefix_rates(source, spectra, rows, [rng_req], dc_compensation)[0]
     else:
         if dc_compensation:
             raise ValueError("dc_compensation applies to frames only")

@@ -222,7 +222,6 @@ class ChannelResult:
     intensity: IntensityRecord | None = None
     frames: DechirpFrameSet | None = None
     contact_subject: SubjectVitals | None = None
-    targets: tuple[RadarTarget, ...] = ()
 
 
 @dataclass
@@ -272,7 +271,6 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
             frames = synth_dechirp_frames(targets, chirp, acq, seed=radar_seed)
             frames.samples = frames.samples * ch.loss_scale
             result.frames = frames
-            result.targets = targets
 
         results[ch.wavelength_nm] = result
     return ScenarioBundle(scenario=s, channels=results)

@@ -1,11 +1,15 @@
+import csv
 import json
+import shutil
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from vitalchirp.cli import main
-from vitalchirp.formats import read_bundle, read_frames
+from vitalchirp.formats import read_bundle, read_frames, write_frames
+from vitalchirp.physio import PRESET_SUBJECTS
 from vitalchirp.pipelines import band_waveforms, extract_target_phase
 
 CONFIG = {
@@ -51,6 +55,26 @@ def bundle_dir(tmp_path_factory):
     out = tmp / "bundle"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+def bundle_copy(bundle_dir, dest, drop=()):
+    """A copy of ``bundle_dir`` without the files named in ``drop``."""
+    shutil.copytree(bundle_dir, dest)
+    for rel in drop:
+        (dest / rel).unlink()
+    return dest
+
+
+@pytest.fixture(scope="module")
+def truthless_dir(bundle_dir, tmp_path_factory):
+    """The CLI bundle with truth.json removed and the frames' truth cleared."""
+    anon = bundle_copy(bundle_dir, tmp_path_factory.mktemp("truthless") / "anon",
+                       drop=["truth.json"])
+    frames_path = anon / "channel_1549.36" / "frames.bin"
+    frames = read_frames(frames_path)
+    frames.truth = None
+    write_frames(frames, frames_path)
+    return anon
 
 
 class TestSimulate:
@@ -201,6 +225,36 @@ class TestProcess:
         assert ranges[0] == pytest.approx(1.00, abs=0.0375)
         assert ranges[1] == pytest.approx(1.65, abs=0.0375)
 
+    def test_truthless_csv_phases_match_extract_target_phase(self, truthless_dir, tmp_path):
+        out = tmp_path / "anon-csv"
+        assert main(["process", str(truthless_dir), "--out", str(out),
+                     "--format", "csv"]) == 0
+        reports = json.loads((out / "reports.json").read_text())
+        contactless = [r for r in reports if r["modality"] == "contactless"]
+        assert [r["label"] for r in contactless] == ["target-0@1549.36nm",
+                                                      "target-1@1549.36nm"]
+        frames = read_frames(truthless_dir / "channel_1549.36" / "frames.bin")
+        for i, rep in enumerate(contactless):
+            data = np.loadtxt(out / f"phase_1549.36nm_target-{i}.csv",
+                              delimiter=",", skiprows=1)
+            want = extract_target_phase(frames, rep["metadata"]["requested_range_m"]).phase
+            np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
+
+    def test_contactless_record_under_five_seconds_processing_exit(
+            self, bundle_dir, tmp_path, capsys):
+        radar_only = bundle_copy(bundle_dir, tmp_path / "radar-only", drop=[
+            "channel_1549.36/contact.csv", "channel_1549.92/contact.csv"])
+        assert main(["process", str(radar_only), "--out", str(tmp_path / "out"),
+                     "--duration", "2"]) == 4
+        assert "record of 2.00 s is shorter than 5.0 s" in capsys.readouterr().err
+
+    def test_duration_past_contact_record_processing_exit(self, bundle_dir, tmp_path, capsys):
+        contact_only = bundle_copy(bundle_dir, tmp_path / "contact-only",
+                                   drop=["channel_1549.36/frames.bin"])
+        assert main(["process", str(contact_only), "--out", str(tmp_path / "out"),
+                     "--duration", "90"]) == 4
+        assert "cannot truncate 60.0 s record to 90.0 s" in capsys.readouterr().err
+
     def test_noiseless_round_trip_recovers_truth(self, tmp_path):
         quiet = json.loads(json.dumps(CONFIG))
         quiet["acquisition"]["noise_rms"] = 0.0
@@ -267,6 +321,40 @@ class TestSweep:
         for label in {r["label"] for r in rows}:
             widths = [r["resp_3db_hz"] for r in rows if r["label"] == label]
             assert all(b <= a * 1.05 for a, b in zip(widths, widths[1:]))
+
+
+    def test_truthless_bundle_sweeps_the_reported_targets(self, truthless_dir, tmp_path):
+        out = tmp_path / "anon-sweep"
+        assert main(["sweep", str(truthless_dir), "--out", str(out)]) == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert len(rows) == 4 * 7
+        assert main(["process", str(truthless_dir), "--out", str(tmp_path / "anon")]) == 0
+        reports = json.loads((tmp_path / "anon" / "reports.json").read_text())
+        contactless = [r for r in reports if r["modality"] == "contactless"]
+        assert len(contactless) == 2
+        for rep in contactless:
+            (row,) = [r for r in rows if r["label"] == rep["label"] and r["duration_s"] == 60]
+            assert row["modality"] == "contactless"
+            assert row["respiration_rpm"] == rep["respiration_rpm_exact"]
+            assert row["heartbeat_bpm"] == rep["heartbeat_bpm_exact"]
+            assert row["resp_3db_hz"] == rep["resp_3db_hz"]
+            assert row["heart_3db_hz"] == rep["heart_3db_hz"]
+
+    def test_csv_round_trips_to_json_rows(self, tmp_path):
+        subject = {**asdict(PRESET_SUBJECTS["subject-d"]), "id": "Doe, J"}
+        config = {"duration_s": 10.0, "seed": 3,
+                  "channels": [{**CONFIG["channels"][1], "contact_subject": subject}]}
+        bundle = tmp_path / "doe"
+        assert main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(bundle)]) == 0
+        out = tmp_path / "doe-sweep"
+        assert main(["sweep", str(bundle), "--out", str(out), "--durations", "5,20"]) == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [r["label"] for r in rows] == ["Doe, J@1549.92nm"] * 2
+        assert rows[1]["skipped"] == "duration exceeds 10.0 s record"
+        with (out / "sweep.csv").open(newline="", encoding="utf-8") as fh:
+            read = list(csv.DictReader(fh))
+        assert read == [{k: "" if v is None else str(v) for k, v in r.items()} for r in rows]
 
 
 class TestFilterDesign:

@@ -279,6 +279,12 @@ class TestContactlessRates:
         assert abs(rep_alone.respiration_rpm - rep_both.respiration_rpm) < 0.5
         assert abs(rep_alone.heartbeat_bpm - rep_both.heartbeat_bpm) < 0.5
 
+    def test_record_shorter_than_five_seconds_rejected(self, chirp):
+        targets, acq = two_person_scene(duration=4.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        with pytest.raises(ValueError, match=r"record of 4\.00 s is shorter than 5\.0 s"):
+            contactless_rates(frames)
+
     def test_selection_failure_does_not_abort_others(self, chirp, acq_quiet, subjects):
         frames = synth_dechirp_frames(
             [RadarTarget(subjects["subject-b"], 1.00)], chirp, acq_quiet

@@ -110,7 +110,7 @@ class TestRunScenario:
         ch1 = bundle.channels[1549.36]
         ch2 = bundle.channels[1549.92]
         assert ch1.intensity is not None and ch1.frames is not None
-        assert len(ch1.targets) == 2
+        assert len(ch1.frames.truth) == 2
         assert ch2.intensity is not None and ch2.frames is None
         assert ch1.frames.samples.shape == (1000, 600)
         assert ch1.intensity.samples.shape == (1000,)
