@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, formats, pipelines
+from . import dsp, formats, physio, pipelines
 from .scenario import run_scenario, validate_scenario
 
 EXIT_OK = 0
@@ -91,47 +91,56 @@ def _load_bundle(bundle_dir: str):
         return None, EXIT_VALIDATION
 
 
-def _frames_targets(frames) -> list[tuple[float, str]]:
-    """``(range, name)`` of each person a frame set is processed for.
-
-    The truth targets' nominal ranges and subject ids when the frames carry
-    truth; otherwise the range-profile peaks of at least 0.3 x the
-    strongest, in ascending range, named ``target-<i>``.
-    """
-    if frames.truth:
-        return [(t.nominal_range, t.subject.id) for t in frames.truth]
-    profile = pipelines.range_profile(frames)
-    idx = profile.peak_indices()
-    mags = profile.magnitudes[idx]
-    keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
-    ranges = sorted(float(r) for r in profile.ranges[keep])
-    return [(r, f"target-{i}") for i, r in enumerate(ranges)]
-
-
 def _channels(loaded, duration=None):
-    """Each channel as ``(tag, contact, frames, targets)``, cut to ``duration`` s.
+    """Each channel as ``(tag, contact, analysis, targets)``, cut to ``duration`` s.
 
     ``tag`` is ``<wavelength>nm``; ``contact`` is ``(series, sample_rate,
-    subject, name)`` or None; ``targets`` is :func:`_frames_targets` of the
-    cut frames, or empty.  A cut past either record raises ``ValueError``.
-    Every command labels its outputs ``<name>@<tag>`` from these names.
+    subject, name)`` or None; ``analysis`` is the cut frames'
+    :class:`pipelines.FrameAnalysis` or None, and ``targets`` its targets or
+    empty.  A cut past either record raises ``ValueError``.  Every command
+    labels its outputs ``<name>@<tag>`` from these names.  The walk drops
+    each analysis before it builds the next.
     """
     for ch in loaded.channels:
-        contact = frames = None
+        contact, analysis, targets = None, None, []
         if ch.intensity is not None:
             series, rate = ch.intensity, ch.contact_sample_rate
             if duration is not None:
-                n = int(round(duration * rate))
-                if not 1 <= n <= series.size:
-                    raise ValueError(
-                        f"cannot truncate {series.size / rate:.1f} s record to {duration} s")
-                series = series[:n]
+                series = series[:physio.prefix_length(duration, rate, series.size)]
             subject = ch.contact_subject
             contact = (series, rate, subject, subject.id if subject else "contact")
         if ch.frames is not None:
             frames = ch.frames if duration is None else ch.frames.truncated(duration)
-        targets = _frames_targets(frames) if frames is not None else []
-        yield f"{ch.wavelength_nm:g}nm", contact, frames, targets
+            analysis = pipelines.FrameAnalysis(frames)
+            targets = analysis.targets()
+        yield f"{ch.wavelength_nm:g}nm", contact, analysis, targets
+
+
+def _series_files(tag, contact, analysis, targets, dc_compensation) -> dict:
+    """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
+    files = {}
+    if contact is not None:
+        series, rate, _, _ = contact
+        waves = pipelines.band_waveforms(series, rate)
+        files[f"contact_{tag}_waveforms.csv"] = {
+            "t_s": np.arange(waves["resp_filtered"].size) / rate,
+            "resp_filtered": waves["resp_filtered"],
+            "heart_filtered": waves["heart_filtered"],
+        }
+        for band in ("resp", "heart"):
+            sp = waves[f"{band}_spectrum"]
+            files[f"contact_{tag}_{band}_spectrum.csv"] = {
+                "freq_hz": sp.frequencies, "magnitude": sp.magnitudes}
+    if analysis is not None:
+        profile = analysis.profile()
+        files[f"range_profile_{tag}.csv"] = {
+            "range_m": profile.ranges, "magnitude": profile.magnitudes}
+        phases = analysis.phases([r for r, _ in targets], dc_compensation)
+        for (_, name), ext in zip(targets, phases):
+            if isinstance(ext, pipelines.PhaseSeries):  # else its report holds the error
+                files[f"phase_{tag}_{name}.csv"] = {
+                    "t_s": np.arange(ext.phase.size) / ext.slow_rate, "phase_rad": ext.phase}
+    return files
 
 
 def cmd_process(args) -> int:
@@ -139,20 +148,22 @@ def cmd_process(args) -> int:
     if loaded is None:
         return status
     out = _resolve_out(args.out, Path(args.bundle).name + "-reports")
+    reports, files = [], {}
     try:
-        channels = list(_channels(loaded, args.duration))
-        reports = []
-        for tag, contact, frames, targets in channels:
+        for tag, contact, analysis, targets in _channels(loaded, args.duration):
             if contact is not None:
                 series, rate, subject, name = contact
                 reports.append(pipelines.contact_rates(series, rate, truth=subject,
                                                        label=f"{name}@{tag}"))
             if targets:
                 found = pipelines.contactless_rates(
-                    frames, [r for r, _ in targets], dc_compensation=args.dc_comp)
+                    analysis, [r for r, _ in targets], dc_compensation=args.dc_comp)
                 for rep, (_, name) in zip(found, targets):
                     rep.label = f"{name}@{tag}"
                 reports.extend(found)
+            if args.format == "csv":
+                files.update(_series_files(tag, contact, analysis, targets, args.dc_comp))
+            del analysis  # one frame transform alive at a time
     except ValueError as exc:
         print(f"processing failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
@@ -163,8 +174,8 @@ def cmd_process(args) -> int:
             json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True),
             encoding="utf-8",
         )
-        if args.format == "csv":
-            _write_processing_csvs(out, channels)
+        for name, columns in files.items():
+            formats.write_series_csv(out / name, columns)
     except OSError as exc:
         print(f"cannot write reports: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -175,44 +186,6 @@ def cmd_process(args) -> int:
         print(f"{rep.label} [{rep.modality}]: respiration {resp} rpm, heartbeat {heart} bpm")
     print(f"reports written to {out}")
     return EXIT_OK
-
-
-def _write_processing_csvs(out: Path, channels) -> None:
-    for tag, contact, frames, targets in channels:
-        if contact is not None:
-            series, rate, _, _ = contact
-            waves = pipelines.band_waveforms(series, rate)
-            formats.write_series_csv(
-                out / f"contact_{tag}_waveforms.csv",
-                {
-                    "t_s": np.arange(waves["resp_filtered"].size) / rate,
-                    "resp_filtered": waves["resp_filtered"],
-                    "heart_filtered": waves["heart_filtered"],
-                },
-            )
-            for band in ("resp", "heart"):
-                sp = waves[f"{band}_spectrum"]
-                formats.write_series_csv(
-                    out / f"contact_{tag}_{band}_spectrum.csv",
-                    {"freq_hz": sp.frequencies, "magnitude": sp.magnitudes},
-                )
-        if frames is not None:
-            profile = pipelines.range_profile(frames)
-            formats.write_series_csv(
-                out / f"range_profile_{tag}.csv",
-                {"range_m": profile.ranges, "magnitude": profile.magnitudes},
-            )
-            phases = pipelines._target_phases(frames, [r for r, _ in targets]) if targets else []
-            for (_, name), ext in zip(targets, phases):
-                if isinstance(ext, pipelines.TargetSelectionError):
-                    continue  # the target's report carries the selection error
-                formats.write_series_csv(
-                    out / f"phase_{tag}_{name}.csv",
-                    {
-                        "t_s": np.arange(ext.phase.size) / ext.slow_rate,
-                        "phase_rad": ext.phase,
-                    },
-                )
 
 
 def cmd_sweep(args) -> int:
@@ -228,7 +201,7 @@ def cmd_sweep(args) -> int:
     out = _resolve_out(args.out, Path(args.bundle).name + "-sweep")
     rows = []
     try:
-        for tag, contact, frames, targets in _channels(loaded):
+        for tag, contact, analysis, targets in _channels(loaded):
             if contact is not None:
                 series, rate, subject, name = contact
                 rows.extend(pipelines.resolution_sweep(
@@ -236,7 +209,8 @@ def cmd_sweep(args) -> int:
                     label=f"{name}@{tag}").to_rows())
             for rng, name in targets:
                 rows.extend(pipelines.resolution_sweep(
-                    frames, durations, target_range=rng, label=f"{name}@{tag}").to_rows())
+                    analysis, durations, target_range=rng, label=f"{name}@{tag}").to_rows())
+            del analysis  # one frame transform alive at a time
     except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING

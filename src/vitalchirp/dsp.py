@@ -189,7 +189,6 @@ class MagnitudeSpectrum:
     frequencies: np.ndarray
     magnitudes: np.ndarray
     window: str
-    source_length: int
     sample_rate: float
 
     @property
@@ -229,7 +228,6 @@ def spectrum(
         frequencies=np.fft.rfftfreq(n, 1.0 / sample_rate),
         magnitudes=np.abs(np.fft.rfft(xw, n)),
         window=window,
-        source_length=x.size,
         sample_rate=sample_rate,
     )
 

@@ -15,7 +15,7 @@ processing chain consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,7 +181,6 @@ class IntensityRecord:
     samples: np.ndarray
     grid: TimeGrid
     edge_warning: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 def contact_intensity(
@@ -224,10 +223,4 @@ def contact_intensity(
         power = power * (1.0 + rng.normal(0.0, noise_rms, grid.count))
 
     edge = bool(np.max(np.abs(offset)) > 3.0 * fbg.sigma) if x.size else False
-    meta = {
-        "carrier_power": carrier_power,
-        "sideband_power": sideband_power,
-        "noise_rms": noise_rms,
-        "operating_offset_hz": fbg.operating_offset,
-    }
-    return IntensityRecord(samples=power, grid=grid, edge_warning=edge, metadata=meta)
+    return IntensityRecord(samples=power, grid=grid, edge_warning=edge)

@@ -16,6 +16,7 @@ __all__ = [
     "TimeGrid",
     "SubjectVitals",
     "make_time_grid",
+    "prefix_length",
     "synth_motion",
     "PRESET_SUBJECTS",
     "preset_subject",
@@ -68,6 +69,19 @@ def make_time_grid(duration: float, sample_rate: float, start: float = 0.0) -> T
         raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
     count = int(round(duration * sample_rate))
     return TimeGrid(sample_rate=sample_rate, count=count, start=start)
+
+
+def prefix_length(duration: float, sample_rate: float, count: int) -> int:
+    """Samples in the first ``duration`` s of a ``count``-sample record.
+
+    The one truncation rule: ``floor(duration * sample_rate)``, guarded by 1e-9
+    so that a duration on the sample grid keeps its last sample.  An empty,
+    too long or non-finite prefix raises ``ValueError``.
+    """
+    n = duration * sample_rate + 1e-9
+    if not 1 <= n < count + 1:  # 1 <= floor(n) <= count, and false for nan
+        raise ValueError(f"cannot truncate {count / sample_rate:.1f} s record to {duration} s")
+    return int(n)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ spectra -> peak search -> rates and 3-dB resolutions.
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
-Each call transforms a frame set once (hann fast-time FFT); the profile,
-every target's bin series and every sweep duration are read from those
-spectra, whose first rows equal the truncated frames' spectra bit for bit.
+One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT);
+profile, targets, phases, rates and every sweep duration read its spectra,
+whose first rows equal the truncated frames' spectra bit for bit.
 
 The chain is fixed: both filters use the :class:`dsp.BandpassSpec`
 defaults (elliptic, order 4, 1 dB ripple, 40 dB stopband), applied
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
-from .physio import HEART_BAND, RESP_BAND, SubjectVitals
+from .physio import HEART_BAND, RESP_BAND, SubjectVitals, prefix_length
 from .radar import DechirpFrameSet
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "SweepEntry",
     "SweepReport",
     "TargetSelectionError",
+    "FrameAnalysis",
     "contact_rates",
     "band_waveforms",
     "range_profile",
@@ -288,12 +289,6 @@ def range_profile(frames: DechirpFrameSet) -> RangeProfile:
     return _profile(frames, np.abs(np.fft.rfft(frames.samples, axis=1)))
 
 
-def _hann_spectra(frames: DechirpFrameSet) -> tuple[np.ndarray, np.ndarray]:
-    """Hann-windowed fast-time rFFT of every frame, and its magnitude."""
-    spec = np.fft.rfft(frames.samples * np.hanning(frames.fast_count)[None, :], axis=1)
-    return spec, np.abs(spec)
-
-
 @dataclass
 class PhaseSeries:
     """Unwrapped slow-time phase of one range bin."""
@@ -304,45 +299,115 @@ class PhaseSeries:
     bin_range: float
 
 
-def _target_phases(frames, target_ranges, dc_compensation=False, spectra=None, rows=None
-                   ) -> list[PhaseSeries | TargetSelectionError]:
-    """:func:`extract_target_phase` for each range, on the first ``rows`` frames.
+def _nearest_truth(frames, target_range):
+    """The truth target nearest ``target_range`` within 2 range bins, or None.
 
-    ``spectra`` is ``_hann_spectra(frames)``, whose first ``rows`` rows
-    equal the spectra of the truncated frames bit for bit.  A failed
-    selection yields its :class:`TargetSelectionError` in place of a series.
+    That is the tolerance range selection applies, so a request that
+    selects a peak far from every truth target is neither labelled as one
+    nor scored against its rates.
     """
-    spec, mags = spectra or _hann_spectra(frames)
-    profile = _profile(frames, mags[:rows])
-    peaks = profile.peak_indices()
-    slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
-    slope_window = (
-        2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
-        / (SPEED_OF_LIGHT * frames.fast_rate)
-    )
-    scale = slope_motion / (slope_motion + slope_window)
-    results = []
-    for target_range in target_ranges:
-        if peaks.size == 0:
-            results.append(TargetSelectionError("range profile has no peaks"))
-            continue
-        nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-        if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
-            results.append(TargetSelectionError(
-                f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
-                f"at {profile.ranges[nearest]:.3f} m"
+    tol = 2.0 * _bin_width(frames)
+    near = [t for t in frames.truth or () if abs(t.nominal_range - target_range) <= tol]
+    return min(near, key=lambda t: abs(t.nominal_range - target_range), default=None)
+
+
+class FrameAnalysis:
+    """The hann fast-time transform of a frame set, read by every contactless output.
+
+    The spectra are taken once, from the samples the frames hold at
+    construction.  ``rows`` reads the first ``rows`` frames (None: all).
+    """
+
+    def __init__(self, frames: DechirpFrameSet):
+        self.frames = frames
+        self.spectra = np.fft.rfft(frames.samples * np.hanning(frames.fast_count)[None, :],
+                                   axis=1)
+        self.magnitudes = np.abs(self.spectra)
+
+    def profile(self, rows: int | None = None) -> RangeProfile:
+        """Slow-time-averaged hann magnitude: the profile targets are selected on."""
+        return _profile(self.frames, self.magnitudes[:rows])
+
+    def targets(self) -> list[tuple[float, str]]:
+        """``(range, name)`` of each person the frame set is processed for.
+
+        The truth targets' nominal ranges and subject ids when the frames
+        carry truth; otherwise the peaks of :meth:`profile` of at least
+        0.3 x the strongest, in ascending range, named ``target-<i>``.
+        """
+        if self.frames.truth:
+            return [(t.nominal_range, t.subject.id) for t in self.frames.truth]
+        profile = self.profile()
+        idx = profile.peak_indices()
+        mags = profile.magnitudes[idx]
+        keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
+        ranges = sorted(float(r) for r in profile.ranges[keep])
+        return [(r, f"target-{i}") for i, r in enumerate(ranges)]
+
+    def phases(self, target_ranges, dc_compensation: bool = False, rows: int | None = None
+               ) -> list[PhaseSeries | TargetSelectionError]:
+        """:func:`extract_target_phase` for each range, or the selection's error."""
+        frames = self.frames
+        profile = self.profile(rows)
+        peaks = profile.peak_indices()
+        slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
+        slope_window = (
+            2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
+            / (SPEED_OF_LIGHT * frames.fast_rate)
+        )
+        scale = slope_motion / (slope_motion + slope_window)
+        results = []
+        for target_range in target_ranges:
+            if peaks.size == 0:
+                results.append(TargetSelectionError("range profile has no peaks"))
+                continue
+            nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
+            if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
+                results.append(TargetSelectionError(
+                    f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
+                    f"at {profile.ranges[nearest]:.3f} m"
+                ))
+                continue
+            series = self.spectra[:rows, nearest]
+            if dc_compensation:
+                series = series - series.mean()
+            results.append(PhaseSeries(
+                phase=dsp.unwrap_phase(np.angle(series)) * scale,
+                slow_rate=frames.slow_rate,
+                bin_index=nearest,
+                bin_range=float(profile.ranges[nearest]),
             ))
-            continue
-        series = spec[:rows, nearest]
-        if dc_compensation:
-            series = series - series.mean()
-        results.append(PhaseSeries(
-            phase=dsp.unwrap_phase(np.angle(series)) * scale,
-            slow_rate=frames.slow_rate,
-            bin_index=nearest,
-            bin_range=float(profile.ranges[nearest]),
-        ))
-    return results
+        return results
+
+    def rates(self, target_ranges, dc_compensation: bool = False, rows: int | None = None
+              ) -> list[VitalsReport]:
+        """:func:`contactless_rates` for ``target_ranges`` on the first ``rows`` frames."""
+        duration = (self.frames.slow_count if rows is None else rows) / self.frames.slow_rate
+        _check_duration(duration)
+        phases = self.phases(target_ranges, dc_compensation, rows)
+        bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
+        reports = []
+        for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
+            matched = _nearest_truth(self.frames, rng_req)
+            label = matched.subject.id if matched is not None else f"target-{i}"
+            metadata = _processing_metadata(self.frames.slow_rate, duration)
+            if isinstance(extraction, TargetSelectionError):
+                reports.append(VitalsReport(
+                    label, "contactless", metadata=metadata,
+                    flags={"resp_detected": False, "heart_detected": False,
+                           "selection_error": str(extraction)},
+                ))
+                continue
+            metadata.update(requested_range_m=rng_req, dc_compensation=dc_compensation)
+            report = _rates_report(
+                extraction.phase, self.frames.slow_rate, label, "contactless",
+                matched.subject if matched is not None else None,
+                metadata, range_m=extraction.bin_range,
+            )
+            if bins.count(extraction.bin_index) > 1:
+                report.flags["shared_bin"] = True
+            reports.append(report)
+        return reports
 
 
 def extract_target_phase(
@@ -370,18 +435,18 @@ def extract_target_phase(
     clutter by construction, so it defaults off; it is kept for parity
     with quadrature receivers that need it.
     """
-    (result,) = _target_phases(frames, [target_range], dc_compensation)
+    (result,) = FrameAnalysis(frames).phases([target_range], dc_compensation)
     if isinstance(result, TargetSelectionError):
         raise result
     return result
 
 
 def contactless_rates(
-    frames: DechirpFrameSet,
+    frames: DechirpFrameSet | FrameAnalysis,
     target_ranges: list[float] | None = None,
     dc_compensation: bool = False,
 ) -> list[VitalsReport]:
-    """Per-target rates from a de-chirped frame set of at least 5 s.
+    """Per-target rates from a de-chirped frame set of at least 5 s, or its analysis.
 
     ``target_ranges`` defaults to the nominal ranges of the frame set's
     ground truth.  A selection failure on one target is reported in that
@@ -392,56 +457,14 @@ def contactless_rates(
     range bins of the request; an unmatched target is labelled
     ``target-<i>`` and carries no error fields.
     """
-    _check_duration(frames.duration)
+    analysis = frames if isinstance(frames, FrameAnalysis) else FrameAnalysis(frames)
     if target_ranges is None:
-        if not frames.truth:
+        if not analysis.frames.truth:
             raise ValueError("no target_ranges given and frames carry no truth")
-        target_ranges = [t.nominal_range for t in frames.truth]
+        target_ranges = [t.nominal_range for t in analysis.frames.truth]
     if not target_ranges:
         raise ValueError("at least one target range is required")
-    return _prefix_rates(frames, _hann_spectra(frames), frames.slow_count, target_ranges,
-                         dc_compensation)
-
-
-def _nearest_truth(frames, target_range):
-    """The truth target nearest ``target_range`` within 2 range bins, or None.
-
-    That is the tolerance range selection applies, so a request that
-    selects a peak far from every truth target is neither labelled as one
-    nor scored against its rates.
-    """
-    tol = 2.0 * _bin_width(frames)
-    near = [t for t in frames.truth or () if abs(t.nominal_range - target_range) <= tol]
-    return min(near, key=lambda t: abs(t.nominal_range - target_range), default=None)
-
-
-def _prefix_rates(frames, spectra, rows, target_ranges, dc_compensation) -> list[VitalsReport]:
-    """:func:`contactless_rates` on the first ``rows`` frames, from ``spectra``."""
-    duration = rows / frames.slow_rate
-    phases = _target_phases(frames, target_ranges, dc_compensation, spectra, rows)
-    bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
-    reports = []
-    for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-        matched = _nearest_truth(frames, rng_req)
-        label = matched.subject.id if matched is not None else f"target-{i}"
-        metadata = _processing_metadata(frames.slow_rate, duration)
-        if isinstance(extraction, TargetSelectionError):
-            reports.append(VitalsReport(
-                label, "contactless", metadata=metadata,
-                flags={"resp_detected": False, "heart_detected": False,
-                       "selection_error": str(extraction)},
-            ))
-            continue
-        metadata.update(requested_range_m=rng_req, dc_compensation=dc_compensation)
-        report = _rates_report(
-            extraction.phase, frames.slow_rate, label, "contactless",
-            matched.subject if matched is not None else None,
-            metadata, range_m=extraction.bin_range,
-        )
-        if bins.count(extraction.bin_index) > 1:
-            report.flags["shared_bin"] = True
-        reports.append(report)
-    return reports
+    return analysis.rates(target_ranges, dc_compensation)
 
 
 @dataclass
@@ -465,7 +488,7 @@ class SweepReport:
 
 
 def resolution_sweep(
-    source: IntensityRecord | np.ndarray | DechirpFrameSet,
+    source: IntensityRecord | np.ndarray | DechirpFrameSet | FrameAnalysis,
     durations: list[float],
     sample_rate: float = 50.0,
     truth: SubjectVitals | None = None,
@@ -476,12 +499,13 @@ def resolution_sweep(
     """Rates and 3-dB resolutions at several record lengths.
 
     Each duration is a truncation of the source record anchored at t=0
-    (sliding windows are not used); the matching rates chain runs on the
-    truncation; for frames, a prefix slice of spectra computed once per
-    call, which equals ``contactless_rates(source.truncated(d))`` bit for
-    bit.  Durations longer than the source, and for frames a failed target
-    selection, are flagged in the entry's ``skipped`` and the remaining
-    durations still run.  Durations below 5 s are rejected.
+    (sliding windows are not used) to :func:`physio.prefix_length` samples;
+    the matching rates chain runs on the truncation.  Frames are read
+    through one :class:`FrameAnalysis` (the one passed, else one built per
+    call), whose row prefix equals ``contactless_rates(source.truncated(d))``
+    bit for bit.  Durations longer than the source, and for frames a failed
+    target selection, are flagged in the entry's ``skipped`` and the
+    remaining durations still run.  Durations below 5 s are rejected.
 
     Every row carries ``label`` if given, else the label the chain gives
     the source.  Frames take their truth from the frame set, so ``truth``
@@ -492,22 +516,23 @@ def resolution_sweep(
     if any(d < MIN_DURATION_S for d in durations):
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s")
 
-    if isinstance(source, DechirpFrameSet):
+    if isinstance(source, (DechirpFrameSet, FrameAnalysis)):
         if truth is not None:
             raise ValueError("truth applies to contact records; frames carry their own")
+        analysis = source if isinstance(source, FrameAnalysis) else FrameAnalysis(source)
+        frames = analysis.frames
         rng_req = target_range
         if rng_req is None:
-            if not source.truth:
+            if not frames.truth:
                 raise ValueError("target_range required for frames without truth")
-            rng_req = source.truth[0].nominal_range
-        matched = _nearest_truth(source, rng_req)
-        modality, available = "contactless", source.duration
+            rng_req = frames.truth[0].nominal_range
+        matched = _nearest_truth(frames, rng_req)
+        modality, available = "contactless", frames.duration
         default_label = matched.subject.id if matched is not None else "target-0"
-        spectra = _hann_spectra(source)
 
         def rates(d):
-            rows = source.truncated(d).slow_count  # a view: no copy, no transform
-            return _prefix_rates(source, spectra, rows, [rng_req], dc_compensation)[0]
+            rows = prefix_length(d, frames.slow_rate, frames.slow_count)
+            return analysis.rates([rng_req], dc_compensation, rows)[0]
     else:
         if dc_compensation:
             raise ValueError("dc_compensation applies to frames only")
@@ -520,8 +545,8 @@ def resolution_sweep(
         default_label = truth.id if truth is not None else "contact"
 
         def rates(d):
-            return contact_rates(series[: int(round(d * sample_rate))], sample_rate,
-                                 truth=truth)
+            return contact_rates(series[:prefix_length(d, sample_rate, series.size)],
+                                 sample_rate, truth=truth)
 
     row_label = label or default_label
     entries = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .photonics import SPEED_OF_LIGHT, ChirpParams
-from .physio import SubjectVitals, TimeGrid, synth_motion
+from .physio import SubjectVitals, TimeGrid, prefix_length, synth_motion
 
 __all__ = [
     "RadarTarget",
@@ -114,11 +114,7 @@ class DechirpFrameSet:
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
         """First ``duration`` seconds of the record as a new frame set."""
-        rows = int(math.floor(duration * self.slow_rate + 1e-9))
-        if rows < 1 or rows > self.slow_count:
-            raise ValueError(
-                f"cannot truncate {self.duration:.1f} s record to {duration} s"
-            )
+        rows = prefix_length(duration, self.slow_rate, self.slow_count)
         return DechirpFrameSet(
             samples=self.samples[:rows],
             slow_rate=self.slow_rate,

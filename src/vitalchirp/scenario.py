@@ -260,7 +260,6 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
                 rng_seed=contact_seed,
             )
             record.samples = record.samples * ch.loss_scale
-            record.metadata["fiber_loss_scale"] = ch.loss_scale
             result.intensity = record
             result.contact_subject = subject
 

@@ -27,6 +27,21 @@ def sos_response(sos, freqs, sample_rate):
     return h
 
 
+@pytest.fixture()
+def rfft_2d_calls(monkeypatch):
+    """Shapes of the 2-D ``numpy.fft.rfft`` calls (frame transforms) made from now on."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def if_params():
     return IfLfmParams(

@@ -141,6 +141,15 @@ class TestProcess:
         reports = json.loads((out / "reports.json").read_text())
         assert all(r["metadata"]["duration_s"] == pytest.approx(5.0) for r in reports)
 
+    def test_fractional_duration_cuts_every_record_alike(self, bundle_dir, tmp_path):
+        # 5.03 s is 251.5 samples of either record; both keep 251
+        out = tmp_path / "reports503"
+        assert main(["process", str(bundle_dir), "--out", str(out),
+                     "--duration", "5.03"]) == 0
+        reports = json.loads((out / "reports.json").read_text())
+        assert len(reports) == 4
+        assert all(r["metadata"]["duration_s"] == pytest.approx(5.02) for r in reports)
+
     def test_csv_format_writes_series(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"
         assert main(["process", str(bundle_dir), "--out", str(out),
@@ -158,6 +167,18 @@ class TestProcess:
             data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
                               delimiter=",", skiprows=1)
             want = extract_target_phase(frames, tgt.nominal_range).phase
+            np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
+
+    def test_dc_comp_csv_phases_match_extract_target_phase(self, bundle_dir, tmp_path):
+        out = tmp_path / "reports-dc-csv"
+        assert main(["process", str(bundle_dir), "--out", str(out), "--dc-comp",
+                     "--format", "csv"]) == 0
+        frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
+        for tgt in frames.truth:
+            data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
+                              delimiter=",", skiprows=1)
+            want = extract_target_phase(frames, tgt.nominal_range,
+                                        dc_compensation=True).phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
     def test_csv_contact_series_match_band_waveforms(self, bundle_dir, tmp_path):
@@ -254,6 +275,11 @@ class TestProcess:
         assert main(["process", str(contact_only), "--out", str(tmp_path / "out"),
                      "--duration", "90"]) == 4
         assert "cannot truncate 60.0 s record to 90.0 s" in capsys.readouterr().err
+
+    def test_infinite_duration_processing_exit(self, bundle_dir, tmp_path, capsys):
+        assert main(["process", str(bundle_dir), "--out", str(tmp_path / "out"),
+                     "--duration", "inf"]) == 4
+        assert "cannot truncate 60.0 s record to inf s" in capsys.readouterr().err
 
     def test_noiseless_round_trip_recovers_truth(self, tmp_path):
         quiet = json.loads(json.dumps(CONFIG))
@@ -355,6 +381,18 @@ class TestSweep:
         with (out / "sweep.csv").open(newline="", encoding="utf-8") as fh:
             read = list(csv.DictReader(fh))
         assert read == [{k: "" if v is None else str(v) for k, v in r.items()} for r in rows]
+
+
+class TestOneTransformPerCommand:
+    @pytest.mark.parametrize("bundle", ["bundle_dir", "truthless_dir"])
+    @pytest.mark.parametrize("argv", [["process"], ["process", "--format", "csv"],
+                                      ["sweep", "--durations", "5,60"]],
+                             ids=["process", "process-csv", "sweep"])
+    def test_each_frame_set_transformed_once(self, request, bundle, argv, tmp_path):
+        source = request.getfixturevalue(bundle)
+        calls = request.getfixturevalue("rfft_2d_calls")
+        assert main([argv[0], str(source), "--out", str(tmp_path / "out"), *argv[1:]]) == 0
+        assert calls == [(3000, 600)]
 
 
 class TestFilterDesign:

@@ -276,7 +276,7 @@ class TestBandwidth3dB:
     def test_symmetric_crossings(self):
         freqs = np.linspace(0, 25, 2001)
         mags = np.exp(-((freqs - 5.0) ** 2) / (2 * 0.3**2))
-        sp = dsp.MagnitudeSpectrum(freqs, mags, "rectangular", 2001, 50.0)
+        sp = dsp.MagnitudeSpectrum(freqs, mags, "rectangular", 50.0)
         bw = bandwidth_3db(sp, 5.0)
         assert (5.0 - bw.left_freq) == pytest.approx(bw.right_freq - 5.0, rel=1e-6)
 

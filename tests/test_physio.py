@@ -6,6 +6,7 @@ from vitalchirp.physio import (
     SubjectVitals,
     TimeGrid,
     make_time_grid,
+    prefix_length,
     preset_subject,
     synth_motion,
 )
@@ -37,6 +38,18 @@ class TestTimeGrid:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(sample_rate=50.0, count=0)
+
+
+class TestPrefixLength:
+    def test_whole_samples_at_or_below_the_duration(self):
+        assert prefix_length(5.03, 50.0, 3000) == 251  # 251.5 samples
+        assert prefix_length(5.02, 50.0, 3000) == 251  # 5.02 * 50 < 251 in binary
+        assert prefix_length(60.0, 50.0, 3000) == 3000
+
+    @pytest.mark.parametrize("duration", [0.01, -1.0, 60.03, float("inf"), float("nan")])
+    def test_empty_overlong_or_non_finite_prefix_rejected(self, duration):
+        with pytest.raises(ValueError, match="cannot truncate 60.0 s record"):
+            prefix_length(duration, 50.0, 3000)
 
 
 class TestSubjectVitals:

@@ -12,6 +12,7 @@ from vitalchirp.physio import (
     synth_motion,
 )
 from vitalchirp.pipelines import (
+    FrameAnalysis,
     TargetSelectionError,
     band_waveforms,
     contact_rates,
@@ -407,6 +408,15 @@ class TestResolutionSweep:
         assert sweep.entries[0].respiration_rpm is not None
         assert sweep.entries[2].respiration_rpm is not None
 
+    def test_fractional_duration_cut_to_whole_samples_below_it(self, fbg, subjects):
+        # 5.03 s x 50 Sa/s = 251.5 samples: the cut keeps 251, as a frame set does
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.005, seed=3)
+        (entry,) = resolution_sweep(rec.samples, [5.03], sample_rate=50.0).entries
+        rep = contact_rates(rec.samples[:251], 50.0)
+        assert (entry.respiration_rpm, entry.heartbeat_bpm,
+                entry.resp_3db_hz, entry.heart_3db_hz) == (
+            rep.respiration_rpm, rep.heartbeat_bpm, rep.resp_3db_hz, rep.heart_3db_hz)
+
     def test_below_minimum_rejected(self, fbg, subjects):
         rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
         with pytest.raises(ValueError):
@@ -484,3 +494,14 @@ class TestOneTransformPerCall:
         calls.clear()
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
         assert calls == [frames.samples.shape]
+
+    def test_a_given_analysis_is_read_without_a_transform(self, frames, rfft_2d_calls):
+        analysis = FrameAnalysis(frames)
+        want_sweep = resolution_sweep(frames, self.DURATIONS, target_range=1.65).to_rows()
+        want_rates = [r.to_dict() for r in contactless_rates(frames, dc_compensation=True)]
+        rfft_2d_calls.clear()
+        got_sweep = resolution_sweep(analysis, self.DURATIONS, target_range=1.65).to_rows()
+        got_rates = contactless_rates(analysis, dc_compensation=True)
+        assert got_sweep == want_sweep
+        assert [r.to_dict() for r in got_rates] == want_rates
+        assert rfft_2d_calls == []
