@@ -74,8 +74,19 @@ def _subject_to_dict(subject: SubjectVitals) -> dict:
 
 def _subject_from_dict(d: dict) -> SubjectVitals:
     d = dict(d)
-    d["resp_harmonics"] = tuple((int(o), float(r)) for o, r in d.get("resp_harmonics", []))
+    if "resp_harmonics" in d:
+        d["resp_harmonics"] = tuple(map(tuple, d["resp_harmonics"]))
     return SubjectVitals(**d)
+
+
+def _resolve_subject(entry) -> SubjectVitals:
+    if isinstance(entry, str):
+        if entry not in PRESET_SUBJECTS:
+            raise ValueError(
+                f"unknown subject preset {entry!r}; available: {sorted(PRESET_SUBJECTS)}"
+            )
+        return PRESET_SUBJECTS[entry]
+    return _subject_from_dict(entry)
 
 
 def _target_to_dict(tgt: RadarTarget) -> dict:
@@ -87,11 +98,9 @@ def _target_to_dict(tgt: RadarTarget) -> dict:
 
 
 def _target_from_dict(d: dict) -> RadarTarget:
-    return RadarTarget(
-        subject=_subject_from_dict(d["subject"]),
-        nominal_range=float(d["range_m"]),
-        reflectivity=float(d.get("reflectivity", 1.0)),
-    )
+    d = dict(d)
+    return RadarTarget(subject=_resolve_subject(d.pop("subject")),
+                       nominal_range=d.pop("range_m"), **d)
 
 
 def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
@@ -220,65 +229,40 @@ def scenario_to_dict(s: Scenario) -> dict:
         "duration_s": s.duration,
         "seed": s.seed,
         "contact_sample_rate": s.contact_sample_rate,
-        "acquisition": asdict(s.acquisition),
+        "acquisition": {k: v for k, v in asdict(s.acquisition).items() if k != "duration"},
         "channels": channels,
     }
-
-
-def _resolve_subject(entry) -> SubjectVitals:
-    if isinstance(entry, str):
-        if entry not in PRESET_SUBJECTS:
-            raise ValueError(
-                f"unknown subject preset {entry!r}; available: {sorted(PRESET_SUBJECTS)}"
-            )
-        return PRESET_SUBJECTS[entry]
-    return _subject_from_dict(entry)
 
 
 def scenario_from_dict(config: dict) -> Scenario:
     """Build a Scenario from a config dict (see README for the schema).
 
-    Subject entries may be preset names or full parameter dicts.
+    Each object is built from its own entries, so every default is its
+    dataclass's and an unknown entry at any level raises ``TypeError``
+    naming it.  Subject entries may be preset names or full parameter dicts.
     """
+    config = dict(config)
     channels = []
     contact_subjects = {}
     radar_scenes = {}
-    for chd in config.get("channels", []):
-        fbg = FbgProfile(**chd["fbg"]) if chd.get("fbg") else None
-        ch = WdmChannel(
-            wavelength_nm=float(chd["wavelength_nm"]),
-            roles=frozenset(chd.get("roles", [])),
-            if_lfm=IfLfmParams(**chd["if_lfm"]),
-            fbg=fbg,
-            fiber_length_km=float(chd.get("fiber_length_km", 0.0)),
-            fiber_loss_db_per_km=float(chd.get("fiber_loss_db_per_km", 0.2)),
-            carrier_power_mw=float(chd.get("carrier_power_mw", 1.0)),
-            sideband_power_mw=float(chd.get("sideband_power_mw", 0.1)),
-            contact_noise_rms=float(chd.get("contact_noise_rms", 0.005)),
-        )
+    for chd in config.pop("channels", []):
+        chd = dict(chd)
+        subject = chd.pop("contact_subject", None)
+        targets = tuple(map(_target_from_dict, chd.pop("radar_targets", [])))
+        fbg = chd.pop("fbg", None)
+        ch = WdmChannel(roles=frozenset(chd.pop("roles", [])),
+                        if_lfm=IfLfmParams(**chd.pop("if_lfm")),
+                        fbg=FbgProfile(**fbg) if fbg else None, **chd)
         channels.append(ch)
-        if chd.get("contact_subject"):
-            contact_subjects[ch.wavelength_nm] = _resolve_subject(chd["contact_subject"])
-        targets = chd.get("radar_targets", [])
+        if subject:
+            contact_subjects[ch.wavelength_nm] = _resolve_subject(subject)
         if targets:
-            radar_scenes[ch.wavelength_nm] = tuple(
-                RadarTarget(
-                    subject=_resolve_subject(t["subject"]),
-                    nominal_range=float(t["range_m"]),
-                    reflectivity=float(t.get("reflectivity", 1.0)),
-                )
-                for t in targets
-            )
-    acq = AcquisitionParams(**config.get("acquisition", {}))
-    return Scenario(
-        channels=tuple(channels),
-        contact_subjects=contact_subjects,
-        radar_scenes=radar_scenes,
-        acquisition=acq,
-        duration=float(config.get("duration_s", 60.0)),
-        seed=int(config.get("seed", 0)),
-        contact_sample_rate=float(config.get("contact_sample_rate", 50.0)),
-    )
+            radar_scenes[ch.wavelength_nm] = targets
+    duration = config.pop("duration_s", Scenario.duration)
+    acquisition = AcquisitionParams(**config.pop("acquisition", {}), duration=duration)
+    return Scenario(channels=tuple(channels), contact_subjects=contact_subjects,
+                    radar_scenes=radar_scenes, acquisition=acquisition, duration=duration,
+                    **config)
 
 
 def scenario_hash(config: dict) -> str:
@@ -351,8 +335,6 @@ class LoadedChannel:
 
 @dataclass
 class LoadedBundle:
-    root: Path
-    config: dict
     channels: list[LoadedChannel] = field(default_factory=list)
 
 
@@ -368,7 +350,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     if truth_path.is_file():
         truth = json.loads(truth_path.read_text(encoding="utf-8")).get("channels", {})
 
-    loaded = LoadedBundle(root=root, config=config)
+    loaded = LoadedBundle()
     for chd in config.get("channels", []):
         wl = float(chd["wavelength_nm"])
         chdir = root / _channel_dirname(wl)

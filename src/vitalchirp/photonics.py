@@ -126,16 +126,12 @@ class FbgProfile:
     ``carrier_operating_offset`` places the optical carrier on the notch
     edge, relative to the notch center; None selects the +sigma
     falling-edge point where the dB-domain slope is steepest.
-    ``bragg_offset`` records where the notch center sits relative to the
-    nominal channel carrier (bookkeeping only).
     """
 
     notch_depth_db: float
     fwhm_3db: float
     displacement_to_shift: float = 0.05e9
     carrier_operating_offset: float | None = None
-    bragg_offset: float = 0.0
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if self.notch_depth_db <= 3.0:
@@ -145,8 +141,6 @@ class FbgProfile:
             )
         if self.fwhm_3db <= 0:
             raise ValueError(f"fwhm_3db must be > 0, got {self.fwhm_3db}")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported notch shape {self.shape!r}")
 
     @property
     def sigma(self) -> float:

@@ -8,7 +8,7 @@ millimetres on a uniform :class:`TimeGrid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "preset_subject",
     "RESP_BAND",
     "HEART_BAND",
+    "band_violations",
 ]
 
 # Filter passbands of the downstream rate-extraction chain, in Hz.
@@ -171,20 +172,25 @@ def synth_motion(subject: SubjectVitals, grid: TimeGrid) -> np.ndarray:
     return x
 
 
+def band_violations(subject: SubjectVitals) -> list[str]:
+    """One message per fundamental of ``subject`` outside its search band."""
+    return [
+        f"{name} rate {rate} {unit} outside the {lo * 60:g}-{hi * 60:g} {unit} search band"
+        for name, rate, unit, (lo, hi) in (
+            ("respiration", subject.respiration_rate, "rpm", RESP_BAND),
+            ("heartbeat", subject.heartbeat_rate, "bpm", HEART_BAND),
+        )
+        if not lo <= rate / 60.0 <= hi
+    ]
+
+
 def _physiological(subject: SubjectVitals) -> SubjectVitals:
-    """Validate a preset: fundamentals inside the filter bands, respiration dominant."""
-    if not RESP_BAND[0] <= subject.resp_freq <= RESP_BAND[1]:
-        raise ValueError(
-            f"preset {subject.id}: respiration fundamental {subject.resp_freq:.3f} Hz "
-            f"outside {RESP_BAND}"
-        )
-    if not HEART_BAND[0] <= subject.heart_freq <= HEART_BAND[1]:
-        raise ValueError(
-            f"preset {subject.id}: heartbeat fundamental {subject.heart_freq:.3f} Hz "
-            f"outside {HEART_BAND}"
-        )
+    """Validate a preset: fundamentals inside the search bands, respiration dominant."""
+    problems = band_violations(subject)
     if not subject.resp_amplitude > subject.heart_amplitude:
-        raise ValueError(f"preset {subject.id}: respiration must dominate chest motion")
+        problems.append("respiration must dominate chest motion")
+    if problems:
+        raise ValueError(f"preset {subject.id}: " + "; ".join(problems))
     return subject
 
 

@@ -273,20 +273,9 @@ def _bin_width(frames: DechirpFrameSet) -> float:
     return _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
 
 
-def _profile(frames: DechirpFrameSet, mags: np.ndarray) -> RangeProfile:
-    """Range profile from per-frame fast-time FFT magnitudes."""
-    freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    return RangeProfile(_beat_to_range(frames.chirp, freqs), mags.mean(axis=0),
-                        _bin_width(frames))
-
-
 def range_profile(frames: DechirpFrameSet) -> RangeProfile:
-    """Per-frame rectangular-window fast-time FFT magnitude averaged over slow time.
-
-    The frequency axis maps to range through the de-chirp relation
-    R = c f / (2 chirp_rate).
-    """
-    return _profile(frames, np.abs(np.fft.rfft(frames.samples, axis=1)))
+    """The hann range profile target selection reads: ``FrameAnalysis(frames).profile()``."""
+    return FrameAnalysis(frames).profile()
 
 
 @dataclass
@@ -325,8 +314,15 @@ class FrameAnalysis:
         self.magnitudes = np.abs(self.spectra)
 
     def profile(self, rows: int | None = None) -> RangeProfile:
-        """Slow-time-averaged hann magnitude: the profile targets are selected on."""
-        return _profile(self.frames, self.magnitudes[:rows])
+        """Slow-time-averaged hann magnitude: the profile targets are selected on.
+
+        The frequency axis maps to range through the de-chirp relation
+        R = c f / (2 chirp_rate).
+        """
+        frames = self.frames
+        freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
+        return RangeProfile(_beat_to_range(frames.chirp, freqs),
+                            self.magnitudes[:rows].mean(axis=0), _bin_width(frames))
 
     def targets(self) -> list[tuple[float, str]]:
         """``(range, name)`` of each person the frame set is processed for.

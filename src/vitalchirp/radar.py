@@ -27,6 +27,7 @@ __all__ = [
     "AcquisitionParams",
     "DechirpFrameSet",
     "unambiguous_range",
+    "scene_violations",
     "synth_dechirp_frames",
 ]
 
@@ -136,6 +137,27 @@ def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
     return SPEED_OF_LIGHT * (fast_rate / 2.0) / (2.0 * chirp.chirp_rate)
 
 
+def scene_violations(targets, chirp: ChirpParams, acq: AcquisitionParams) -> list[str]:
+    """One message per capture rule ``acq`` breaks for ``targets`` under ``chirp``.
+
+    Each frame must fit inside the chirp pulse, bursts must not repeat
+    faster than the pulses, and every target must sit inside the
+    unambiguous range.
+    """
+    problems = []
+    if acq.frame_width > chirp.pulse_width:
+        problems.append(f"frame_width {acq.frame_width} s exceeds chirp pulse_width "
+                        f"{chirp.pulse_width} s")
+    if acq.slow_period < chirp.pulse_period:
+        problems.append(f"slow_period {acq.slow_period} s shorter than chirp pulse_period "
+                        f"{chirp.pulse_period} s")
+    r_max = unambiguous_range(chirp, acq.fast_rate)
+    problems += [f"target {t.subject.id!r} at {t.nominal_range:.2f} m is beyond the "
+                 f"unambiguous range R_max = {r_max:.2f} m"
+                 for t in targets if t.nominal_range >= r_max]
+    return problems
+
+
 def synth_dechirp_frames(
     targets: list[RadarTarget] | tuple[RadarTarget, ...],
     chirp: ChirpParams,
@@ -158,22 +180,9 @@ def synth_dechirp_frames(
     empty scene), so frames are identical however the targets are
     iterated.  An empty scene yields pure noise frames.
     """
-    if acq.frame_width > chirp.pulse_width:
-        raise ValueError(
-            f"frame_width {acq.frame_width} exceeds chirp pulse_width {chirp.pulse_width}"
-        )
-    if acq.slow_period < chirp.pulse_period:
-        raise ValueError(
-            f"slow_period {acq.slow_period} shorter than chirp pulse_period "
-            f"{chirp.pulse_period}"
-        )
-    r_max = unambiguous_range(chirp, acq.fast_rate)
-    for tgt in targets:
-        if tgt.nominal_range >= r_max:
-            raise ValueError(
-                f"target {tgt.subject.id!r} at {tgt.nominal_range:.2f} m is beyond "
-                f"the unambiguous range {r_max:.2f} m"
-            )
+    problems = scene_violations(targets, chirp, acq)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     m_count, n_count = acq.slow_count, acq.fast_count
     t_fast = np.arange(n_count) / acq.fast_rate

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .photonics import (
+    DEFAULT_CONTACT_NOISE_RMS,
     SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
@@ -23,9 +24,9 @@ from .photonics import (
     contact_intensity,
     derive_chirp,
 )
-from .physio import HEART_BAND, RESP_BAND, SubjectVitals, make_time_grid, synth_motion
+from .physio import SubjectVitals, band_violations, make_time_grid, synth_motion
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget, synth_dechirp_frames
-from .radar import unambiguous_range
+from .radar import scene_violations
 
 __all__ = [
     "WdmChannel",
@@ -68,7 +69,7 @@ class WdmChannel:
     fiber_loss_db_per_km: float = 0.2
     carrier_power_mw: float = 1.0
     sideband_power_mw: float = 0.1
-    contact_noise_rms: float = 0.005
+    contact_noise_rms: float = DEFAULT_CONTACT_NOISE_RMS
 
     def __post_init__(self):
         if self.wavelength_nm <= 0:
@@ -109,19 +110,6 @@ def _off_itu_grid(wavelength_nm: float) -> bool:
     freq = SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
     rem = (freq - ITU_ANCHOR_HZ) % ITU_SPACING_HZ
     return min(rem, ITU_SPACING_HZ - rem) > ITU_TOLERANCE_HZ
-
-
-def _check_subject_bands(subject: SubjectVitals, where: str, violations: list[str]):
-    if not RESP_BAND[0] <= subject.resp_freq <= RESP_BAND[1]:
-        violations.append(
-            f"{where}: respiration rate {subject.respiration_rate} rpm outside the "
-            f"{RESP_BAND[0]*60:.1f}-{RESP_BAND[1]*60:.0f} rpm search band"
-        )
-    if not HEART_BAND[0] <= subject.heart_freq <= HEART_BAND[1]:
-        violations.append(
-            f"{where}: heartbeat rate {subject.heartbeat_rate} bpm outside the "
-            f"{HEART_BAND[0]*60:.0f}-{HEART_BAND[1]*60:.0f} bpm search band"
-        )
 
 
 def validate_scenario(s: Scenario) -> ValidationReport:
@@ -166,8 +154,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             report.violations.append(
                 f"contact subject on channel {wl} nm which lacks the contact role"
             )
-        _check_subject_bands(subject, f"channel {wl} nm contact subject {subject.id!r}",
-                             report.violations)
+        report.violations += [f"channel {wl} nm contact subject {subject.id!r}: {v}"
+                              for v in band_violations(subject)]
 
     for wl, targets in s.radar_scenes.items():
         ch = by_wavelength.get(wl)
@@ -178,29 +166,13 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             report.violations.append(
                 f"radar scene on channel {wl} nm which lacks the contactless role"
             )
-        chirp = derive_chirp(ch.if_lfm)
-        r_max = unambiguous_range(chirp, s.acquisition.fast_rate)
-        if s.acquisition.frame_width > ch.if_lfm.pulse_width:
-            report.violations.append(
-                f"channel {wl} nm: acquisition frame width {s.acquisition.frame_width} s "
-                f"exceeds the chirp pulse width {ch.if_lfm.pulse_width} s"
-            )
-        if s.acquisition.slow_period < ch.if_lfm.pulse_period:
-            report.violations.append(
-                f"channel {wl} nm: acquisition slow period shorter than the chirp "
-                f"pulse period"
-            )
+        report.violations += [
+            f"channel {wl} nm: {v}"
+            for v in scene_violations(targets, derive_chirp(ch.if_lfm), s.acquisition)
+        ]
         for tgt in targets:
-            if tgt.nominal_range >= r_max:
-                report.violations.append(
-                    f"channel {wl} nm: target {tgt.subject.id!r} at "
-                    f"{tgt.nominal_range:.2f} m is beyond the unambiguous range "
-                    f"R_max = {r_max:.2f} m"
-                )
-            _check_subject_bands(
-                tgt.subject, f"channel {wl} nm target {tgt.subject.id!r}",
-                report.violations,
-            )
+            report.violations += [f"channel {wl} nm target {tgt.subject.id!r}: {v}"
+                                  for v in band_violations(tgt.subject)]
     return report
 
 

@@ -97,6 +97,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "unambiguous range" in err
 
+    def test_unknown_config_entry_validation_exit(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["fiber_lenght_km"] = 99
+        config = write_config(tmp_path, bad, "bad.json")
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "'fiber_lenght_km'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_same_seed_byte_identical_payloads(self, tmp_path):
         config = write_config(tmp_path)
         out1, out2 = tmp_path / "b1", tmp_path / "b2"

@@ -1,13 +1,18 @@
+import copy
 import json
+import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vitalchirp import formats
 from vitalchirp.photonics import FbgProfile, contact_intensity
-from vitalchirp.physio import make_time_grid, preset_subject, synth_motion
+from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
+from vitalchirp.scenario import validate_scenario
 
 from test_scenario import two_channel_scenario
 
@@ -146,6 +151,102 @@ class TestScenarioConfig:
         c3 = formats.scenario_to_dict(two_channel_scenario(seed=2))
         assert formats.scenario_hash(c1) == formats.scenario_hash(c2)
         assert formats.scenario_hash(c1) != formats.scenario_hash(c3)
+
+
+# Two channels as in the benchmark's CLI workload, with an explicit
+# acquisition and a full subject dict so every level of the schema is present.
+BENCH_LIKE_CONFIG = {
+    "duration_s": 60.0,
+    "seed": 1,
+    "acquisition": {"noise_rms": 0.5},
+    "channels": [
+        {
+            "wavelength_nm": 1549.36,
+            "roles": ["contact", "contactless"],
+            "if_lfm": {"center_freq": 6.6e9, "bandwidth": 1e9,
+                       "pulse_period": 100e-6, "pulse_width": 60e-6},
+            "fbg": {"notch_depth_db": 17.70, "fwhm_3db": 11.2e9},
+            "fiber_length_km": 4.1,
+            "contact_subject": {"id": "subject-x", "respiration_rate": 16.0,
+                                "heartbeat_rate": 70.0},
+            "radar_targets": [{"subject": "subject-b", "range_m": 1.00},
+                              {"subject": "subject-c", "range_m": 1.65}],
+        },
+        {
+            "wavelength_nm": 1549.92,
+            "roles": ["contact"],
+            "if_lfm": {"center_freq": 6.6e9, "bandwidth": 1e9,
+                       "pulse_period": 100e-6, "pulse_width": 60e-6},
+            "fbg": {"notch_depth_db": 17.76, "fwhm_3db": 10.0e9},
+            "contact_subject": "subject-d",
+        },
+    ],
+}
+
+
+def _entry(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+class TestStrictConfigReader:
+    def test_bench_like_config_loads(self):
+        s = formats.scenario_from_dict(BENCH_LIKE_CONFIG)
+        assert validate_scenario(s).ok
+        assert s.channels[0].fiber_length_km == 4.1
+
+    @pytest.mark.parametrize("path, key, value", [
+        ((), "fiber_lenght_km", 99),
+        ((), "duration", 45),
+        (("acquisition",), "frame_widht", 60e-6),
+        (("acquisition",), "duration", 45),
+        (("channels", 0), "fiber_lenght_km", 99),
+        (("channels", 0, "fbg"), "fwhm", 11.2e9),
+        (("channels", 0, "fbg"), "shape", "gaussian"),
+        (("channels", 0, "fbg"), "bragg_offset", 0.0),
+        (("channels", 0, "if_lfm"), "chirp_rate", 1.7e13),
+        (("channels", 0, "radar_targets", 1), "reflectivty", 1.0),
+        (("channels", 0, "contact_subject"), "heart_rate", 70.0),
+    ])
+    def test_unknown_entry_named(self, path, key, value):
+        config = copy.deepcopy(BENCH_LIKE_CONFIG)
+        _entry(config, path)[key] = value
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            formats.scenario_from_dict(config)
+
+    def test_numbers_recorded_as_given(self):
+        config = copy.deepcopy(BENCH_LIKE_CONFIG)
+        config["channels"][0]["radar_targets"][0]["range_m"] = 1
+        resolved = formats.scenario_to_dict(formats.scenario_from_dict(config))
+        assert resolved["channels"][0]["radar_targets"][0]["range_m"] == 1
+        assert isinstance(resolved["channels"][0]["radar_targets"][0]["range_m"], int)
+        assert "duration" not in resolved["acquisition"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestDocumentedSchema:
+    """The README's scenario schema is a config the reader accepts."""
+
+    def readme(self):
+        return README.read_text(encoding="utf-8")
+
+    def test_schema_block_loads_validates_and_round_trips(self):
+        (block,) = re.findall(r"```jsonc\n(.*?)```", self.readme(), re.S)
+        config = json.loads(re.sub(r"//.*", "", block))
+        s = formats.scenario_from_dict(config)
+        assert validate_scenario(s).ok
+        resolved = formats.scenario_to_dict(s)
+        assert formats.scenario_to_dict(formats.scenario_from_dict(resolved)) == resolved
+        for key in ("duration_s", "seed", "contact_sample_rate"):
+            assert resolved[key] == config[key]
+        assert resolved["acquisition"] == config["acquisition"]
+
+    def test_subject_keys_are_the_subject_fields(self):
+        (sentence,) = re.findall(r"A full subject dict takes (.*?)\.", self.readme(), re.S)
+        assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(SubjectVitals)]
 
 
 class TestBundleIO:

@@ -5,6 +5,7 @@ from vitalchirp.physio import (
     PRESET_SUBJECTS,
     SubjectVitals,
     TimeGrid,
+    band_violations,
     make_time_grid,
     prefix_length,
     preset_subject,
@@ -83,6 +84,16 @@ class TestSubjectVitals:
         assert quiet.heart_amplitude == 0.0
         with pytest.raises(KeyError):
             preset_subject("nobody")
+
+
+class TestBandViolations:
+    def test_one_message_per_band(self):
+        assert band_violations(SubjectVitals("x", 4.0, 70.0)) == [
+            "respiration rate 4.0 rpm outside the 7.8-30 rpm search band"
+        ]
+        assert band_violations(SubjectVitals("x", 15.0, 130.0)) == [
+            "heartbeat rate 130.0 bpm outside the 48-114 bpm search band"
+        ]
 
 
 class TestSynthMotion:

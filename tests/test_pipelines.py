@@ -171,6 +171,14 @@ class TestRangeProfile:
         profile = range_profile(frames)
         assert abs(profile.peak_ranges()[0] - 0.88) <= profile.bin_width
 
+    def test_is_the_analysis_profile(self, chirp):
+        targets, acq = two_person_scene(duration=5.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=3)
+        profile, want = range_profile(frames), FrameAnalysis(frames).profile()
+        np.testing.assert_array_equal(profile.magnitudes, want.magnitudes)
+        np.testing.assert_array_equal(profile.ranges, want.ranges)
+        assert profile.bin_width == want.bin_width
+
     def test_empty_scene_zero_profile(self, chirp, acq_quiet):
         frames = synth_dechirp_frames([], chirp, acq_quiet)
         profile = range_profile(frames)

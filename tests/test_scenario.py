@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vitalchirp.photonics import FbgProfile, IfLfmParams
-from vitalchirp.physio import SubjectVitals, preset_subject
-from vitalchirp.radar import AcquisitionParams, RadarTarget
+from vitalchirp.photonics import FbgProfile, IfLfmParams, derive_chirp
+from vitalchirp.physio import SubjectVitals, band_violations, preset_subject
+from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 from vitalchirp.scenario import (
     Scenario,
     ScenarioValidationError,
@@ -93,6 +93,32 @@ class TestValidateScenario:
         )
         report = validate_scenario(s)
         assert any("search band" in v for v in report.violations)
+
+    @pytest.mark.parametrize("acquisition, target_range", [
+        ({}, 12.0),
+        ({"frame_width": 80e-6}, 1.0),
+        ({"slow_period": 50e-6}, 1.0),
+    ])
+    def test_capture_rule_message_is_the_synthesizers(self, acquisition, target_range):
+        s = two_channel_scenario(duration=1.0)
+        s.acquisition = AcquisitionParams(duration=1.0, **acquisition)
+        targets = (RadarTarget(preset_subject("subject-b"), target_range),)
+        s.radar_scenes[1549.36] = targets
+        with pytest.raises(ValueError) as err:
+            synth_dechirp_frames(targets, derive_chirp(IF_LFM), s.acquisition)
+        assert validate_scenario(s).violations == [f"channel 1549.36 nm: {err.value}"]
+
+    def test_band_message_is_band_violations(self):
+        slow = SubjectVitals("slow", respiration_rate=4.0, heartbeat_rate=130.0)
+        s = two_channel_scenario()
+        s.contact_subjects[1549.92] = slow
+        s.radar_scenes[1549.36] = (RadarTarget(slow, 1.0),)
+        messages = band_violations(slow)
+        assert len(messages) == 2
+        assert validate_scenario(s).violations == (
+            [f"channel 1549.92 nm contact subject 'slow': {m}" for m in messages]
+            + [f"channel 1549.36 nm target 'slow': {m}" for m in messages]
+        )
 
     def test_on_grid_wavelength_no_warning(self):
         # 193.1 THz anchor itself
