@@ -262,7 +262,7 @@ def cmd_filter_design(args) -> int:
         )
         sections = [list(s) for s in coeffs.sections]
         (out / "coefficients.json").write_text(
-            # scipy folds the overall gain into the first section
+            # design_bandpass folds the overall gain into the first section
             json.dumps({"sos": sections, "gain": 1.0,
                         "spec": asdict(spec)},
                        indent=2),

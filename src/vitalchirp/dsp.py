@@ -4,15 +4,27 @@ Elliptic bandpass design and zero-phase application, windowed magnitude
 spectra, phase unwrapping, peak search with sub-bin refinement, and 3-dB
 bandwidth measurement.  All kernels are pure functions over immutable
 inputs and safe for concurrent use on disjoint data.
+
+The elliptic prototype follows S. J. Orfanidis, "Lecture Notes on
+Elliptic Filter Design" (Rutgers, 2006) and Lutovac, Tosic and Evans,
+*Filter Design for Signal Processing*, chs. 5 and 12; with the bandpass,
+bilinear and section-pairing steps of ``scipy.signal.ellip(...,
+output="sos")`` it matches that design to rounding, using numpy only.
+
+Zero-phase filtering equals ``scipy.signal.sosfiltfilt(sos, x,
+padlen=len(x) - 1)``.  Started from the step steady state at ``u[0]``, a
+pass over ``u`` is ``h * (u - u[0]) + u[0] H(1)`` (``h`` the impulse
+response), so each pass is one FFT product with ``H`` on the unit circle,
+long enough for the slowest pole to decay by 1e-17 before it wraps.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 __all__ = [
     "BandpassSpec",
@@ -38,6 +50,8 @@ __all__ = [
 TRANSITION_FRACTION = 0.35
 
 DENSE_GRID_POINTS = 4096
+
+_MACHEP = 2.0**-53  # Cephes' stopping test for the AGM in ``ellpj``
 
 
 class FilterDesignError(ValueError):
@@ -66,9 +80,9 @@ class BandpassSpec:
                 f"band edges must satisfy 0 < low < high < Nyquist, got "
                 f"({self.low_edge}, {self.high_edge}) at {self.sample_rate} Sa/s"
             )
-        if self.passband_ripple <= 0:
+        if not self.passband_ripple > 0:
             raise ValueError("passband_ripple must be > 0")
-        if self.stopband_atten <= self.passband_ripple:
+        if not self.stopband_atten > self.passband_ripple:
             raise ValueError("stopband_atten must exceed passband_ripple")
         if self.order < 1:
             raise ValueError("order must be >= 1")
@@ -86,9 +100,11 @@ class BandpassSpec:
         return self.high_edge * (1.0 + TRANSITION_FRACTION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterCoeffs:
-    """Stable cascade of second-order sections realizing a BandpassSpec."""
+    """Stable cascade of second-order sections realizing a BandpassSpec.
+
+    Compared and hashed by identity, so the filter caches key on it."""
 
     sos: np.ndarray
     spec: BandpassSpec
@@ -104,6 +120,93 @@ class FilterCoeffs:
         )
 
 
+def _ellipk(mc: float) -> float:
+    """Complete elliptic integral K at parameter ``1 - mc``, by the AGM."""
+    a, b = 1.0, math.sqrt(mc)
+    while abs(a - b) > 1e-15 * a:
+        a, b = (a + b) / 2, math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def _ellipj(u, m: float):
+    """Jacobi sn, cn, dn of ``u`` at parameter ``m``: AGM, then descending Landen."""
+    a, c, b = [1.0], [math.sqrt(m)], math.sqrt(1.0 - m)
+    while len(a) < 9:  # Cephes' ``ellpj`` also stops after 8 steps
+        a, c, b = a + [(a[-1] + b) / 2], c + [(a[-1] - b) / 2], math.sqrt(a[-1] * b)
+        if abs(c[-1] / a[-1]) <= _MACHEP:
+            break
+    phi = 2.0 ** (len(a) - 1) * a[-1] * np.asarray(u, dtype=float)
+    for ai, ci in zip(a[:0:-1], c[:0:-1]):
+        prev, phi = phi, (np.arcsin(ci * np.sin(phi) / ai) + phi) / 2
+    return np.sin(phi), np.cos(phi), np.cos(phi) / np.cos(phi - prev)
+
+
+def _arc_sc(t: float, m: float) -> float:
+    """Real ``v`` with sc(v, 1 - m) = t, i.e. sn(jv, m) = jt, by Landen (Orfanidis eq. 56)."""
+    ks = [math.sqrt(m)]
+    while ks[-1]:
+        kp = math.sqrt((1 - ks[-1]) * (1 + ks[-1]))
+        ks.append((1 - kp) / (1 + kp))
+    for k, k_next in zip(ks, ks[1:]):
+        t = 2 * t / ((1 + k_next) * (1 + math.sqrt(1 + (k * t) ** 2)))
+    return math.prod(1 + k for k in ks[1:]) * math.asinh(t)
+
+
+def _elliptic_prototype(order: int, ripple_db: float, atten_db: float):
+    """Zeros, poles and gain of the analog elliptic lowpass with unit passband edge."""
+    eps_sq = math.expm1(math.log(10) * 0.1 * ripple_db)
+    if order == 1:
+        pole = -math.sqrt(1.0 / eps_sq)
+        return np.zeros(0, complex), np.array([pole + 0j]), -pole
+    m1 = eps_sq / math.expm1(math.log(10) * 0.1 * atten_db)
+    if not 0 < m1 < 1:
+        raise FilterDesignError(
+            f"cannot design for {ripple_db} dB ripple and {atten_db} dB attenuation")
+    # degree equation K(1 - m) / K(m) = K(1 - m1) / (order K(m1)): nome q(m) = q(m1)**(1/order)
+    q = math.exp(-math.pi * _ellipk(m1) / _ellipk(1 - m1) / order)
+    num = sum(q ** (j * (j + 1)) for j in range(8))
+    m = 16 * q * (num / (1 + 2 * sum(q ** (j * j) for j in range(1, 9)))) ** 4
+    capk = _ellipk(1 - m)
+    s, c, d = _ellipj(np.arange(1 - order % 2, order, 2) * capk / order, m)
+    v0 = capk * _arc_sc(1 / math.sqrt(eps_sq), m1) / (order * _ellipk(1 - m1))
+    sv, cv, dv = _ellipj(v0, 1 - m)
+    p = -(c * d * sv * cv + 1j * s * dv) / (1 - (d * sv) ** 2.0)
+    paired = np.abs(s) > 2e-16  # odd orders add one real pole and no zero
+    z = 1j / (math.sqrt(m) * s[paired])
+    z, p = np.concatenate((z, z.conj())), np.concatenate((p, p[paired].conj()))
+    k = (np.prod(-p) / np.prod(-z)).real
+    return z, p, (k if order % 2 else k / math.sqrt(1 + eps_sq))
+
+
+def _one_per_pair(v: np.ndarray) -> np.ndarray:
+    """The positive-frequency member of each conjugate pair, then the real values."""
+    v = v[np.lexsort((np.abs(v.imag), v.real))]
+    real = np.abs(v.imag) <= 100 * np.finfo(float).eps * np.abs(v)
+    return np.concatenate((v[~real & (v.imag > 0)], np.sort(v[real].real)))
+
+
+def _pop_nearest(v: np.ndarray, distance: np.ndarray, real_only: bool = False):
+    """The element of ``v`` at the least ``distance`` (a real one if asked), and the rest."""
+    i = np.argmin(np.where(np.isreal(v) | (not real_only), distance, np.inf))
+    return v[i], np.delete(v, i)
+
+
+def _sections(z: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
+    """``zpk2sos`` "nearest" pairing: the pole nearest the unit circle, with the
+    zeros nearest it, makes the last section; the gain goes into the first."""
+    z, p = _one_per_pair(z), _one_per_pair(p)
+    sos = []
+    while p.size:
+        p1, p = _pop_nearest(p, np.abs(1 - np.abs(p)))
+        p2, p = _pop_nearest(p, np.abs(1 - np.abs(p)), True) if np.isreal(p1) else (p1.conj(), p)
+        z1, z = _pop_nearest(z, np.abs(z - p1))
+        z2, z = _pop_nearest(z, np.abs(z - p1), True) if np.isreal(z1) else (z1.conj(), z)
+        sos.insert(0, np.concatenate((np.poly([z1, z2]), np.poly([p1, p2]))).real)
+    sos = np.array(sos)
+    sos[0, :3] *= k
+    return sos
+
+
 @functools.lru_cache(maxsize=128)  # bounded: specs come from callers
 def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     """Design an elliptic (Cauer) bandpass as second-order sections.
@@ -116,26 +219,40 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     Equal specs share one memoised, read-only :class:`FilterCoeffs`; a
     failed design is not cached, so it raises on every call.
     """
-    sos = sps.ellip(
-        spec.order,
-        spec.passband_ripple,
-        spec.stopband_atten,
-        [spec.low_edge, spec.high_edge],
-        btype="bandpass",
-        fs=spec.sample_rate,
-        output="sos",
-    )
+    z, p, k = _elliptic_prototype(spec.order, spec.passband_ripple, spec.stopband_atten)
+    # pre-warped lowpass-to-bandpass transform, then bilinear at fs = 2
+    warped = 4.0 * np.tan(np.pi * np.array([spec.low_edge, spec.high_edge]) / spec.sample_rate)
+    bw, wo = warped[1] - warped[0], math.sqrt(warped[0] * warped[1])
+    degree = p.size - z.size
+    z, p = z * bw / 2, p * bw / 2
+    z = np.concatenate((z + np.sqrt(z**2 - wo**2), z - np.sqrt(z**2 - wo**2), np.zeros(degree)))
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    k = k * bw**degree * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(degree)))
+    sos = _sections(z, (4.0 + p) / (4.0 - p), k)
     sos.setflags(write=False)
     coeffs = FilterCoeffs(sos=sos, spec=spec)
     _check_conformance(coeffs, spec)
     return coeffs
 
 
+def _response(sos: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H(e^{jw}) of the cascade in d = 1 - e^{-jw}, which cancels far less than
+    e^{-jw} itself near w = 0, where the vital-sign poles sit."""
+    d = 2 * np.sin(w / 2) ** 2 + 1j * np.sin(w)
+    h = np.ones_like(d)
+    for b0, b1, b2, _, a1, a2 in sos:
+        h *= ((b0 + b1 + b2) - d * ((b1 + 2 * b2) - b2 * d)) / (
+            (1 + a1 + a2) - d * ((a1 + 2 * a2) - a2 * d))
+    return h
+
+
 def frequency_response(
     coeffs: FilterCoeffs, n: int = DENSE_GRID_POINTS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Complex response of the cascade on ``n`` points from 0 to Nyquist."""
-    return sps.sosfreqz(coeffs.sos, worN=n, fs=coeffs.spec.sample_rate)
+    """Complex response of the cascade on ``n`` points from 0, Nyquist / n apart."""
+    w = np.linspace(0.0, np.pi, n, endpoint=False)
+    return w * (coeffs.spec.sample_rate / (2 * np.pi)), _response(coeffs.sos, w)
 
 
 def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
@@ -162,6 +279,35 @@ def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
         )
 
 
+@functools.lru_cache(maxsize=128)  # bounded: one entry per design
+def _tail(coeffs: FilterCoeffs) -> int:
+    """Samples until the slowest pole's r**k is below 1e-17, plus the numerators' reach."""
+    radius = max(np.abs(coeffs.poles()).max(), 1e-300)
+    return math.ceil(-17 * math.log(10) / math.log(radius)) + 2 * len(coeffs.sos)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c not below ``n``."""
+    odd = (3**i * 5**j for i in range(round(math.log(2 * n, 3)) + 1)
+           for j in range(round(math.log(2 * n, 5)) + 1))
+    return min(f << (-(-n // f) - 1).bit_length() for f in odd)
+
+
+@functools.lru_cache(maxsize=64)  # bounded: one entry per design and length
+def _unit_circle(coeffs: FilterCoeffs, size: int) -> np.ndarray:
+    """H(e^{jw}) on the ``rfft`` grid of ``size`` points, read-only since it is shared."""
+    h = _response(coeffs.sos, 2 * np.pi * np.arange(size // 2 + 1) / size)
+    h.setflags(write=False)
+    return h
+
+
+def _steady_pass(coeffs: FilterCoeffs, u: np.ndarray, keep: int, size: int) -> np.ndarray:
+    """Last ``keep`` outputs of the cascade over ``u`` from the step steady state at ``u[0]``."""
+    h = _unit_circle(coeffs, size)
+    y = np.fft.irfft(np.fft.rfft(u - u[0], size) * h, size)[u.size - keep:u.size]
+    return y + u[0] * h[0].real
+
+
 def filter_zero_phase(coeffs: FilterCoeffs, series: np.ndarray) -> np.ndarray:
     """Apply the cascade with zero net phase (forward, then reversed).
 
@@ -171,15 +317,18 @@ def filter_zero_phase(coeffs: FilterCoeffs, series: np.ndarray) -> np.ndarray:
     has the input's length.
     """
     x = np.asarray(series, dtype=float)
-    sos = coeffs.sos.copy()  # scipy's filter kernel rejects read-only buffers
-    padlen = x.size - 1
-    min_len = 3 * (2 * sos.shape[0] + 1)
+    min_len = 3 * (2 * coeffs.sos.shape[0] + 1)
     if x.size <= min_len:
         raise ValueError(
             f"series of {x.size} samples is too short for zero-phase filtering "
             f"(need more than {min_len})"
         )
-    return sps.sosfiltfilt(sos, x, padlen=padlen)
+    n, tail = x.size, _tail(coeffs)
+    ext = np.concatenate((2 * x[0] - x[:0:-1], x, 2 * x[-1] - x[-2::-1]))
+    # the reverse pass reads only the last 2n - 1 forward outputs
+    y = _steady_pass(coeffs, ext, 2 * n - 1, _fft_length(max(3 * n - 2, 2 * n - 1 + tail)))
+    y = _steady_pass(coeffs, y[::-1], n, _fft_length(max(2 * n - 1, n - 1 + tail)))
+    return y[::-1]
 
 
 @dataclass

@@ -328,7 +328,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
 class LoadedChannel:
     wavelength_nm: float
     intensity: np.ndarray | None = None
-    contact_sample_rate: float = 50.0
+    contact_sample_rate: float | None = None
     contact_subject: SubjectVitals | None = None
     frames: DechirpFrameSet | None = None
 
@@ -359,9 +359,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         contact_csv = chdir / "contact.csv"
         if contact_csv.is_file():
             _, lc.intensity = read_intensity_csv(contact_csv)
-            lc.contact_sample_rate = float(
-                entry.get("contact_sample_rate", config.get("contact_sample_rate", 50.0))
-            )
+            lc.contact_sample_rate = float(config["contact_sample_rate"])
             if entry.get("contact_subject"):
                 lc.contact_subject = _subject_from_dict(entry["contact_subject"])
         frames_bin = chdir / "frames.bin"

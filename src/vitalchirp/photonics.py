@@ -36,6 +36,8 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by the SI definition of the metre
 
 DEFAULT_CONTACT_NOISE_RMS = 0.005
+DEFAULT_CARRIER_POWER = 1.0
+DEFAULT_SIDEBAND_POWER = 0.1
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,8 @@ def contact_intensity(
     motion_mm: np.ndarray,
     fbg: FbgProfile,
     grid: TimeGrid,
-    carrier_power: float = 1.0,
-    sideband_power: float = 0.1,
+    carrier_power: float = DEFAULT_CARRIER_POWER,
+    sideband_power: float = DEFAULT_SIDEBAND_POWER,
     noise_rms: float = DEFAULT_CONTACT_NOISE_RMS,
     rng_seed: int = 0,
 ) -> IntensityRecord:

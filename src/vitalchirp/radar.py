@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_RADAR_NOISE_RMS = 0.5
+DEFAULT_DURATION = 60.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class AcquisitionParams:
     fast_rate: float = 10e6
     slow_period: float = 20e-3
     frame_width: float = 60e-6
-    duration: float = 60.0
+    duration: float = DEFAULT_DURATION
     noise_rms: float = DEFAULT_RADAR_NOISE_RMS
     amplitude_exponent: float = 2.0
 

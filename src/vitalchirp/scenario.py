@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .photonics import (
+    DEFAULT_CARRIER_POWER,
     DEFAULT_CONTACT_NOISE_RMS,
+    DEFAULT_SIDEBAND_POWER,
     SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
@@ -25,8 +27,8 @@ from .photonics import (
     derive_chirp,
 )
 from .physio import SubjectVitals, band_violations, make_time_grid, synth_motion
-from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget, synth_dechirp_frames
-from .radar import scene_violations
+from .radar import DEFAULT_DURATION, AcquisitionParams, DechirpFrameSet, RadarTarget
+from .radar import scene_violations, synth_dechirp_frames
 
 __all__ = [
     "WdmChannel",
@@ -67,8 +69,8 @@ class WdmChannel:
     fbg: FbgProfile | None = None
     fiber_length_km: float = 0.0
     fiber_loss_db_per_km: float = 0.2
-    carrier_power_mw: float = 1.0
-    sideband_power_mw: float = 0.1
+    carrier_power_mw: float = DEFAULT_CARRIER_POWER
+    sideband_power_mw: float = DEFAULT_SIDEBAND_POWER
     contact_noise_rms: float = DEFAULT_CONTACT_NOISE_RMS
 
     def __post_init__(self):
@@ -91,7 +93,7 @@ class Scenario:
     contact_subjects: dict[float, SubjectVitals] = field(default_factory=dict)
     radar_scenes: dict[float, tuple[RadarTarget, ...]] = field(default_factory=dict)
     acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
-    duration: float = 60.0
+    duration: float = DEFAULT_DURATION
     seed: int = 0
     contact_sample_rate: float = 50.0
 

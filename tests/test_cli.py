@@ -127,6 +127,14 @@ class TestSimulate:
 
 
 class TestProcess:
+    def test_bundle_without_contact_rate_validation_exit(self, bundle_dir, tmp_path, capsys):
+        broken = bundle_copy(bundle_dir, tmp_path / "broken")
+        config = json.loads((broken / "scenario.json").read_text())
+        del config["contact_sample_rate"]
+        (broken / "scenario.json").write_text(json.dumps(config))
+        assert main(["process", str(broken), "--out", str(tmp_path / "r")]) == 2
+        assert "'contact_sample_rate'" in capsys.readouterr().err
+
     def test_reports_monitored_vs_actual(self, bundle_dir, tmp_path):
         out = tmp_path / "reports"
         assert main(["process", str(bundle_dir), "--out", str(out)]) == 0

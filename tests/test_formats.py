@@ -278,3 +278,17 @@ class TestBundleIO:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             formats.read_bundle(tmp_path / "nope")
+
+    def test_contact_rate_is_the_recorded_one(self, tmp_path):
+        from dataclasses import replace
+
+        from vitalchirp.scenario import run_scenario
+
+        scenario = replace(two_channel_scenario(duration=10.0, seed=4), contact_sample_rate=40.0)
+        out = formats.write_bundle(run_scenario(scenario), tmp_path / "bundle")
+        assert {c.contact_sample_rate for c in formats.read_bundle(out).channels} == {40.0}
+        config = json.loads((out / "scenario.json").read_text())
+        del config["contact_sample_rate"]
+        (out / "scenario.json").write_text(json.dumps(config))
+        with pytest.raises(KeyError, match="contact_sample_rate"):
+            formats.read_bundle(out)

@@ -1,7 +1,11 @@
-"""Import structure: only ``dsp`` imports scipy, so its import cost sits behind
-one module, and no module reaches into a sibling module's private names."""
+"""Import structure: nothing in the package imports scipy, so no command pays
+for it, and no module reaches into a sibling module's private names."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vitalchirp
@@ -17,9 +21,57 @@ def _imported_roots(path):
             yield node.module.split(".")[0]
 
 
-def test_only_dsp_imports_scipy():
+def test_nothing_under_src_imports_scipy():
     importers = sorted(p.stem for p in PACKAGE.glob("*.py") if "scipy" in _imported_roots(p))
-    assert importers == ["dsp"]
+    assert importers == []
+
+
+SMALL_CONFIG = {
+    "duration_s": 10.0,
+    "seed": 3,
+    "channels": [{
+        "wavelength_nm": 1549.36,
+        "roles": ["contact", "contactless"],
+        "if_lfm": {"center_freq": 6.6e9, "bandwidth": 1e9,
+                   "pulse_period": 100e-6, "pulse_width": 60e-6},
+        "fbg": {"notch_depth_db": 17.70, "fwhm_3db": 11.2e9},
+        "contact_subject": "subject-a",
+        "radar_targets": [{"subject": "subject-b", "range_m": 1.00}],
+    }],
+}
+
+# Runs in a fresh interpreter: import the package, then each command in turn,
+# and print the scipy modules loaded after each step.
+COMMANDS = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import vitalchirp
+steps = {"import vitalchirp": loaded()}
+from vitalchirp.cli import main
+work = sys.argv[1]
+for name, argv in [
+    ("simulate", ["simulate", "--config", f"{work}/config.json", "--out", f"{work}/b"]),
+    ("process", ["process", f"{work}/b", "--out", f"{work}/r"]),
+    ("process --format csv", ["process", f"{work}/b", "--format", "csv", "--out", f"{work}/c"]),
+    ("sweep", ["sweep", f"{work}/b", "--durations", "5,10", "--out", f"{work}/s"]),
+    ("filter-design", ["filter-design", "--band", "0.8", "1.9", "--sample-rate", "50",
+                       "--out", f"{work}/f"]),
+]:
+    steps[name] = [main(argv), loaded()]
+print(json.dumps(steps))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    done = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert steps == {"import vitalchirp": [],
+                     **{name: [0, []] for name in ("simulate", "process", "process --format csv",
+                                                   "sweep", "filter-design")}}
 
 
 def _sibling_private_names(path, siblings):
