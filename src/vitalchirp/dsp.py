@@ -154,14 +154,18 @@ def _arc_sc(t: float, m: float) -> float:
 
 def _elliptic_prototype(order: int, ripple_db: float, atten_db: float):
     """Zeros, poles and gain of the analog elliptic lowpass with unit passband edge."""
-    eps_sq = math.expm1(math.log(10) * 0.1 * ripple_db)
+    cannot = f"cannot design for {ripple_db} dB ripple and {atten_db} dB attenuation"
+    try:
+        eps_sq = math.expm1(math.log(10) * 0.1 * ripple_db)
+        stop_sq = math.expm1(math.log(10) * 0.1 * atten_db)
+    except OverflowError:  # a level above about 3080 dB is past the float range
+        raise FilterDesignError(cannot) from None
     if order == 1:
         pole = -math.sqrt(1.0 / eps_sq)
         return np.zeros(0, complex), np.array([pole + 0j]), -pole
-    m1 = eps_sq / math.expm1(math.log(10) * 0.1 * atten_db)
+    m1 = eps_sq / stop_sq
     if not 0 < m1 < 1:
-        raise FilterDesignError(
-            f"cannot design for {ripple_db} dB ripple and {atten_db} dB attenuation")
+        raise FilterDesignError(cannot)
     # degree equation K(1 - m) / K(m) = K(1 - m1) / (order K(m1)): nome q(m) = q(m1)**(1/order)
     q = math.exp(-math.pi * _ellipk(m1) / _ellipk(1 - m1) / order)
     num = sum(q ** (j * (j + 1)) for j in range(8))

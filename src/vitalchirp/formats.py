@@ -124,7 +124,7 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
     with path.open("wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(frames.samples, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(frames.samples, dtype="<f8"))
 
 
 def read_frames(path: str | Path) -> DechirpFrameSet:

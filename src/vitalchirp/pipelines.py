@@ -39,7 +39,7 @@ import numpy as np
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
 from .physio import HEART_BAND, RESP_BAND, SubjectVitals, prefix_length
-from .radar import DechirpFrameSet
+from .radar import FRAME_BLOCK_ROWS, DechirpFrameSet
 
 __all__ = [
     "VitalsReport",
@@ -304,14 +304,24 @@ class FrameAnalysis:
     """The hann fast-time transform of a frame set, read by every contactless output.
 
     The spectra are taken once, from the samples the frames hold at
-    construction.  ``rows`` reads the first ``rows`` frames (None: all).
+    construction, ``FRAME_BLOCK_ROWS`` rows at a time through one windowed
+    buffer; each row equals the one-shot transform of the whole matrix bit
+    for bit.  ``rows`` reads the first ``rows`` frames (None: all).
     """
 
     def __init__(self, frames: DechirpFrameSet):
         self.frames = frames
-        self.spectra = np.fft.rfft(frames.samples * np.hanning(frames.fast_count)[None, :],
-                                   axis=1)
-        self.magnitudes = np.abs(self.spectra)
+        m_count, n_count = frames.samples.shape
+        window = np.hanning(n_count)
+        self.spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
+        self.magnitudes = np.empty(self.spectra.shape)
+        buffer = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count))
+        for start in range(0, m_count, FRAME_BLOCK_ROWS):
+            stop = min(start + FRAME_BLOCK_ROWS, m_count)
+            rows, block = slice(start, stop), buffer[:stop - start]
+            np.multiply(frames.samples[rows], window, out=block)
+            self.spectra[rows] = np.fft.rfft(block, axis=1)
+            np.abs(self.spectra[rows], out=self.magnitudes[rows])
 
     def profile(self, rows: int | None = None) -> RangeProfile:
         """Slow-time-averaged hann magnitude: the profile targets are selected on.

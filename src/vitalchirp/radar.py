@@ -26,6 +26,7 @@ __all__ = [
     "RadarTarget",
     "AcquisitionParams",
     "DechirpFrameSet",
+    "FRAME_BLOCK_ROWS",
     "unambiguous_range",
     "scene_violations",
     "synth_dechirp_frames",
@@ -33,6 +34,10 @@ __all__ = [
 
 DEFAULT_RADAR_NOISE_RMS = 0.5
 DEFAULT_DURATION = 60.0
+
+# Rows of the frame matrix synthesized or transformed at a time: 256 rows of
+# 600 fast-time samples is 1.2 MB, a block that stays in cache.
+FRAME_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -175,11 +180,11 @@ def synth_dechirp_frames(
         A_j cos(2 pi f_j(m) t_f + (4 pi / lambda_c)(R0_j + x_j(t_m)))
 
     with beat frequency f_j(m) = 2 chirp_rate (R0_j + x_j(t_m)) / c and
-    A_j = reflectivity_j / R0_j^amplitude_exponent.  Receiver noise is a
-    single pre-generated white Gaussian matrix keyed by ``seed``, scaled
-    by ``noise_rms`` times the strongest target amplitude (or 1.0 for an
-    empty scene), so frames are identical however the targets are
-    iterated.  An empty scene yields pure noise frames.
+    A_j = reflectivity_j / R0_j^amplitude_exponent.  Receiver noise is
+    white Gaussian, one stream seeded by ``seed`` and drawn in row order
+    (equal to a single draw of the whole matrix), scaled by ``noise_rms``
+    times the strongest target amplitude (or 1.0 for an empty scene).  An
+    empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
     """
     problems = scene_violations(targets, chirp, acq)
     if problems:
@@ -189,23 +194,35 @@ def synth_dechirp_frames(
     t_fast = np.arange(n_count) / acq.fast_rate
     slow_grid = TimeGrid(sample_rate=acq.slow_rate, count=m_count)
 
-    samples = np.zeros((m_count, n_count))
-    amps = []
+    terms = []  # (2 pi f_j(m), phase_j(m), A_j) per target
     for tgt in targets:
         x_m = synth_motion(tgt.subject, slow_grid) * 1e-3  # mm -> m
         rng_range = tgt.nominal_range + x_m
         beat = 2.0 * chirp.chirp_rate * rng_range / SPEED_OF_LIGHT
         phase = 4.0 * np.pi * rng_range / chirp.carrier_wavelength
         amp = tgt.reflectivity / tgt.nominal_range**acq.amplitude_exponent
-        amps.append(amp)
-        samples += amp * np.cos(
-            2.0 * np.pi * beat[:, None] * t_fast[None, :] + phase[:, None]
-        )
+        terms.append((2.0 * np.pi * beat, phase, amp))
+    noise_scale = acq.noise_rms * max((amp for _, _, amp in terms), default=1.0)
+    rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
-    if acq.noise_rms > 0:
-        ref = max(amps) if amps else 1.0
-        rng = np.random.default_rng(seed)
-        samples = samples + acq.noise_rms * ref * rng.standard_normal((m_count, n_count))
+    # Each block of rows is summed in one cache-sized buffer; the terms are
+    # added to zeros in target order and the noise is drawn in row order, so
+    # the frames equal the one-shot matrix expressions bit for bit.
+    samples = np.zeros((m_count, n_count))
+    buffer = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count))
+    for start in range(0, m_count, FRAME_BLOCK_ROWS):
+        stop = min(start + FRAME_BLOCK_ROWS, m_count)
+        rows, block = slice(start, stop), buffer[:stop - start]
+        for omega, phase, amp in terms:
+            np.multiply(omega[rows, None], t_fast, out=block)
+            block += phase[rows, None]
+            np.cos(block, out=block)
+            block *= amp
+            samples[rows] += block
+        if rng is not None:
+            rng.standard_normal(out=block)
+            block *= noise_scale
+            samples[rows] += block
 
     return DechirpFrameSet(
         samples=samples,

@@ -233,7 +233,7 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
                 noise_rms=ch.contact_noise_rms,
                 rng_seed=contact_seed,
             )
-            record.samples = record.samples * ch.loss_scale
+            record.samples *= ch.loss_scale
             result.intensity = record
             result.contact_subject = subject
 
@@ -242,7 +242,7 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
             chirp = derive_chirp(ch.if_lfm)
             acq = replace(s.acquisition, duration=s.duration)
             frames = synth_dechirp_frames(targets, chirp, acq, seed=radar_seed)
-            frames.samples = frames.samples * ch.loss_scale
+            frames.samples *= ch.loss_scale
             result.frames = frames
 
         results[ch.wavelength_nm] = result

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,19 @@ def sos_response(sos, freqs, sample_rate):
     for b0, b1, b2, _a0, a1, a2 in np.asarray(sos):
         h *= (b0 + b1 * z + b2 * z**2) / (1.0 + a1 * z + a2 * z**2)
     return h
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes allocated while it ran.
+
+    tracemalloc sees numpy's data buffers, so the peak counts every
+    temporary array as well as the result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture()

@@ -409,7 +409,9 @@ class TestOneTransformPerCommand:
         source = request.getfixturevalue(bundle)
         calls = request.getfixturevalue("rfft_2d_calls")
         assert main([argv[0], str(source), "--out", str(tmp_path / "out"), *argv[1:]]) == 0
-        assert calls == [(3000, 600)]
+        # the transform runs in row blocks: together they cover each frame once
+        assert {n for _, n in calls} == {600}
+        assert sum(m for m, _ in calls) == 3000
 
 
 class TestFilterDesign:
@@ -438,6 +440,13 @@ class TestFilterDesign:
         assert main(["filter-design", "--band", "0.5", "0.13",
                      "--sample-rate", "50"]) == 2
         assert "edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [["--ripple", "5000", "--atten", "6000"],
+                                        ["--atten", "1e9"]])
+    def test_level_past_float_range_validation_exit(self, levels, capsys):
+        assert main(["filter-design", "--band", "0.8", "1.9",
+                     "--sample-rate", "50", *levels]) == 2
+        assert "cannot design" in capsys.readouterr().err
 
     def test_env_var_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VITALCHIRP_OUT", str(tmp_path))

@@ -64,6 +64,13 @@ class TestDesignBandpass:
         with pytest.raises(FilterDesignError, match="stopband"):
             design_bandpass(BandpassSpec(0.13, 0.5, 50.0, 1.0, 40.0, 1))
 
+    @pytest.mark.parametrize("order,ripple,atten", [
+        (4, 5000.0, 6000.0), (4, 1.0, 1e9), (1, 5000.0, 6000.0)])
+    def test_level_past_float_range_cannot_be_designed(self, order, ripple, atten):
+        # 10**(level / 10) overflows a float above about 3080 dB
+        with pytest.raises(FilterDesignError, match="cannot design"):
+            design_bandpass(BandpassSpec(0.8, 1.9, 50.0, ripple, atten, order))
+
     def test_sections_shape(self):
         coeffs = design_bandpass(RESP_SPEC)
         assert all(len(s) == 5 for s in coeffs.sections)

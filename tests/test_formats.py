@@ -57,6 +57,14 @@ class TestFramesContainer:
         assert payload.size == header["slow_count"] * header["fast_count"]
         assert payload[0] == small_frames.samples[0, 0]
 
+    def test_payload_is_the_samples_bytes(self, small_frames, tmp_path):
+        path = tmp_path / "frames.bin"
+        for frames in (small_frames, small_frames.truncated(1.5)):
+            formats.write_frames(frames, path)
+            raw = path.read_bytes()
+            (hlen,) = struct.unpack("<I", raw[:4])
+            assert raw[4 + hlen:] == frames.samples.astype("<f8").tobytes()
+
     def test_truncated_payload_names_file_and_offset(self, small_frames, tmp_path):
         path = tmp_path / "frames.bin"
         formats.write_frames(small_frames, path)

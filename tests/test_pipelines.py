@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vitalchirp import dsp
+from vitalchirp.formats import read_frames, write_frames
 from vitalchirp.photonics import contact_intensity
 from vitalchirp.physio import (
     HEART_BAND,
@@ -23,7 +24,7 @@ from vitalchirp.pipelines import (
 )
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 
-from conftest import two_person_scene
+from conftest import traced_peak, two_person_scene
 
 
 def static_subject(label="static"):
@@ -184,6 +185,33 @@ class TestRangeProfile:
         profile = range_profile(frames)
         assert np.all(profile.magnitudes == 0.0)
         assert profile.peak_indices().size == 0
+
+
+class TestBlockedTransform:
+    """The row-blocked hann transform equals the one-shot matrix expression."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, chirp):
+        targets, acq = two_person_scene()
+        return synth_dechirp_frames(targets, chirp, acq, seed=6)
+
+    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames"])
+    def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
+        if source == "truncated":
+            frames = frames.truncated(5.03)
+        elif source == "read_frames":
+            write_frames(frames, tmp_path / "frames.bin")
+            frames = read_frames(tmp_path / "frames.bin")
+        analysis = FrameAnalysis(frames)
+        want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
+        assert analysis.spectra.shape == want.shape
+        assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(analysis.magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
+
+    def test_peak_memory_is_what_it_keeps_and_one_block(self, frames):
+        analysis, peak = traced_peak(lambda: FrameAnalysis(frames))
+        assert frames.samples.shape == (3000, 600)
+        assert peak <= analysis.spectra.nbytes + analysis.magnitudes.nbytes + 4 * 2**20
 
 
 class TestExtractTargetPhase:
@@ -485,23 +513,15 @@ class TestOneTransformPerCall:
             (alone,) = contactless_rates(frames, target_ranges=[rng])
             assert dict(rep.to_dict(), label=None) == dict(alone.to_dict(), label=None)
 
-    def test_one_fast_time_fft_per_call(self, frames, monkeypatch):
-        import vitalchirp.pipelines as pipelines
-
-        calls = []
-        rfft = pipelines.np.fft.rfft
-
-        def counting(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                calls.append(np.shape(a))
-            return rfft(a, *args, **kwargs)
-
-        monkeypatch.setattr(pipelines.np.fft, "rfft", counting)
+    def test_one_fast_time_fft_per_call(self, frames, rfft_2d_calls):
+        # the transform runs in row blocks: together they cover each frame once
         contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
-        assert calls == [frames.samples.shape]
-        calls.clear()
+        assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
+        rfft_2d_calls.clear()
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
-        assert calls == [frames.samples.shape]
+        assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_a_given_analysis_is_read_without_a_transform(self, frames, rfft_2d_calls):
         analysis = FrameAnalysis(frames)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from vitalchirp.photonics import SPEED_OF_LIGHT
-from vitalchirp.physio import SubjectVitals
+from vitalchirp.physio import PRESET_SUBJECTS, SubjectVitals, TimeGrid, synth_motion
 from vitalchirp.radar import (
+    FRAME_BLOCK_ROWS,
     AcquisitionParams,
     RadarTarget,
     synth_dechirp_frames,
     unambiguous_range,
 )
 
-from conftest import two_person_scene
+from conftest import traced_peak, two_person_scene
 
 
 def static_subject(label="static"):
@@ -137,6 +138,63 @@ class TestSynthFrames:
         assert np.array_equal(short.samples, frames.samples[:250])
         with pytest.raises(ValueError):
             frames.truncated(120.0)
+
+
+def one_shot_frames(targets, chirp, acq, seed):
+    """Oracle: the frame matrix as whole-matrix expressions, one term per target."""
+    t_fast = np.arange(acq.fast_count) / acq.fast_rate
+    grid = TimeGrid(sample_rate=acq.slow_rate, count=acq.slow_count)
+    samples = np.zeros((acq.slow_count, acq.fast_count))
+    amps = []
+    for tgt in targets:
+        rng_range = tgt.nominal_range + synth_motion(tgt.subject, grid) * 1e-3
+        beat = 2.0 * chirp.chirp_rate * rng_range / SPEED_OF_LIGHT
+        phase = 4.0 * np.pi * rng_range / chirp.carrier_wavelength
+        amp = tgt.reflectivity / tgt.nominal_range**acq.amplitude_exponent
+        amps.append(amp)
+        samples += amp * np.cos(2.0 * np.pi * beat[:, None] * t_fast[None, :] + phase[:, None])
+    if acq.noise_rms > 0:
+        ref = max(amps) if amps else 1.0
+        rng = np.random.default_rng(seed)
+        samples = samples + acq.noise_rms * ref * rng.standard_normal(samples.shape)
+    return samples
+
+
+def preset_targets(*ranges, reflectivity=1.0):
+    subjects = list(PRESET_SUBJECTS.values())
+    return [RadarTarget(subjects[i], r, reflectivity) for i, r in enumerate(ranges)]
+
+
+class TestBlockedSynthesis:
+    """Row-blocked synthesis writes the one-shot expressions' bytes exactly."""
+
+    SCENES = {
+        "empty-with-noise": ([], dict(duration=2.0, noise_rms=0.3)),
+        "noise-off": (preset_targets(1.00, 1.65), dict(duration=10.0, noise_rms=0.0)),
+        # a zero-amplitude term is -0.0 where the cosine is negative; zeros + it is +0.0
+        "zero-reflectivity": (preset_targets(1.00, reflectivity=0.0),
+                              dict(duration=10.0, noise_rms=0.0)),
+        "four-targets": (preset_targets(1.00, 1.65, 2.40, 3.10), dict(duration=10.0)),
+        "under-one-block": (preset_targets(1.00, 1.65),
+                            dict(duration=(FRAME_BLOCK_ROWS - 7) * 20e-3)),
+        "one-block-plus-one": (preset_targets(1.00, 1.65),
+                               dict(duration=(FRAME_BLOCK_ROWS + 1) * 20e-3)),
+    }
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_bytes_equal_one_shot_expressions(self, chirp, scene):
+        targets, acq_kwargs = self.SCENES[scene]
+        acq = AcquisitionParams(**acq_kwargs)
+        got = synth_dechirp_frames(targets, chirp, acq, seed=4).samples
+        want = one_shot_frames(targets, chirp, acq, seed=4)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_peak_memory_is_the_output_and_one_block(self, chirp):
+        targets, acq = two_person_scene()
+        frames, peak = traced_peak(lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
+        assert frames.samples.shape == (3000, 600)
+        assert peak <= frames.samples.nbytes + 4 * 2**20
 
 
 class TestAcquisitionParams:
