@@ -19,7 +19,7 @@ from vitalchirp import (
     preset_subject,
     synth_motion,
 )
-from vitalchirp.formats import write_fbg_response_csv, write_intensity_csv, write_motion_csv
+from vitalchirp.formats import write_intensity_csv, write_series_csv
 
 out = Path("demo_output/contact")
 out.mkdir(parents=True, exist_ok=True)
@@ -30,7 +30,7 @@ print(f"subject: {subject.id}  ({subject.respiration_rate} rpm, "
 
 grid = make_time_grid(duration=60.0, sample_rate=50.0)
 motion = synth_motion(subject, grid)
-write_motion_csv(out / "motion.csv", grid, motion)
+write_series_csv(out / "motion.csv", {"t_s": grid.instants(), "x_mm": motion})
 
 # The taped grating: 17.7 dB notch, 11.2 GHz wide at -3 dB.  The carrier
 # sits one sigma down the falling edge, where the dB slope is steepest.
@@ -38,7 +38,9 @@ fbg = FbgProfile(notch_depth_db=17.70, fwhm_3db=11.2e9)
 print(f"notch sigma {fbg.sigma/1e9:.3f} GHz, operating offset "
       f"{fbg.operating_offset/1e9:.3f} GHz, "
       f"edge transmission {fbg_transmission_db(fbg, fbg.operating_offset):.2f} dB")
-write_fbg_response_csv(fbg, out / "fbg_response.csv")
+offsets = np.linspace(-6.0 * fbg.sigma, 6.0 * fbg.sigma, 801)
+write_series_csv(out / "fbg_response.csv", {
+    "offset_GHz": offsets / 1e9, "transmittance_dB": fbg_transmission_db(fbg, offsets)})
 
 record = contact_intensity(motion, fbg, grid, rng_seed=1)
 write_intensity_csv(out / "intensity.csv", record)

@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +220,7 @@ def cmd_sweep(args) -> int:
         (out / "sweep.json").write_text(
             json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8"
         )
-        header = ["duration_s", "modality", "label", "respiration_rpm",
-                  "heartbeat_bpm", "resp_3db_hz", "heart_3db_hz", "skipped"]
+        header = [f.name for f in fields(pipelines.SweepEntry)]
         with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -255,7 +254,7 @@ def cmd_filter_design(args) -> int:
     out = _resolve_out(args.out, f"filter-{args.band[0]:g}-{args.band[1]:g}")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        freqs, h = dsp.frequency_response(coeffs, n=4096)
+        freqs, h = dsp.frequency_response(coeffs)
         mag_db = 20 * np.log10(np.maximum(np.abs(h), 1e-300))
         formats.write_series_csv(
             out / "response.csv", {"freq_hz": freqs, "magnitude_db": mag_db}

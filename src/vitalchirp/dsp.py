@@ -212,6 +212,7 @@ def _sections(z: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)  # bounded: specs come from callers
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the finiteness checks
 def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     """Design an elliptic (Cauer) bandpass as second-order sections.
 
@@ -261,9 +262,13 @@ def frequency_response(
 
 def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
     tol_db = 0.01
+    if not np.all(np.isfinite(coeffs.sos)):
+        raise FilterDesignError(f"cannot design order {spec.order}: non-finite sections")
     if np.any(np.abs(coeffs.poles()) >= 1.0):
         raise FilterDesignError("unstable design: pole on or outside the unit circle")
     freqs, h = frequency_response(coeffs, DENSE_GRID_POINTS)
+    if not np.all(np.isfinite(h)):
+        raise FilterDesignError(f"cannot design order {spec.order}: non-finite response")
     mag_db = 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
 
     passband = (freqs >= spec.low_edge) & (freqs <= spec.high_edge)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
-from .physio import PRESET_SUBJECTS, SubjectVitals, TimeGrid
+from .physio import PRESET_SUBJECTS, SubjectVitals
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .scenario import Scenario, WdmChannel
 
@@ -42,7 +42,6 @@ __all__ = [
     "write_frames",
     "read_frames",
     "write_series_csv",
-    "write_fbg_response_csv",
     "scenario_to_dict",
     "scenario_from_dict",
     "scenario_hash",
@@ -177,10 +176,6 @@ def write_series_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
                header=",".join(names), comments="")
 
 
-def write_motion_csv(path: str | Path, grid: TimeGrid, motion_mm: np.ndarray) -> None:
-    write_series_csv(path, {"t_s": grid.instants(), "x_mm": motion_mm})
-
-
 def write_intensity_csv(path: str | Path, record: IntensityRecord) -> None:
     write_series_csv(
         path, {"t_s": record.grid.instants(), "intensity": record.samples}
@@ -192,45 +187,34 @@ def read_intensity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def write_fbg_response_csv(
-    fbg: FbgProfile, path: str | Path, span_hz: float | None = None, points: int = 801
-) -> None:
-    """Export the notch transmission as (offset_GHz, transmittance_dB)."""
-    from .photonics import fbg_transmission_db
-
-    span = span_hz if span_hz is not None else 6.0 * fbg.sigma
-    offsets = np.linspace(-span, span, points)
-    write_series_csv(
-        path,
-        {
-            "offset_GHz": offsets / 1e9,
-            "transmittance_dB": fbg_transmission_db(fbg, offsets),
-        },
-    )
-
-
 # --------------------------------------------------------- scenario config
 
 def _channel_to_dict(ch: WdmChannel) -> dict:
-    return {**asdict(ch), "roles": sorted(ch.roles)}
+    subject = ch.contact_subject
+    return {**asdict(ch), "roles": sorted(ch.roles),
+            "contact_subject": _subject_to_dict(subject) if subject else None,
+            "radar_targets": [_target_to_dict(t) for t in ch.radar_targets]}
+
+
+def _channel_from_dict(d: dict) -> WdmChannel:
+    d = dict(d)
+    subject, fbg = d.pop("contact_subject", None), d.pop("fbg", None)
+    return WdmChannel(roles=frozenset(d.pop("roles", [])),
+                      if_lfm=IfLfmParams(**d.pop("if_lfm")),
+                      fbg=FbgProfile(**fbg) if fbg else None,
+                      contact_subject=_resolve_subject(subject) if subject else None,
+                      radar_targets=tuple(map(_target_from_dict, d.pop("radar_targets", []))),
+                      **d)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully resolved, JSON-ready scenario description."""
-    channels = []
-    for ch in s.channels:
-        d = _channel_to_dict(ch)
-        subject = s.contact_subjects.get(ch.wavelength_nm)
-        d["contact_subject"] = _subject_to_dict(subject) if subject else None
-        scene = s.radar_scenes.get(ch.wavelength_nm, ())
-        d["radar_targets"] = [_target_to_dict(t) for t in scene]
-        channels.append(d)
     return {
         "duration_s": s.duration,
         "seed": s.seed,
         "contact_sample_rate": s.contact_sample_rate,
         "acquisition": {k: v for k, v in asdict(s.acquisition).items() if k != "duration"},
-        "channels": channels,
+        "channels": [_channel_to_dict(ch) for ch in s.channels],
     }
 
 
@@ -242,27 +226,10 @@ def scenario_from_dict(config: dict) -> Scenario:
     naming it.  Subject entries may be preset names or full parameter dicts.
     """
     config = dict(config)
-    channels = []
-    contact_subjects = {}
-    radar_scenes = {}
-    for chd in config.pop("channels", []):
-        chd = dict(chd)
-        subject = chd.pop("contact_subject", None)
-        targets = tuple(map(_target_from_dict, chd.pop("radar_targets", [])))
-        fbg = chd.pop("fbg", None)
-        ch = WdmChannel(roles=frozenset(chd.pop("roles", [])),
-                        if_lfm=IfLfmParams(**chd.pop("if_lfm")),
-                        fbg=FbgProfile(**fbg) if fbg else None, **chd)
-        channels.append(ch)
-        if subject:
-            contact_subjects[ch.wavelength_nm] = _resolve_subject(subject)
-        if targets:
-            radar_scenes[ch.wavelength_nm] = targets
+    channels = tuple(map(_channel_from_dict, config.pop("channels", [])))
     duration = config.pop("duration_s", Scenario.duration)
     acquisition = AcquisitionParams(**config.pop("acquisition", {}), duration=duration)
-    return Scenario(channels=tuple(channels), contact_subjects=contact_subjects,
-                    radar_scenes=radar_scenes, acquisition=acquisition, duration=duration,
-                    **config)
+    return Scenario(channels=channels, acquisition=acquisition, duration=duration, **config)
 
 
 def scenario_hash(config: dict) -> str:

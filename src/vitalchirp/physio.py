@@ -37,7 +37,6 @@ class TimeGrid:
 
     sample_rate: float
     count: int
-    start: float = 0.0
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -49,16 +48,12 @@ class TimeGrid:
     def duration(self) -> float:
         return self.count / self.sample_rate
 
-    @property
-    def step(self) -> float:
-        return 1.0 / self.sample_rate
-
     def instants(self) -> np.ndarray:
-        """Sampling instants t_n = start + n / sample_rate."""
-        return self.start + np.arange(self.count) / self.sample_rate
+        """Sampling instants t_n = n / sample_rate."""
+        return np.arange(self.count) / self.sample_rate
 
 
-def make_time_grid(duration: float, sample_rate: float, start: float = 0.0) -> TimeGrid:
+def make_time_grid(duration: float, sample_rate: float) -> TimeGrid:
     """Build a grid covering ``duration`` seconds at ``sample_rate`` Sa/s.
 
     The sample count is ``round(duration * sample_rate)``; a grid that
@@ -69,7 +64,7 @@ def make_time_grid(duration: float, sample_rate: float, start: float = 0.0) -> T
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
     count = int(round(duration * sample_rate))
-    return TimeGrid(sample_rate=sample_rate, count=count, start=start)
+    return TimeGrid(sample_rate=sample_rate, count=count)
 
 
 def prefix_length(duration: float, sample_rate: float, count: int) -> int:

@@ -1,12 +1,14 @@
 """Multi-channel WDM deployment description and execution.
 
-A :class:`Scenario` wires wavelengths to monitoring roles: a contact
-channel carries one taped FBG sensor and one subject; a contactless
-channel carries a radar scene with any number of ranged targets.  The
-FBG and demultiplexer select by wavelength, so channels are ideally
-isolated and execute independently; per-channel noise seeds derive only
-from (global seed, wavelength), which keeps every channel's output
-bit-identical no matter which other channels exist in the scenario.
+A :class:`Scenario` is a set of wavelength channels plus the capture
+settings they share.  Each :class:`WdmChannel` carries its monitoring
+roles and the people it monitors: a contact channel one taped FBG sensor
+and its subject, a contactless channel a radar scene with any number of
+ranged targets.  The FBG and demultiplexer select by wavelength, so
+channels are ideally isolated and execute independently; per-channel
+noise seeds derive only from (global seed, wavelength), which keeps every
+channel's output bit-identical no matter which other channels exist in
+the scenario.
 """
 
 from __future__ import annotations
@@ -61,7 +63,12 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True)
 class WdmChannel:
-    """One wavelength and the monitoring roles it carries."""
+    """One wavelength, the monitoring roles it carries and the people it serves.
+
+    ``contact_subject`` is the person wearing the channel's FBG (contact
+    role); ``radar_targets`` are the people its radar scene ranges
+    (contactless role).
+    """
 
     wavelength_nm: float
     roles: frozenset[str]
@@ -72,6 +79,8 @@ class WdmChannel:
     carrier_power_mw: float = DEFAULT_CARRIER_POWER
     sideband_power_mw: float = DEFAULT_SIDEBAND_POWER
     contact_noise_rms: float = DEFAULT_CONTACT_NOISE_RMS
+    contact_subject: SubjectVitals | None = None
+    radar_targets: tuple[RadarTarget, ...] = ()
 
     def __post_init__(self):
         if self.wavelength_nm <= 0:
@@ -87,11 +96,9 @@ class WdmChannel:
 
 @dataclass
 class Scenario:
-    """Channels plus the subjects and radar scenes assigned to them."""
+    """WDM channels and the record length, seed and capture settings they share."""
 
     channels: tuple[WdmChannel, ...]
-    contact_subjects: dict[float, SubjectVitals] = field(default_factory=dict)
-    radar_scenes: dict[float, tuple[RadarTarget, ...]] = field(default_factory=dict)
     acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
     duration: float = DEFAULT_DURATION
     seed: int = 0
@@ -117,64 +124,42 @@ def _off_itu_grid(wavelength_nm: float) -> bool:
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Structural and physical checks; violations are data, not exceptions."""
     report = ValidationReport()
+    violations = report.violations
     seen: set[float] = set()
-    by_wavelength = {}
     for ch in s.channels:
-        if ch.wavelength_nm in seen:
-            report.violations.append(f"duplicate wavelength {ch.wavelength_nm} nm")
-        seen.add(ch.wavelength_nm)
-        by_wavelength[ch.wavelength_nm] = ch
-        if _off_itu_grid(ch.wavelength_nm):
+        wl, subject, targets = ch.wavelength_nm, ch.contact_subject, ch.radar_targets
+        if wl in seen:
+            violations.append(f"duplicate wavelength {wl} nm")
+        seen.add(wl)
+        if _off_itu_grid(wl):
             report.warnings.append(
-                f"wavelength {ch.wavelength_nm} nm is more than 1 GHz off the "
-                f"50 GHz ITU grid"
+                f"wavelength {wl} nm is more than 1 GHz off the 50 GHz ITU grid"
             )
 
         if CONTACT_ROLE in ch.roles:
             if ch.fbg is None:
-                report.violations.append(
-                    f"channel {ch.wavelength_nm} nm has the contact role but no FBG"
-                )
-            if ch.wavelength_nm not in s.contact_subjects:
-                report.violations.append(
-                    f"channel {ch.wavelength_nm} nm has the contact role but no subject"
-                )
+                violations.append(f"channel {wl} nm has the contact role but no FBG")
+            if subject is None:
+                violations.append(f"channel {wl} nm has the contact role but no subject")
+        elif subject is not None:
+            violations.append(f"contact subject on channel {wl} nm which lacks the contact role")
+        if subject is not None:
+            violations.extend(f"channel {wl} nm contact subject {subject.id!r}: {v}"
+                              for v in band_violations(subject))
+
         if CONTACTLESS_ROLE in ch.roles:
-            scene = s.radar_scenes.get(ch.wavelength_nm)
-            if not scene:
-                report.violations.append(
-                    f"channel {ch.wavelength_nm} nm has the contactless role but no "
-                    f"radar scene"
-                )
-
-    for wl, subject in s.contact_subjects.items():
-        ch = by_wavelength.get(wl)
-        if ch is None:
-            report.violations.append(f"contact subject assigned to unknown channel {wl} nm")
-            continue
-        if CONTACT_ROLE not in ch.roles:
-            report.violations.append(
-                f"contact subject on channel {wl} nm which lacks the contact role"
-            )
-        report.violations += [f"channel {wl} nm contact subject {subject.id!r}: {v}"
-                              for v in band_violations(subject)]
-
-    for wl, targets in s.radar_scenes.items():
-        ch = by_wavelength.get(wl)
-        if ch is None:
-            report.violations.append(f"radar scene assigned to unknown channel {wl} nm")
-            continue
-        if CONTACTLESS_ROLE not in ch.roles:
-            report.violations.append(
-                f"radar scene on channel {wl} nm which lacks the contactless role"
-            )
-        report.violations += [
-            f"channel {wl} nm: {v}"
-            for v in scene_violations(targets, derive_chirp(ch.if_lfm), s.acquisition)
-        ]
+            if not targets:
+                violations.append(
+                    f"channel {wl} nm has the contactless role but no radar scene")
+        elif targets:
+            violations.append(
+                f"radar scene on channel {wl} nm which lacks the contactless role")
+        if targets:
+            violations.extend(f"channel {wl} nm: {v}" for v in scene_violations(
+                targets, derive_chirp(ch.if_lfm), s.acquisition))
         for tgt in targets:
-            report.violations += [f"channel {wl} nm target {tgt.subject.id!r}: {v}"
-                                  for v in band_violations(tgt.subject)]
+            violations.extend(f"channel {wl} nm target {tgt.subject.id!r}: {v}"
+                              for v in band_violations(tgt.subject))
     return report
 
 
@@ -221,9 +206,8 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
         result = ChannelResult(channel=ch)
 
         if CONTACT_ROLE in ch.roles:
-            subject = s.contact_subjects[ch.wavelength_nm]
             grid = make_time_grid(s.duration, s.contact_sample_rate)
-            motion = synth_motion(subject, grid)
+            motion = synth_motion(ch.contact_subject, grid)
             record = contact_intensity(
                 motion,
                 ch.fbg,
@@ -235,13 +219,12 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
             )
             record.samples *= ch.loss_scale
             result.intensity = record
-            result.contact_subject = subject
+            result.contact_subject = ch.contact_subject
 
         if CONTACTLESS_ROLE in ch.roles:
-            targets = tuple(s.radar_scenes[ch.wavelength_nm])
             chirp = derive_chirp(ch.if_lfm)
             acq = replace(s.acquisition, duration=s.duration)
-            frames = synth_dechirp_frames(targets, chirp, acq, seed=radar_seed)
+            frames = synth_dechirp_frames(ch.radar_targets, chirp, acq, seed=radar_seed)
             frames.samples *= ch.loss_scale
             result.frames = frames
 

@@ -4,6 +4,7 @@ pass/fail line (run with ``pytest -v`` or ``pytest -s`` to see them).
 
 import contextlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,14 +217,11 @@ def test_criterion_8_property_suites(tmp_path, chirp):
         # channel isolation: adding a channel never perturbs an existing one
         full = run_scenario(two_channel_scenario(duration=10.0, seed=3))
         solo = Scenario(
-            channels=(channel(1549.36, ["contact", "contactless"]),),
-            contact_subjects={1549.36: preset_subject("subject-a")},
-            radar_scenes={
-                1549.36: (
-                    RadarTarget(preset_subject("subject-b"), 1.00),
-                    RadarTarget(preset_subject("subject-c"), 1.65),
-                )
-            },
+            channels=(channel(
+                1549.36, ["contact", "contactless"], subject=preset_subject("subject-a"),
+                targets=(RadarTarget(preset_subject("subject-b"), 1.00),
+                         RadarTarget(preset_subject("subject-c"), 1.65)),
+            ),),
             acquisition=AcquisitionParams(),
             duration=10.0,
             seed=3,
@@ -269,7 +267,8 @@ def _contact_scenario(n_channels, duration=60.0):
         wl = 1540.0 + 0.8 * i
         channels.append(channel(wl, ["contact"]))
         subjects[wl] = preset_subject(names[i % len(names)])
-    return Scenario(channels=tuple(channels), contact_subjects=subjects,
+    return Scenario(channels=tuple(replace(ch, contact_subject=subjects[ch.wavelength_nm])
+                                   for ch in channels),
                     duration=duration, seed=17)
 
 

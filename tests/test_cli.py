@@ -448,6 +448,13 @@ class TestFilterDesign:
                      "--sample-rate", "50", *levels]) == 2
         assert "cannot design" in capsys.readouterr().err
 
+    def test_overflowing_order_validation_exit(self, tmp_path, capsys):
+        out = tmp_path / "fd"
+        assert main(["filter-design", "--band", "0.8", "1.9", "--sample-rate", "50",
+                     "--order", "300", "--out", str(out)]) == 2
+        assert "cannot design order 300" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VITALCHIRP_OUT", str(tmp_path))
         assert main(["filter-design", "--band", "0.13", "0.5",

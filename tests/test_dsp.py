@@ -71,6 +71,12 @@ class TestDesignBandpass:
         with pytest.raises(FilterDesignError, match="cannot design"):
             design_bandpass(BandpassSpec(0.8, 1.9, 50.0, ripple, atten, order))
 
+    @pytest.mark.parametrize("order", [254, 300])
+    def test_gain_past_float_range_cannot_be_designed(self, order):
+        # from order 254 the heart-band gain products overflow at 50 Sa/s
+        with pytest.raises(FilterDesignError, match=f"cannot design order {order}"):
+            design_bandpass(BandpassSpec(0.8, 1.9, 50.0, order=order))
+
     def test_sections_shape(self):
         coeffs = design_bandpass(RESP_SPEC)
         assert all(len(s) == 5 for s in coeffs.sections)

@@ -12,7 +12,7 @@ from vitalchirp import formats
 from vitalchirp.photonics import FbgProfile, contact_intensity
 from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
-from vitalchirp.scenario import validate_scenario
+from vitalchirp.scenario import WdmChannel, validate_scenario
 
 from test_scenario import two_channel_scenario
 
@@ -83,25 +83,6 @@ class TestFramesContainer:
 
 
 class TestCsvExports:
-    def test_motion_csv(self, tmp_path):
-        grid = make_time_grid(5.0, 50.0)
-        x = synth_motion(preset_subject("subject-a"), grid)
-        path = tmp_path / "motion.csv"
-        formats.write_motion_csv(path, grid, x)
-        header = path.read_text().splitlines()[0]
-        assert header == "t_s,x_mm"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (250, 2)
-        assert np.allclose(data[:, 1], x, atol=1e-9)
-
-    def test_fbg_response_csv(self, tmp_path):
-        fbg = FbgProfile(notch_depth_db=17.7, fwhm_3db=11.2e9)
-        path = tmp_path / "fbg.csv"
-        formats.write_fbg_response_csv(fbg, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        mid = data[np.argmin(np.abs(data[:, 0]))]
-        assert mid[1] == pytest.approx(-17.7, abs=1e-6)
-
     def test_intensity_round_trip(self, tmp_path):
         grid = make_time_grid(5.0, 50.0)
         fbg = FbgProfile(notch_depth_db=17.7, fwhm_3db=11.2e9)
@@ -135,7 +116,7 @@ class TestScenarioConfig:
             ],
         }
         s = formats.scenario_from_dict(config)
-        assert s.contact_subjects[1549.36].respiration_rate == 21.0
+        assert s.channels[0].contact_subject.respiration_rate == 21.0
 
     def test_unknown_preset_rejected(self):
         config = {
@@ -255,6 +236,16 @@ class TestDocumentedSchema:
     def test_subject_keys_are_the_subject_fields(self):
         (sentence,) = re.findall(r"A full subject dict takes (.*?)\.", self.readme(), re.S)
         assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(SubjectVitals)]
+
+    def test_channel_keys_are_the_channel_fields(self):
+        (block,) = re.findall(r"```jsonc\n(.*?)```", self.readme(), re.S)
+        (shown,) = json.loads(re.sub(r"//.*", "", block))["channels"]
+        (sentence,) = re.findall(r"A channel takes the fields of `scenario\.WdmChannel`; "
+                                 r"besides those shown, these are (.*?)\.",
+                                 " ".join(self.readme().split()))
+        extras = re.findall(r"`(\w+)`", sentence)
+        assert not set(shown) & set(extras)
+        assert set(shown) | set(extras) == {f.name for f in fields(WdmChannel)}
 
 
 class TestBundleIO:

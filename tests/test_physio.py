@@ -103,7 +103,7 @@ class TestSynthMotion:
         grid = make_time_grid(60.0, 50.0)
         x = synth_motion(subject, grid)
         mags = np.abs(np.fft.rfft(x))
-        freqs = np.fft.rfftfreq(grid.count, grid.step)
+        freqs = np.fft.rfftfreq(grid.count, 1 / grid.sample_rate)
         top = np.argsort(mags)[::-1][:2]
         assert sorted(freqs[top]) == pytest.approx([0.35, 1.45])
 

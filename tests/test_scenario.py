@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,36 +19,41 @@ IF_LFM = IfLfmParams(center_freq=6.6e9, bandwidth=1e9, pulse_period=100e-6,
                      pulse_width=60e-6)
 
 
-def channel(wavelength, roles, fbg=True):
+def channel(wavelength, roles, fbg=True, subject=None, targets=()):
     return WdmChannel(
         wavelength_nm=wavelength,
         roles=frozenset(roles),
         if_lfm=IF_LFM,
         fbg=FbgProfile(notch_depth_db=17.70, fwhm_3db=11.2e9) if fbg else None,
+        contact_subject=subject,
+        radar_targets=tuple(targets),
     )
+
+
+def two_targets():
+    return (RadarTarget(preset_subject("subject-b"), 1.00),
+            RadarTarget(preset_subject("subject-c"), 1.65))
 
 
 def two_channel_scenario(duration=60.0, seed=0, noise_rms=0.5):
     """Contact+contactless on 1549.36 nm, contact only on 1549.92 nm."""
     return Scenario(
         channels=(
-            channel(1549.36, ["contact", "contactless"]),
-            channel(1549.92, ["contact"]),
+            channel(1549.36, ["contact", "contactless"], subject=preset_subject("subject-a"),
+                    targets=two_targets()),
+            channel(1549.92, ["contact"], subject=preset_subject("subject-d")),
         ),
-        contact_subjects={
-            1549.36: preset_subject("subject-a"),
-            1549.92: preset_subject("subject-d"),
-        },
-        radar_scenes={
-            1549.36: (
-                RadarTarget(preset_subject("subject-b"), 1.00),
-                RadarTarget(preset_subject("subject-c"), 1.65),
-            )
-        },
         acquisition=AcquisitionParams(noise_rms=noise_rms),
         duration=duration,
         seed=seed,
     )
+
+
+def with_people(s, index, **people):
+    """``s`` with channel ``index`` given ``contact_subject`` and/or ``radar_targets``."""
+    channels = list(s.channels)
+    channels[index] = replace(channels[index], **people)
+    return replace(s, channels=tuple(channels))
 
 
 class TestValidateScenario:
@@ -59,18 +66,13 @@ class TestValidateScenario:
 
     def test_duplicate_wavelength(self):
         s = two_channel_scenario()
-        s = Scenario(
-            channels=(s.channels[0], s.channels[0]),
-            contact_subjects=s.contact_subjects,
-            radar_scenes=s.radar_scenes,
-            acquisition=s.acquisition,
-        )
+        s = Scenario(channels=(s.channels[0], s.channels[0]), acquisition=s.acquisition)
         report = validate_scenario(s)
         assert any("duplicate wavelength" in v for v in report.violations)
 
     def test_target_beyond_unambiguous_range(self):
-        s = two_channel_scenario()
-        s.radar_scenes[1549.36] = (RadarTarget(preset_subject("subject-b"), 12.0),)
+        s = with_people(two_channel_scenario(), 0,
+                        radar_targets=(RadarTarget(preset_subject("subject-b"), 12.0),))
         report = validate_scenario(s)
         assert any("unambiguous range" in v and "11.2" in v for v in report.violations)
 
@@ -85,12 +87,21 @@ class TestValidateScenario:
         report = validate_scenario(s)
         assert any("no radar scene" in v for v in report.violations)
 
+    def test_people_need_their_role(self):
+        s = Scenario(channels=(
+            channel(1549.36, ["contactless"], subject=preset_subject("subject-a"),
+                    targets=two_targets()),
+            channel(1549.92, ["contact"], subject=preset_subject("subject-d"),
+                    targets=two_targets()),
+        ))
+        assert validate_scenario(s).violations == [
+            "contact subject on channel 1549.36 nm which lacks the contact role",
+            "radar scene on channel 1549.92 nm which lacks the contactless role",
+        ]
+
     def test_out_of_band_rates_flagged(self):
         slow = SubjectVitals("slow", respiration_rate=4.0, heartbeat_rate=80.0)
-        s = Scenario(
-            channels=(channel(1550.0, ["contact"]),),
-            contact_subjects={1550.0: slow},
-        )
+        s = Scenario(channels=(channel(1550.0, ["contact"], subject=slow),))
         report = validate_scenario(s)
         assert any("search band" in v for v in report.violations)
 
@@ -100,33 +111,28 @@ class TestValidateScenario:
         ({"slow_period": 50e-6}, 1.0),
     ])
     def test_capture_rule_message_is_the_synthesizers(self, acquisition, target_range):
-        s = two_channel_scenario(duration=1.0)
-        s.acquisition = AcquisitionParams(duration=1.0, **acquisition)
         targets = (RadarTarget(preset_subject("subject-b"), target_range),)
-        s.radar_scenes[1549.36] = targets
+        s = with_people(two_channel_scenario(duration=1.0), 0, radar_targets=targets)
+        s.acquisition = AcquisitionParams(duration=1.0, **acquisition)
         with pytest.raises(ValueError) as err:
             synth_dechirp_frames(targets, derive_chirp(IF_LFM), s.acquisition)
         assert validate_scenario(s).violations == [f"channel 1549.36 nm: {err.value}"]
 
     def test_band_message_is_band_violations(self):
         slow = SubjectVitals("slow", respiration_rate=4.0, heartbeat_rate=130.0)
-        s = two_channel_scenario()
-        s.contact_subjects[1549.92] = slow
-        s.radar_scenes[1549.36] = (RadarTarget(slow, 1.0),)
+        s = with_people(two_channel_scenario(), 0, radar_targets=(RadarTarget(slow, 1.0),))
+        s = with_people(s, 1, contact_subject=slow)
         messages = band_violations(slow)
         assert len(messages) == 2
         assert validate_scenario(s).violations == (
-            [f"channel 1549.92 nm contact subject 'slow': {m}" for m in messages]
-            + [f"channel 1549.36 nm target 'slow': {m}" for m in messages]
+            [f"channel 1549.36 nm target 'slow': {m}" for m in messages]
+            + [f"channel 1549.92 nm contact subject 'slow': {m}" for m in messages]
         )
 
     def test_on_grid_wavelength_no_warning(self):
         # 193.1 THz anchor itself
         wl = 299792458.0 / 193.1e12 * 1e9
-        s = Scenario(
-            channels=(channel(wl, ["contact"]),),
-            contact_subjects={wl: preset_subject("subject-a")},
-        )
+        s = Scenario(channels=(channel(wl, ["contact"], subject=preset_subject("subject-a")),))
         assert validate_scenario(s).warnings == []
 
 
@@ -143,11 +149,8 @@ class TestRunScenario:
 
     def test_two_contact_channels_no_frames(self):
         s = Scenario(
-            channels=(channel(1549.36, ["contact"]), channel(1549.92, ["contact"])),
-            contact_subjects={
-                1549.36: preset_subject("subject-a"),
-                1549.92: preset_subject("subject-b"),
-            },
+            channels=(channel(1549.36, ["contact"], subject=preset_subject("subject-a")),
+                      channel(1549.92, ["contact"], subject=preset_subject("subject-b"))),
             duration=20.0,
         )
         bundle = run_scenario(s)
@@ -167,14 +170,9 @@ class TestRunScenario:
     def test_channel_isolation_bit_identical(self):
         full = run_scenario(two_channel_scenario(duration=10.0, seed=3))
         solo = Scenario(
-            channels=(channel(1549.36, ["contact", "contactless"]),),
-            contact_subjects={1549.36: preset_subject("subject-a")},
-            radar_scenes={
-                1549.36: (
-                    RadarTarget(preset_subject("subject-b"), 1.00),
-                    RadarTarget(preset_subject("subject-c"), 1.65),
-                )
-            },
+            channels=(channel(1549.36, ["contact", "contactless"],
+                              subject=preset_subject("subject-a"),
+                              targets=two_targets()),),
             acquisition=AcquisitionParams(),
             duration=10.0,
             seed=3,
@@ -208,20 +206,10 @@ class TestRunScenario:
 
         base = two_channel_scenario(duration=20.0)
         lossy = two_channel_scenario(duration=20.0)
-        lossy_channels = tuple(
-            WdmChannel(
-                wavelength_nm=ch.wavelength_nm, roles=ch.roles, if_lfm=ch.if_lfm,
-                fbg=ch.fbg, fiber_length_km=25.0, fiber_loss_db_per_km=0.2,
-            )
+        lossy = replace(lossy, channels=tuple(
+            replace(ch, fiber_length_km=25.0, fiber_loss_db_per_km=0.2)
             for ch in lossy.channels
-        )
-        lossy = Scenario(
-            channels=lossy_channels,
-            contact_subjects=lossy.contact_subjects,
-            radar_scenes=lossy.radar_scenes,
-            acquisition=lossy.acquisition,
-            duration=20.0,
-        )
+        ))
         rec_base = run_scenario(base).channels[1549.92].intensity
         rec_lossy = run_scenario(lossy).channels[1549.92].intensity
         scale = 10 ** (-0.2 * 25.0 / 10)
