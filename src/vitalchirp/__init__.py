@@ -23,10 +23,4 @@ from .radar import (
     unambiguous_range,
 )
 from .dsp import BandpassSpec, design_bandpass, frequency_response
-from .pipelines import (
-    contact_rates,
-    contactless_rates,
-    extract_target_phase,
-    range_profile,
-    resolution_sweep,
-)
+from .pipelines import contact_rates, contactless_rates, resolution_sweep

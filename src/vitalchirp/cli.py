@@ -1,9 +1,10 @@
 """Command-line interface.
 
-    vitalchirp simulate --config scenario.json --out bundle/
-    vitalchirp process bundle/ [--duration 5] [--dc-comp] [--format csv]
-    vitalchirp sweep bundle/ [--durations 5,10,20,30,40,50,60]
-    vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 --out dir/
+    vitalchirp simulate --config scenario.json [--out bundle/] [--seed N]
+    vitalchirp process bundle/ [--duration 5] [--dc-comp] [--format csv] [--out dir/]
+    vitalchirp sweep bundle/ [--durations 5,10,20,30,40,50,60] [--out dir/]
+    vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 [--out dir/] \\
+        [--ripple 1] [--atten 40] [--order 4]
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 processing failure.
 When ``--out`` is omitted, outputs land under ``$VITALCHIRP_OUT`` (default

@@ -54,6 +54,7 @@ __all__ = [
 
 FRAMES_MAGIC = "vitalchirp-frames"
 FRAMES_VERSION = 1
+_FRAMES_LAYOUT = {"dtype": "<f8", "order": "C"}  # the one payload layout written and read
 TOOL_NAME = "vitalchirp"
 
 FLOAT_FMT = "%.12g"
@@ -111,8 +112,7 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
         "fast_count": frames.fast_count,
         "slow_rate_hz": frames.slow_rate,
         "fast_rate_sa_s": frames.fast_rate,
-        "dtype": "<f8",
-        "order": "C",
+        **_FRAMES_LAYOUT,
         "chirp": asdict(frames.chirp),
         "acquisition": asdict(frames.acquisition),
     }
@@ -123,7 +123,7 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
     with path.open("wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(frames.samples, dtype="<f8"))
+        fh.write(np.ascontiguousarray(frames.samples, dtype=_FRAMES_LAYOUT["dtype"]))
 
 
 def read_frames(path: str | Path) -> DechirpFrameSet:
@@ -144,6 +144,10 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
         raise CorruptFramesError(f"{path}: invalid JSON header (offset 4): {exc}") from exc
     if header.get("format") != FRAMES_MAGIC or header.get("version") != FRAMES_VERSION:
         raise CorruptFramesError(f"{path}: not a {FRAMES_MAGIC} v{FRAMES_VERSION} file")
+    for key, value in _FRAMES_LAYOUT.items():
+        if header.get(key) != value:
+            raise CorruptFramesError(
+                f"{path}: header {key} {header.get(key)!r}, but payloads are read as {value!r}")
 
     slow, fast = int(header["slow_count"]), int(header["fast_count"])
     expected = slow * fast * 8
@@ -152,7 +156,7 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
             f"{path}: payload of {payload_len} bytes at offset {4 + hlen}, "
             f"expected {expected} ({slow}x{fast} float64)"
         )
-    samples = np.fromfile(path, "<f8", slow * fast, offset=4 + hlen).reshape(slow, fast)
+    samples = np.fromfile(path, header["dtype"], slow * fast, offset=4 + hlen).reshape(slow, fast)
     if not np.all(np.isfinite(samples)):
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
     truth = tuple(_target_from_dict(t) for t in header.get("truth", [])) or None

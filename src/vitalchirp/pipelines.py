@@ -9,8 +9,9 @@ Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT);
-profile, targets, phases, rates and every sweep duration read its spectra,
-whose first rows equal the truncated frames' spectra bit for bit.
+its profile, targets, phases and rates read those spectra, and
+:meth:`FrameAnalysis.prefix` gives each sweep duration the analysis of the
+truncated frames from their first rows, bit for bit and without a transform.
 
 The chain is fixed: both filters use the :class:`dsp.BandpassSpec`
 defaults (elliptic, order 4, 1 dB ripple, 40 dB stopband), applied
@@ -32,6 +33,7 @@ spectra, which ``process --format csv`` exports, come from
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,8 +53,6 @@ __all__ = [
     "FrameAnalysis",
     "contact_rates",
     "band_waveforms",
-    "range_profile",
-    "extract_target_phase",
     "contactless_rates",
     "resolution_sweep",
 ]
@@ -261,9 +261,6 @@ class RangeProfile:
         idx = np.flatnonzero(interior) + 1
         return idx[np.argsort(m[idx])[::-1]]
 
-    def peak_ranges(self) -> np.ndarray:
-        return self.ranges[self.peak_indices()]
-
 
 def _beat_to_range(chirp, freq):
     return SPEED_OF_LIGHT * freq / (2.0 * chirp.chirp_rate)
@@ -271,11 +268,6 @@ def _beat_to_range(chirp, freq):
 
 def _bin_width(frames: DechirpFrameSet) -> float:
     return _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
-
-
-def range_profile(frames: DechirpFrameSet) -> RangeProfile:
-    """The hann range profile target selection reads: ``FrameAnalysis(frames).profile()``."""
-    return FrameAnalysis(frames).profile()
 
 
 @dataclass
@@ -306,7 +298,7 @@ class FrameAnalysis:
     The spectra are taken once, from the samples the frames hold at
     construction, ``FRAME_BLOCK_ROWS`` rows at a time through one windowed
     buffer; each row equals the one-shot transform of the whole matrix bit
-    for bit.  ``rows`` reads the first ``rows`` frames (None: all).
+    for bit.
     """
 
     def __init__(self, frames: DechirpFrameSet):
@@ -323,7 +315,15 @@ class FrameAnalysis:
             self.spectra[rows] = np.fft.rfft(block, axis=1)
             np.abs(self.spectra[rows], out=self.magnitudes[rows])
 
-    def profile(self, rows: int | None = None) -> RangeProfile:
+    def prefix(self, duration: float) -> FrameAnalysis:
+        """``FrameAnalysis(frames.truncated(duration))`` bit for bit, as views of these rows."""
+        out = copy.copy(self)
+        out.frames = self.frames.truncated(duration)
+        rows = out.frames.slow_count
+        out.spectra, out.magnitudes = self.spectra[:rows], self.magnitudes[:rows]
+        return out
+
+    def profile(self) -> RangeProfile:
         """Slow-time-averaged hann magnitude: the profile targets are selected on.
 
         The frequency axis maps to range through the de-chirp relation
@@ -332,7 +332,7 @@ class FrameAnalysis:
         frames = self.frames
         freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
         return RangeProfile(_beat_to_range(frames.chirp, freqs),
-                            self.magnitudes[:rows].mean(axis=0), _bin_width(frames))
+                            self.magnitudes.mean(axis=0), _bin_width(frames))
 
     def targets(self) -> list[tuple[float, str]]:
         """``(range, name)`` of each person the frame set is processed for.
@@ -350,11 +350,30 @@ class FrameAnalysis:
         ranges = sorted(float(r) for r in profile.ranges[keep])
         return [(r, f"target-{i}") for i, r in enumerate(ranges)]
 
-    def phases(self, target_ranges, dc_compensation: bool = False, rows: int | None = None
+    def phases(self, target_ranges, dc_compensation: bool = False
                ) -> list[PhaseSeries | TargetSelectionError]:
-        """:func:`extract_target_phase` for each range, or the selection's error."""
+        """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
+
+        The bin is the :meth:`profile` peak nearest the request, which avoids
+        bin hopping from chest motion; with no peak within 2 bins the request
+        gets a :class:`TargetSelectionError` instead, naming the nearest peak.
+        The hann window of the per-frame values suppresses the real beat
+        tone's negative-frequency image, whose leakage otherwise perturbs the
+        phase by a few milliradians.
+
+        A fixed-bin DFT references phase to the window center, so the raw
+        bin phase slope versus range is 4 pi / lambda_c plus
+        2 pi chirp_rate (N-1) / (c fast_rate).  Each series is rescaled by
+        the known ratio so that its swing obeys the de-chirp relation
+        delta_phi = 4 pi delta_x / lambda_c exactly.
+
+        ``dc_compensation`` subtracts the complex mean before the
+        arctangent.  A de-chirped range bin carries no zero-frequency
+        clutter by construction, so it defaults off; it is kept for parity
+        with quadrature receivers that need it.
+        """
         frames = self.frames
-        profile = self.profile(rows)
+        profile = self.profile()
         peaks = profile.peak_indices()
         slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
         slope_window = (
@@ -374,7 +393,7 @@ class FrameAnalysis:
                     f"at {profile.ranges[nearest]:.3f} m"
                 ))
                 continue
-            series = self.spectra[:rows, nearest]
+            series = self.spectra[:, nearest]
             if dc_compensation:
                 series = series - series.mean()
             results.append(PhaseSeries(
@@ -385,12 +404,11 @@ class FrameAnalysis:
             ))
         return results
 
-    def rates(self, target_ranges, dc_compensation: bool = False, rows: int | None = None
-              ) -> list[VitalsReport]:
-        """:func:`contactless_rates` for ``target_ranges`` on the first ``rows`` frames."""
-        duration = (self.frames.slow_count if rows is None else rows) / self.frames.slow_rate
+    def rates(self, target_ranges, dc_compensation: bool = False) -> list[VitalsReport]:
+        """:func:`contactless_rates` for ``target_ranges``."""
+        duration = self.frames.duration
         _check_duration(duration)
-        phases = self.phases(target_ranges, dc_compensation, rows)
+        phases = self.phases(target_ranges, dc_compensation)
         bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
         reports = []
         for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
@@ -414,37 +432,6 @@ class FrameAnalysis:
                 report.flags["shared_bin"] = True
             reports.append(report)
         return reports
-
-
-def extract_target_phase(
-    frames: DechirpFrameSet,
-    target_range: float,
-    dc_compensation: bool = False,
-) -> PhaseSeries:
-    """Unwrapped phase history of the range bin nearest ``target_range``.
-
-    The bin is chosen as the slow-time-averaged profile peak nearest the
-    requested range (must lie within 2 bins), which avoids bin hopping
-    from chest motion.  The per-frame complex value comes from a
-    hann-windowed fast-time FFT; the window suppresses the
-    negative-frequency image of the real beat tone, whose leakage
-    otherwise perturbs the phase by a few milliradians.
-
-    A fixed-bin DFT references phase to the window center, so the raw
-    bin phase slope versus range is 4 pi / lambda_c plus
-    2 pi chirp_rate (N-1) / (c fast_rate).  The returned series is
-    rescaled by the known ratio so that its swing obeys the de-chirp
-    relation delta_phi = 4 pi delta_x / lambda_c exactly.
-
-    ``dc_compensation`` subtracts the complex mean before the
-    arctangent.  A de-chirped range bin carries no zero-frequency
-    clutter by construction, so it defaults off; it is kept for parity
-    with quadrature receivers that need it.
-    """
-    (result,) = FrameAnalysis(frames).phases([target_range], dc_compensation)
-    if isinstance(result, TargetSelectionError):
-        raise result
-    return result
 
 
 def contactless_rates(
@@ -508,10 +495,10 @@ def resolution_sweep(
     (sliding windows are not used) to :func:`physio.prefix_length` samples;
     the matching rates chain runs on the truncation.  Frames are read
     through one :class:`FrameAnalysis` (the one passed, else one built per
-    call), whose row prefix equals ``contactless_rates(source.truncated(d))``
-    bit for bit.  Durations longer than the source, and for frames a failed
-    target selection, are flagged in the entry's ``skipped`` and the
-    remaining durations still run.  Durations below 5 s are rejected.
+    call) and its :meth:`~FrameAnalysis.prefix`.  Durations that rule cannot
+    cut from the source, and for frames a failed target selection, are
+    flagged in the entry's ``skipped`` and the remaining durations still
+    run.  Durations below 5 s, or not a number, are rejected.
 
     Every row carries ``label`` if given, else the label the chain gives
     the source.  Frames take their truth from the frame set, so ``truth``
@@ -519,7 +506,7 @@ def resolution_sweep(
     """
     if not durations:
         raise ValueError("at least one duration is required")
-    if any(d < MIN_DURATION_S for d in durations):
+    if any(not d >= MIN_DURATION_S for d in durations):
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s")
 
     if isinstance(source, (DechirpFrameSet, FrameAnalysis)):
@@ -533,12 +520,11 @@ def resolution_sweep(
                 raise ValueError("target_range required for frames without truth")
             rng_req = frames.truth[0].nominal_range
         matched = _nearest_truth(frames, rng_req)
-        modality, available = "contactless", frames.duration
+        modality, rate, count = "contactless", frames.slow_rate, frames.slow_count
         default_label = matched.subject.id if matched is not None else "target-0"
 
         def rates(d):
-            rows = prefix_length(d, frames.slow_rate, frames.slow_count)
-            return analysis.rates([rng_req], dc_compensation, rows)[0]
+            return analysis.prefix(d).rates([rng_req], dc_compensation)[0]
     else:
         if dc_compensation:
             raise ValueError("dc_compensation applies to frames only")
@@ -547,7 +533,7 @@ def resolution_sweep(
             sample_rate = source.grid.sample_rate
         else:
             series = np.asarray(source, dtype=float)
-        modality, available = "contact", series.size / sample_rate
+        modality, rate, count = "contact", sample_rate, series.size
         default_label = truth.id if truth is not None else "contact"
 
         def rates(d):
@@ -557,9 +543,11 @@ def resolution_sweep(
     row_label = label or default_label
     entries = []
     for d in durations:
-        if d > available + 1e-9:
+        try:
+            prefix_length(d, rate, count)  # the cut ``rates`` makes, checked first
+        except ValueError:
             entries.append(SweepEntry(d, modality, row_label,
-                                      skipped=f"duration exceeds {available:.1f} s record"))
+                                      skipped=f"duration exceeds {count / rate:.1f} s record"))
             continue
         r = rates(d)
         entries.append(SweepEntry(d, modality, row_label, r.respiration_rpm, r.heartbeat_bpm,

@@ -24,10 +24,9 @@ from vitalchirp.physio import (
     synth_motion,
 )
 from vitalchirp.pipelines import (
+    FrameAnalysis,
     contact_rates,
     contactless_rates,
-    extract_target_phase,
-    range_profile,
     resolution_sweep,
 )
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
@@ -74,9 +73,9 @@ def test_criterion_2_range_accuracy(chirp):
             [RadarTarget(static("near"), 1.00), RadarTarget(static("far"), 1.65)],
             chirp, acq,
         )
-        profile = range_profile(frames)
+        profile = FrameAnalysis(frames).profile()
         elapsed = time.perf_counter() - start
-        peaks = np.sort(profile.peak_ranges()[:2])
+        peaks = np.sort(profile.ranges[profile.peak_indices()][:2])
         assert abs(peaks[0] - 1.00) <= 0.0375
         assert abs(peaks[1] - 1.65) <= 0.0375
         assert elapsed < 10.0
@@ -125,7 +124,7 @@ def test_criterion_5_phase_motion_inversion(chirp):
         subject = preset_subject("subject-a")
         acq = AcquisitionParams(noise_rms=0.0)
         frames = synth_dechirp_frames([RadarTarget(subject, 1.00)], chirp, acq)
-        ext = extract_target_phase(frames, 1.00)
+        ext = FrameAnalysis(frames).phases([1.00])[0]
         x = synth_motion(subject, make_time_grid(60.0, 50.0)) * 1e-3
         want = 4 * np.pi * x / chirp.carrier_wavelength
         got = ext.phase - ext.phase.mean()
@@ -138,7 +137,7 @@ def test_criterion_5_phase_motion_inversion(chirp):
         f2 = synth_dechirp_frames([RadarTarget(static, 1.001)], chirp, acq)
         stacked = f1.truncated(30.0)
         stacked.samples = np.vstack([f1.samples[:1500], f2.samples[:1500]])
-        step = extract_target_phase(stacked, 1.0).phase
+        step = FrameAnalysis(stacked).phases([1.0])[0].phase
         assert step[-10] - step[10] == pytest.approx(1.023, abs=0.001)
 
 

@@ -10,7 +10,7 @@ import pytest
 from vitalchirp.cli import main
 from vitalchirp.formats import read_bundle, read_frames, write_frames
 from vitalchirp.physio import PRESET_SUBJECTS
-from vitalchirp.pipelines import band_waveforms, extract_target_phase
+from vitalchirp.pipelines import FrameAnalysis, band_waveforms
 
 CONFIG = {
     "duration_s": 60.0,
@@ -183,7 +183,7 @@ class TestProcess:
         for tgt in frames.truth:
             data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
                               delimiter=",", skiprows=1)
-            want = extract_target_phase(frames, tgt.nominal_range).phase
+            want = FrameAnalysis(frames).phases([tgt.nominal_range])[0].phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
     def test_dc_comp_csv_phases_match_extract_target_phase(self, bundle_dir, tmp_path):
@@ -194,8 +194,8 @@ class TestProcess:
         for tgt in frames.truth:
             data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
                               delimiter=",", skiprows=1)
-            want = extract_target_phase(frames, tgt.nominal_range,
-                                        dc_compensation=True).phase
+            want = FrameAnalysis(frames).phases([tgt.nominal_range],
+                                                dc_compensation=True)[0].phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
     def test_csv_contact_series_match_band_waveforms(self, bundle_dir, tmp_path):
@@ -275,7 +275,7 @@ class TestProcess:
         for i, rep in enumerate(contactless):
             data = np.loadtxt(out / f"phase_1549.36nm_target-{i}.csv",
                               delimiter=",", skiprows=1)
-            want = extract_target_phase(frames, rep["metadata"]["requested_range_m"]).phase
+            want = FrameAnalysis(frames).phases([rep["metadata"]["requested_range_m"]])[0].phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
     def test_contactless_record_under_five_seconds_processing_exit(
@@ -313,6 +313,16 @@ class TestProcess:
         for r in reports:
             assert abs(r["respiration_error_rpm"]) <= 0.2
             assert abs(r["heartbeat_error_bpm"]) <= 0.2
+
+    def test_fortran_order_frames_io_exit(self, bundle_dir, tmp_path, capsys):
+        broken = bundle_copy(bundle_dir, tmp_path / "fortran")
+        frames = broken / "channel_1549.36" / "frames.bin"
+        raw = frames.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[:4])
+        blob = raw[4:4 + hlen].replace(b'"order": "C"', b'"order": "F"')
+        frames.write_bytes(raw[:4] + blob + raw[4 + hlen:])
+        assert main(["process", str(broken), "--out", str(tmp_path / "out")]) == 3
+        assert "header order 'F'" in capsys.readouterr().err
 
     def test_corrupt_frames_io_exit(self, bundle_dir, tmp_path, capsys):
         import shutil
@@ -382,6 +392,23 @@ class TestSweep:
             assert row["heartbeat_bpm"] == rep["heartbeat_bpm_exact"]
             assert row["resp_3db_hz"] == rep["resp_3db_hz"]
             assert row["heart_3db_hz"] == rep["heart_3db_hz"]
+
+    def test_duration_under_a_sample_past_the_record_equals_process(self, bundle_dir,
+                                                                    tmp_path):
+        # 60.01 s is 3000.5 samples of the 60 s records: the one cut rule keeps 3000
+        assert main(["sweep", str(bundle_dir), "--out", str(tmp_path / "s"),
+                     "--durations", "60.01"]) == 0
+        assert main(["process", str(bundle_dir), "--out", str(tmp_path / "p"),
+                     "--duration", "60.01"]) == 0
+        rows = json.loads((tmp_path / "s" / "sweep.json").read_text())
+        reports = json.loads((tmp_path / "p" / "reports.json").read_text())
+        assert [r["label"] for r in rows] == [r["label"] for r in reports]
+        for row, rep in zip(rows, reports):
+            assert row["skipped"] is None
+            assert (row["respiration_rpm"], row["heartbeat_bpm"],
+                    row["resp_3db_hz"], row["heart_3db_hz"]) == (
+                rep["respiration_rpm_exact"], rep["heartbeat_bpm_exact"],
+                rep["resp_3db_hz"], rep["heart_3db_hz"])
 
     def test_csv_round_trips_to_json_rows(self, tmp_path):
         subject = {**asdict(PRESET_SUBJECTS["subject-d"]), "id": "Doe, J"}

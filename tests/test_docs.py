@@ -1,0 +1,70 @@
+"""The docs name only what the package has: every backticked ``<module>.<name>``
+in README.md resolves, and each command line in the README and in the CLI's usage
+text lists every option its subcommand defines."""
+
+import argparse
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import vitalchirp
+from vitalchirp import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+MODULES = {m.name for m in pkgutil.iter_modules(vitalchirp.__path__)}
+for _module in MODULES:
+    importlib.import_module(f"vitalchirp.{_module}")  # now an attribute of the package
+FILE_SUFFIXES = {"bin", "csv", "json", "md", "py", "toml"}  # `scenario.json` names a file
+
+
+def _references(text):
+    """Each backticked dotted name that starts with the package or one of its modules."""
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", text):
+        parts = ref.removeprefix("vitalchirp.").split(".")
+        if (ref.startswith("vitalchirp.") or parts[0] in MODULES) and (
+                parts[-1] not in FILE_SUFFIXES):
+            yield ref, parts
+
+
+def _resolves(parts):
+    obj = vitalchirp
+    for name in parts:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_readme_references_resolve():
+    refs = list(_references(README))
+    assert len(refs) > 10
+    assert [ref for ref, parts in refs if not _resolves(parts)] == []
+
+
+def _command_lines(text):
+    """``{subcommand: line}`` for each ``vitalchirp <subcommand>`` line, continuations joined."""
+    lines = text.replace("\\\n", " ").splitlines()
+    return {words[1]: line for line in lines
+            if len(words := line.split()) > 1 and words[0] == "vitalchirp"}
+
+
+def _readme_command_block():
+    section = README.split("## Command line", 1)[1]
+    return section.split("```bash", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("text", [_readme_command_block(), cli.__doc__],
+                         ids=["readme", "cli-usage"])
+def test_command_lines_list_every_option(text):
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    lines = _command_lines(text)
+    assert sorted(lines) == sorted(commands)
+    missing = [f"{name} {option}" for name, sub in commands.items()
+               for action in sub._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(rf"(?<![\w-]){option}(?![\w-])", lines[name])]
+    assert missing == []

@@ -64,6 +64,19 @@ class TestDesignBandpass:
         with pytest.raises(FilterDesignError, match="stopband"):
             design_bandpass(BandpassSpec(0.13, 0.5, 50.0, 1.0, 40.0, 1))
 
+    def test_passband_between_grid_points_still_checked(self):
+        # at 5000 Sa/s a 4096-point grid from 0 Hz steps 0.61 Hz, over the whole
+        # 0.13-0.5 Hz band; the 0.25-0.5 Hz design is -59.6 dB at 0.13 Hz
+        sos = design_bandpass(BandpassSpec(0.25, 0.5, 5000.0)).sos
+        spec = BandpassSpec(0.13, 0.5, 5000.0)
+        with pytest.raises(FilterDesignError, match="passband ripple exceeds 1.0 dB"):
+            dsp._check_conformance(dsp.FilterCoeffs(sos=sos, spec=spec), spec)
+
+    @pytest.mark.parametrize("sample_rate", [10.0, 50.0, 500.0, 5000.0, 20000.0])
+    def test_chain_bands_designed_at_any_rate(self, sample_rate):
+        for spec in (RESP_SPEC, HEART_SPEC):
+            design_bandpass(BandpassSpec(spec.low_edge, spec.high_edge, sample_rate))
+
     @pytest.mark.parametrize("order,ripple,atten", [
         (4, 5000.0, 6000.0), (4, 1.0, 1e9), (1, 5000.0, 6000.0)])
     def test_level_past_float_range_cannot_be_designed(self, order, ripple, atten):

@@ -75,6 +75,20 @@ class TestFramesContainer:
         assert "frames.bin" in str(err.value)
         assert "offset" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [("order", "F"), ("dtype", ">f8")])
+    def test_header_layout_other_than_written_rejected(self, small_frames, tmp_path,
+                                                       key, value):
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[:4])
+        header = json.loads(raw[4:4 + hlen])
+        header[key] = value
+        blob = json.dumps(header).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])
+        with pytest.raises(formats.CorruptFramesError, match=f"header {key} '{value}'"):
+            formats.read_frames(path)
+
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "frames.bin"
         path.write_bytes(struct.pack("<I", 5) + b"nope!" + b"\x00" * 16)

@@ -18,8 +18,6 @@ from vitalchirp.pipelines import (
     band_waveforms,
     contact_rates,
     contactless_rates,
-    extract_target_phase,
-    range_profile,
     resolution_sweep,
 )
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
@@ -159,9 +157,9 @@ class TestRangeProfile:
     def test_two_targets_within_one_bin(self, chirp):
         targets, acq = two_person_scene(noise_rms=0.0)
         frames = synth_dechirp_frames(targets, chirp, acq)
-        profile = range_profile(frames)
+        profile = FrameAnalysis(frames).profile()
         assert profile.bin_width == pytest.approx(0.0375, abs=4e-4)
-        peaks = np.sort(profile.peak_ranges()[:2])
+        peaks = np.sort(profile.ranges[profile.peak_indices()][:2])
         assert abs(peaks[0] - 1.00) <= profile.bin_width
         assert abs(peaks[1] - 1.65) <= profile.bin_width
 
@@ -169,20 +167,12 @@ class TestRangeProfile:
         frames = synth_dechirp_frames(
             [RadarTarget(preset_subject("subject-e"), 0.88)], chirp, acq_quiet
         )
-        profile = range_profile(frames)
-        assert abs(profile.peak_ranges()[0] - 0.88) <= profile.bin_width
-
-    def test_is_the_analysis_profile(self, chirp):
-        targets, acq = two_person_scene(duration=5.0)
-        frames = synth_dechirp_frames(targets, chirp, acq, seed=3)
-        profile, want = range_profile(frames), FrameAnalysis(frames).profile()
-        np.testing.assert_array_equal(profile.magnitudes, want.magnitudes)
-        np.testing.assert_array_equal(profile.ranges, want.ranges)
-        assert profile.bin_width == want.bin_width
+        profile = FrameAnalysis(frames).profile()
+        assert abs(profile.ranges[profile.peak_indices()[0]] - 0.88) <= profile.bin_width
 
     def test_empty_scene_zero_profile(self, chirp, acq_quiet):
         frames = synth_dechirp_frames([], chirp, acq_quiet)
-        profile = range_profile(frames)
+        profile = FrameAnalysis(frames).profile()
         assert np.all(profile.magnitudes == 0.0)
         assert profile.peak_indices().size == 0
 
@@ -195,14 +185,17 @@ class TestBlockedTransform:
         targets, acq = two_person_scene()
         return synth_dechirp_frames(targets, chirp, acq, seed=6)
 
-    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames"])
+    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames", "prefix"])
     def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
-        if source == "truncated":
-            frames = frames.truncated(5.03)
-        elif source == "read_frames":
-            write_frames(frames, tmp_path / "frames.bin")
-            frames = read_frames(tmp_path / "frames.bin")
-        analysis = FrameAnalysis(frames)
+        if source == "prefix":
+            analysis, frames = FrameAnalysis(frames).prefix(5.03), frames.truncated(5.03)
+        else:
+            if source == "truncated":
+                frames = frames.truncated(5.03)
+            elif source == "read_frames":
+                write_frames(frames, tmp_path / "frames.bin")
+                frames = read_frames(tmp_path / "frames.bin")
+            analysis = FrameAnalysis(frames)
         want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
         assert analysis.spectra.shape == want.shape
         assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
@@ -215,11 +208,13 @@ class TestBlockedTransform:
 
 
 class TestExtractTargetPhase:
+    """Phase extraction: :meth:`FrameAnalysis.phases`."""
+
     def test_phase_matches_motion(self, chirp, acq_quiet, subjects):
         frames = synth_dechirp_frames(
             [RadarTarget(subjects["subject-a"], 1.00)], chirp, acq_quiet
         )
-        ext = extract_target_phase(frames, 1.00)
+        ext = FrameAnalysis(frames).phases([1.00])[0]
         x = synth_motion(subjects["subject-a"], make_time_grid(60.0, 50.0)) * 1e-3
         truth = 4 * np.pi * x / chirp.carrier_wavelength
         got = ext.phase - ext.phase.mean()
@@ -231,7 +226,7 @@ class TestExtractTargetPhase:
         frames = synth_dechirp_frames(
             [RadarTarget(static_subject(), 1.00)], chirp, acq_quiet
         )
-        ext = extract_target_phase(frames, 1.00)
+        ext = FrameAnalysis(frames).phases([1.00])[0]
         assert np.ptp(ext.phase) < 1e-9
 
     def test_one_mm_step_phase(self, chirp, acq_quiet):
@@ -240,7 +235,7 @@ class TestExtractTargetPhase:
         f2 = synth_dechirp_frames([RadarTarget(static_subject(), 1.001)], chirp, acq_quiet)
         stacked = f1.truncated(30.0)
         stacked.samples = np.vstack([f1.samples[:1500], f2.samples[:1500]])
-        ext = extract_target_phase(stacked, 1.0)
+        ext = FrameAnalysis(stacked).phases([1.0])[0]
         step = ext.phase[-10] - ext.phase[10]
         assert step == pytest.approx(1.023, abs=0.001)
         assert step == pytest.approx(4 * np.pi * 1e-3 / chirp.carrier_wavelength, abs=1e-4)
@@ -249,14 +244,15 @@ class TestExtractTargetPhase:
         frames = synth_dechirp_frames(
             [RadarTarget(static_subject(), 1.00)], chirp, acq_quiet
         )
-        with pytest.raises(TargetSelectionError, match="nearest"):
-            extract_target_phase(frames, 5.0)
+        (error,) = FrameAnalysis(frames).phases([5.0])
+        assert isinstance(error, TargetSelectionError)
+        assert str(error).startswith("no range peak within 2 bins of 5.000 m; nearest peak at ")
 
     def test_dc_compensation_flag_runs(self, chirp, acq_quiet, subjects):
         frames = synth_dechirp_frames(
             [RadarTarget(subjects["subject-a"], 1.00)], chirp, acq_quiet
         )
-        ext = extract_target_phase(frames, 1.00, dc_compensation=True)
+        ext = FrameAnalysis(frames).phases([1.00], dc_compensation=True)[0]
         assert np.all(np.isfinite(ext.phase))
 
 
@@ -292,7 +288,7 @@ class TestContactlessRates:
             [RadarTarget(subjects["subject-b"], 1.00)], chirp,
             AcquisitionParams(noise_rms=0.0),
         )
-        ext = extract_target_phase(frames, 1.00)
+        ext = FrameAnalysis(frames).phases([1.00])[0]
         t = np.arange(ext.phase.size) / 50.0
         p = ext.phase - ext.phase.mean()
         line = lambda f: abs(np.sum(p * np.exp(-2j * np.pi * f * t)))
@@ -458,6 +454,11 @@ class TestResolutionSweep:
         with pytest.raises(ValueError):
             resolution_sweep(rec, [2.0, 10.0])
 
+    def test_nan_duration_rejected_before_any_row(self, fbg, subjects):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
+        with pytest.raises(ValueError, match=r"durations must be >= 5\.0 s"):
+            resolution_sweep(rec, [10.0, float("nan")])
+
     def test_every_row_carries_one_label(self, chirp, fbg, subjects):
         targets, acq = two_person_scene(duration=20.0)
         frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
@@ -522,6 +523,16 @@ class TestOneTransformPerCall:
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
+
+    def test_prefix_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
+        analysis = FrameAnalysis(frames)
+        rfft_2d_calls.clear()
+        short = analysis.prefix(7.3)
+        assert rfft_2d_calls == []
+        assert short.frames.slow_count == short.spectra.shape[0] == 365
+        assert np.shares_memory(short.spectra, analysis.spectra)
+        assert np.shares_memory(short.magnitudes, analysis.magnitudes)
+        assert analysis.frames is frames and analysis.spectra.shape[0] == 3000
 
     def test_a_given_analysis_is_read_without_a_transform(self, frames, rfft_2d_calls):
         analysis = FrameAnalysis(frames)
