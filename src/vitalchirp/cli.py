@@ -1,7 +1,7 @@
 """Command-line interface.
 
     vitalchirp simulate --config scenario.json [--out bundle/] [--seed N]
-    vitalchirp process bundle/ [--duration 5] [--dc-comp] [--format csv] [--out dir/]
+    vitalchirp process bundle/ [--duration 5] [--format csv] [--out dir/]
     vitalchirp sweep bundle/ [--durations 5,10,20,30,40,50,60] [--out dir/]
     vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 [--out dir/] \\
         [--ripple 1] [--atten 40] [--order 4]
@@ -117,7 +117,7 @@ def _channels(loaded, duration=None):
         yield f"{ch.wavelength_nm:g}nm", contact, analysis, targets
 
 
-def _series_files(tag, contact, analysis, targets, dc_compensation) -> dict:
+def _series_files(tag, contact, analysis, targets) -> dict:
     """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
     files = {}
     if contact is not None:
@@ -136,7 +136,7 @@ def _series_files(tag, contact, analysis, targets, dc_compensation) -> dict:
         profile = analysis.profile()
         files[f"range_profile_{tag}.csv"] = {
             "range_m": profile.ranges, "magnitude": profile.magnitudes}
-        phases = analysis.phases([r for r, _ in targets], dc_compensation)
+        phases = analysis.phases([r for r, _ in targets])
         for (_, name), ext in zip(targets, phases):
             if isinstance(ext, pipelines.PhaseSeries):  # else its report holds the error
                 files[f"phase_{tag}_{name}.csv"] = {
@@ -157,13 +157,12 @@ def cmd_process(args) -> int:
                 reports.append(pipelines.contact_rates(series, rate, truth=subject,
                                                        label=f"{name}@{tag}"))
             if targets:
-                found = pipelines.contactless_rates(
-                    analysis, [r for r, _ in targets], dc_compensation=args.dc_comp)
+                found = pipelines.contactless_rates(analysis, [r for r, _ in targets])
                 for rep, (_, name) in zip(found, targets):
                     rep.label = f"{name}@{tag}"
                 reports.extend(found)
             if args.format == "csv":
-                files.update(_series_files(tag, contact, analysis, targets, args.dc_comp))
+                files.update(_series_files(tag, contact, analysis, targets))
             del analysis  # one frame transform alive at a time
     except ValueError as exc:
         print(f"processing failed: {exc}", file=sys.stderr)
@@ -294,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc.add_argument("--out", help="output report directory")
     p_proc.add_argument("--duration", type=float, default=None,
                         help="process only the first N seconds")
-    p_proc.add_argument("--dc-comp", action="store_true",
-                        help="subtract the complex mean before arctangent demodulation")
     p_proc.add_argument("--format", choices=("json", "csv"), default="json",
                         help="'csv' also writes waveform/spectrum/phase/profile CSVs")
     p_proc.set_defaults(func=cmd_process)

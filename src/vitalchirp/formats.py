@@ -276,7 +276,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         entry = {"contact_subject": None, "targets": []}
         if result.intensity is not None:
             write_intensity_csv(chdir / "contact.csv", result.intensity)
-            entry["contact_subject"] = _subject_to_dict(result.contact_subject)
+            entry["contact_subject"] = _subject_to_dict(result.channel.contact_subject)
             entry["contact_sample_rate"] = result.intensity.grid.sample_rate
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:

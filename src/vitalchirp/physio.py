@@ -54,25 +54,25 @@ class TimeGrid:
 
 
 def make_time_grid(duration: float, sample_rate: float) -> TimeGrid:
-    """Build a grid covering ``duration`` seconds at ``sample_rate`` Sa/s.
+    """Build a grid of the whole samples in ``duration`` seconds at ``sample_rate`` Sa/s.
 
-    The sample count is ``round(duration * sample_rate)``; a grid that
-    rounds to zero samples is rejected.
+    The sample count is ``floor(duration * sample_rate)``, guarded by 1e-9 so
+    that a duration on the sample grid keeps its last sample: the rule
+    :func:`prefix_length` cuts records by.  A grid with no sample is rejected.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
-    count = int(round(duration * sample_rate))
+    count = int(duration * sample_rate + 1e-9)
     return TimeGrid(sample_rate=sample_rate, count=count)
 
 
 def prefix_length(duration: float, sample_rate: float, count: int) -> int:
     """Samples in the first ``duration`` s of a ``count``-sample record.
 
-    The one truncation rule: ``floor(duration * sample_rate)``, guarded by 1e-9
-    so that a duration on the sample grid keeps its last sample.  An empty,
-    too long or non-finite prefix raises ``ValueError``.
+    The :func:`make_time_grid` count rule, ``floor(duration * sample_rate)``
+    guarded by 1e-9.  An empty, too long or non-finite prefix raises ``ValueError``.
     """
     n = duration * sample_rate + 1e-9
     if not 1 <= n < count + 1:  # 1 <= floor(n) <= count, and false for nan

@@ -9,7 +9,7 @@ Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT);
-its profile, targets, phases and rates read those spectra, and
+its profile, targets and phases read those spectra, and
 :meth:`FrameAnalysis.prefix` gives each sweep duration the analysis of the
 truncated frames from their first rows, bit for bit and without a transform.
 
@@ -350,8 +350,7 @@ class FrameAnalysis:
         ranges = sorted(float(r) for r in profile.ranges[keep])
         return [(r, f"target-{i}") for i, r in enumerate(ranges)]
 
-    def phases(self, target_ranges, dc_compensation: bool = False
-               ) -> list[PhaseSeries | TargetSelectionError]:
+    def phases(self, target_ranges) -> list[PhaseSeries | TargetSelectionError]:
         """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
 
         The bin is the :meth:`profile` peak nearest the request, which avoids
@@ -366,11 +365,6 @@ class FrameAnalysis:
         2 pi chirp_rate (N-1) / (c fast_rate).  Each series is rescaled by
         the known ratio so that its swing obeys the de-chirp relation
         delta_phi = 4 pi delta_x / lambda_c exactly.
-
-        ``dc_compensation`` subtracts the complex mean before the
-        arctangent.  A de-chirped range bin carries no zero-frequency
-        clutter by construction, so it defaults off; it is kept for parity
-        with quadrature receivers that need it.
         """
         frames = self.frames
         profile = self.profile()
@@ -393,51 +387,18 @@ class FrameAnalysis:
                     f"at {profile.ranges[nearest]:.3f} m"
                 ))
                 continue
-            series = self.spectra[:, nearest]
-            if dc_compensation:
-                series = series - series.mean()
             results.append(PhaseSeries(
-                phase=dsp.unwrap_phase(np.angle(series)) * scale,
+                phase=dsp.unwrap_phase(np.angle(self.spectra[:, nearest])) * scale,
                 slow_rate=frames.slow_rate,
                 bin_index=nearest,
                 bin_range=float(profile.ranges[nearest]),
             ))
         return results
 
-    def rates(self, target_ranges, dc_compensation: bool = False) -> list[VitalsReport]:
-        """:func:`contactless_rates` for ``target_ranges``."""
-        duration = self.frames.duration
-        _check_duration(duration)
-        phases = self.phases(target_ranges, dc_compensation)
-        bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
-        reports = []
-        for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-            matched = _nearest_truth(self.frames, rng_req)
-            label = matched.subject.id if matched is not None else f"target-{i}"
-            metadata = _processing_metadata(self.frames.slow_rate, duration)
-            if isinstance(extraction, TargetSelectionError):
-                reports.append(VitalsReport(
-                    label, "contactless", metadata=metadata,
-                    flags={"resp_detected": False, "heart_detected": False,
-                           "selection_error": str(extraction)},
-                ))
-                continue
-            metadata.update(requested_range_m=rng_req, dc_compensation=dc_compensation)
-            report = _rates_report(
-                extraction.phase, self.frames.slow_rate, label, "contactless",
-                matched.subject if matched is not None else None,
-                metadata, range_m=extraction.bin_range,
-            )
-            if bins.count(extraction.bin_index) > 1:
-                report.flags["shared_bin"] = True
-            reports.append(report)
-        return reports
-
 
 def contactless_rates(
     frames: DechirpFrameSet | FrameAnalysis,
     target_ranges: list[float] | None = None,
-    dc_compensation: bool = False,
 ) -> list[VitalsReport]:
     """Per-target rates from a de-chirped frame set of at least 5 s, or its analysis.
 
@@ -451,13 +412,40 @@ def contactless_rates(
     ``target-<i>`` and carries no error fields.
     """
     analysis = frames if isinstance(frames, FrameAnalysis) else FrameAnalysis(frames)
+    frames = analysis.frames
     if target_ranges is None:
-        if not analysis.frames.truth:
+        if not frames.truth:
             raise ValueError("no target_ranges given and frames carry no truth")
-        target_ranges = [t.nominal_range for t in analysis.frames.truth]
+        target_ranges = [t.nominal_range for t in frames.truth]
     if not target_ranges:
         raise ValueError("at least one target range is required")
-    return analysis.rates(target_ranges, dc_compensation)
+    duration = frames.duration
+    _check_duration(duration)
+    phases = analysis.phases(target_ranges)
+    bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
+    reports = []
+    for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
+        matched = _nearest_truth(frames, rng_req)
+        label = matched.subject.id if matched is not None else f"target-{i}"
+        metadata = _processing_metadata(frames.slow_rate, duration)
+        if isinstance(extraction, TargetSelectionError):
+            reports.append(VitalsReport(
+                label, "contactless", metadata=metadata,
+                flags={"resp_detected": False, "heart_detected": False,
+                       "selection_error": str(extraction)},
+            ))
+            continue
+        # no mean is removed before the arctangent: a de-chirped bin has no DC clutter
+        metadata.update(requested_range_m=rng_req, dc_compensation=False)
+        report = _rates_report(
+            extraction.phase, frames.slow_rate, label, "contactless",
+            matched.subject if matched is not None else None,
+            metadata, range_m=extraction.bin_range,
+        )
+        if bins.count(extraction.bin_index) > 1:
+            report.flags["shared_bin"] = True
+        reports.append(report)
+    return reports
 
 
 @dataclass
@@ -487,7 +475,6 @@ def resolution_sweep(
     truth: SubjectVitals | None = None,
     target_range: float | None = None,
     label: str | None = None,
-    dc_compensation: bool = False,
 ) -> SweepReport:
     """Rates and 3-dB resolutions at several record lengths.
 
@@ -502,7 +489,7 @@ def resolution_sweep(
 
     Every row carries ``label`` if given, else the label the chain gives
     the source.  Frames take their truth from the frame set, so ``truth``
-    is rejected for them; ``dc_compensation`` applies to frames only.
+    is rejected for them.
     """
     if not durations:
         raise ValueError("at least one duration is required")
@@ -524,10 +511,8 @@ def resolution_sweep(
         default_label = matched.subject.id if matched is not None else "target-0"
 
         def rates(d):
-            return analysis.prefix(d).rates([rng_req], dc_compensation)[0]
+            return contactless_rates(analysis.prefix(d), [rng_req])[0]
     else:
-        if dc_compensation:
-            raise ValueError("dc_compensation applies to frames only")
         if isinstance(source, IntensityRecord):
             series = source.samples
             sample_rate = source.grid.sample_rate

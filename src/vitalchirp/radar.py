@@ -14,13 +14,12 @@ triggered oscilloscope capture.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .photonics import SPEED_OF_LIGHT, ChirpParams
-from .physio import SubjectVitals, TimeGrid, prefix_length, synth_motion
+from .physio import SubjectVitals, TimeGrid, make_time_grid, prefix_length, synth_motion
 
 __all__ = [
     "RadarTarget",
@@ -89,7 +88,7 @@ class AcquisitionParams:
 
     @property
     def slow_count(self) -> int:
-        return int(math.floor(self.duration / self.slow_period + 1e-9))
+        return make_time_grid(self.duration, self.slow_rate).count
 
     @property
     def fast_count(self) -> int:

@@ -180,7 +180,6 @@ class ChannelResult:
     channel: WdmChannel
     intensity: IntensityRecord | None = None
     frames: DechirpFrameSet | None = None
-    contact_subject: SubjectVitals | None = None
 
 
 @dataclass
@@ -219,7 +218,6 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
             )
             record.samples *= ch.loss_scale
             result.intensity = record
-            result.contact_subject = ch.contact_subject
 
         if CONTACTLESS_ROLE in ch.roles:
             chirp = derive_chirp(ch.if_lfm)

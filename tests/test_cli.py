@@ -115,6 +115,20 @@ class TestSimulate:
                     "channel_1549.92/contact.csv", "truth.json", "scenario.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_off_grid_duration_counts_contact_and_radar_alike(self, tmp_path):
+        # 60.03 s is 3001.5 samples of either 50 Sa/s record; both keep 3001
+        config = {**CONFIG, "duration_s": 60.03, "channels": CONFIG["channels"][:1]}
+        bundle = tmp_path / "off-grid"
+        assert main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(bundle)]) == 0
+        (ch,) = read_bundle(bundle).channels
+        assert ch.intensity.size == ch.frames.slow_count == 3001
+        out = tmp_path / "off-grid-reports"
+        assert main(["process", str(bundle), "--out", str(out)]) == 0
+        reports = json.loads((out / "reports.json").read_text())
+        assert len(reports) == 3
+        assert {r["metadata"]["duration_s"] for r in reports} == {3001 / 50.0}
+
     def test_seed_override_changes_payload(self, tmp_path):
         config = write_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -186,17 +200,10 @@ class TestProcess:
             want = FrameAnalysis(frames).phases([tgt.nominal_range])[0].phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
-    def test_dc_comp_csv_phases_match_extract_target_phase(self, bundle_dir, tmp_path):
-        out = tmp_path / "reports-dc-csv"
-        assert main(["process", str(bundle_dir), "--out", str(out), "--dc-comp",
-                     "--format", "csv"]) == 0
-        frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
-        for tgt in frames.truth:
-            data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
-                              delimiter=",", skiprows=1)
-            want = FrameAnalysis(frames).phases([tgt.nominal_range],
-                                                dc_compensation=True)[0].phase
-            np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
+    def test_removed_dc_comp_option_rejected(self, bundle_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["process", str(bundle_dir), "--out", str(tmp_path / "dc"), "--dc-comp"])
+        assert exc.value.code == 2
 
     def test_csv_contact_series_match_band_waveforms(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"

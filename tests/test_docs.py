@@ -1,6 +1,7 @@
 """The docs name only what the package has: every backticked ``<module>.<name>``
-in README.md resolves, and each command line in the README and in the CLI's usage
-text lists every option its subcommand defines."""
+in README.md resolves, each command line in the README and in the CLI's usage
+text lists every option its subcommand defines, and every ``--option`` either
+text names is defined by some subcommand."""
 
 import argparse
 import importlib
@@ -56,11 +57,16 @@ def _readme_command_block():
     return section.split("```bash", 1)[1].split("```", 1)[0]
 
 
+def _subcommands():
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands
+
+
 @pytest.mark.parametrize("text", [_readme_command_block(), cli.__doc__],
                          ids=["readme", "cli-usage"])
 def test_command_lines_list_every_option(text):
-    (commands,) = [a.choices for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
+    commands = _subcommands()
     lines = _command_lines(text)
     assert sorted(lines) == sorted(commands)
     missing = [f"{name} {option}" for name, sub in commands.items()
@@ -68,3 +74,11 @@ def test_command_lines_list_every_option(text):
                if option.startswith("--") and option != "--help"
                and not re.search(rf"(?<![\w-]){option}(?![\w-])", lines[name])]
     assert missing == []
+
+
+@pytest.mark.parametrize("text", [README, cli.__doc__], ids=["readme", "cli-usage"])
+def test_every_named_option_is_defined(text):
+    defined = {option for sub in _subcommands().values() for action in sub._actions
+               for option in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert sorted(named - defined) == []

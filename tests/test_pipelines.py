@@ -248,13 +248,6 @@ class TestExtractTargetPhase:
         assert isinstance(error, TargetSelectionError)
         assert str(error).startswith("no range peak within 2 bins of 5.000 m; nearest peak at ")
 
-    def test_dc_compensation_flag_runs(self, chirp, acq_quiet, subjects):
-        frames = synth_dechirp_frames(
-            [RadarTarget(subjects["subject-a"], 1.00)], chirp, acq_quiet
-        )
-        ext = FrameAnalysis(frames).phases([1.00], dc_compensation=True)[0]
-        assert np.all(np.isfinite(ext.phase))
-
 
 class TestContactlessRates:
     def test_two_person_scene_default_noise(self, chirp, subjects):
@@ -476,8 +469,6 @@ class TestResolutionSweep:
         frames.truth = None
         with pytest.raises(ValueError, match="truth"):
             resolution_sweep(frames, [5.0], target_range=1.0, truth=subjects["subject-b"])
-        with pytest.raises(ValueError, match="frames only"):
-            resolution_sweep(np.ones(500), [5.0], dc_compensation=True)
 
 
 class TestOneTransformPerCall:
@@ -492,19 +483,17 @@ class TestOneTransformPerCall:
 
     def test_sweep_rows_equal_truncated_runs(self, frames):
         for rng in (1.00, 1.65):
-            for dc in (False, True):
-                sweep = resolution_sweep(frames, self.DURATIONS, target_range=rng,
-                                         dc_compensation=dc)
-                for entry in sweep.entries:
-                    if entry.duration_s > frames.duration:
-                        assert entry.skipped is not None
-                        continue
-                    (rep,) = contactless_rates(frames.truncated(entry.duration_s),
-                                               target_ranges=[rng], dc_compensation=dc)
-                    assert (entry.respiration_rpm, entry.heartbeat_bpm,
-                            entry.resp_3db_hz, entry.heart_3db_hz) == (
-                        rep.respiration_rpm, rep.heartbeat_bpm,
-                        rep.resp_3db_hz, rep.heart_3db_hz)
+            sweep = resolution_sweep(frames, self.DURATIONS, target_range=rng)
+            for entry in sweep.entries:
+                if entry.duration_s > frames.duration:
+                    assert entry.skipped is not None
+                    continue
+                (rep,) = contactless_rates(frames.truncated(entry.duration_s),
+                                           target_ranges=[rng])
+                assert (entry.respiration_rpm, entry.heartbeat_bpm,
+                        entry.resp_3db_hz, entry.heart_3db_hz) == (
+                    rep.respiration_rpm, rep.heartbeat_bpm,
+                    rep.resp_3db_hz, rep.heart_3db_hz)
 
     def test_multi_target_equals_single_target_calls(self, frames):
         both = contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
@@ -537,10 +526,10 @@ class TestOneTransformPerCall:
     def test_a_given_analysis_is_read_without_a_transform(self, frames, rfft_2d_calls):
         analysis = FrameAnalysis(frames)
         want_sweep = resolution_sweep(frames, self.DURATIONS, target_range=1.65).to_rows()
-        want_rates = [r.to_dict() for r in contactless_rates(frames, dc_compensation=True)]
+        want_rates = [r.to_dict() for r in contactless_rates(frames)]
         rfft_2d_calls.clear()
         got_sweep = resolution_sweep(analysis, self.DURATIONS, target_range=1.65).to_rows()
-        got_rates = contactless_rates(analysis, dc_compensation=True)
+        got_rates = contactless_rates(analysis)
         assert got_sweep == want_sweep
         assert [r.to_dict() for r in got_rates] == want_rates
         assert rfft_2d_calls == []
