@@ -35,9 +35,8 @@ write_series_csv(out / "motion.csv", {"t_s": grid.instants(), "x_mm": motion})
 # The taped grating: 17.7 dB notch, 11.2 GHz wide at -3 dB.  The carrier
 # sits one sigma down the falling edge, where the dB slope is steepest.
 fbg = FbgProfile(notch_depth_db=17.70, fwhm_3db=11.2e9)
-print(f"notch sigma {fbg.sigma/1e9:.3f} GHz, operating offset "
-      f"{fbg.operating_offset/1e9:.3f} GHz, "
-      f"edge transmission {fbg_transmission_db(fbg, fbg.operating_offset):.2f} dB")
+print(f"notch sigma {fbg.sigma/1e9:.3f} GHz (the carrier's offset), "
+      f"edge transmission {fbg_transmission_db(fbg, fbg.sigma):.2f} dB")
 offsets = np.linspace(-6.0 * fbg.sigma, 6.0 * fbg.sigma, 801)
 write_series_csv(out / "fbg_response.csv", {
     "offset_GHz": offsets / 1e9, "transmittance_dB": fbg_transmission_db(fbg, offsets)})

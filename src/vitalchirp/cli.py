@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, formats, physio, pipelines
-from .scenario import run_scenario, validate_scenario
+from .scenario import channel_name, run_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -95,7 +95,7 @@ def _load_bundle(bundle_dir: str):
 def _channels(loaded, duration=None):
     """Each channel as ``(tag, contact, analysis, targets)``, cut to ``duration`` s.
 
-    ``tag`` is ``<wavelength>nm``; ``contact`` is ``(series, sample_rate,
+    ``tag`` is ``<channel name>nm``; ``contact`` is ``(series, sample_rate,
     subject, name)`` or None; ``analysis`` is the cut frames'
     :class:`pipelines.FrameAnalysis` or None, and ``targets`` its targets or
     empty.  A cut past either record raises ``ValueError``.  Every command
@@ -114,7 +114,7 @@ def _channels(loaded, duration=None):
             frames = ch.frames if duration is None else ch.frames.truncated(duration)
             analysis = pipelines.FrameAnalysis(frames)
             targets = analysis.targets()
-        yield f"{ch.wavelength_nm:g}nm", contact, analysis, targets
+        yield f"{channel_name(ch.wavelength_nm)}nm", contact, analysis, targets
 
 
 def _series_files(tag, contact, analysis, targets) -> dict:

@@ -15,8 +15,8 @@ Byte-exact layout, little-endian throughout:
 Bundle directory layout
 -----------------------
 ``scenario.json`` (resolved config), ``truth.json``, ``manifest.json``,
-and one ``channel_<wavelength>/`` per channel holding ``contact.csv``
-(columns t_s, intensity) and/or ``frames.bin``.
+and one ``channel_<name>/`` per channel, named by ``scenario.channel_name``,
+holding ``contact.csv`` (columns t_s, intensity) and/or ``frames.bin``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
 from .physio import PRESET_SUBJECTS, SubjectVitals
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
-from .scenario import Scenario, WdmChannel
+from .scenario import Scenario, WdmChannel, channel_name
 
 __all__ = [
     "FRAMES_MAGIC",
@@ -214,7 +214,7 @@ def _channel_from_dict(d: dict) -> WdmChannel:
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully resolved, JSON-ready scenario description."""
     return {
-        "duration_s": s.duration,
+        "duration_s": s.acquisition.duration,
         "seed": s.seed,
         "contact_sample_rate": s.contact_sample_rate,
         "acquisition": {k: v for k, v in asdict(s.acquisition).items() if k != "duration"},
@@ -231,9 +231,9 @@ def scenario_from_dict(config: dict) -> Scenario:
     """
     config = dict(config)
     channels = tuple(map(_channel_from_dict, config.pop("channels", [])))
-    duration = config.pop("duration_s", Scenario.duration)
-    acquisition = AcquisitionParams(**config.pop("acquisition", {}), duration=duration)
-    return Scenario(channels=channels, acquisition=acquisition, duration=duration, **config)
+    acquisition = AcquisitionParams(**config.pop("acquisition", {}),
+                                    duration=config.pop("duration_s", AcquisitionParams.duration))
+    return Scenario(channels=channels, acquisition=acquisition, **config)
 
 
 def scenario_hash(config: dict) -> str:
@@ -256,10 +256,6 @@ def build_manifest(command: str, parameters: dict, config: dict, seed: int) -> d
 
 # ---------------------------------------------------------------- bundles
 
-def _channel_dirname(wavelength_nm: float) -> str:
-    return f"channel_{wavelength_nm:g}"
-
-
 def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Path:
     """Write a scenario bundle to a directory (layout in module docstring)."""
     outdir = Path(outdir)
@@ -271,7 +267,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
 
     truth = {"channels": {}}
     for wl, result in sorted(bundle.channels.items()):
-        chdir = outdir / _channel_dirname(wl)
+        chdir = outdir / f"channel_{channel_name(wl)}"
         chdir.mkdir(exist_ok=True)
         entry = {"contact_subject": None, "targets": []}
         if result.intensity is not None:
@@ -282,7 +278,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         if result.frames is not None:
             write_frames(result.frames, chdir / "frames.bin")
             entry["targets"] = [_target_to_dict(t) for t in result.frames.truth or ()]
-        truth["channels"][f"{wl:g}"] = entry
+        truth["channels"][channel_name(wl)] = entry
 
     (outdir / "truth.json").write_text(
         json.dumps(truth, indent=2, sort_keys=True), encoding="utf-8"
@@ -324,8 +320,9 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     loaded = LoadedBundle()
     for chd in config.get("channels", []):
         wl = float(chd["wavelength_nm"])
-        chdir = root / _channel_dirname(wl)
-        entry = truth.get(f"{wl:g}", {})
+        name = channel_name(wl)
+        chdir = root / f"channel_{name}"
+        entry = truth.get(name, {})
         lc = LoadedChannel(wavelength_nm=wl)
         contact_csv = chdir / "contact.csv"
         if contact_csv.is_file():

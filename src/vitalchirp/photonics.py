@@ -36,8 +36,8 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by the SI definition of the metre
 
 DEFAULT_CONTACT_NOISE_RMS = 0.005
-DEFAULT_CARRIER_POWER = 1.0
-DEFAULT_SIDEBAND_POWER = 0.1
+CARRIER_POWER = 1.0  # mW of optical carrier at the contact photodiode
+SIDEBAND_POWER = 0.1  # mW of each 2nd-order sideband there
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,14 @@ class FbgProfile:
     grating.  The default keeps peak excursions for default motion
     amplitudes well inside the quasi-linear stretch of the edge, so the
     transducer's curvature distortion stays below the heartbeat line
-    even when a respiration harmonic falls at a filter-band edge.
-    ``carrier_operating_offset`` places the optical carrier on the notch
-    edge, relative to the notch center; None selects the +sigma
+    even when a respiration harmonic falls at a filter-band edge.  The
+    optical carrier sits at ``+sigma`` from the notch center, the
     falling-edge point where the dB-domain slope is steepest.
     """
 
     notch_depth_db: float
     fwhm_3db: float
     displacement_to_shift: float = 0.05e9
-    carrier_operating_offset: float | None = None
 
     def __post_init__(self):
         if self.notch_depth_db <= 3.0:
@@ -147,12 +145,6 @@ class FbgProfile:
     @property
     def sigma(self) -> float:
         return self.fwhm_3db / (2.0 * np.sqrt(2.0 * np.log(self.notch_depth_db / 3.0)))
-
-    @property
-    def operating_offset(self) -> float:
-        if self.carrier_operating_offset is not None:
-            return self.carrier_operating_offset
-        return self.sigma
 
 
 def fbg_transmission_db(fbg: FbgProfile, freq_offset) -> np.ndarray:
@@ -183,18 +175,16 @@ def contact_intensity(
     motion_mm: np.ndarray,
     fbg: FbgProfile,
     grid: TimeGrid,
-    carrier_power: float = DEFAULT_CARRIER_POWER,
-    sideband_power: float = DEFAULT_SIDEBAND_POWER,
     noise_rms: float = DEFAULT_CONTACT_NOISE_RMS,
     rng_seed: int = 0,
 ) -> IntensityRecord:
     """Detected power at the low-speed photodiode behind the FBG.
 
-    The carrier rides the falling notch edge, so a Bragg shift of
-    ``displacement_to_shift * x(t)`` modulates its transmittance; the two
-    2nd-order sidebands sit outside the notch and pass unchanged:
+    The carrier rides the falling notch edge at ``+sigma``, so a Bragg
+    shift of ``displacement_to_shift * x(t)`` modulates its transmittance;
+    the two 2nd-order sidebands sit outside the notch and pass unchanged:
 
-        P(t) = carrier_power * T(op_offset - kappa x(t)) + 2 sideband_power
+        P(t) = CARRIER_POWER * T(sigma - kappa x(t)) + 2 SIDEBAND_POWER
 
     Beat products lie far above the acquisition band of a 50 Sa/s
     detector chain and are omitted; the photodiode is an ideal power
@@ -209,11 +199,11 @@ def contact_intensity(
         raise ValueError(
             f"motion length {x.shape} does not match grid count {grid.count}"
         )
-    if carrier_power < 0 or sideband_power < 0 or noise_rms < 0:
-        raise ValueError("powers and noise_rms must be >= 0")
+    if noise_rms < 0:
+        raise ValueError("noise_rms must be >= 0")
 
-    offset = fbg.operating_offset - fbg.displacement_to_shift * x
-    power = carrier_power * fbg_transmission(fbg, offset) + 2.0 * sideband_power
+    offset = fbg.sigma - fbg.displacement_to_shift * x
+    power = CARRIER_POWER * fbg_transmission(fbg, offset) + 2.0 * SIDEBAND_POWER
     if noise_rms > 0:
         rng = np.random.default_rng(rng_seed)
         power = power * (1.0 + rng.normal(0.0, noise_rms, grid.count))

@@ -13,14 +13,13 @@ the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import BandpassSpec
 from .photonics import (
-    DEFAULT_CARRIER_POWER,
     DEFAULT_CONTACT_NOISE_RMS,
-    DEFAULT_SIDEBAND_POWER,
     SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
@@ -28,8 +27,8 @@ from .photonics import (
     contact_intensity,
     derive_chirp,
 )
-from .physio import SubjectVitals, band_violations, make_time_grid, synth_motion
-from .radar import DEFAULT_DURATION, AcquisitionParams, DechirpFrameSet, RadarTarget
+from .physio import HEART_BAND, SubjectVitals, band_violations, make_time_grid, synth_motion
+from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .radar import scene_violations, synth_dechirp_frames
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
     "validate_scenario",
     "run_scenario",
     "channel_seeds",
+    "channel_name",
 ]
 
 CONTACT_ROLE = "contact"
@@ -51,6 +51,8 @@ CONTACTLESS_ROLE = "contactless"
 ITU_ANCHOR_HZ = 193.1e12
 ITU_SPACING_HZ = 50e9
 ITU_TOLERANCE_HZ = 1e9
+
+FIBER_LOSS_DB_PER_KM = 0.2  # standard single-mode fiber at 1550 nm
 
 
 class ScenarioValidationError(ValueError):
@@ -75,9 +77,6 @@ class WdmChannel:
     if_lfm: IfLfmParams
     fbg: FbgProfile | None = None
     fiber_length_km: float = 0.0
-    fiber_loss_db_per_km: float = 0.2
-    carrier_power_mw: float = DEFAULT_CARRIER_POWER
-    sideband_power_mw: float = DEFAULT_SIDEBAND_POWER
     contact_noise_rms: float = DEFAULT_CONTACT_NOISE_RMS
     contact_subject: SubjectVitals | None = None
     radar_targets: tuple[RadarTarget, ...] = ()
@@ -91,16 +90,18 @@ class WdmChannel:
 
     @property
     def loss_scale(self) -> float:
-        return 10.0 ** (-self.fiber_loss_db_per_km * self.fiber_length_km / 10.0)
+        """Power scale of ``fiber_length_km`` of fiber at ``FIBER_LOSS_DB_PER_KM``."""
+        return 10.0 ** (-FIBER_LOSS_DB_PER_KM * self.fiber_length_km / 10.0)
 
 
 @dataclass
 class Scenario:
-    """WDM channels and the record length, seed and capture settings they share."""
+    """WDM channels and the capture settings and noise seed they share.
+
+    ``acquisition.duration`` is the record length of every channel."""
 
     channels: tuple[WdmChannel, ...]
     acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
-    duration: float = DEFAULT_DURATION
     seed: int = 0
     contact_sample_rate: float = 50.0
 
@@ -121,16 +122,29 @@ def _off_itu_grid(wavelength_nm: float) -> bool:
     return min(rem, ITU_SPACING_HZ - rem) > ITU_TOLERANCE_HZ
 
 
+def channel_name(wavelength_nm: float) -> str:
+    """The name a channel's bundle directory, truth entry and report labels carry."""
+    return f"{wavelength_nm:g}"
+
+
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Structural and physical checks; violations are data, not exceptions."""
     report = ValidationReport()
     violations = report.violations
-    seen: set[float] = set()
+    if type(s.seed) is not int or not 0 <= s.seed < 2**32:
+        violations.append(f"seed {s.seed!r} is not an integer in [0, 2**32)")
+    record_rates = {CONTACT_ROLE: s.contact_sample_rate, CONTACTLESS_ROLE: s.acquisition.slow_rate}
+    for role in sorted({role for ch in s.channels for role in ch.roles}):
+        try:
+            BandpassSpec(*HEART_BAND, record_rates[role])
+        except ValueError as exc:
+            violations.append(f"{role} record: {exc}")
+    seen: set[str] = set()
     for ch in s.channels:
         wl, subject, targets = ch.wavelength_nm, ch.contact_subject, ch.radar_targets
-        if wl in seen:
-            violations.append(f"duplicate wavelength {wl} nm")
-        seen.add(wl)
+        if (name := channel_name(wl)) in seen:
+            violations.append(f"duplicate wavelength {wl} nm: channel name {name!r} is taken")
+        seen.add(name)
         if _off_itu_grid(wl):
             report.warnings.append(
                 f"wavelength {wl} nm is more than 1 GHz off the 50 GHz ITU grid"
@@ -170,7 +184,7 @@ def channel_seeds(global_seed: int, wavelength_nm: float) -> tuple[int, int]:
     or removing other channels never perturbs a channel's streams.
     """
     wl_key = int(round(wavelength_nm * 1e6))
-    ss = np.random.SeedSequence([int(global_seed) & 0xFFFFFFFF, wl_key])
+    ss = np.random.SeedSequence([global_seed, wl_key])
     contact_seed, radar_seed = (int(v) for v in ss.generate_state(2))
     return contact_seed, radar_seed
 
@@ -205,14 +219,12 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
         result = ChannelResult(channel=ch)
 
         if CONTACT_ROLE in ch.roles:
-            grid = make_time_grid(s.duration, s.contact_sample_rate)
+            grid = make_time_grid(s.acquisition.duration, s.contact_sample_rate)
             motion = synth_motion(ch.contact_subject, grid)
             record = contact_intensity(
                 motion,
                 ch.fbg,
                 grid,
-                carrier_power=ch.carrier_power_mw,
-                sideband_power=ch.sideband_power_mw,
                 noise_rms=ch.contact_noise_rms,
                 rng_seed=contact_seed,
             )
@@ -221,8 +233,8 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
         if CONTACTLESS_ROLE in ch.roles:
             chirp = derive_chirp(ch.if_lfm)
-            acq = replace(s.acquisition, duration=s.duration)
-            frames = synth_dechirp_frames(ch.radar_targets, chirp, acq, seed=radar_seed)
+            frames = synth_dechirp_frames(ch.radar_targets, chirp, s.acquisition,
+                                          seed=radar_seed)
             frames.samples *= ch.loss_scale
             result.frames = frames
 

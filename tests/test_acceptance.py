@@ -221,8 +221,7 @@ def test_criterion_8_property_suites(tmp_path, chirp):
                 targets=(RadarTarget(preset_subject("subject-b"), 1.00),
                          RadarTarget(preset_subject("subject-c"), 1.65)),
             ),),
-            acquisition=AcquisitionParams(),
-            duration=10.0,
+            acquisition=AcquisitionParams(duration=10.0),
             seed=3,
         )
         alone = run_scenario(solo)
@@ -268,7 +267,7 @@ def _contact_scenario(n_channels, duration=60.0):
         subjects[wl] = preset_subject(names[i % len(names)])
     return Scenario(channels=tuple(replace(ch, contact_subject=subjects[ch.wavelength_nm])
                                    for ch in channels),
-                    duration=duration, seed=17)
+                    acquisition=AcquisitionParams(duration=duration), seed=17)
 
 
 def test_criterion_9_multichannel_scaling():

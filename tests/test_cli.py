@@ -48,6 +48,16 @@ def write_config(tmp_path, config=CONFIG, name="scenario.json"):
     return path
 
 
+def simulate_rejected(tmp_path, capsys, config, *options):
+    """Run ``simulate`` on ``config``; assert exit 2 and nothing written, return stderr."""
+    out = tmp_path / "b"
+    rc = main(["simulate", "--config", str(write_config(tmp_path, config, "bad.json")),
+               "--out", str(out), *options])
+    assert rc == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -105,6 +115,47 @@ class TestSimulate:
         assert rc == 2
         assert "'fiber_lenght_km'" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("channel", "carrier_power_mw", 1.0),
+        ("channel", "sideband_power_mw", 0.1),
+        ("channel", "fiber_loss_db_per_km", 0.2),
+        ("fbg", "carrier_operating_offset", None),
+    ])
+    def test_removed_setting_validation_exit(self, tmp_path, capsys, where, key, value):
+        bad = json.loads(json.dumps(CONFIG))
+        channel = bad["channels"][0]
+        (channel if where == "channel" else channel["fbg"])[key] = value
+        assert f"'{key}'" in simulate_rejected(tmp_path, capsys, bad)
+
+    @pytest.mark.parametrize("config_seed, options", [
+        (11, ["--seed", "4294967296"]),
+        (11, ["--seed", "-1"]),
+        (1.5, []),
+    ])
+    def test_seed_outside_32_bits_validation_exit(self, tmp_path, capsys, config_seed, options):
+        err = simulate_rejected(tmp_path, capsys, {**CONFIG, "seed": config_seed}, *options)
+        assert "is not an integer in [0, 2**32)" in err
+
+    def test_channels_sharing_a_name_validation_exit(self, tmp_path, capsys):
+        # 1549.921 and 1549.924 nm both print as 1549.92 in six digits
+        bad = json.loads(json.dumps(CONFIG))
+        first, second = bad["channels"]
+        first["roles"] = ["contact"]
+        del first["radar_targets"]
+        first["wavelength_nm"], second["wavelength_nm"] = 1549.921, 1549.924
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert "duplicate wavelength 1549.924 nm" in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"acquisition": {"slow_period": 0.4}}, "contactless record: "),
+        ({"contact_sample_rate": 2.5}, "contact record: "),
+    ])
+    def test_record_rate_too_slow_for_heart_band_validation_exit(self, tmp_path, capsys,
+                                                                  change, message):
+        err = simulate_rejected(tmp_path, capsys, {**CONFIG, **change})
+        assert f"{message}band edges must satisfy" in err
+        assert "(0.8, 1.9) at 2.5 Sa/s" in err
 
     def test_same_seed_byte_identical_payloads(self, tmp_path):
         config = write_config(tmp_path)
@@ -245,21 +296,9 @@ class TestProcess:
     def test_missing_bundle(self, tmp_path):
         assert main(["process", str(tmp_path / "nothing")]) == 3
 
-    def test_bundle_without_truth_omits_errors(self, bundle_dir, tmp_path):
-        import shutil
-
-        from vitalchirp import formats
-
-        anon = tmp_path / "anon"
-        shutil.copytree(bundle_dir, anon)
-        (anon / "truth.json").unlink()
-        frames_path = anon / "channel_1549.36" / "frames.bin"
-        frames = formats.read_frames(frames_path)
-        frames.truth = None
-        formats.write_frames(frames, frames_path)
-
+    def test_bundle_without_truth_omits_errors(self, truthless_dir, tmp_path):
         out = tmp_path / "anon-reports"
-        assert main(["process", str(anon), "--out", str(out)]) == 0
+        assert main(["process", str(truthless_dir), "--out", str(out)]) == 0
         reports = json.loads((out / "reports.json").read_text())
         assert all(r["respiration_error_rpm"] is None for r in reports)
         assert all(r["heartbeat_error_bpm"] is None for r in reports)

@@ -1,5 +1,5 @@
-"""Every demo script runs to completion, without a numeric warning, against this
-checkout's package."""
+"""Every demo script runs to completion, without a numeric, deprecation or future
+warning, against this checkout's package."""
 
 import os
 import subprocess
@@ -21,7 +21,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning"
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]

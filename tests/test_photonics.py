@@ -59,17 +59,15 @@ class TestFbgTransmission:
         slope = np.abs(np.gradient(tdb, offsets))
         at_sigma = slope[np.argmin(np.abs(offsets - fbg.sigma))]
         assert at_sigma >= 0.99 * slope.max()
-        assert fbg.operating_offset == pytest.approx(fbg.sigma)
 
 
 class TestContactIntensity:
     def test_static_chest_constant_series(self, fbg):
         grid = make_time_grid(10.0, 50.0)
         rec = contact_intensity(
-            np.zeros(grid.count), fbg, grid, carrier_power=1.0, sideband_power=0.1,
-            noise_rms=0.0,
+            np.zeros(grid.count), fbg, grid, noise_rms=0.0,
         )
-        expected = fbg_transmission(fbg, fbg.operating_offset) + 0.2
+        expected = fbg_transmission(fbg, fbg.sigma) + 0.2
         assert np.allclose(rec.samples, expected)
         assert not rec.edge_warning
 

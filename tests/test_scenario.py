@@ -43,8 +43,7 @@ def two_channel_scenario(duration=60.0, seed=0, noise_rms=0.5):
                     targets=two_targets()),
             channel(1549.92, ["contact"], subject=preset_subject("subject-d")),
         ),
-        acquisition=AcquisitionParams(noise_rms=noise_rms),
-        duration=duration,
+        acquisition=AcquisitionParams(noise_rms=noise_rms, duration=duration),
         seed=seed,
     )
 
@@ -151,7 +150,7 @@ class TestRunScenario:
         s = Scenario(
             channels=(channel(1549.36, ["contact"], subject=preset_subject("subject-a")),
                       channel(1549.92, ["contact"], subject=preset_subject("subject-b"))),
-            duration=20.0,
+            acquisition=AcquisitionParams(duration=20.0),
         )
         bundle = run_scenario(s)
         assert all(r.frames is None for r in bundle.channels.values())
@@ -173,8 +172,7 @@ class TestRunScenario:
             channels=(channel(1549.36, ["contact", "contactless"],
                               subject=preset_subject("subject-a"),
                               targets=two_targets()),),
-            acquisition=AcquisitionParams(),
-            duration=10.0,
+            acquisition=AcquisitionParams(duration=10.0),
             seed=3,
         )
         alone = run_scenario(solo)
@@ -207,7 +205,7 @@ class TestRunScenario:
         base = two_channel_scenario(duration=20.0)
         lossy = two_channel_scenario(duration=20.0)
         lossy = replace(lossy, channels=tuple(
-            replace(ch, fiber_length_km=25.0, fiber_loss_db_per_km=0.2)
+            replace(ch, fiber_length_km=25.0)
             for ch in lossy.channels
         ))
         rec_base = run_scenario(base).channels[1549.92].intensity
