@@ -3,8 +3,7 @@
     vitalchirp simulate --config scenario.json [--out bundle/] [--seed N]
     vitalchirp process bundle/ [--duration 5] [--format csv] [--out dir/]
     vitalchirp sweep bundle/ [--durations 5,10,20,30,40,50,60] [--out dir/]
-    vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 [--out dir/] \\
-        [--ripple 1] [--atten 40] [--order 4]
+    vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 [--out dir/]
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 processing failure.
 When ``--out`` is omitted, outputs land under ``$VITALCHIRP_OUT`` (default
@@ -234,14 +233,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_filter_design(args) -> int:
     try:
-        spec = dsp.BandpassSpec(
-            low_edge=args.band[0],
-            high_edge=args.band[1],
-            sample_rate=args.sample_rate,
-            passband_ripple=args.ripple,
-            stopband_atten=args.atten,
-            order=args.order,
-        )
+        spec = dsp.BandpassSpec(*args.band, args.sample_rate)
         coeffs = dsp.design_bandpass(spec)
     except (ValueError, dsp.FilterDesignError) as exc:
         print(f"filter design failed: {exc}", file=sys.stderr)
@@ -263,7 +255,8 @@ def cmd_filter_design(args) -> int:
         (out / "coefficients.json").write_text(
             # design_bandpass folds the overall gain into the first section
             json.dumps({"sos": sections, "gain": 1.0,
-                        "spec": asdict(spec)},
+                        "spec": {**asdict(spec), "passband_ripple": dsp.PASSBAND_RIPPLE_DB,
+                                 "stopband_atten": dsp.STOPBAND_ATTEN_DB, "order": dsp.ORDER}},
                        indent=2),
             encoding="utf-8",
         )
@@ -308,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_filt.add_argument("--band", type=float, nargs=2, required=True,
                         metavar=("LOW", "HIGH"), help="passband edges in Hz")
     p_filt.add_argument("--sample-rate", type=float, required=True)
-    p_filt.add_argument("--ripple", type=float, default=dsp.BandpassSpec.passband_ripple)
-    p_filt.add_argument("--atten", type=float, default=dsp.BandpassSpec.stopband_atten)
-    p_filt.add_argument("--order", type=int, default=dsp.BandpassSpec.order)
     p_filt.add_argument("--out", help="output directory")
     p_filt.set_defaults(func=cmd_filter_design)
     return parser

@@ -1,8 +1,8 @@
 """Reusable signal-processing kernels.
 
-Elliptic bandpass design and zero-phase application, windowed magnitude
-spectra, phase unwrapping, peak search with sub-bin refinement, and 3-dB
-bandwidth measurement.  All kernels are pure functions over immutable
+The one elliptic bandpass design and its zero-phase application, windowed
+magnitude spectra, phase unwrapping, peak search with sub-bin refinement, and
+3-dB bandwidth measurement.  All kernels are pure functions over immutable
 inputs and safe for concurrent use on disjoint data.
 
 The elliptic prototype follows S. J. Orfanidis, "Lecture Notes on
@@ -42,11 +42,15 @@ __all__ = [
     "bandwidth_3db",
 ]
 
+# The one elliptic design: prototype order (= bandpass sections), ripple, stopband.
+ORDER = 4
+PASSBAND_RIPPLE_DB = 1.0
+STOPBAND_ATTEN_DB = 40.0
 # Stopband conformance is checked beyond a transition region this wide,
 # as a fraction of each band edge.  An order-4 elliptic design cannot
 # reach 40 dB within 30% of the 0.5 Hz edge at 50 Sa/s (a 5th order
-# would be needed); 35% is the tightest fraction the default order
-# meets on both vital-sign bands.
+# would be needed); 35% is the tightest fraction ORDER meets on both
+# vital-sign bands.
 TRANSITION_FRACTION = 0.35
 
 DENSE_GRID_POINTS = 4096
@@ -62,17 +66,14 @@ class FilterDesignError(ValueError):
 class BandpassSpec:
     """Requirements for a digital bandpass filter.
 
-    Passband [low_edge, high_edge] with at most ``passband_ripple`` dB of
-    ripple; at least ``stopband_atten`` dB of attenuation beyond the
+    Passband [low_edge, high_edge] with at most ``PASSBAND_RIPPLE_DB`` of
+    ripple; at least ``STOPBAND_ATTEN_DB`` of attenuation beyond the
     transition regions (``TRANSITION_FRACTION`` of each edge).
     """
 
     low_edge: float
     high_edge: float
     sample_rate: float
-    passband_ripple: float = 1.0
-    stopband_atten: float = 40.0
-    order: int = 4
 
     def __post_init__(self):
         if not 0 < self.low_edge < self.high_edge < self.sample_rate / 2:
@@ -80,12 +81,6 @@ class BandpassSpec:
                 f"band edges must satisfy 0 < low < high < Nyquist, got "
                 f"({self.low_edge}, {self.high_edge}) at {self.sample_rate} Sa/s"
             )
-        if not self.passband_ripple > 0:
-            raise ValueError("passband_ripple must be > 0")
-        if not self.stopband_atten > self.passband_ripple:
-            raise ValueError("stopband_atten must exceed passband_ripple")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
     @property
     def nyquist(self) -> float:
@@ -152,89 +147,74 @@ def _arc_sc(t: float, m: float) -> float:
     return math.prod(1 + k for k in ks[1:]) * math.asinh(t)
 
 
-def _elliptic_prototype(order: int, ripple_db: float, atten_db: float):
-    """Zeros, poles and gain of the analog elliptic lowpass with unit passband edge."""
-    cannot = f"cannot design for {ripple_db} dB ripple and {atten_db} dB attenuation"
-    try:
-        eps_sq = math.expm1(math.log(10) * 0.1 * ripple_db)
-        stop_sq = math.expm1(math.log(10) * 0.1 * atten_db)
-    except OverflowError:  # a level above about 3080 dB is past the float range
-        raise FilterDesignError(cannot) from None
-    if order == 1:
-        pole = -math.sqrt(1.0 / eps_sq)
-        return np.zeros(0, complex), np.array([pole + 0j]), -pole
-    m1 = eps_sq / stop_sq
-    if not 0 < m1 < 1:
-        raise FilterDesignError(cannot)
-    # degree equation K(1 - m) / K(m) = K(1 - m1) / (order K(m1)): nome q(m) = q(m1)**(1/order)
-    q = math.exp(-math.pi * _ellipk(m1) / _ellipk(1 - m1) / order)
+def _elliptic_prototype():
+    """Zeros, poles and gain of the analog even-order elliptic lowpass, unit passband edge."""
+    eps_sq = math.expm1(math.log(10) * 0.1 * PASSBAND_RIPPLE_DB)
+    m1 = eps_sq / math.expm1(math.log(10) * 0.1 * STOPBAND_ATTEN_DB)
+    # degree equation K(1 - m) / K(m) = K(1 - m1) / (ORDER K(m1)): nome q(m) = q(m1)**(1/ORDER)
+    q = math.exp(-math.pi * _ellipk(m1) / _ellipk(1 - m1) / ORDER)
     num = sum(q ** (j * (j + 1)) for j in range(8))
     m = 16 * q * (num / (1 + 2 * sum(q ** (j * j) for j in range(1, 9)))) ** 4
     capk = _ellipk(1 - m)
-    s, c, d = _ellipj(np.arange(1 - order % 2, order, 2) * capk / order, m)
-    v0 = capk * _arc_sc(1 / math.sqrt(eps_sq), m1) / (order * _ellipk(1 - m1))
+    s, c, d = _ellipj(np.arange(1, ORDER, 2) * capk / ORDER, m)
+    v0 = capk * _arc_sc(1 / math.sqrt(eps_sq), m1) / (ORDER * _ellipk(1 - m1))
     sv, cv, dv = _ellipj(v0, 1 - m)
     p = -(c * d * sv * cv + 1j * s * dv) / (1 - (d * sv) ** 2.0)
-    paired = np.abs(s) > 2e-16  # odd orders add one real pole and no zero
-    z = 1j / (math.sqrt(m) * s[paired])
-    z, p = np.concatenate((z, z.conj())), np.concatenate((p, p[paired].conj()))
+    z = 1j / (math.sqrt(m) * s)
+    z, p = np.concatenate((z, z.conj())), np.concatenate((p, p.conj()))
     k = (np.prod(-p) / np.prod(-z)).real
-    return z, p, (k if order % 2 else k / math.sqrt(1 + eps_sq))
+    return z, p, k / math.sqrt(1 + eps_sq)
 
 
 def _one_per_pair(v: np.ndarray) -> np.ndarray:
-    """The positive-frequency member of each conjugate pair, then the real values."""
+    """The positive-frequency member of each conjugate pair."""
     v = v[np.lexsort((np.abs(v.imag), v.real))]
-    real = np.abs(v.imag) <= 100 * np.finfo(float).eps * np.abs(v)
-    return np.concatenate((v[~real & (v.imag > 0)], np.sort(v[real].real)))
+    return v[v.imag > 0]
 
 
-def _pop_nearest(v: np.ndarray, distance: np.ndarray, real_only: bool = False):
-    """The element of ``v`` at the least ``distance`` (a real one if asked), and the rest."""
-    i = np.argmin(np.where(np.isreal(v) | (not real_only), distance, np.inf))
+def _pop_nearest(v: np.ndarray, distance: np.ndarray):
+    """The element of ``v`` at the least ``distance``, and the rest."""
+    i = np.argmin(distance)
     return v[i], np.delete(v, i)
 
 
 def _sections(z: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
-    """``zpk2sos`` "nearest" pairing: the pole nearest the unit circle, with the
-    zeros nearest it, makes the last section; the gain goes into the first."""
+    """``zpk2sos`` "nearest" pairing: the conjugate poles nearest the unit circle, with
+    the conjugate zeros nearest them, make the last section; the gain goes into the
+    first.  No root is real: the zeros sit on the unit circle, the poles off the axis."""
     z, p = _one_per_pair(z), _one_per_pair(p)
     sos = []
     while p.size:
         p1, p = _pop_nearest(p, np.abs(1 - np.abs(p)))
-        p2, p = _pop_nearest(p, np.abs(1 - np.abs(p)), True) if np.isreal(p1) else (p1.conj(), p)
         z1, z = _pop_nearest(z, np.abs(z - p1))
-        z2, z = _pop_nearest(z, np.abs(z - p1), True) if np.isreal(z1) else (z1.conj(), z)
-        sos.insert(0, np.concatenate((np.poly([z1, z2]), np.poly([p1, p2]))).real)
+        sos.insert(0, np.concatenate((np.poly([z1, z1.conj()]), np.poly([p1, p1.conj()]))).real)
     sos = np.array(sos)
     sos[0, :3] *= k
     return sos
 
 
 @functools.lru_cache(maxsize=128)  # bounded: specs come from callers
-@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the finiteness checks
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # fails the finiteness checks
 def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
-    """Design an elliptic (Cauer) bandpass as second-order sections.
+    """Design the elliptic (Cauer) bandpass of ``spec`` as ``ORDER`` second-order sections.
 
     The returned cascade is verified on a dense frequency grid: passband
-    magnitude inside [-ripple, 0] dB, stopband attenuation met beyond the
-    transition edges, and every pole strictly inside the unit circle.  A
+    magnitude inside [-PASSBAND_RIPPLE_DB, 0] dB, STOPBAND_ATTEN_DB met beyond
+    the transition edges, and every pole strictly inside the unit circle.  A
     violated constraint raises :class:`FilterDesignError` naming it.
 
     Equal specs share one memoised, read-only :class:`FilterCoeffs`; a
     failed design is not cached, so it raises on every call.
     """
-    z, p, k = _elliptic_prototype(spec.order, spec.passband_ripple, spec.stopband_atten)
+    z, p, k = _elliptic_prototype()
     # pre-warped lowpass-to-bandpass transform, then bilinear at fs = 2
     warped = 4.0 * np.tan(np.pi * np.array([spec.low_edge, spec.high_edge]) / spec.sample_rate)
     bw, wo = warped[1] - warped[0], math.sqrt(warped[0] * warped[1])
-    degree = p.size - z.size
     z, p = z * bw / 2, p * bw / 2
-    z = np.concatenate((z + np.sqrt(z**2 - wo**2), z - np.sqrt(z**2 - wo**2), np.zeros(degree)))
+    z = np.concatenate((z + np.sqrt(z**2 - wo**2), z - np.sqrt(z**2 - wo**2)))
     p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
-    k = k * bw**degree * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
-    z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(degree)))
-    sos = _sections(z, (4.0 + p) / (4.0 - p), k)
+    k = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    sos = _sections((4.0 + z) / (4.0 - z), (4.0 + p) / (4.0 - p), k)
     sos.setflags(write=False)
     coeffs = FilterCoeffs(sos=sos, spec=spec)
     _check_conformance(coeffs, spec)
@@ -266,7 +246,7 @@ def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
     geometric grid from it out to 0 Hz or Nyquist, dense near the edge at any rate."""
     tol_db = 0.01
     if not np.all(np.isfinite(coeffs.sos)):
-        raise FilterDesignError(f"cannot design order {spec.order}: non-finite sections")
+        raise FilterDesignError(f"cannot design order {ORDER}: non-finite sections")
     if np.any(np.abs(coeffs.poles()) >= 1.0):
         raise FilterDesignError("unstable design: pole on or outside the unit circle")
     n = DENSE_GRID_POINTS // 4
@@ -277,22 +257,21 @@ def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
     freqs = np.concatenate([np.linspace(spec.low_edge, spec.high_edge, n), *stopbands])
     h = _response(coeffs.sos, freqs * (2 * np.pi / spec.sample_rate))
     if not np.all(np.isfinite(h)):
-        raise FilterDesignError(f"cannot design order {spec.order}: non-finite response")
+        raise FilterDesignError(f"cannot design order {ORDER}: non-finite response")
     mag_db = 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
 
     passband, stopband = slice(n), slice(n, None)
-    if np.any(mag_db[passband] < -spec.passband_ripple - tol_db) or np.any(
+    if np.any(mag_db[passband] < -PASSBAND_RIPPLE_DB - tol_db) or np.any(
         mag_db[passband] > tol_db
     ):
         worst = freqs[passband][np.argmin(mag_db[passband])]
         raise FilterDesignError(
-            f"passband ripple exceeds {spec.passband_ripple} dB near {worst:.4g} Hz"
+            f"passband ripple exceeds {PASSBAND_RIPPLE_DB} dB near {worst:.4g} Hz"
         )
-    if np.any(mag_db[stopband] > -spec.stopband_atten + tol_db):
+    if np.any(mag_db[stopband] > -STOPBAND_ATTEN_DB + tol_db):
         worst = freqs[stopband][np.argmax(mag_db[stopband])]
         raise FilterDesignError(
-            f"stopband attenuation below {spec.stopband_atten} dB at {worst:.4g} Hz; "
-            f"raise the order or relax the transition"
+            f"stopband attenuation below {STOPBAND_ATTEN_DB} dB at {worst:.4g} Hz"
         )
 
 

@@ -13,9 +13,10 @@ its profile, targets and phases read those spectra, and
 :meth:`FrameAnalysis.prefix` gives each sweep duration the analysis of the
 truncated frames from their first rows, bit for bit and without a transform.
 
-The chain is fixed: both filters use the :class:`dsp.BandpassSpec`
-defaults (elliptic, order 4, 1 dB ripple, 40 dB stopband), applied
-zero-phase, and every report records them in its metadata.
+The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
+design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
+``dsp.STOPBAND_ATTEN_DB`` 40 dB stopband), applied zero-phase, and every
+report records it in its metadata.
 
 Measurement spectra are chosen per band to stay honest on short records.
 The respiration filter at 50 Sa/s has poles within 0.002 of the unit
@@ -173,9 +174,9 @@ def _processing_metadata(sample_rate, duration) -> dict:
         "heart_band_hz": list(HEART_BAND),
         "filter": {
             "type": "elliptic",
-            "order": dsp.BandpassSpec.order,
-            "passband_ripple_db": dsp.BandpassSpec.passband_ripple,
-            "stopband_atten_db": dsp.BandpassSpec.stopband_atten,
+            "order": dsp.ORDER,
+            "passband_ripple_db": dsp.PASSBAND_RIPPLE_DB,
+            "stopband_atten_db": dsp.STOPBAND_ATTEN_DB,
             "zero_phase": True,
             "note": "filter order/ripple/attenuation and zero-phase application "
             "are processing defaults, not measured system properties",

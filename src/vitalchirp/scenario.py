@@ -28,6 +28,7 @@ from .photonics import (
     derive_chirp,
 )
 from .physio import HEART_BAND, SubjectVitals, band_violations, make_time_grid, synth_motion
+from .pipelines import MIN_DURATION_S
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .radar import scene_violations, synth_dechirp_frames
 
@@ -87,6 +88,8 @@ class WdmChannel:
         bad = set(self.roles) - {CONTACT_ROLE, CONTACTLESS_ROLE}
         if bad:
             raise ValueError(f"unknown roles {sorted(bad)}")
+        if not self.fiber_length_km >= 0:
+            raise ValueError(f"fiber_length_km must be >= 0, got {self.fiber_length_km}")
 
     @property
     def loss_scale(self) -> float:
@@ -133,6 +136,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     violations = report.violations
     if type(s.seed) is not int or not 0 <= s.seed < 2**32:
         violations.append(f"seed {s.seed!r} is not an integer in [0, 2**32)")
+    if not s.acquisition.duration >= MIN_DURATION_S:
+        violations.append(
+            f"record of {s.acquisition.duration:.2f} s is shorter than {MIN_DURATION_S} s")
     record_rates = {CONTACT_ROLE: s.contact_sample_rate, CONTACTLESS_ROLE: s.acquisition.slow_rate}
     for role in sorted({role for ch in s.channels for role in ch.roles}):
         try:
@@ -149,6 +155,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             report.warnings.append(
                 f"wavelength {wl} nm is more than 1 GHz off the 50 GHz ITU grid"
             )
+        if not ch.roles:
+            violations.append(f"channel {wl} nm has no role")
 
         if CONTACT_ROLE in ch.roles:
             if ch.fbg is None:

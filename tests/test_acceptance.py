@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vitalchirp import formats
+from vitalchirp import dsp, formats
 from vitalchirp.dsp import BandpassSpec, design_bandpass, unwrap_phase
 from vitalchirp.photonics import (
     FbgProfile,
@@ -173,8 +173,9 @@ def test_criterion_6_resolution_sweep(chirp, fbg):
 
 def test_criterion_7_filter_conformance():
     with criterion(7, "elliptic filter conformance"):
+        assert (dsp.ORDER, dsp.PASSBAND_RIPPLE_DB, dsp.STOPBAND_ATTEN_DB) == (4, 1.0, 40.0)
         for low, high in ((0.13, 0.5), (0.8, 1.9)):
-            spec = BandpassSpec(low, high, 50.0, 1.0, 40.0, 4)
+            spec = BandpassSpec(low, high, 50.0)
             coeffs = design_bandpass(spec)  # raises if the mask is violated
             from conftest import sos_response
 

@@ -157,6 +157,24 @@ class TestSimulate:
         assert f"{message}band edges must satisfy" in err
         assert "(0.8, 1.9) at 2.5 Sa/s" in err
 
+    def test_record_shorter_than_processing_minimum_validation_exit(self, tmp_path, capsys):
+        err = simulate_rejected(tmp_path, capsys, {**CONFIG, "duration_s": 3.0})
+        assert "record of 3.00 s is shorter than 5.0 s" in err
+
+    def test_negative_fiber_length_validation_exit(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["channels"][1]["fiber_length_km"] = -50
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert "invalid scenario: fiber_length_km must be >= 0" in err
+
+    def test_channel_without_roles_validation_exit(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CONFIG))
+        second = bad["channels"][1]
+        second["roles"] = []
+        del second["fbg"], second["contact_subject"]
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert "channel 1549.92 nm has no role" in err
+
     def test_same_seed_byte_identical_payloads(self, tmp_path):
         config = write_config(tmp_path)
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -514,19 +532,19 @@ class TestFilterDesign:
                      "--sample-rate", "50"]) == 2
         assert "edges" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("levels", [["--ripple", "5000", "--atten", "6000"],
-                                        ["--atten", "1e9"]])
-    def test_level_past_float_range_validation_exit(self, levels, capsys):
-        assert main(["filter-design", "--band", "0.8", "1.9",
-                     "--sample-rate", "50", *levels]) == 2
-        assert "cannot design" in capsys.readouterr().err
-
     def test_overflowing_order_validation_exit(self, tmp_path, capsys):
         out = tmp_path / "fd"
-        assert main(["filter-design", "--band", "0.8", "1.9", "--sample-rate", "50",
-                     "--order", "300", "--out", str(out)]) == 2
-        assert "cannot design order 300" in capsys.readouterr().err
+        assert main(["filter-design", "--band", "0.8", "1.9", "--sample-rate", "1e9",
+                     "--out", str(out)]) == 2
+        assert "cannot design order 4" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--ripple", "1"], ["--atten", "40"], ["--order", "4"]])
+    def test_design_is_not_settable(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["filter-design", "--band", "0.13", "0.5", "--sample-rate", "50", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_env_var_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VITALCHIRP_OUT", str(tmp_path))

@@ -27,6 +27,8 @@ from vitalchirp.dsp import BandpassSpec, FilterCoeffs, design_bandpass, filter_z
 
 CHAIN_SPECS = [BandpassSpec(0.13, 0.5, 50.0), BandpassSpec(0.8, 1.9, 50.0)]
 BANDS = [(0.13, 0.5, 50.0), (0.8, 1.9, 50.0), (0.1, 0.7, 20.0), (5.0, 40.0, 1000.0)]
+RATES = [3.9, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
+         5000.0, 10000.0, 20000.0]
 LONG_TAIL_SPEC = BandpassSpec(0.13, 0.5, 1000.0)
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -34,7 +36,7 @@ needs_long_double = pytest.mark.skipif(not EXTENDED, reason="long double is floa
 
 
 def scipy_sos(spec):
-    return sps.ellip(spec.order, spec.passband_ripple, spec.stopband_atten,
+    return sps.ellip(dsp.ORDER, dsp.PASSBAND_RIPPLE_DB, dsp.STOPBAND_ATTEN_DB,
                      [spec.low_edge, spec.high_edge], btype="bandpass",
                      fs=spec.sample_rate, output="sos")
 
@@ -82,7 +84,7 @@ def long_double_filtfilt(sos, x):
 
 @pytest.fixture()
 def unchecked_design(monkeypatch):
-    """``design_bandpass`` without the mask check, so orders that miss the mask compare too."""
+    """``design_bandpass`` without the mask check, so designs that miss the mask compare too."""
     monkeypatch.setattr(dsp, "_check_conformance", lambda coeffs, spec: None)
     design_bandpass.cache_clear()
     yield design_bandpass
@@ -90,29 +92,21 @@ def unchecked_design(monkeypatch):
 
 
 class TestDesign:
-    @pytest.mark.parametrize("order", range(1, 9))
-    def test_sections_match_scipy_ellip(self, unchecked_design, order):
+    def test_sections_match_scipy_ellip(self, unchecked_design):
         worst = 0.0
-        for ripple, atten, band in itertools.product((0.1, 1.0, 3.0), (20.0, 40.0, 60.0), BANDS):
-            spec = BandpassSpec(*band, ripple, atten, order)
+        for (low, high, _), sample_rate in itertools.product(BANDS, RATES):
+            if high >= sample_rate / 2:
+                continue
+            spec = BandpassSpec(low, high, sample_rate)
             sos = unchecked_design(spec).sos
             ref = scipy_sos(spec)
-            assert sos.shape == ref.shape == (order, 6)
+            assert sos.shape == ref.shape == (dsp.ORDER, 6)
             worst = max(worst, section_error(sos, ref))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("spec", CHAIN_SPECS + [LONG_TAIL_SPEC])
     def test_chain_designs_match_scipy_ellip(self, spec):
         assert section_error(design_bandpass(spec).sos, scipy_sos(spec)) <= 1e-12
-
-    def test_infinite_attenuation_cannot_be_designed(self):
-        with pytest.raises(dsp.FilterDesignError, match="cannot design"):
-            design_bandpass(BandpassSpec(0.8, 1.9, 50.0, 1.0, float("inf")))
-
-    @pytest.mark.parametrize("field", ["passband_ripple", "stopband_atten"])
-    def test_nan_requirement_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            BandpassSpec(0.8, 1.9, 50.0, **{field: float("nan")})
 
 
 class TestFrequencyResponse:

@@ -111,8 +111,8 @@ class TestValidateScenario:
     ])
     def test_capture_rule_message_is_the_synthesizers(self, acquisition, target_range):
         targets = (RadarTarget(preset_subject("subject-b"), target_range),)
-        s = with_people(two_channel_scenario(duration=1.0), 0, radar_targets=targets)
-        s.acquisition = AcquisitionParams(duration=1.0, **acquisition)
+        s = with_people(two_channel_scenario(duration=5.0), 0, radar_targets=targets)
+        s.acquisition = AcquisitionParams(duration=5.0, **acquisition)
         with pytest.raises(ValueError) as err:
             synth_dechirp_frames(targets, derive_chirp(IF_LFM), s.acquisition)
         assert validate_scenario(s).violations == [f"channel 1549.36 nm: {err.value}"]
