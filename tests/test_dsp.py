@@ -77,10 +77,15 @@ class TestDesignBandpass:
         for spec in (RESP_SPEC, HEART_SPEC):
             design_bandpass(BandpassSpec(spec.low_edge, spec.high_edge, sample_rate))
 
-    def test_gain_past_float_range_cannot_be_designed(self):
-        # at 1e9 Sa/s each heart-band section rounds to (1 - 2/z + 1/z**2) over itself
+    @pytest.mark.parametrize("scale", [254, 300])
+    def test_gain_past_float_range_cannot_be_designed(self, scale):
+        # at 1e9 Sa/s each heart-band section rounds to (1 - 2/z + 1/z**2) over itself;
+        # the design sees only edges relative to the rate, so dividing all three by
+        # `scale` must fail the same way
         with pytest.raises(FilterDesignError, match="cannot design order 4"):
             design_bandpass(BandpassSpec(0.8, 1.9, 1e9))
+        with pytest.raises(FilterDesignError, match="cannot design order 4"):
+            design_bandpass(BandpassSpec(0.8 / scale, 1.9 / scale, 1e9 / scale))
 
     def test_zero_divide_cannot_be_designed(self):
         # every section's denominator is 0 at 0 Hz here while a numerator is not: the
