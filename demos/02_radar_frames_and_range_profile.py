@@ -59,7 +59,7 @@ print("strongest range peaks:",
 truth_motion = synth_motion(targets[0].subject, make_time_grid(60.0, 50.0))
 phase_truth = 4 * np.pi * (truth_motion * 1e-3) / chirp.carrier_wavelength
 write_series_csv(out / "phase_vs_truth.csv", {
-    "t_s": np.arange(extraction.phase.size) / extraction.slow_rate,
+    "t_s": np.arange(extraction.phase.size) / frames.slow_rate,
     "phase_rad": extraction.phase - extraction.phase.mean(),
     "truth_rad": phase_truth - phase_truth.mean(),
 })

@@ -42,11 +42,11 @@ def _resolve_out(explicit: str | None, default_name: str) -> Path:
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = formats.loads_finite(config_path.read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number that is not finite
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -86,7 +86,7 @@ def _load_bundle(bundle_dir: str):
     except (FileNotFoundError, formats.CorruptFramesError) as exc:
         print(str(exc), file=sys.stderr)
         return None, EXIT_IO
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"bundle is malformed: {exc}", file=sys.stderr)
         return None, EXIT_VALIDATION
 
@@ -139,7 +139,8 @@ def _series_files(tag, contact, analysis, targets) -> dict:
         for (_, name), ext in zip(targets, phases):
             if isinstance(ext, pipelines.PhaseSeries):  # else its report holds the error
                 files[f"phase_{tag}_{name}.csv"] = {
-                    "t_s": np.arange(ext.phase.size) / ext.slow_rate, "phase_rad": ext.phase}
+                    "t_s": np.arange(ext.phase.size) / analysis.frames.slow_rate,
+                    "phase_rad": ext.phase}
     return files
 
 

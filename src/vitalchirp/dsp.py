@@ -76,9 +76,9 @@ class BandpassSpec:
     sample_rate: float
 
     def __post_init__(self):
-        if not 0 < self.low_edge < self.high_edge < self.sample_rate / 2:
+        if not 0 < self.low_edge < self.high_edge < self.sample_rate / 2 < math.inf:
             raise ValueError(
-                f"band edges must satisfy 0 < low < high < Nyquist, got "
+                f"band edges must satisfy 0 < low < high < Nyquist < inf, got "
                 f"({self.low_edge}, {self.high_edge}) at {self.sample_rate} Sa/s"
             )
 

@@ -12,6 +12,10 @@ Byte-exact layout, little-endian throughout:
 * remaining bytes: ``slow_count * fast_count`` float64 samples, row-major
   (slow-time rows, fast-time columns)
 
+``acquisition`` sizes the payload and sets the rates; a header whose count or
+rate keys disagree with it, or that holds a number that is not finite, is
+corrupt.  The frames' truth is the header's ``truth`` (``truth.json`` copies it).
+
 Bundle directory layout
 -----------------------
 ``scenario.json`` (resolved config), ``truth.json``, ``manifest.json``,
@@ -39,6 +43,7 @@ from .scenario import Scenario, WdmChannel, channel_name
 __all__ = [
     "FRAMES_MAGIC",
     "CorruptFramesError",
+    "loads_finite",
     "write_frames",
     "read_frames",
     "write_series_csv",
@@ -62,6 +67,17 @@ FLOAT_FMT = "%.12g"
 
 class CorruptFramesError(IOError):
     """Frames container failed structural validation."""
+
+
+def _finite(text: str) -> float:
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def loads_finite(text: str):
+    """``json.loads`` rejecting ``NaN``, ``Infinity`` and literals past the float range."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
 # ---------------------------------------------------------------- frames bin
@@ -127,7 +143,7 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
 
 
 def read_frames(path: str | Path) -> DechirpFrameSet:
-    """Read a frames container, validating structure and payload size."""
+    """Read a frames container, checking its header against the layout and ``acquisition``."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(4)
@@ -139,17 +155,19 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     if len(blob) < hlen:
         raise CorruptFramesError(f"{path}: truncated inside JSON header (offset 4)")
     try:
-        header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = loads_finite(blob.decode("utf-8"))
+    except ValueError as exc:
         raise CorruptFramesError(f"{path}: invalid JSON header (offset 4): {exc}") from exc
     if header.get("format") != FRAMES_MAGIC or header.get("version") != FRAMES_VERSION:
         raise CorruptFramesError(f"{path}: not a {FRAMES_MAGIC} v{FRAMES_VERSION} file")
-    for key, value in _FRAMES_LAYOUT.items():
+    acq = AcquisitionParams(**header["acquisition"])
+    slow, fast = acq.slow_count, acq.fast_count
+    for key, value in {**_FRAMES_LAYOUT, "slow_count": slow, "fast_count": fast,
+                       "slow_rate_hz": acq.slow_rate, "fast_rate_sa_s": acq.fast_rate}.items():
         if header.get(key) != value:
             raise CorruptFramesError(
-                f"{path}: header {key} {header.get(key)!r}, but payloads are read as {value!r}")
+                f"{path}: header {key} {header.get(key)!r}, but the file is read as {value!r}")
 
-    slow, fast = int(header["slow_count"]), int(header["fast_count"])
     expected = slow * fast * 8
     if payload_len != expected:
         raise CorruptFramesError(
@@ -160,14 +178,8 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     if not np.all(np.isfinite(samples)):
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
     truth = tuple(_target_from_dict(t) for t in header.get("truth", [])) or None
-    return DechirpFrameSet(
-        samples=samples,
-        slow_rate=float(header["slow_rate_hz"]),
-        fast_rate=float(header["fast_rate_sa_s"]),
-        chirp=ChirpParams(**header["chirp"]),
-        acquisition=AcquisitionParams(**header["acquisition"]),
-        truth=truth,
-    )
+    return DechirpFrameSet(samples=samples, chirp=ChirpParams(**header["chirp"]),
+                           acquisition=acq, truth=truth)
 
 
 # ------------------------------------------------------------------- CSVs
@@ -181,9 +193,8 @@ def write_series_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def write_intensity_csv(path: str | Path, record: IntensityRecord) -> None:
-    write_series_csv(
-        path, {"t_s": record.grid.instants(), "intensity": record.samples}
-    )
+    write_series_csv(path, {"t_s": np.arange(record.samples.size) / record.sample_rate,
+                            "intensity": record.samples})
 
 
 def read_intensity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +284,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         if result.intensity is not None:
             write_intensity_csv(chdir / "contact.csv", result.intensity)
             entry["contact_subject"] = _subject_to_dict(result.channel.contact_subject)
-            entry["contact_sample_rate"] = result.intensity.grid.sample_rate
+            entry["contact_sample_rate"] = result.intensity.sample_rate
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:
             write_frames(result.frames, chdir / "frames.bin")
@@ -311,11 +322,11 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     scenario_path = root / "scenario.json"
     if not scenario_path.is_file():
         raise FileNotFoundError(f"{root} is not a bundle: missing scenario.json")
-    config = json.loads(scenario_path.read_text(encoding="utf-8"))
+    config = loads_finite(scenario_path.read_text(encoding="utf-8"))
     truth = {}
     truth_path = root / "truth.json"
     if truth_path.is_file():
-        truth = json.loads(truth_path.read_text(encoding="utf-8")).get("channels", {})
+        truth = loads_finite(truth_path.read_text(encoding="utf-8")).get("channels", {})
 
     loaded = LoadedBundle()
     for chd in config.get("channels", []):
@@ -333,7 +344,5 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         frames_bin = chdir / "frames.bin"
         if frames_bin.is_file():
             lc.frames = read_frames(frames_bin)
-            if lc.frames.truth is None and entry.get("targets"):
-                lc.frames.truth = tuple(_target_from_dict(t) for t in entry["targets"])
         loaded.channels.append(lc)
     return loaded

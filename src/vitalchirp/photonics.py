@@ -15,7 +15,7 @@ processing chain consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class IfLfmParams:
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Frequency-quadrupled transmit chirp derived from an IF-LFM drive."""
+    """Frequency-quadrupled transmit chirp from an IF-LFM drive; all fields positive, finite."""
 
     start_freq: float
     sweep_bandwidth: float
@@ -78,6 +78,15 @@ class ChirpParams:
     pulse_period: float
     pulse_width: float
     carrier_wavelength: float
+
+    def __post_init__(self):
+        bad = [f.name for f in fields(self) if not 0 < getattr(self, f.name) < np.inf]
+        if bad:
+            raise ValueError(f"chirp {', '.join(bad)} must be positive and finite")
+
+    def beat_range(self, freq):
+        """Range whose de-chirped beat tone is ``freq``: R = c f / (2 chirp_rate)."""
+        return SPEED_OF_LIGHT * freq / (2.0 * self.chirp_rate)
 
     @property
     def center_freq(self) -> float:
@@ -164,10 +173,10 @@ def fbg_transmission(fbg: FbgProfile, freq_offset) -> np.ndarray:
 
 @dataclass
 class IntensityRecord:
-    """Detected optical power series from the contact channel."""
+    """Detected optical power from the contact channel, sample ``n`` at ``n / sample_rate`` s."""
 
     samples: np.ndarray
-    grid: TimeGrid
+    sample_rate: float
     edge_warning: bool = False
 
 
@@ -209,4 +218,4 @@ def contact_intensity(
         power = power * (1.0 + rng.normal(0.0, noise_rms, grid.count))
 
     edge = bool(np.max(np.abs(offset)) > 3.0 * fbg.sigma) if x.size else False
-    return IntensityRecord(samples=power, grid=grid, edge_warning=edge)
+    return IntensityRecord(samples=power, sample_rate=grid.sample_rate, edge_warning=edge)

@@ -58,14 +58,16 @@ def make_time_grid(duration: float, sample_rate: float) -> TimeGrid:
 
     The sample count is ``floor(duration * sample_rate)``, guarded by 1e-9 so
     that a duration on the sample grid keeps its last sample: the rule
-    :func:`prefix_length` cuts records by.  A grid with no sample is rejected.
+    :func:`prefix_length` cuts records by.  A grid of no or infinitely many samples is rejected.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
-    count = int(duration * sample_rate + 1e-9)
-    return TimeGrid(sample_rate=sample_rate, count=count)
+    count = duration * sample_rate + 1e-9
+    if not count < np.inf:
+        raise ValueError(f"{duration} s at {sample_rate} Sa/s is past the float range")
+    return TimeGrid(sample_rate=sample_rate, count=int(count))
 
 
 def prefix_length(duration: float, sample_rate: float, count: int) -> int:

@@ -231,7 +231,7 @@ def contact_rates(
     """
     if isinstance(intensity, IntensityRecord):
         series = intensity.samples
-        sample_rate = intensity.grid.sample_rate
+        sample_rate = intensity.sample_rate
     else:
         series = np.asarray(intensity, dtype=float)
     if not np.all(np.isfinite(series)):
@@ -263,20 +263,15 @@ class RangeProfile:
         return idx[np.argsort(m[idx])[::-1]]
 
 
-def _beat_to_range(chirp, freq):
-    return SPEED_OF_LIGHT * freq / (2.0 * chirp.chirp_rate)
-
-
 def _bin_width(frames: DechirpFrameSet) -> float:
-    return _beat_to_range(frames.chirp, frames.fast_rate / frames.fast_count)
+    return frames.chirp.beat_range(frames.fast_rate / frames.fast_count)
 
 
 @dataclass
 class PhaseSeries:
-    """Unwrapped slow-time phase of one range bin."""
+    """Unwrapped slow-time phase of one range bin, sampled at its frames' ``slow_rate``."""
 
     phase: np.ndarray
-    slow_rate: float
     bin_index: int
     bin_range: float
 
@@ -328,11 +323,11 @@ class FrameAnalysis:
         """Slow-time-averaged hann magnitude: the profile targets are selected on.
 
         The frequency axis maps to range through the de-chirp relation
-        R = c f / (2 chirp_rate).
+        :meth:`photonics.ChirpParams.beat_range`.
         """
         frames = self.frames
         freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-        return RangeProfile(_beat_to_range(frames.chirp, freqs),
+        return RangeProfile(frames.chirp.beat_range(freqs),
                             self.magnitudes.mean(axis=0), _bin_width(frames))
 
     def targets(self) -> list[tuple[float, str]]:
@@ -390,7 +385,6 @@ class FrameAnalysis:
                 continue
             results.append(PhaseSeries(
                 phase=dsp.unwrap_phase(np.angle(self.spectra[:, nearest])) * scale,
-                slow_rate=frames.slow_rate,
                 bin_index=nearest,
                 bin_range=float(profile.ranges[nearest]),
             ))
@@ -516,7 +510,7 @@ def resolution_sweep(
     else:
         if isinstance(source, IntensityRecord):
             series = source.samples
-            sample_rate = source.grid.sample_rate
+            sample_rate = source.sample_rate
         else:
             series = np.asarray(source, dtype=float)
         modality, rate, count = "contact", sample_rate, series.size

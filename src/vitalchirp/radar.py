@@ -97,14 +97,20 @@ class AcquisitionParams:
 
 @dataclass
 class DechirpFrameSet:
-    """Slow-time x fast-time matrix of real de-chirped samples."""
+    """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``."""
 
     samples: np.ndarray
-    slow_rate: float
-    fast_rate: float
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
+
+    @property
+    def slow_rate(self) -> float:
+        return self.acquisition.slow_rate
+
+    @property
+    def fast_rate(self) -> float:
+        return self.acquisition.fast_rate
 
     @property
     def slow_count(self) -> int:
@@ -121,25 +127,18 @@ class DechirpFrameSet:
     def truncated(self, duration: float) -> "DechirpFrameSet":
         """First ``duration`` seconds of the record as a new frame set."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
-        return DechirpFrameSet(
-            samples=self.samples[:rows],
-            slow_rate=self.slow_rate,
-            fast_rate=self.fast_rate,
-            chirp=self.chirp,
-            acquisition=replace(self.acquisition, duration=rows / self.slow_rate),
-            truth=self.truth,
-        )
+        return replace(self, samples=self.samples[:rows],
+                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
 
 
 def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
     """Largest range whose beat tone stays below the fast-time Nyquist.
 
-    The beat frequency is ``2 chirp_rate R / c``, so
-    R_max = c (fast_rate / 2) / (2 chirp_rate).
+    R_max = ``chirp.beat_range(fast_rate / 2)``.
     """
     if fast_rate <= 0:
         raise ValueError("fast_rate must be > 0")
-    return SPEED_OF_LIGHT * (fast_rate / 2.0) / (2.0 * chirp.chirp_rate)
+    return chirp.beat_range(fast_rate / 2.0)
 
 
 def scene_violations(targets, chirp: ChirpParams, acq: AcquisitionParams) -> list[str]:
@@ -223,11 +222,5 @@ def synth_dechirp_frames(
             block *= noise_scale
             samples[rows] += block
 
-    return DechirpFrameSet(
-        samples=samples,
-        slow_rate=acq.slow_rate,
-        fast_rate=acq.fast_rate,
-        chirp=chirp,
-        acquisition=acq,
-        truth=tuple(targets) if targets else None,
-    )
+    return DechirpFrameSet(samples=samples, chirp=chirp, acquisition=acq,
+                           truth=tuple(targets) if targets else None)

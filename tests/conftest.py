@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -40,6 +42,21 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def frames_header(path):
+    """The parsed JSON header of the frames file at ``path``, and the payload bytes after it."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[:4])
+    return json.loads(raw[4:4 + hlen]), raw[4 + hlen:]
+
+
+def edit_frames_header(path, edit):
+    """Rewrite the header of the frames file at ``path`` as ``edit(header)`` leaves it."""
+    header, payload = frames_header(path)
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + payload)
 
 
 @pytest.fixture()

@@ -12,6 +12,8 @@ from vitalchirp.formats import read_bundle, read_frames, write_frames
 from vitalchirp.physio import PRESET_SUBJECTS
 from vitalchirp.pipelines import FrameAnalysis, band_waveforms
 
+from conftest import edit_frames_header
+
 CONFIG = {
     "duration_s": 60.0,
     "seed": 11,
@@ -174,6 +176,41 @@ class TestSimulate:
         del second["fbg"], second["contact_subject"]
         err = simulate_rejected(tmp_path, capsys, bad)
         assert "channel 1549.92 nm has no role" in err
+
+    @pytest.mark.parametrize("path, literal", [
+        ("channels.0.radar_targets.0.range_m", "NaN"),
+        ("channels.0.radar_targets.0.reflectivity", "NaN"),
+        ("acquisition.amplitude_exponent", "NaN"),
+        ("channels.0.contact_subject.resp_amplitude", "NaN"),
+        ("channels.0.contact_subject.heart_phase", "Infinity"),
+        ("channels.0.fbg.fwhm_3db", "Infinity"),
+        ("channels.0.radar_targets.0.reflectivity", "Infinity"),
+        ("acquisition.noise_rms", "NaN"),
+        ("channels.1.contact_noise_rms", "NaN"),
+        ("contact_sample_rate", "Infinity"),
+        ("channels.1.wavelength_nm", "Infinity"),
+        ("duration_s", "-Infinity"),
+        ("channels.0.radar_targets.0.range_m", "1e400"),
+    ])
+    def test_non_finite_number_validation_exit(self, tmp_path, capsys, path, literal):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["channels"][0]["contact_subject"] = {"id": "subject-x", "respiration_rate": 16.0,
+                                                 "heartbeat_rate": 70.0}
+        *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        entry = bad
+        for key in keys:
+            entry = entry[key]
+        entry[last] = "<number>"
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(bad).replace('"<number>"', literal))
+        out = tmp_path / "b"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"number {literal} is not finite" in capsys.readouterr().err
+
+    def test_record_past_float_range_validation_exit(self, tmp_path, capsys):
+        err = simulate_rejected(tmp_path, capsys, {**CONFIG, "duration_s": 1e308})
+        assert "past the float range" in err
 
     def test_same_seed_byte_identical_payloads(self, tmp_path):
         config = write_config(tmp_path)
@@ -388,6 +425,47 @@ class TestProcess:
         assert main(["process", str(broken), "--out", str(tmp_path / "out")]) == 3
         assert "header order 'F'" in capsys.readouterr().err
 
+    def test_header_rate_disagreeing_with_acquisition_io_exit(self, bundle_dir, tmp_path,
+                                                               capsys):
+        broken = bundle_copy(bundle_dir, tmp_path / "rate")
+        edit_frames_header(broken / "channel_1549.36" / "frames.bin",
+                           lambda header: header.update(slow_rate_hz=25))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == 3
+        assert "header slow_rate_hz 25, but" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["process", "sweep"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("chirp", "chirp_rate", 0),
+        ("acquisition", "duration", 1e308),
+    ])
+    def test_unusable_header_value_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                   command, section, key, value):
+        broken = bundle_copy(bundle_dir, tmp_path / "bad")
+        edit_frames_header(broken / "channel_1549.36" / "frames.bin",
+                           lambda header: header[section].update({key: value}))
+        out = tmp_path / "out"
+        assert main([command, str(broken), "--out", str(out)]) == 2
+        assert "bundle is malformed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["acquisition", "chirp", "truth", "contact_subject"])
+    def test_unknown_bundle_entry_validation_exit(self, bundle_dir, tmp_path, capsys, where):
+        broken = bundle_copy(bundle_dir, tmp_path / "extra")
+        if where == "contact_subject":
+            truth_path = broken / "truth.json"
+            truth = json.loads(truth_path.read_text())
+            truth["channels"]["1549.36"]["contact_subject"]["surplus"] = 1
+            truth_path.write_text(json.dumps(truth))
+        else:
+            edit_frames_header(broken / "channel_1549.36" / "frames.bin", lambda header: (
+                header["truth"][0] if where == "truth" else header[where]).update(surplus=1))
+        assert main(["process", str(broken), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "bundle is malformed: " in err
+        assert "'surplus'" in err
+
     def test_corrupt_frames_io_exit(self, bundle_dir, tmp_path, capsys):
         import shutil
 
@@ -545,6 +623,13 @@ class TestFilterDesign:
             main(["filter-design", "--band", "0.13", "0.5", "--sample-rate", "50", *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_infinite_sample_rate_validation_exit(self, tmp_path, capsys):
+        out = tmp_path / "fd"
+        assert main(["filter-design", "--band", "0.13", "0.5", "--sample-rate", "inf",
+                     "--out", str(out)]) == 2
+        assert "at inf Sa/s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VITALCHIRP_OUT", str(tmp_path))

@@ -1,7 +1,8 @@
 """The docs name only what the package has: every backticked ``<module>.<name>``
 in README.md resolves, each command line in the README and in the CLI's usage
-text lists every option its subcommand defines, and every ``--option`` either
-text names is defined by some subcommand."""
+text lists every option its subcommand defines, every ``--option`` either
+text names is defined by some subcommand, and the README and the ``formats``
+docstring list the keys ``formats.write_frames`` writes."""
 
 import argparse
 import importlib
@@ -12,7 +13,11 @@ from pathlib import Path
 import pytest
 
 import vitalchirp
-from vitalchirp import cli
+from vitalchirp import cli, formats
+from vitalchirp.physio import preset_subject
+from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
+
+from conftest import frames_header
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 MODULES = {m.name for m in pkgutil.iter_modules(vitalchirp.__path__)}
@@ -82,3 +87,23 @@ def test_every_named_option_is_defined(text):
                for option in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
     assert sorted(named - defined) == []
+
+
+def _listed_keys(text, start, end):
+    """The backticked names between ``start`` and ``end`` in ``text``, whitespace joined."""
+    text = " ".join(text.split())
+    return sorted(re.findall(r"`+(\w+)`+", text.split(start, 1)[1].split(end, 1)[0]))
+
+
+@pytest.mark.parametrize("listed", [
+    _listed_keys(README.split("### Frames container", 1)[1], "JSON header (", "),"),
+    _listed_keys(formats.__doc__, "JSON header with keys", "* remaining bytes"),
+], ids=["readme", "formats-docstring"])
+def test_frames_header_keys_are_the_written_ones(listed, chirp, tmp_path):
+    frames = synth_dechirp_frames([RadarTarget(preset_subject("subject-b"), 1.00)], chirp,
+                                  AcquisitionParams(duration=0.1))
+    path = tmp_path / "frames.bin"
+    formats.write_frames(frames, path)
+    written = sorted(frames_header(path)[0])
+    assert "truth" in written
+    assert listed == written

@@ -55,6 +55,10 @@ class TestDesignBandpass:
         with pytest.raises(ValueError):
             BandpassSpec(0.5, 0.13, 50.0)
 
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(ValueError, match="at inf Sa/s"):
+            BandpassSpec(0.13, 0.5, np.inf)
+
     def test_edge_at_nyquist_rejected(self):
         with pytest.raises(ValueError):
             BandpassSpec(0.8, 25.0, 50.0)

@@ -14,6 +14,7 @@ from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, syn
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 from vitalchirp.scenario import WdmChannel, validate_scenario
 
+from conftest import edit_frames_header
 from test_scenario import two_channel_scenario
 
 
@@ -87,6 +88,44 @@ class TestFramesContainer:
         blob = json.dumps(header).encode()
         path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen:])
         with pytest.raises(formats.CorruptFramesError, match=f"header {key} '{value}'"):
+            formats.read_frames(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("slow_count", 99), ("fast_count", 601), ("slow_rate_hz", 25.0),
+        ("fast_rate_sa_s", 5e6), ("slow_count", None),
+    ])
+    def test_header_copy_disagreeing_with_acquisition_rejected(self, small_frames, tmp_path,
+                                                               key, value):
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        edit_frames_header(path, lambda header: header.update({key: value}) if value is not None
+                           else header.pop(key))
+        with pytest.raises(formats.CorruptFramesError, match=f"header {key} {value!r}"):
+            formats.read_frames(path)
+
+    @pytest.mark.parametrize("duration, slow_period", [(2.0, 20e-3), (1.37, 30e-3)])
+    def test_truncations_round_trip(self, chirp, tmp_path, duration, slow_period):
+        acq = AcquisitionParams(duration=duration, slow_period=slow_period, noise_rms=0.1)
+        targets = [RadarTarget(preset_subject("subject-b"), 1.00)]
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=2)
+        path = tmp_path / "frames.bin"
+        cuts = np.random.default_rng(int(duration * 100)).uniform(0.05, duration, 8)
+        for cut in (duration, *cuts):
+            part = frames.truncated(cut)
+            formats.write_frames(part, path)
+            loaded = formats.read_frames(path)
+            assert (loaded.slow_rate, loaded.fast_rate) == (part.slow_rate, part.fast_rate)
+            assert loaded.acquisition == part.acquisition
+            assert loaded.acquisition.slow_count == loaded.slow_count
+            assert np.array_equal(loaded.samples, part.samples)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_header_number_rejected(self, small_frames, tmp_path, literal):
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        edit_frames_header(path, lambda header: header["acquisition"].update(
+            noise_rms=float(literal)))
+        with pytest.raises(formats.CorruptFramesError, match=f"number {literal} is not finite"):
             formats.read_frames(path)
 
     def test_garbage_header(self, tmp_path):
@@ -287,6 +326,19 @@ class TestBundleIO:
         assert np.allclose(
             ch1.intensity, bundle.channels[1549.36].intensity.samples, rtol=1e-10
         )
+
+    def test_frames_truth_is_read_from_the_frames_header_only(self, tmp_path):
+        from vitalchirp.scenario import run_scenario
+
+        out = formats.write_bundle(run_scenario(two_channel_scenario(duration=10.0, seed=4)),
+                                   tmp_path / "bundle")
+        frames_path = out / "channel_1549.36" / "frames.bin"
+        frames = formats.read_frames(frames_path)
+        frames.truth = None
+        formats.write_frames(frames, frames_path)
+        (ch1,) = [c for c in formats.read_bundle(out).channels if c.wavelength_nm == 1549.36]
+        assert ch1.frames.truth is None
+        assert ch1.contact_subject.id == "subject-a"
 
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(FileNotFoundError):

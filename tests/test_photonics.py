@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestContactIntensity:
         grid = make_time_grid(5.0, 50.0)
         with pytest.raises(ValueError):
             contact_intensity(np.zeros(10), fbg, grid)
+
+
+class TestChirpParams:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_field_not_positive_and_finite_rejected(self, chirp, value):
+        for field in fields(chirp):
+            with pytest.raises(ValueError, match=f"chirp {field.name} must be positive"):
+                replace(chirp, **{field.name: value})
+
+    def test_beat_range_inverts_the_beat_tone(self, chirp):
+        ranges = np.array([0.5, 1.0, 1.65, 4.0])
+        beats = 2.0 * chirp.chirp_rate * ranges / SPEED_OF_LIGHT
+        assert np.allclose(chirp.beat_range(beats), ranges, rtol=1e-14, atol=0)
 
 
 class TestDeriveChirp:

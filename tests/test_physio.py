@@ -36,6 +36,10 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_time_grid(duration, rate)
 
+    def test_count_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="past the float range"):
+            make_time_grid(1e308, 50.0)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(sample_rate=50.0, count=0)

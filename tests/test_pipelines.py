@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vitalchirp import dsp
 from vitalchirp.formats import read_frames, write_frames
-from vitalchirp.photonics import contact_intensity
+from vitalchirp.photonics import IntensityRecord, contact_intensity
 from vitalchirp.physio import (
     HEART_BAND,
     RESP_BAND,
@@ -14,13 +16,19 @@ from vitalchirp.physio import (
 )
 from vitalchirp.pipelines import (
     FrameAnalysis,
+    PhaseSeries,
     TargetSelectionError,
     band_waveforms,
     contact_rates,
     contactless_rates,
     resolution_sweep,
 )
-from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
+from vitalchirp.radar import (
+    AcquisitionParams,
+    DechirpFrameSet,
+    RadarTarget,
+    synth_dechirp_frames,
+)
 
 from conftest import traced_peak, two_person_scene
 
@@ -533,3 +541,13 @@ class TestOneTransformPerCall:
         assert got_sweep == want_sweep
         assert [r.to_dict() for r in got_rates] == want_rates
         assert rfft_2d_calls == []
+
+
+@pytest.mark.parametrize("record, names", [
+    (DechirpFrameSet, ["samples", "chirp", "acquisition", "truth"]),
+    (PhaseSeries, ["phase", "bin_index", "bin_range"]),
+    (IntensityRecord, ["samples", "sample_rate", "edge_warning"]),
+])
+def test_records_store_no_sampling_fact_twice(record, names):
+    """A frame set's rates are its acquisition's, a phase series' its frames'."""
+    assert [f.name for f in fields(record)] == names

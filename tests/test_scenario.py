@@ -63,6 +63,10 @@ class TestValidateScenario:
         # off-grid wavelengths only warn
         assert len(report.warnings) == 2
 
+    def test_infinite_record_rate(self):
+        report = validate_scenario(replace(two_channel_scenario(), contact_sample_rate=np.inf))
+        assert [v for v in report.violations if v.startswith("contact record: ")] != []
+
     def test_duplicate_wavelength(self):
         s = two_channel_scenario()
         s = Scenario(channels=(s.channels[0], s.channels[0]), acquisition=s.acquisition)
