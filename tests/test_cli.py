@@ -12,7 +12,7 @@ from vitalchirp.formats import read_bundle, read_frames, write_frames
 from vitalchirp.physio import PRESET_SUBJECTS
 from vitalchirp.pipelines import FrameAnalysis, band_waveforms
 
-from conftest import edit_frames_header
+from conftest import edit_frames_header, frames_header
 
 CONFIG = {
     "duration_s": 60.0,
@@ -191,6 +191,7 @@ class TestSimulate:
         ("channels.1.wavelength_nm", "Infinity"),
         ("duration_s", "-Infinity"),
         ("channels.0.radar_targets.0.range_m", "1e400"),
+        pytest.param("duration_s", str(10**400), id="duration_s-10**400"),
     ])
     def test_non_finite_number_validation_exit(self, tmp_path, capsys, path, literal):
         bad = json.loads(json.dumps(CONFIG))
@@ -438,6 +439,7 @@ class TestProcess:
     @pytest.mark.parametrize("command", ["process", "sweep"])
     @pytest.mark.parametrize("section, key, value", [
         ("chirp", "chirp_rate", 0),
+        ("chirp", "carrier_wavelength", True),
         ("acquisition", "duration", 1e308),
     ])
     def test_unusable_header_value_validation_exit(self, bundle_dir, tmp_path, capsys,
@@ -465,6 +467,48 @@ class TestProcess:
         err = capsys.readouterr().err
         assert "bundle is malformed: " in err
         assert "'surplus'" in err
+
+    @pytest.mark.parametrize("where, status", [
+        ("scenario.json", 2), ("truth.json", 2), ("truth.json channel 1549.36", 2),
+        ("header", 3),
+    ])
+    def test_document_not_an_object_exit(self, bundle_dir, tmp_path, capsys, where, status):
+        broken = bundle_copy(bundle_dir, tmp_path / "list")
+        if where == "header":
+            frames = broken / "channel_1549.36" / "frames.bin"
+            _, payload = frames_header(frames)
+            frames.write_bytes(struct.pack("<I", 2) + b"[]" + payload)
+        elif where == "truth.json channel 1549.36":
+            truth = json.loads((broken / "truth.json").read_text())
+            truth["channels"]["1549.36"] = []
+            (broken / "truth.json").write_text(json.dumps(truth))
+        else:
+            (broken / where).write_text("[]")
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == status
+        assert f"{where} is a list, not a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [], "0 rows of"),
+        (lambda lines: lines[:1], "0 rows of"),
+        (lambda lines: lines[:100] + lines[101:], "t_s (2999 rows) is not k / 50.0 for k < 3000"),
+        (lambda lines: lines[:-7], "t_s (2993 rows) is not k / 50.0 for k < 3000"),
+        (lambda lines: lines[:100] + ["2.02,1"] + lines[101:],
+         "t_s (3000 rows) is not k / 50.0 for k < 3000"),
+    ], ids=["empty", "header-only", "dropped-row", "last-rows-cut", "moved-instant"])
+    def test_contact_csv_off_its_record_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                        edit, message):
+        broken = bundle_copy(bundle_dir, tmp_path / "csv")
+        csv_path = broken / "channel_1549.92" / "contact.csv"
+        lines = edit(csv_path.read_text().splitlines())
+        csv_path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bundle is malformed: " in err
+        assert message in err
+        assert not out.exists()
 
     def test_corrupt_frames_io_exit(self, bundle_dir, tmp_path, capsys):
         import shutil

@@ -2,6 +2,7 @@
 
 scipy is used here only; the package never imports it.  Tolerances:
 
+* the prototype table within 1e-15 of ``ellipap``;
 * sections within 1e-12 of scipy's, relative to each section's largest
   coefficient (the ports agree to about 3e-14);
 * filtered series within 1e-12 of the output's peak on the vital-sign
@@ -92,6 +93,17 @@ def unchecked_design(monkeypatch):
 
 
 class TestDesign:
+    def test_prototype_table_is_ellipap(self):
+        def ordered(v):
+            return v[np.lexsort((v.imag, v.real))]
+
+        z, p, k = dsp.PROTOTYPE_ZPK
+        ref_z, ref_p, ref_k = sps.ellipap(dsp.ORDER, dsp.PASSBAND_RIPPLE_DB,
+                                          dsp.STOPBAND_ATTEN_DB)
+        assert np.max(np.abs(ordered(z) - ordered(ref_z))) <= 1e-15
+        assert np.max(np.abs(ordered(p) - ordered(ref_p))) <= 1e-15
+        assert abs(k - ref_k) <= 1e-15
+
     @pytest.mark.parametrize("pair", range(1, len(RATES) // 2 + 1))
     def test_sections_match_scipy_ellip(self, unchecked_design, pair):
         # RATES two at a time, so a failure names the rates it is at
