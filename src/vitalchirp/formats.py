@@ -91,6 +91,13 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _objects(value, where: str) -> list[dict]:
+    """``value``, a list of JSON objects; ``ValueError`` naming ``where`` or its entry if not."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} is a {type(value).__name__}, not a JSON list")
+    return [_object(item, f"{where}[{k}]") for k, item in enumerate(value)]
+
+
 # ---------------------------------------------------------------- frames bin
 
 def _subject_to_dict(subject: SubjectVitals) -> dict:
@@ -352,8 +359,10 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         truth = _object(loads_finite(truth_path.read_text(encoding="utf-8")), "truth.json")
         truth = _object(truth.get("channels", {}), "truth.json channels")
 
+    if "channels" not in config:
+        raise ValueError("scenario.json has no channels")
     loaded = LoadedBundle()
-    for chd in config.get("channels", []):
+    for chd in _objects(config["channels"], "scenario.json channels"):
         wl = float(chd["wavelength_nm"])
         name = channel_name(wl)
         chdir = root / f"channel_{name}"

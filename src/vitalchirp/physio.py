@@ -8,7 +8,7 @@ millimetres on a uniform :class:`TimeGrid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class SubjectVitals:
     rng_seed: int = 0
 
     def __post_init__(self):
+        flags = [f.name for f in fields(self) if isinstance(getattr(self, f.name), bool)]
+        if any(isinstance(v, bool) for pair in self.resp_harmonics for v in pair):
+            flags.append("resp_harmonics")
+        if flags:
+            raise ValueError(f"{', '.join(flags)} must be numbers, not true or false")
         if not 0 < self.respiration_rate <= 60:
             raise ValueError(
                 f"respiration_rate must be in (0, 60] rpm, got {self.respiration_rate}"

@@ -14,6 +14,8 @@ triggered oscilloscope capture.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +37,8 @@ DEFAULT_RADAR_NOISE_RMS = 0.5
 DEFAULT_DURATION = 60.0
 
 # Rows of the frame matrix synthesized or transformed at a time: 256 rows of
-# 600 fast-time samples is 1.2 MB, a block that stays in cache.
+# 600 fast-time samples is 1.2 MB, a block that stays in cache.  Synthesis
+# hands the blocks in turn to up to two threads and draws the noise serially.
 FRAME_BLOCK_ROWS = 256
 
 
@@ -48,6 +51,10 @@ class RadarTarget:
     reflectivity: float = 1.0
 
     def __post_init__(self):
+        flags = [name for name in ("nominal_range", "reflectivity")
+                 if isinstance(getattr(self, name), bool)]
+        if flags:
+            raise ValueError(f"{', '.join(flags)} must be numbers, not true or false")
         if self.nominal_range <= 0:
             raise ValueError(f"nominal_range must be > 0, got {self.nominal_range}")
         if self.reflectivity < 0:
@@ -131,6 +138,13 @@ class DechirpFrameSet:
                        acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
     """Largest range whose beat tone stays below the fast-time Nyquist.
 
@@ -183,6 +197,13 @@ def synth_dechirp_frames(
     (equal to a single draw of the whole matrix), scaled by ``noise_rms``
     times the strongest target amplitude (or 1.0 for an empty scene).  An
     empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
+
+    The terms are summed in ``FRAME_BLOCK_ROWS``-row blocks that alternate
+    between up to two worker threads (fewer on fewer usable CPUs), while the
+    calling thread draws the noise serially, block by block in row order.
+    Each element is summed in the one-shot expressions' order, so the bytes
+    equal theirs whatever the thread count.  A worker's exception is raised
+    here.
     """
     problems = scene_violations(targets, chirp, acq)
     if problems:
@@ -203,24 +224,64 @@ def synth_dechirp_frames(
     noise_scale = acq.noise_rms * max((amp for _, _, amp in terms), default=1.0)
     rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
-    # Each block of rows is summed in one cache-sized buffer; the terms are
-    # added to zeros in target order and the noise is drawn in row order, so
-    # the frames equal the one-shot matrix expressions bit for bit.
+    # Up to two worker threads sum the terms, block k going to worker k mod
+    # workers, each in a buffer that this thread allocates and holds to the
+    # end (a worker's own allocations would come from a per-thread malloc
+    # arena and add to the peak RSS).  Meanwhile this thread draws the noise
+    # block by block in row order and adds it once that block's terms are
+    # in, so every element is zeros + the terms in target order + the noise:
+    # the one-shot matrix expressions bit for bit.
     samples = np.zeros((m_count, n_count))
-    buffer = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count))
-    for start in range(0, m_count, FRAME_BLOCK_ROWS):
-        stop = min(start + FRAME_BLOCK_ROWS, m_count)
-        rows, block = slice(start, stop), buffer[:stop - start]
-        for omega, phase, amp in terms:
-            np.multiply(omega[rows, None], t_fast, out=block)
-            block += phase[rows, None]
-            np.cos(block, out=block)
-            block *= amp
-            samples[rows] += block
-        if rng is not None:
-            rng.standard_normal(out=block)
-            block *= noise_scale
-            samples[rows] += block
+    blocks = [slice(start, min(start + FRAME_BLOCK_ROWS, m_count))
+              for start in range(0, m_count, FRAME_BLOCK_ROWS)]
+    height = blocks[0].stop
+    workers = min(2, _usable_cpus(), len(blocks))
+    done = [threading.Event() for _ in blocks]
+    errors = []
+
+    def add_terms(owned, buffer):
+        try:
+            for i in owned:
+                if errors:
+                    return
+                rows = blocks[i]
+                block = buffer[:rows.stop - rows.start]
+                for omega, phase, amp in terms:
+                    np.multiply(omega[rows, None], t_fast, out=block)
+                    block += phase[rows, None]
+                    np.cos(block, out=block)
+                    block *= amp
+                    samples[rows] += block
+                done[i].set()
+        except BaseException as exc:
+            errors.append(exc)
+        finally:  # a worker that stops leaves no block for the caller to wait on
+            for i in owned:
+                done[i].set()
+
+    buffers = [np.empty((height, n_count)) for _ in range(workers)]
+    threads = [threading.Thread(target=add_terms, name=f"synth_dechirp_frames-{k}",
+                                args=(range(k, len(blocks), workers), buffers[k]))
+               for k in range(workers)]
+    noise = np.empty((height, n_count)) if rng is not None else None
+    for thread in threads:
+        thread.start()
+    try:
+        for rows, finished in zip(blocks, done):
+            if noise is not None:
+                block = noise[:rows.stop - rows.start]
+                rng.standard_normal(out=block)
+                block *= noise_scale
+            finished.wait()
+            if errors:
+                break
+            if noise is not None:
+                samples[rows] += block
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     return DechirpFrameSet(samples=samples, chirp=chirp, acquisition=acq,
                            truth=tuple(targets) if targets else None)

@@ -489,6 +489,45 @@ class TestProcess:
         assert f"{where} is a list, not a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, key", [
+        ("truth.json", "respiration_rate"),
+        ("header subject", "heartbeat_rate"),
+        ("header target", "range_m"),
+    ])
+    def test_true_as_a_truth_number_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                    where, key):
+        broken = bundle_copy(bundle_dir, tmp_path / "flag")
+        if where == "truth.json":
+            truth = json.loads((broken / "truth.json").read_text())
+            truth["channels"]["1549.36"]["contact_subject"][key] = True
+            (broken / "truth.json").write_text(json.dumps(truth))
+        else:
+            edit_frames_header(broken / "channel_1549.36" / "frames.bin", lambda header: (
+                header["truth"][0]["subject"] if where == "header subject"
+                else header["truth"][0]).update({key: True}))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == 2
+        assert "must be numbers, not true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config.update(channels={}),
+         "scenario.json channels is a dict, not a JSON list"),
+        (lambda config: config.pop("channels"), "scenario.json has no channels"),
+        (lambda config: config["channels"].__setitem__(1, 1549.92),
+         "scenario.json channels[1] is a float, not a JSON object"),
+    ], ids=["object", "missing", "entry-not-an-object"])
+    def test_channel_list_not_a_list_of_objects_validation_exit(self, bundle_dir, tmp_path,
+                                                                capsys, edit, message):
+        broken = bundle_copy(bundle_dir, tmp_path / "channels")
+        config = json.loads((broken / "scenario.json").read_text())
+        edit(config)
+        (broken / "scenario.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == 2
+        assert f"bundle is malformed: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [], "0 rows of"),
         (lambda lines: lines[:1], "0 rows of"),

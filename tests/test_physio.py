@@ -76,6 +76,16 @@ class TestSubjectVitals:
         with pytest.raises(ValueError):
             SubjectVitals("x", 15.0, 80.0, resp_harmonics=((2, 1.5),))
 
+    @pytest.mark.parametrize("field", [
+        "respiration_rate", "heartbeat_rate", "resp_amplitude", "heart_amplitude",
+        "resp_phase", "heart_phase", "motion_noise_rms", "rng_seed", "resp_harmonics",
+    ])
+    def test_true_is_not_a_number(self, field):
+        value = ((2, True),) if field == "resp_harmonics" else True
+        kwargs = {"id": "x", "respiration_rate": 15.0, "heartbeat_rate": 80.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be numbers, not true or false"):
+            SubjectVitals(**kwargs)
+
     def test_presets_inside_filter_bands(self):
         for subject in PRESET_SUBJECTS.values():
             assert 0.13 <= subject.resp_freq <= 0.5

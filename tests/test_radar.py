@@ -1,6 +1,11 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from vitalchirp import radar
 from vitalchirp.photonics import SPEED_OF_LIGHT
 from vitalchirp.physio import PRESET_SUBJECTS, SubjectVitals, TimeGrid, synth_motion
 from vitalchirp.radar import (
@@ -121,6 +126,12 @@ class TestSynthFrames:
         with pytest.raises(ValueError, match="too-far"):
             synth_dechirp_frames([bad], chirp, acq)
 
+    @pytest.mark.parametrize("field", ["nominal_range", "reflectivity"])
+    def test_true_is_not_a_number(self, field):
+        kwargs = {"subject": static_subject(), "nominal_range": 1.0, field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be numbers, not true or false"):
+            RadarTarget(**kwargs)
+
     def test_frame_width_exceeding_pulse(self, chirp):
         acq = AcquisitionParams(frame_width=80e-6)
         with pytest.raises(ValueError, match="pulse_width"):
@@ -165,6 +176,36 @@ def preset_targets(*ranges, reflectivity=1.0):
     return [RadarTarget(subjects[i], r, reflectivity) for i, r in enumerate(ranges)]
 
 
+def fail_cos_call(monkeypatch, index):
+    """Make the ``index``-th ``np.cos`` call from now on raise ``FloatingPointError``."""
+    calls, cos = itertools.count(), np.cos
+
+    def failing_cos(*args, **kwargs):
+        if next(calls) == index:
+            raise FloatingPointError("cos failed")
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(radar.np, "cos", failing_cos)
+
+
+def within(timeout, call):
+    """``call()``'s result, or the exception it raised, run on a daemon thread; fails
+    if the call has not returned after ``timeout`` seconds."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), f"still running after {timeout} s"
+    return outcome[0]
+
+
 class TestBlockedSynthesis:
     """Row-blocked synthesis writes the one-shot expressions' bytes exactly."""
 
@@ -190,7 +231,67 @@ class TestBlockedSynthesis:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
-    def test_peak_memory_is_the_output_and_one_block(self, chirp):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("scene", ["four-targets", "one-block-plus-one"])
+    def test_bytes_equal_with_one_and_two_workers(self, chirp, monkeypatch, scene, cpus):
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        targets, acq_kwargs = self.SCENES[scene]
+        acq = AcquisitionParams(**acq_kwargs)
+        got = synth_dechirp_frames(targets, chirp, acq, seed=4).samples
+        want = one_shot_frames(targets, chirp, acq, seed=4)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("cpus, cap", [(1, 1), (2, 2), (64, 2)])
+    def test_threads_started_up_to_the_cap_and_joined(self, chirp, monkeypatch,
+                                                      cpus, cap):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(radar.threading, "Thread", Recorded)
+        targets, acq = two_person_scene()
+        synth_dechirp_frames(targets, chirp, acq, seed=1)
+        assert len(started) == cap
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_worker_exception_reaches_the_caller(self, chirp, monkeypatch):
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
+        fail_cos_call(monkeypatch, 1)
+        targets, acq = two_person_scene()
+        error = within(30, lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
+        assert isinstance(error, FloatingPointError) and str(error) == "cos failed"
+        assert not [t for t in threading.enumerate() if t.name.startswith("synth_dechirp")]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_never_waits_on_a_dead_worker(self, chirp, monkeypatch, cpus):
+        # the worker that dies on its first block leaves every block it owns unfinished
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        fail_cos_call(monkeypatch, 0)
+        targets, acq = two_person_scene()
+        error = within(30, lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
+        assert isinstance(error, FloatingPointError)
+
+    def test_bytes_hold_under_frequent_thread_switches(self, chirp, monkeypatch):
+        # two workers and the noise-drawing caller on a 2 us switch interval: a
+        # block whose noise landed before its terms would change the bytes
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
+        targets = preset_targets(1.00, 1.65, 2.40, 3.10)
+        acq = AcquisitionParams(duration=40.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(2e-6)
+        try:
+            got = within(60, lambda: synth_dechirp_frames(targets, chirp, acq, seed=7))
+        finally:
+            sys.setswitchinterval(interval)
+        want = one_shot_frames(targets, chirp, acq, seed=7)
+        assert np.array_equal(got.samples.view(np.uint8), want.view(np.uint8))
+
+    def test_peak_memory_is_the_output_and_three_blocks(self, chirp):
+        # one term buffer per worker and one noise buffer, all under 4 MiB
         targets, acq = two_person_scene()
         frames, peak = traced_peak(lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
         assert frames.samples.shape == (3000, 600)
