@@ -13,8 +13,6 @@ current directory) in a directory derived from the inputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from dataclasses import asdict, fields
@@ -31,12 +29,8 @@ EXIT_IO = 3
 EXIT_PROCESSING = 4
 
 
-def _out_root() -> Path:
-    return Path(os.environ.get("VITALCHIRP_OUT", "."))
-
-
 def _resolve_out(explicit: str | None, default_name: str) -> Path:
-    return Path(explicit) if explicit else _out_root() / default_name
+    return Path(explicit or Path(os.environ.get("VITALCHIRP_OUT", ".")) / default_name)
 
 
 def cmd_simulate(args) -> int:
@@ -170,10 +164,7 @@ def cmd_process(args) -> int:
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "reports.json").write_text(
-            json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
+        formats.write_json(out / "reports.json", [rep.to_dict() for rep in reports])
         for name, columns in files.items():
             formats.write_series_csv(out / name, columns)
     except OSError as exc:
@@ -217,14 +208,9 @@ def cmd_sweep(args) -> int:
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(
-            json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        header = [f.name for f in fields(pipelines.SweepEntry)]
-        with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([row[k] for k in header] for row in rows)
+        formats.write_json(out / "sweep.json", rows)
+        formats.write_series_csv(out / "sweep.csv", {
+            f.name: [row[f.name] for row in rows] for f in fields(pipelines.SweepEntry)})
     except OSError as exc:
         print(f"cannot write sweep outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -249,18 +235,12 @@ def cmd_filter_design(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         freqs, h = dsp.frequency_response(coeffs)
         mag_db = 20 * np.log10(np.maximum(np.abs(h), 1e-300))
-        formats.write_series_csv(
-            out / "response.csv", {"freq_hz": freqs, "magnitude_db": mag_db}
-        )
-        sections = [list(s) for s in coeffs.sections]
-        (out / "coefficients.json").write_text(
-            # design_bandpass folds the overall gain into the first section
-            json.dumps({"sos": sections, "gain": 1.0,
-                        "spec": {**asdict(spec), "passband_ripple": dsp.PASSBAND_RIPPLE_DB,
-                                 "stopband_atten": dsp.STOPBAND_ATTEN_DB, "order": dsp.ORDER}},
-                       indent=2),
-            encoding="utf-8",
-        )
+        formats.write_series_csv(out / "response.csv", {"freq_hz": freqs, "magnitude_db": mag_db})
+        # design_bandpass folds the overall gain into the first section
+        formats.write_json(out / "coefficients.json", {
+            "sos": [list(s) for s in coeffs.sections], "gain": 1.0,
+            "spec": {**asdict(spec), "passband_ripple": dsp.PASSBAND_RIPPLE_DB,
+                     "stopband_atten": dsp.STOPBAND_ATTEN_DB, "order": dsp.ORDER}})
     except OSError as exc:
         print(f"cannot write filter outputs: {exc}", file=sys.stderr)
         return EXIT_IO

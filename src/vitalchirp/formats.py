@@ -1,4 +1,8 @@
-"""File formats: frames container, CSV exports, scenario config, bundles.
+"""File formats: every file the package writes, and the bundle readers.
+
+A CSV is a header line of column names and one row per sample, each float as
+its ``repr`` (the shortest text that reads back to the same double) and None
+as an empty field.  A JSON file is indented, with sorted keys.
 
 Frames binary container (``frames.bin``)
 ----------------------------------------
@@ -25,6 +29,7 @@ holding ``contact.csv`` (columns t_s, intensity) and/or ``frames.bin``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import struct
@@ -48,6 +53,7 @@ __all__ = [
     "write_frames",
     "read_frames",
     "write_series_csv",
+    "write_json",
     "scenario_to_dict",
     "scenario_from_dict",
     "scenario_hash",
@@ -62,8 +68,6 @@ FRAMES_MAGIC = "vitalchirp-frames"
 FRAMES_VERSION = 1
 _FRAMES_LAYOUT = {"dtype": "<f8", "order": "C"}  # the one payload layout written and read
 TOOL_NAME = "vitalchirp"
-
-FLOAT_FMT = "%.12g"
 
 
 class CorruptFramesError(IOError):
@@ -153,10 +157,8 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
     if frames.truth:
         header["truth"] = [_target_to_dict(t) for t in frames.truth]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+    with Path(path).open("wb") as fh:
+        fh.write(struct.pack("<I", len(blob)) + blob)
         fh.write(np.ascontiguousarray(frames.samples, dtype=_FRAMES_LAYOUT["dtype"]))
 
 
@@ -200,14 +202,20 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
                            acquisition=acq, truth=truth)
 
 
-# ------------------------------------------------------------------- CSVs
+# ------------------------------------------------------------ CSV and JSON
 
-def write_series_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns to CSV with a header line."""
-    names = list(columns)
-    data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
-    np.savetxt(path, data, delimiter=",", fmt=FLOAT_FMT,
-               header=",".join(names), comments="")
+def write_series_csv(path: str | Path, columns: dict[str, np.ndarray | list]) -> None:
+    """Write named columns of equal length; an array as its ``tolist()``, so floats are exact."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*values))
+
+
+def write_json(path: str | Path, document) -> None:
+    """Write ``document`` as UTF-8 JSON, indented, with sorted keys."""
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def write_intensity_csv(path: str | Path, record: IntensityRecord) -> None:
@@ -297,9 +305,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     config = scenario_to_dict(bundle.scenario)
-    (outdir / "scenario.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(outdir / "scenario.json", config)
 
     truth = {"channels": {}}
     for wl, result in sorted(bundle.channels.items()):
@@ -316,14 +322,10 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
             entry["targets"] = [_target_to_dict(t) for t in result.frames.truth or ()]
         truth["channels"][channel_name(wl)] = entry
 
-    (outdir / "truth.json").write_text(
-        json.dumps(truth, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(outdir / "truth.json", truth)
     if manifest is None:
         manifest = build_manifest("simulate", {}, config, bundle.scenario.seed)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(outdir / "manifest.json", manifest)
     return outdir
 
 
@@ -359,10 +361,10 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         truth = _object(loads_finite(truth_path.read_text(encoding="utf-8")), "truth.json")
         truth = _object(truth.get("channels", {}), "truth.json channels")
 
-    if "channels" not in config:
+    if not (channels := _objects(config.get("channels", []), "scenario.json channels")):
         raise ValueError("scenario.json has no channels")
     loaded = LoadedBundle()
-    for chd in _objects(config["channels"], "scenario.json channels"):
+    for chd in channels:
         wl = float(chd["wavelength_nm"])
         name = channel_name(wl)
         chdir = root / f"channel_{name}"

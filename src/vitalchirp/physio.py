@@ -115,6 +115,8 @@ class SubjectVitals:
             flags.append("resp_harmonics")
         if flags:
             raise ValueError(f"{', '.join(flags)} must be numbers, not true or false")
+        if not self.id or "/" in self.id or "\\" in self.id:  # it names files
+            raise ValueError(f"subject id {self.id!r} must be a non-empty name without / or \\")
         if not 0 < self.respiration_rate <= 60:
             raise ValueError(
                 f"respiration_rate must be in (0, 60] rpm, got {self.respiration_rate}"

@@ -102,6 +102,13 @@ class AcquisitionParams:
         return int(round(self.frame_width * self.fast_rate))
 
 
+def _shared_ids(targets) -> list[str]:
+    """A message per subject id two ``targets`` share: an id names one target's outputs."""
+    ids = [t.subject.id for t in targets]
+    return [f"radar targets share the subject id {i!r}"
+            for i in sorted(set(ids)) if ids.count(i) > 1]
+
+
 @dataclass
 class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``."""
@@ -110,6 +117,10 @@ class DechirpFrameSet:
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
+
+    def __post_init__(self):
+        if shared := _shared_ids(self.truth or ()):
+            raise ValueError("; ".join(shared))
 
     @property
     def slow_rate(self) -> float:
@@ -159,10 +170,10 @@ def scene_violations(targets, chirp: ChirpParams, acq: AcquisitionParams) -> lis
     """One message per capture rule ``acq`` breaks for ``targets`` under ``chirp``.
 
     Each frame must fit inside the chirp pulse, bursts must not repeat
-    faster than the pulses, and every target must sit inside the
-    unambiguous range.
+    faster than the pulses, every target must sit inside the unambiguous
+    range, and no two targets may share a subject id.
     """
-    problems = []
+    problems = _shared_ids(targets)
     if acq.frame_width > chirp.pulse_width:
         problems.append(f"frame_width {acq.frame_width} s exceeds chirp pulse_width "
                         f"{chirp.pulse_width} s")

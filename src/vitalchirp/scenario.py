@@ -134,6 +134,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     """Structural and physical checks; violations are data, not exceptions."""
     report = ValidationReport()
     violations = report.violations
+    if not s.channels:
+        violations.append("no channels")
     if type(s.seed) is not int or not 0 <= s.seed < 2**32:
         violations.append(f"seed {s.seed!r} is not an integer in [0, 2**32)")
     if not s.acquisition.duration >= MIN_DURATION_S:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from vitalchirp.cli import main
-from vitalchirp.formats import read_bundle, read_frames, write_frames
+from vitalchirp.formats import read_bundle, read_frames, scenario_from_dict, write_frames
 from vitalchirp.physio import PRESET_SUBJECTS
-from vitalchirp.pipelines import FrameAnalysis, band_waveforms
+from vitalchirp.pipelines import FrameAnalysis, band_waveforms, contact_rates
+from vitalchirp.scenario import run_scenario
 
 from conftest import edit_frames_header, frames_header
 
@@ -209,6 +210,28 @@ class TestSimulate:
         assert not out.exists()
         assert f"number {literal} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [lambda config: config.pop("channels"),
+                                      lambda config: config.update(channels=[])],
+                             ids=["missing", "empty"])
+    def test_no_channels_validation_exit(self, tmp_path, capsys, edit):
+        bad = json.loads(json.dumps(CONFIG))
+        edit(bad)
+        assert "no channels" in simulate_rejected(tmp_path, capsys, bad)
+
+    def test_targets_sharing_a_subject_id_validation_exit(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["channels"][0]["radar_targets"][1]["subject"] = "subject-b"
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert "channel 1549.36 nm: radar targets share the subject id 'subject-b'" in err
+
+    @pytest.mark.parametrize("subject_id", ["a/b", "a\\b", ""])
+    def test_subject_id_not_a_name_validation_exit(self, tmp_path, capsys, subject_id):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["channels"][1]["contact_subject"] = {
+            **asdict(PRESET_SUBJECTS["subject-d"]), "id": subject_id}
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert f"subject id {subject_id!r} must be a non-empty name without / or \\" in err
+
     def test_record_past_float_range_validation_exit(self, tmp_path, capsys):
         err = simulate_rejected(tmp_path, capsys, {**CONFIG, "duration_s": 1e308})
         assert "past the float range" in err
@@ -288,6 +311,18 @@ class TestProcess:
         assert len(reports) == 4
         assert all(r["metadata"]["duration_s"] == pytest.approx(5.02) for r in reports)
 
+    def test_bundle_contact_reports_equal_the_in_memory_record(self, bundle_dir, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["process", str(bundle_dir), "--out", str(out)]) == 0
+        on_disk = {r["label"]: r for r in json.loads((out / "reports.json").read_text())}
+        scenario = scenario_from_dict(CONFIG)
+        for wl, result in run_scenario(scenario).channels.items():
+            subject = result.channel.contact_subject
+            label = f"{subject.id}@{wl:g}nm"
+            report = contact_rates(result.intensity.samples, scenario.contact_sample_rate,
+                                   truth=subject, label=label)
+            assert on_disk[label] == json.loads(json.dumps(report.to_dict()))
+
     def test_csv_format_writes_series(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"
         assert main(["process", str(bundle_dir), "--out", str(out),
@@ -320,22 +355,19 @@ class TestProcess:
         def load(name):
             return np.loadtxt(out / name, delimiter=",", skiprows=1)
 
-        def at_12g(values):  # the precision write_series_csv keeps
-            return np.char.mod("%.12g", values).astype(float)
-
-        for ch in read_bundle(bundle_dir).channels:
+        for ch in read_bundle(bundle_dir).channels:  # every value exact
             tag = f"{ch.wavelength_nm:g}nm"
             waves = band_waveforms(ch.intensity, ch.contact_sample_rate)
             data = load(f"contact_{tag}_waveforms.csv")
             np.testing.assert_array_equal(
-                data[:, 0], at_12g(np.arange(ch.intensity.size) / ch.contact_sample_rate))
-            np.testing.assert_array_equal(data[:, 1], at_12g(waves["resp_filtered"]))
-            np.testing.assert_array_equal(data[:, 2], at_12g(waves["heart_filtered"]))
+                data[:, 0], np.arange(ch.intensity.size) / ch.contact_sample_rate)
+            np.testing.assert_array_equal(data[:, 1], waves["resp_filtered"])
+            np.testing.assert_array_equal(data[:, 2], waves["heart_filtered"])
             for band in ("resp", "heart"):
                 data = load(f"contact_{tag}_{band}_spectrum.csv")
                 sp = waves[f"{band}_spectrum"]
-                np.testing.assert_array_equal(data[:, 0], at_12g(sp.frequencies))
-                np.testing.assert_array_equal(data[:, 1], at_12g(sp.magnitudes))
+                np.testing.assert_array_equal(data[:, 0], sp.frequencies)
+                np.testing.assert_array_equal(data[:, 1], sp.magnitudes)
 
     def test_non_finite_contact_sample_processing_exit(self, bundle_dir, tmp_path, capsys):
         import shutil
@@ -528,6 +560,49 @@ class TestProcess:
         assert f"bundle is malformed: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["process", "sweep"])
+    def test_bundle_of_no_channels_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                   command):
+        broken = bundle_copy(bundle_dir, tmp_path / "empty")
+        config = json.loads((broken / "scenario.json").read_text())
+        config["channels"] = []
+        (broken / "scenario.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, str(broken), "--out", str(out)]) == 2
+        assert "bundle is malformed: scenario.json has no channels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["process"], ["process", "--format", "csv"],
+                                         ["sweep"]], ids=["process", "process-csv", "sweep"])
+    def test_targets_sharing_a_subject_id_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                          command):
+        broken = bundle_copy(bundle_dir, tmp_path / "shared")
+        edit_frames_header(broken / "channel_1549.36" / "frames.bin", lambda header:
+                           header["truth"][1]["subject"].update(id="subject-b"))
+        out = tmp_path / "out"
+        assert main([command[0], str(broken), "--out", str(out), *command[1:]]) == 2
+        assert ("bundle is malformed: radar targets share the subject id 'subject-b'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, subject_id", [
+        ("truth.json", "a/b"), ("header", "a/b"), ("header", "a\\b"), ("header", ""),
+    ])
+    def test_subject_id_not_a_name_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                   where, subject_id):
+        broken = bundle_copy(bundle_dir, tmp_path / "id")
+        if where == "truth.json":
+            truth = json.loads((broken / "truth.json").read_text())
+            truth["channels"]["1549.36"]["contact_subject"]["id"] = subject_id
+            (broken / "truth.json").write_text(json.dumps(truth))
+        else:
+            edit_frames_header(broken / "channel_1549.36" / "frames.bin", lambda header:
+                               header["truth"][0]["subject"].update(id=subject_id))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out), "--format", "csv"]) == 2
+        assert f"subject id {subject_id!r} must be a non-empty name" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [], "0 rows of"),
         (lambda lines: lines[:1], "0 rows of"),
@@ -676,9 +751,11 @@ class TestFilterDesign:
         passband = (freqs >= 0.13) & (freqs <= 0.5)
         assert mags[passband].min() >= -1.02
         assert mags[(freqs > 0) & (freqs <= 0.05)].max() <= -40.0
-        coeffs = json.loads((out / "coefficients.json").read_text())
+        text = (out / "coefficients.json").read_text()
+        coeffs = json.loads(text)
         assert len(coeffs["sos"]) == 4
         assert coeffs["gain"] == 1.0
+        assert text == json.dumps(coeffs, indent=2, sort_keys=True)
 
     def test_heartbeat_band_stop_at_half_hz(self, tmp_path):
         out = tmp_path / "fd-h"

@@ -143,8 +143,25 @@ class TestCsvExports:
         path = tmp_path / "contact.csv"
         formats.write_intensity_csv(path, rec)
         t, v = formats.read_intensity_csv(path)
-        assert np.allclose(v, rec.samples, rtol=1e-10)
-        assert np.allclose(t, grid.instants(), atol=1e-12)
+        np.testing.assert_array_equal(v, rec.samples)
+        np.testing.assert_array_equal(t, grid.instants())
+
+    def test_series_round_trip_is_exact(self, tmp_path):
+        edges = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 0.1, 1 / 3, 2.0**-1074 * 3]
+        values = np.concatenate([edges, np.random.default_rng(0).normal(size=500) * 1e3])
+        times = np.arange(values.size) / 50.0
+        path = tmp_path / "series.csv"
+        formats.write_series_csv(path, {"t_s": times, "intensity": values})
+        t, v = formats.read_intensity_csv(path)
+        assert t.tobytes() == times.tobytes()
+        assert v.tobytes() == values.tobytes()  # also the sign of -0.0
+
+    def test_series_csv_text(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        formats.write_series_csv(path, {"x": np.array([0.1, -0.0, 1e22]),
+                                        "label": ["a", "b, c", None]})
+        assert path.read_text() == 'x,label\n0.1,a\n-0.0,"b, c"\n1e+22,\n'
 
 
 class TestScenarioConfig:
@@ -323,9 +340,7 @@ class TestBundleIO:
         assert np.array_equal(
             ch1.frames.samples, bundle.channels[1549.36].frames.samples
         )
-        assert np.allclose(
-            ch1.intensity, bundle.channels[1549.36].intensity.samples, rtol=1e-10
-        )
+        np.testing.assert_array_equal(ch1.intensity, bundle.channels[1549.36].intensity.samples)
 
     def test_frames_truth_is_read_from_the_frames_header_only(self, tmp_path):
         from vitalchirp.scenario import run_scenario

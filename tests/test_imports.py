@@ -1,5 +1,6 @@
 """Import structure: nothing in the package imports scipy, so no command pays
-for it, and no module reaches into a sibling module's private names."""
+for it, only ``formats`` encodes files, and no module reaches into a sibling
+module's private names."""
 
 import ast
 import json
@@ -24,6 +25,12 @@ def _imported_roots(path):
 def test_nothing_under_src_imports_scipy():
     importers = sorted(p.stem for p in PACKAGE.glob("*.py") if "scipy" in _imported_roots(p))
     assert importers == []
+
+
+def test_only_formats_encodes_files():
+    encoders = sorted(p.stem for p in PACKAGE.glob("*.py")
+                      if {"csv", "json"} & set(_imported_roots(p)))
+    assert encoders == ["formats"]
 
 
 SMALL_CONFIG = {

@@ -161,8 +161,8 @@ class TestRunScenario:
         assert sum(r.intensity is not None for r in bundle.channels.values()) == 2
 
     def test_empty_scenario(self):
-        bundle = run_scenario(Scenario(channels=()))
-        assert bundle.channels == {}
+        with pytest.raises(ScenarioValidationError, match="no channels"):
+            run_scenario(Scenario(channels=()))
 
     def test_invalid_scenario_raises_with_violations(self):
         s = Scenario(channels=(channel(1550.0, ["contactless"]),))
