@@ -8,8 +8,9 @@ spectra -> peak search -> rates and 3-dB resolutions.
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
-One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT);
-its profile, targets and phases read those spectra, and
+One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT,
+row block by row block on up to two threads, bit for bit the one-shot
+transform); its profile, targets and phases read those spectra, and
 :meth:`FrameAnalysis.prefix` gives each sweep duration the analysis of the
 truncated frames from their first rows, bit for bit and without a transform.
 
@@ -42,7 +43,7 @@ import numpy as np
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
 from .physio import HEART_BAND, RESP_BAND, SubjectVitals, prefix_length
-from .radar import FRAME_BLOCK_ROWS, DechirpFrameSet
+from .radar import DechirpFrameSet, run_blocks
 
 __all__ = [
     "VitalsReport",
@@ -292,9 +293,11 @@ class FrameAnalysis:
     """The hann fast-time transform of a frame set, read by every contactless output.
 
     The spectra are taken once, from the samples the frames hold at
-    construction, ``FRAME_BLOCK_ROWS`` rows at a time through one windowed
-    buffer; each row equals the one-shot transform of the whole matrix bit
-    for bit.
+    construction, in ``radar.FRAME_BLOCK_ROWS``-row blocks on up to two
+    threads (:func:`radar.run_blocks`); each worker windows its blocks in
+    its own buffer and transforms them straight into the rows of
+    ``spectra`` and ``magnitudes``.  Each row equals the one-shot transform
+    of the whole matrix bit for bit, whatever the thread count.
     """
 
     def __init__(self, frames: DechirpFrameSet):
@@ -303,13 +306,13 @@ class FrameAnalysis:
         window = np.hanning(n_count)
         self.spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
         self.magnitudes = np.empty(self.spectra.shape)
-        buffer = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count))
-        for start in range(0, m_count, FRAME_BLOCK_ROWS):
-            stop = min(start + FRAME_BLOCK_ROWS, m_count)
-            rows, block = slice(start, stop), buffer[:stop - start]
+
+        def transform(rows, block):
             np.multiply(frames.samples[rows], window, out=block)
-            self.spectra[rows] = np.fft.rfft(block, axis=1)
+            np.fft.rfft(block, axis=1, out=self.spectra[rows])
             np.abs(self.spectra[rows], out=self.magnitudes[rows])
+
+        run_blocks(m_count, n_count, transform, "FrameAnalysis")
 
     def prefix(self, duration: float) -> FrameAnalysis:
         """``FrameAnalysis(frames.truncated(duration))`` bit for bit, as views of these rows."""
@@ -480,7 +483,7 @@ def resolution_sweep(
     call) and its :meth:`~FrameAnalysis.prefix`.  Durations that rule cannot
     cut from the source, and for frames a failed target selection, are
     flagged in the entry's ``skipped`` and the remaining durations still
-    run.  Durations below 5 s, or not a number, are rejected.
+    run.  Durations below 5 s, infinite or not a number are rejected.
 
     Every row carries ``label`` if given, else the label the chain gives
     the source.  Frames take their truth from the frame set, so ``truth``
@@ -488,8 +491,8 @@ def resolution_sweep(
     """
     if not durations:
         raise ValueError("at least one duration is required")
-    if any(not d >= MIN_DURATION_S for d in durations):
-        raise ValueError(f"durations must be >= {MIN_DURATION_S} s")
+    if any(not MIN_DURATION_S <= d < np.inf for d in durations):
+        raise ValueError(f"durations must be >= {MIN_DURATION_S} s and finite")
 
     if isinstance(source, (DechirpFrameSet, FrameAnalysis)):
         if truth is not None:

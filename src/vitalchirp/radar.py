@@ -30,6 +30,7 @@ __all__ = [
     "FRAME_BLOCK_ROWS",
     "unambiguous_range",
     "scene_violations",
+    "run_blocks",
     "synth_dechirp_frames",
 ]
 
@@ -37,8 +38,10 @@ DEFAULT_RADAR_NOISE_RMS = 0.5
 DEFAULT_DURATION = 60.0
 
 # Rows of the frame matrix synthesized or transformed at a time: 256 rows of
-# 600 fast-time samples is 1.2 MB, a block that stays in cache.  Synthesis
-# hands the blocks in turn to up to two threads and draws the noise serially.
+# 600 fast-time samples is 1.2 MB, a block that stays in cache.  Both users,
+# synthesis (which draws the noise serially) and the hann transform of
+# ``pipelines.FrameAnalysis``, hand the blocks to up to two threads through
+# ``run_blocks``.
 FRAME_BLOCK_ROWS = 256
 
 
@@ -156,6 +159,70 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def run_blocks(row_count: int, width: int, work, name: str,
+               before=None, after=None) -> None:
+    """Call ``work(rows, scratch)`` for each ``FRAME_BLOCK_ROWS``-row block, on up to two threads.
+
+    ``rows`` is the block's slice of ``row_count`` rows.  Each of
+    min(2, usable CPUs, blocks) worker threads (``<name>-<k>``) claims the
+    next unclaimed block in row order until none is left, so a worker on a
+    busy core takes fewer blocks.  ``scratch`` is the block's rows of the
+    claiming worker's float buffer of at most ``FRAME_BLOCK_ROWS`` x
+    ``width``, which this thread allocates: a worker's own allocations would
+    come from a per-thread malloc arena and add to the peak RSS.  Meanwhile
+    this thread takes the blocks in row order: ``before(rows)``, then a wait
+    until that block's work is done, then ``after(rows)``.
+
+    The first exception, a worker's or this thread's, stops the workers
+    before their next block; it is raised here once every worker is joined.
+    """
+    blocks = [slice(start, min(start + FRAME_BLOCK_ROWS, row_count))
+              for start in range(0, row_count, FRAME_BLOCK_ROWS)]
+    workers = min(2, _usable_cpus(), len(blocks))
+    unclaimed, claim = iter(range(len(blocks))), threading.Lock()
+    done = [threading.Event() for _ in blocks]
+    errors = []
+
+    def run(buffer):
+        try:
+            while not errors:
+                with claim:
+                    i = next(unclaimed, None)
+                if i is None:
+                    return
+                rows = blocks[i]
+                work(rows, buffer[:rows.stop - rows.start])
+                done[i].set()
+        except BaseException as exc:
+            errors.append(exc)
+            for finished in done:  # the caller waits on no block after a failure
+                finished.set()
+
+    height = min(FRAME_BLOCK_ROWS, row_count)
+    threads = [threading.Thread(target=run, name=f"{name}-{k}",
+                                args=(np.empty((height, width)),))
+               for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for rows, finished in zip(blocks, done):
+            if before is not None:
+                before(rows)
+            finished.wait()
+            if errors:
+                break
+            if after is not None:
+                after(rows)
+    except BaseException as exc:
+        errors.append(exc)  # stops the workers
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
     """Largest range whose beat tone stays below the fast-time Nyquist.
 
@@ -209,12 +276,11 @@ def synth_dechirp_frames(
     times the strongest target amplitude (or 1.0 for an empty scene).  An
     empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
 
-    The terms are summed in ``FRAME_BLOCK_ROWS``-row blocks that alternate
-    between up to two worker threads (fewer on fewer usable CPUs), while the
-    calling thread draws the noise serially, block by block in row order.
-    Each element is summed in the one-shot expressions' order, so the bytes
-    equal theirs whatever the thread count.  A worker's exception is raised
-    here.
+    The terms are summed in ``FRAME_BLOCK_ROWS``-row blocks on up to two
+    worker threads (:func:`run_blocks`), while the calling thread draws the
+    noise serially, block by block in row order.  Each element is summed in
+    the one-shot expressions' order, so the bytes equal theirs whatever the
+    thread count.  A worker's exception is raised here.
     """
     problems = scene_violations(targets, chirp, acq)
     if problems:
@@ -235,64 +301,33 @@ def synth_dechirp_frames(
     noise_scale = acq.noise_rms * max((amp for _, _, amp in terms), default=1.0)
     rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
-    # Up to two worker threads sum the terms, block k going to worker k mod
-    # workers, each in a buffer that this thread allocates and holds to the
-    # end (a worker's own allocations would come from a per-thread malloc
-    # arena and add to the peak RSS).  Meanwhile this thread draws the noise
-    # block by block in row order and adds it once that block's terms are
-    # in, so every element is zeros + the terms in target order + the noise:
-    # the one-shot matrix expressions bit for bit.
+    # Each element is zeros + the terms in target order + the noise, the
+    # one-shot matrix expressions bit for bit: a block's noise is drawn before
+    # its terms are waited for and added only after them.
     samples = np.zeros((m_count, n_count))
-    blocks = [slice(start, min(start + FRAME_BLOCK_ROWS, m_count))
-              for start in range(0, m_count, FRAME_BLOCK_ROWS)]
-    height = blocks[0].stop
-    workers = min(2, _usable_cpus(), len(blocks))
-    done = [threading.Event() for _ in blocks]
-    errors = []
+    noise = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count)) if rng is not None else None
 
-    def add_terms(owned, buffer):
-        try:
-            for i in owned:
-                if errors:
-                    return
-                rows = blocks[i]
-                block = buffer[:rows.stop - rows.start]
-                for omega, phase, amp in terms:
-                    np.multiply(omega[rows, None], t_fast, out=block)
-                    block += phase[rows, None]
-                    np.cos(block, out=block)
-                    block *= amp
-                    samples[rows] += block
-                done[i].set()
-        except BaseException as exc:
-            errors.append(exc)
-        finally:  # a worker that stops leaves no block for the caller to wait on
-            for i in owned:
-                done[i].set()
+    def add_terms(rows, block):
+        for omega, phase, amp in terms:
+            np.multiply(omega[rows, None], t_fast, out=block)
+            block += phase[rows, None]
+            np.cos(block, out=block)
+            block *= amp
+            samples[rows] += block
 
-    buffers = [np.empty((height, n_count)) for _ in range(workers)]
-    threads = [threading.Thread(target=add_terms, name=f"synth_dechirp_frames-{k}",
-                                args=(range(k, len(blocks), workers), buffers[k]))
-               for k in range(workers)]
-    noise = np.empty((height, n_count)) if rng is not None else None
-    for thread in threads:
-        thread.start()
-    try:
-        for rows, finished in zip(blocks, done):
-            if noise is not None:
-                block = noise[:rows.stop - rows.start]
-                rng.standard_normal(out=block)
-                block *= noise_scale
-            finished.wait()
-            if errors:
-                break
-            if noise is not None:
-                samples[rows] += block
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    def draw_noise(rows):
+        block = noise[:rows.stop - rows.start]
+        rng.standard_normal(out=block)
+        block *= noise_scale
+
+    def add_noise(rows):
+        samples[rows] += noise[:rows.stop - rows.start]
+
+    if rng is None:
+        run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames")
+    else:
+        run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames",
+                   before=draw_noise, after=add_noise)
 
     return DechirpFrameSet(samples=samples, chirp=chirp, acquisition=acq,
                            truth=tuple(targets) if targets else None)

@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,24 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def within(timeout, call):
+    """``call()``'s result, or the exception it raised, run on a daemon thread; fails
+    if the call has not returned after ``timeout`` seconds."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), f"still running after {timeout} s"
+    return outcome[0]
 
 
 def frames_header(path):

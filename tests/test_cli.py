@@ -710,6 +710,15 @@ class TestSweep:
                 rep["respiration_rpm_exact"], rep["heartbeat_bpm_exact"],
                 rep["resp_3db_hz"], rep["heart_3db_hz"])
 
+    @pytest.mark.parametrize("durations", ["5,inf", "1e400"])
+    def test_infinite_duration_processing_exit(self, bundle_dir, tmp_path, capsys, durations):
+        # "duration_s": Infinity is not JSON: the sweep fails before it writes
+        out = tmp_path / "sweep-inf"
+        assert main(["sweep", str(bundle_dir), "--out", str(out),
+                     "--durations", durations]) == 4
+        assert "durations must be >= 5.0 s and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_round_trips_to_json_rows(self, tmp_path):
         subject = {**asdict(PRESET_SUBJECTS["subject-d"]), "id": "Doe, J"}
         config = {"duration_s": 10.0, "seed": 3,

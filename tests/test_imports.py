@@ -1,6 +1,6 @@
 """Import structure: nothing in the package imports scipy, so no command pays
-for it, only ``formats`` encodes files, and no module reaches into a sibling
-module's private names."""
+for it, only ``formats`` encodes files, only ``radar`` starts threads, and no
+module reaches into a sibling module's private names."""
 
 import ast
 import json
@@ -31,6 +31,24 @@ def test_only_formats_encodes_files():
     encoders = sorted(p.stem for p in PACKAGE.glob("*.py")
                       if {"csv", "json"} & set(_imported_roots(p)))
     assert encoders == ["formats"]
+
+
+def _names_a_thread(path):
+    """Whether ``path`` refers to ``threading.Thread`` or imports a pool of workers."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                and isinstance(node.value, ast.Name) and node.value.id == "threading"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "threading"
+                and any(alias.name == "Thread" for alias in node.names)):
+            return True
+    return bool({"concurrent", "multiprocessing"} & set(_imported_roots(path)))
+
+
+def test_only_radar_starts_threads():
+    # one threading path: every row-block worker starts in ``radar.run_blocks``
+    starters = sorted(p.stem for p in PACKAGE.glob("*.py") if _names_a_thread(p))
+    assert starters == ["radar"]
 
 
 SMALL_CONFIG = {

@@ -1,9 +1,12 @@
+import itertools
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vitalchirp import dsp
+from vitalchirp import dsp, radar
 from vitalchirp.formats import read_frames, write_frames
 from vitalchirp.photonics import IntensityRecord, contact_intensity
 from vitalchirp.physio import (
@@ -24,13 +27,14 @@ from vitalchirp.pipelines import (
     resolution_sweep,
 )
 from vitalchirp.radar import (
+    FRAME_BLOCK_ROWS,
     AcquisitionParams,
     DechirpFrameSet,
     RadarTarget,
     synth_dechirp_frames,
 )
 
-from conftest import traced_peak, two_person_scene
+from conftest import traced_peak, two_person_scene, within
 
 
 def static_subject(label="static"):
@@ -186,12 +190,23 @@ class TestRangeProfile:
 
 
 class TestBlockedTransform:
-    """The row-blocked hann transform equals the one-shot matrix expression."""
+    """The row-blocked hann transform equals the one-shot matrix expression,
+    on one worker thread or two."""
+
+    ROWS = {"under-one-block": FRAME_BLOCK_ROWS - 7, "one-block": FRAME_BLOCK_ROWS,
+            "one-block-plus-one": FRAME_BLOCK_ROWS + 1, "60s": 3000}
 
     @pytest.fixture(scope="class")
     def frames(self, chirp):
         targets, acq = two_person_scene()
         return synth_dechirp_frames(targets, chirp, acq, seed=6)
+
+    @staticmethod
+    def assert_one_shot(analysis, frames):
+        want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
+        assert analysis.spectra.shape == want.shape
+        assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(analysis.magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
 
     @pytest.mark.parametrize("source", ["full", "truncated", "read_frames", "prefix"])
     def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
@@ -204,12 +219,61 @@ class TestBlockedTransform:
                 write_frames(frames, tmp_path / "frames.bin")
                 frames = read_frames(tmp_path / "frames.bin")
             analysis = FrameAnalysis(frames)
-        want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
-        assert analysis.spectra.shape == want.shape
-        assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
-        assert np.array_equal(analysis.magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
+        self.assert_one_shot(analysis, frames)
 
-    def test_peak_memory_is_what_it_keeps_and_one_block(self, frames):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_bytes_equal_with_one_and_two_workers(self, frames, monkeypatch, rows, cpus):
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        part = frames.truncated(self.ROWS[rows] / frames.slow_rate)
+        assert part.slow_count == self.ROWS[rows]
+        self.assert_one_shot(FrameAnalysis(part), part)
+
+    @pytest.mark.parametrize("cpus, cap", [(1, 1), (2, 2), (64, 2)])
+    def test_threads_started_up_to_the_cap_and_joined(self, frames, monkeypatch, cpus, cap):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(radar.threading, "Thread", Recorded)
+        FrameAnalysis(frames)
+        assert len(started) == cap
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_worker_exception_reaches_the_caller(self, frames, monkeypatch, index, cpus):
+        # the failing call is the first or the second block transformed
+        calls, rfft = itertools.count(), np.fft.rfft
+
+        def failing_rfft(*args, **kwargs):
+            if next(calls) == index:
+                raise FloatingPointError("rfft failed")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(np.fft, "rfft", failing_rfft)
+        error = within(30, lambda: FrameAnalysis(frames))
+        assert isinstance(error, FloatingPointError) and str(error) == "rfft failed"
+        assert not [t for t in threading.enumerate() if t.name.startswith("FrameAnalysis")]
+
+    def test_bytes_hold_under_frequent_thread_switches(self, frames, monkeypatch):
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(2e-6)
+        try:
+            analysis = within(60, lambda: FrameAnalysis(frames))
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_one_shot(analysis, frames)
+
+    def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames, monkeypatch):
+        # one window buffer per worker, both under 4 MiB
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
         analysis, peak = traced_peak(lambda: FrameAnalysis(frames))
         assert frames.samples.shape == (3000, 600)
         assert peak <= analysis.spectra.nbytes + analysis.magnitudes.nbytes + 4 * 2**20
@@ -459,6 +523,11 @@ class TestResolutionSweep:
         rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
         with pytest.raises(ValueError, match=r"durations must be >= 5\.0 s"):
             resolution_sweep(rec, [10.0, float("nan")])
+
+    def test_infinite_duration_rejected_before_any_row(self, fbg, subjects):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
+        with pytest.raises(ValueError, match=r"durations must be >= 5\.0 s and finite"):
+            resolution_sweep(rec, [10.0, float("inf")])
 
     def test_every_row_carries_one_label(self, chirp, fbg, subjects):
         targets, acq = two_person_scene(duration=20.0)

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vitalchirp.radar import (
     unambiguous_range,
 )
 
-from conftest import traced_peak, two_person_scene
+from conftest import traced_peak, two_person_scene, within
 
 
 def static_subject(label="static"):
@@ -188,24 +189,6 @@ def fail_cos_call(monkeypatch, index):
     monkeypatch.setattr(radar.np, "cos", failing_cos)
 
 
-def within(timeout, call):
-    """``call()``'s result, or the exception it raised, run on a daemon thread; fails
-    if the call has not returned after ``timeout`` seconds."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(call())
-        except Exception as exc:
-            outcome.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout)
-    assert not caller.is_alive(), f"still running after {timeout} s"
-    return outcome[0]
-
-
 class TestBlockedSynthesis:
     """Row-blocked synthesis writes the one-shot expressions' bytes exactly."""
 
@@ -296,6 +279,24 @@ class TestBlockedSynthesis:
         frames, peak = traced_peak(lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
         assert frames.samples.shape == (3000, 600)
         assert peak <= frames.samples.nbytes + 4 * 2**20
+
+
+class TestRunBlocks:
+    def test_a_slow_worker_claims_fewer_blocks(self, monkeypatch):
+        # one worker sleeps through each block it claims; the other takes the rest
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
+        claimed = {}
+
+        def work(rows, scratch):
+            worker = threading.current_thread().name
+            claimed.setdefault(worker, []).append(rows.start)
+            if worker == "probe-0":
+                time.sleep(0.2)
+
+        within(30, lambda: radar.run_blocks(12 * FRAME_BLOCK_ROWS, 8, work, "probe"))
+        assert sorted(sum(claimed.values(), [])) == list(range(0, 12 * FRAME_BLOCK_ROWS,
+                                                                FRAME_BLOCK_ROWS))
+        assert len(claimed["probe-0"]) < len(claimed["probe-1"])
 
 
 class TestAcquisitionParams:
