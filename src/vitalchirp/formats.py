@@ -24,7 +24,9 @@ Bundle directory layout
 -----------------------
 ``scenario.json`` (resolved config), ``truth.json``, ``manifest.json``,
 and one ``channel_<name>/`` per channel, named by ``scenario.channel_name``,
-holding ``contact.csv`` (columns t_s, intensity) and/or ``frames.bin``.
+holding the record file of each of its roles and no other: ``contact.csv``
+(columns t_s, intensity) for the contact role, ``frames.bin`` for the
+contactless role.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
 from .physio import PRESET_SUBJECTS, SubjectVitals, make_time_grid
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
-from .scenario import Scenario, WdmChannel, channel_name
+from .scenario import CONTACT_ROLE, CONTACTLESS_ROLE, Scenario, WdmChannel, channel_name
 
 __all__ = [
     "FRAMES_MAGIC",
@@ -68,6 +70,7 @@ FRAMES_MAGIC = "vitalchirp-frames"
 FRAMES_VERSION = 1
 _FRAMES_LAYOUT = {"dtype": "<f8", "order": "C"}  # the one payload layout written and read
 TOOL_NAME = "vitalchirp"
+RECORD_FILES = {CONTACT_ROLE: "contact.csv", CONTACTLESS_ROLE: "frames.bin"}  # each role's record
 
 
 class CorruptFramesError(IOError):
@@ -313,12 +316,12 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         chdir.mkdir(exist_ok=True)
         entry = {"contact_subject": None, "targets": []}
         if result.intensity is not None:
-            write_intensity_csv(chdir / "contact.csv", result.intensity)
+            write_intensity_csv(chdir / RECORD_FILES[CONTACT_ROLE], result.intensity)
             entry["contact_subject"] = _subject_to_dict(result.channel.contact_subject)
             entry["contact_sample_rate"] = result.intensity.sample_rate
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:
-            write_frames(result.frames, chdir / "frames.bin")
+            write_frames(result.frames, chdir / RECORD_FILES[CONTACTLESS_ROLE])
             entry["targets"] = [_target_to_dict(t) for t in result.frames.truth or ()]
         truth["channels"][channel_name(wl)] = entry
 
@@ -346,6 +349,9 @@ class LoadedBundle:
 def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     """Load a bundle directory back into processable objects.
 
+    The channels are ``scenario.json``'s, each listed once with a non-empty
+    list of known ``roles``, and a channel directory holds exactly the
+    ``RECORD_FILES`` of its roles; a missing one raises ``FileNotFoundError``.
     Each ``contact.csv`` must hold the ``duration_s`` record at
     ``contact_sample_rate``: its row count, and ``t_s`` the row index over
     that rate.  A malformed document or file raises ``ValueError``.
@@ -367,11 +373,25 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     for chd in channels:
         wl = float(chd["wavelength_nm"])
         name = channel_name(wl)
+        if any(channel_name(lc.wavelength_nm) == name for lc in loaded.channels):
+            raise ValueError(f"scenario.json lists channel {name} twice")
+        roles = chd.get("roles")
+        if not (isinstance(roles, list) and roles
+                and all(isinstance(r, str) and r in RECORD_FILES for r in roles)):
+            raise ValueError(f"scenario.json channel {name} roles {roles!r} is not a "
+                             f"non-empty list of {sorted(RECORD_FILES)}")
         chdir = root / f"channel_{name}"
+        for role, file in RECORD_FILES.items():
+            path = chdir / file
+            if role in roles and not path.is_file():
+                raise FileNotFoundError(f"{path}: missing, but channel {name} has the "
+                                        f"{role} role")
+            if role not in roles and path.exists():
+                raise ValueError(f"{path}: channel {name} has no {role} role")
         entry = _object(truth.get(name, {}), f"truth.json channel {name}")
         lc = LoadedChannel(wavelength_nm=wl)
-        contact_csv = chdir / "contact.csv"
-        if contact_csv.is_file():
+        if CONTACT_ROLE in roles:
+            contact_csv = chdir / RECORD_FILES[CONTACT_ROLE]
             t_s, lc.intensity = read_intensity_csv(contact_csv)
             lc.contact_sample_rate = rate = float(config["contact_sample_rate"])
             count = make_time_grid(float(config["duration_s"]), rate).count
@@ -380,8 +400,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
                                  f"k < {count}, the samples of {config['duration_s']} s")
             if entry.get("contact_subject"):
                 lc.contact_subject = _subject_from_dict(entry["contact_subject"])
-        frames_bin = chdir / "frames.bin"
-        if frames_bin.is_file():
-            lc.frames = read_frames(frames_bin)
+        if CONTACTLESS_ROLE in roles:
+            lc.frames = read_frames(chdir / RECORD_FILES[CONTACTLESS_ROLE])
         loaded.channels.append(lc)
     return loaded

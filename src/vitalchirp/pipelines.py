@@ -294,10 +294,11 @@ class FrameAnalysis:
 
     The spectra are taken once, from the samples the frames hold at
     construction, in ``radar.FRAME_BLOCK_ROWS``-row blocks on up to two
-    threads (:func:`radar.run_blocks`); each worker windows its blocks in
-    its own buffer and transforms them straight into the rows of
-    ``spectra`` and ``magnitudes``.  Each row equals the one-shot transform
-    of the whole matrix bit for bit, whatever the thread count.
+    threads: construction drains :func:`radar.run_blocks`, so it returns
+    once every block is done.  Each worker windows its blocks in its own
+    buffer and transforms them straight into the rows of ``spectra`` and
+    ``magnitudes``.  Each row equals the one-shot transform of the whole
+    matrix bit for bit, whatever the thread count.
     """
 
     def __init__(self, frames: DechirpFrameSet):
@@ -312,7 +313,8 @@ class FrameAnalysis:
             np.fft.rfft(block, axis=1, out=self.spectra[rows])
             np.abs(self.spectra[rows], out=self.magnitudes[rows])
 
-        run_blocks(m_count, n_count, transform, "FrameAnalysis")
+        for _ in run_blocks(m_count, n_count, transform, "FrameAnalysis"):
+            pass
 
     def prefix(self, duration: float) -> FrameAnalysis:
         """``FrameAnalysis(frames.truncated(duration))`` bit for bit, as views of these rows."""

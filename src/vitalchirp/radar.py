@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,9 +40,9 @@ DEFAULT_DURATION = 60.0
 
 # Rows of the frame matrix synthesized or transformed at a time: 256 rows of
 # 600 fast-time samples is 1.2 MB, a block that stays in cache.  Both users,
-# synthesis (which draws the noise serially) and the hann transform of
-# ``pipelines.FrameAnalysis``, hand the blocks to up to two threads through
-# ``run_blocks``.
+# synthesis and the hann transform of ``pipelines.FrameAnalysis``, hand the
+# blocks to up to two threads through ``run_blocks`` and loop over the
+# finished blocks in row order (synthesis adds and draws the noise there).
 FRAME_BLOCK_ROWS = 256
 
 
@@ -159,68 +160,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_blocks(row_count: int, width: int, work, name: str,
-               before=None, after=None) -> None:
-    """Call ``work(rows, scratch)`` for each ``FRAME_BLOCK_ROWS``-row block, on up to two threads.
+def run_blocks(row_count: int, width: int, work, name: str):
+    """Yield each ``FRAME_BLOCK_ROWS``-row block's ``rows``, in row order, once a
+    worker thread has run ``work(rows, scratch)`` on it.
 
     ``rows`` is the block's slice of ``row_count`` rows.  Each of
     min(2, usable CPUs, blocks) worker threads (``<name>-<k>``) claims the
     next unclaimed block in row order until none is left, so a worker on a
     busy core takes fewer blocks.  ``scratch`` is the block's rows of the
     claiming worker's float buffer of at most ``FRAME_BLOCK_ROWS`` x
-    ``width``, which this thread allocates: a worker's own allocations would
-    come from a per-thread malloc arena and add to the peak RSS.  Meanwhile
-    this thread takes the blocks in row order: ``before(rows)``, then a wait
-    until that block's work is done, then ``after(rows)``.
+    ``width``, which the calling thread allocates: a worker's own allocations
+    would come from a per-thread malloc arena and add to the peak RSS.  The
+    caller's loop body runs while the workers go on with later blocks.
 
-    The first exception, a worker's or this thread's, stops the workers
-    before their next block; it is raised here once every worker is joined.
+    An exception ``work`` raised is raised when the loop reaches its block.
+    However the loop ends (done, raising, or the generator closed), the
+    workers claim no further block and are joined before it leaves.
     """
     blocks = [slice(start, min(start + FRAME_BLOCK_ROWS, row_count))
               for start in range(0, row_count, FRAME_BLOCK_ROWS)]
-    workers = min(2, _usable_cpus(), len(blocks))
-    unclaimed, claim = iter(range(len(blocks))), threading.Lock()
+    unclaimed = deque(range(len(blocks)))  # popleft and clear are atomic
     done = [threading.Event() for _ in blocks]
-    errors = []
+    failures = [None] * len(blocks)
 
     def run(buffer):
-        try:
-            while not errors:
-                with claim:
-                    i = next(unclaimed, None)
-                if i is None:
-                    return
-                rows = blocks[i]
+        while True:
+            try:
+                i = unclaimed.popleft()
+            except IndexError:  # no block left, or the loop has ended
+                return
+            rows = blocks[i]
+            try:
                 work(rows, buffer[:rows.stop - rows.start])
-                done[i].set()
-        except BaseException as exc:
-            errors.append(exc)
-            for finished in done:  # the caller waits on no block after a failure
-                finished.set()
+            except BaseException as exc:
+                failures[i] = exc
+            done[i].set()
 
     height = min(FRAME_BLOCK_ROWS, row_count)
     threads = [threading.Thread(target=run, name=f"{name}-{k}",
                                 args=(np.empty((height, width)),))
-               for k in range(workers)]
+               for k in range(min(2, _usable_cpus(), len(blocks)))]
     for thread in threads:
         thread.start()
     try:
-        for rows, finished in zip(blocks, done):
-            if before is not None:
-                before(rows)
-            finished.wait()
-            if errors:
-                break
-            if after is not None:
-                after(rows)
-    except BaseException as exc:
-        errors.append(exc)  # stops the workers
-        raise
+        for i, rows in enumerate(blocks):
+            done[i].wait()
+            if failures[i] is not None:
+                raise failures[i]
+            yield rows
     finally:
+        unclaimed.clear()
         for thread in threads:
             thread.join()
-    if errors:
-        raise errors[0]
 
 
 def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
@@ -277,10 +268,11 @@ def synth_dechirp_frames(
     empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
 
     The terms are summed in ``FRAME_BLOCK_ROWS``-row blocks on up to two
-    worker threads (:func:`run_blocks`), while the calling thread draws the
-    noise serially, block by block in row order.  Each element is summed in
-    the one-shot expressions' order, so the bytes equal theirs whatever the
-    thread count.  A worker's exception is raised here.
+    worker threads (:func:`run_blocks`).  The calling thread's loop over the
+    finished blocks adds each block's noise and draws the next block's, so
+    the noise is drawn serially in row order while the workers run.  Each
+    element is summed in the one-shot expressions' order, so the bytes equal
+    theirs whatever the thread count.  A worker's exception is raised here.
     """
     problems = scene_violations(targets, chirp, acq)
     if problems:
@@ -302,8 +294,10 @@ def synth_dechirp_frames(
     rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
     # Each element is zeros + the terms in target order + the noise, the
-    # one-shot matrix expressions bit for bit: a block's noise is drawn before
-    # its terms are waited for and added only after them.
+    # one-shot matrix expressions bit for bit.  The loop adds a block's noise
+    # once its terms are in, then draws the next block's while the workers sum
+    # its terms.  The first block's is drawn in the loop as well, so that every
+    # draw runs beside the workers.
     samples = np.zeros((m_count, n_count))
     noise = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count)) if rng is not None else None
 
@@ -315,19 +309,17 @@ def synth_dechirp_frames(
             block *= amp
             samples[rows] += block
 
-    def draw_noise(rows):
-        block = noise[:rows.stop - rows.start]
+    def draw_noise(start):
+        block = noise[:min(FRAME_BLOCK_ROWS, m_count - start)]
         rng.standard_normal(out=block)
         block *= noise_scale
 
-    def add_noise(rows):
-        samples[rows] += noise[:rows.stop - rows.start]
-
-    if rng is None:
-        run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames")
-    else:
-        run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames",
-                   before=draw_noise, after=add_noise)
+    for rows in run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames"):
+        if rng is not None:
+            if rows.start == 0:
+                draw_noise(0)
+            samples[rows] += noise[:rows.stop - rows.start]
+            draw_noise(rows.stop)
 
     return DechirpFrameSet(samples=samples, chirp=chirp, acquisition=acq,
                            truth=tuple(targets) if targets else None)

@@ -78,6 +78,13 @@ def bundle_copy(bundle_dir, dest, drop=()):
     return dest
 
 
+def edit_json(path, edit):
+    """Apply ``edit`` to the JSON document at ``path``, in place."""
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+
+
 @pytest.fixture(scope="module")
 def truthless_dir(bundle_dir, tmp_path_factory):
     """The CLI bundle with truth.json removed and the frames' truth cleared."""
@@ -414,8 +421,10 @@ class TestProcess:
 
     def test_contactless_record_under_five_seconds_processing_exit(
             self, bundle_dir, tmp_path, capsys):
-        radar_only = bundle_copy(bundle_dir, tmp_path / "radar-only", drop=[
-            "channel_1549.36/contact.csv", "channel_1549.92/contact.csv"])
+        radar_only = bundle_copy(bundle_dir, tmp_path / "radar-only",
+                                 drop=["channel_1549.36/contact.csv"])
+        edit_json(radar_only / "scenario.json", lambda config: config.update(
+            channels=[{**config["channels"][0], "roles": ["contactless"]}]))
         assert main(["process", str(radar_only), "--out", str(tmp_path / "out"),
                      "--duration", "2"]) == 4
         assert "record of 2.00 s is shorter than 5.0 s" in capsys.readouterr().err
@@ -423,6 +432,8 @@ class TestProcess:
     def test_duration_past_contact_record_processing_exit(self, bundle_dir, tmp_path, capsys):
         contact_only = bundle_copy(bundle_dir, tmp_path / "contact-only",
                                    drop=["channel_1549.36/frames.bin"])
+        edit_json(contact_only / "scenario.json",
+                  lambda config: config["channels"][0].update(roles=["contact"]))
         assert main(["process", str(contact_only), "--out", str(tmp_path / "out"),
                      "--duration", "90"]) == 4
         assert "cannot truncate 60.0 s record to 90.0 s" in capsys.readouterr().err
@@ -636,6 +647,75 @@ class TestProcess:
         assert "offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["process", "sweep"])
+class TestBundleFiles:
+    """A bundle's record files are the ones its ``scenario.json`` channels' roles name."""
+
+    @pytest.mark.parametrize("drop, missing", [
+        ("channel_1549.36/contact.csv", "channel_1549.36/contact.csv"),
+        ("channel_1549.36/frames.bin", "channel_1549.36/frames.bin"),
+        ("channel_1549.92", "channel_1549.92/contact.csv"),
+    ], ids=["contact.csv", "frames.bin", "channel"])
+    def test_missing_record_io_exit(self, bundle_dir, tmp_path, capsys, command, drop,
+                                    missing):
+        broken = bundle_copy(bundle_dir, tmp_path / "missing")
+        shutil.rmtree(broken / drop) if drop == "channel_1549.92" else (broken / drop).unlink()
+        out = tmp_path / "out"
+        assert main([command, str(broken), "--out", str(out)]) == 3
+        assert f"{broken / missing}: missing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config["channels"].append(config["channels"][1]),
+         "scenario.json lists channel 1549.92 twice"),
+        (lambda config: config["channels"][0].update(roles=["contactless"]),
+         "channel_1549.36/contact.csv: channel 1549.36 has no contact role"),
+        (lambda config: config["channels"][0].update(roles=["contact"]),
+         "channel_1549.36/frames.bin: channel 1549.36 has no contactless role"),
+        (lambda config: config["channels"][1].update(roles=[]),
+         "scenario.json channel 1549.92 roles [] is not"),
+        (lambda config: config["channels"][1].pop("roles"),
+         "scenario.json channel 1549.92 roles None is not"),
+        (lambda config: config["channels"][1].update(roles="contact"),
+         "scenario.json channel 1549.92 roles 'contact' is not"),
+        (lambda config: config["channels"][1].update(roles=["contact", "radar"]),
+         "scenario.json channel 1549.92 roles ['contact', 'radar'] is not"),
+        (lambda config: config["channels"][1].update(roles=[["contact"]]),
+         "scenario.json channel 1549.92 roles [['contact']] is not"),
+    ], ids=["channel-twice", "contact-role-dropped", "contactless-role-dropped",
+            "no-roles", "roles-missing", "roles-a-string", "unknown-role", "role-a-list"])
+    def test_records_off_the_scenario_validation_exit(self, bundle_dir, tmp_path, capsys,
+                                                      command, edit, message):
+        broken = bundle_copy(bundle_dir, tmp_path / "edited")
+        edit_json(broken / "scenario.json", edit)
+        out = tmp_path / "out"
+        assert main([command, str(broken), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bundle is malformed: " in err
+        assert message in err
+        assert not out.exists()
+
+
+class TestOutputIsAFile:
+    @pytest.mark.parametrize("argv, message", [
+        (lambda bundle, config: ["simulate", "--config", config], "cannot write bundle: "),
+        (lambda bundle, config: ["process", bundle], "cannot write reports: "),
+        (lambda bundle, config: ["sweep", bundle, "--durations", "5"],
+         "cannot write sweep outputs: "),
+        (lambda bundle, config: ["filter-design", "--band", "0.13", "0.5",
+                                 "--sample-rate", "50"], "cannot write filter outputs: "),
+    ], ids=["simulate", "process", "sweep", "filter-design"])
+    def test_io_exit_writes_nothing(self, bundle_dir, tmp_path, capsys, argv, message):
+        config = write_config(tmp_path, {**CONFIG, "duration_s": 10.0})
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        before = sorted(tmp_path.iterdir())
+        assert main([*argv(str(bundle_dir), str(config)), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestSweep:
     def test_default_durations_seven_rows_per_subject(self, bundle_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -717,6 +797,13 @@ class TestSweep:
         assert main(["sweep", str(bundle_dir), "--out", str(out),
                      "--durations", durations]) == 4
         assert "durations must be >= 5.0 s and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_durations_validation_exit(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "sweep-abc"
+        assert main(["sweep", str(bundle_dir), "--out", str(out),
+                     "--durations", "5,abc"]) == 2
+        assert "cannot parse durations '5,abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_round_trips_to_json_rows(self, tmp_path):

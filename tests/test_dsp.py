@@ -323,3 +323,13 @@ class TestBandwidth3dB:
         assert bw.left_open
         assert bw.left_freq == sp.frequencies[0]
         assert not bw.right_open
+
+    def test_open_interval_flag_at_the_last_bin(self):
+        # the half-power point right of a peak 0.1 Hz below Nyquist lies past the last bin
+        freqs = np.linspace(0, 25, 2001)
+        mags = np.exp(-((freqs - 24.9) ** 2) / (2 * 0.3**2))
+        bw = bandwidth_3db(dsp.MagnitudeSpectrum(freqs, mags, "rectangular", 50.0), 24.9)
+        assert bw.right_open
+        assert bw.right_freq == freqs[-1]
+        assert not bw.left_open
+        assert bw.left_freq == pytest.approx(24.9 - 0.3 * np.sqrt(np.log(2)), abs=1e-4)

@@ -2,7 +2,7 @@ import copy
 import json
 import re
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,26 @@ class TestFramesContainer:
         edit_frames_header(path, lambda header: header["acquisition"].update(
             noise_rms=float(literal)))
         with pytest.raises(formats.CorruptFramesError, match=f"number {literal} is not finite"):
+            formats.read_frames(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw, hlen: raw[:3], "truncated before header length (offset 0)"),
+        (lambda raw, hlen: raw[:4 + hlen - 1], "truncated inside JSON header (offset 4)"),
+    ], ids=["header-length", "header"])
+    def test_cut_header_names_file_and_offset(self, small_frames, tmp_path, cut, message):
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        raw = path.read_bytes()
+        path.write_bytes(cut(raw, struct.unpack("<I", raw[:4])[0]))
+        with pytest.raises(formats.CorruptFramesError, match=re.escape(f"{path}: {message}")):
+            formats.read_frames(path)
+
+    def test_non_finite_payload_rejected(self, small_frames, tmp_path):
+        path = tmp_path / "frames.bin"
+        frames = replace(small_frames, samples=small_frames.samples.copy())
+        frames.samples[3, 5] = np.nan
+        formats.write_frames(frames, path)
+        with pytest.raises(formats.CorruptFramesError, match="non-finite samples in payload"):
             formats.read_frames(path)
 
     def test_garbage_header(self, tmp_path):

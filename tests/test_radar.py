@@ -189,6 +189,25 @@ def fail_cos_call(monkeypatch, index):
     monkeypatch.setattr(radar.np, "cos", failing_cos)
 
 
+def fail_noise_draw(monkeypatch, index):
+    """Make the ``index``-th ``standard_normal`` draw from now on raise ``FloatingPointError``."""
+    calls, default_rng = itertools.count(), np.random.default_rng
+
+    class FailingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            if next(calls) == index:
+                raise FloatingPointError("noise failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(radar.np.random, "default_rng", FailingRng)
+
+
 class TestBlockedSynthesis:
     """Row-blocked synthesis writes the one-shot expressions' bytes exactly."""
 
@@ -258,6 +277,17 @@ class TestBlockedSynthesis:
         error = within(30, lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
         assert isinstance(error, FloatingPointError)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_exception_reaches_the_caller(self, chirp, monkeypatch, cpus):
+        # the calling thread's noise draw fails on the second block, while workers run
+        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+        fail_noise_draw(monkeypatch, 1)
+        targets, acq = two_person_scene()
+        error = within(30, lambda: synth_dechirp_frames(targets, chirp, acq, seed=1))
+        assert isinstance(error, FloatingPointError) and str(error) == "noise failed"
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("synth_dechirp_frames-")]
+
     def test_bytes_hold_under_frequent_thread_switches(self, chirp, monkeypatch):
         # two workers and the noise-drawing caller on a 2 us switch interval: a
         # block whose noise landed before its terms would change the bytes
@@ -293,7 +323,7 @@ class TestRunBlocks:
             if worker == "probe-0":
                 time.sleep(0.2)
 
-        within(30, lambda: radar.run_blocks(12 * FRAME_BLOCK_ROWS, 8, work, "probe"))
+        within(30, lambda: list(radar.run_blocks(12 * FRAME_BLOCK_ROWS, 8, work, "probe")))
         assert sorted(sum(claimed.values(), [])) == list(range(0, 12 * FRAME_BLOCK_ROWS,
                                                                 FRAME_BLOCK_ROWS))
         assert len(claimed["probe-0"]) < len(claimed["probe-1"])
