@@ -38,6 +38,7 @@ __all__ = [
     "design_bandpass",
     "frequency_response",
     "filter_zero_phase",
+    "hann_window",
     "spectrum",
     "unwrap_phase",
     "peak_search",
@@ -242,6 +243,7 @@ def _tail(coeffs: FilterCoeffs) -> int:
     return math.ceil(-17 * math.log(10) / math.log(radius)) + 2 * len(coeffs.sos)
 
 
+@functools.lru_cache(maxsize=64)  # bounded: lengths come from callers
 def _fft_length(n: int) -> int:
     """Smallest 2**a * 3**b * 5**c not below ``n``."""
     odd = (3**i * 5**j for i in range(round(math.log(2 * n, 3)) + 1)
@@ -287,6 +289,14 @@ def filter_zero_phase(coeffs: FilterCoeffs, series: np.ndarray) -> np.ndarray:
     return y[::-1]
 
 
+@functools.lru_cache(maxsize=32)  # bounded: lengths come from callers
+def hann_window(n: int) -> np.ndarray:
+    """``np.hanning(n)``, read-only since it is shared between calls."""
+    w = np.hanning(n)
+    w.setflags(write=False)
+    return w
+
+
 @dataclass
 class MagnitudeSpectrum:
     """Single-sided magnitude spectrum with its bin frequencies."""
@@ -323,7 +333,7 @@ def spectrum(
     if window == "rectangular":
         xw = x
     elif window == "hann":
-        xw = x * np.hanning(x.size)
+        xw = x * hann_window(x.size)
     else:
         raise ValueError(f"unsupported window {window!r}")
     n = int(nfft) if nfft is not None else x.size

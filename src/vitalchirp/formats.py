@@ -1,8 +1,9 @@
 """File formats: every file the package writes, and the bundle readers.
 
-A CSV is a header line of column names and one row per sample, each float as
-its ``repr`` (the shortest text that reads back to the same double) and None
-as an empty field.  A JSON file is indented, with sorted keys.
+A CSV is a header line of column names and one row per sample, as ``csv.writer``
+writes it: a float as its ``repr`` (the shortest text that reads back to the same
+double), None as an empty field; columns of unequal lengths raise ``ValueError``.
+A JSON file is indented, with sorted keys.
 
 Frames binary container (``frames.bin``)
 ----------------------------------------
@@ -31,7 +32,6 @@ contactless role.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
@@ -207,13 +207,28 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
 
 # ------------------------------------------------------------ CSV and JSON
 
+def _field(v) -> str:
+    """``v`` as ``csv.writer`` writes it under a ``"\\n"`` line end: None empty, text quoted."""
+    t = "" if v is None else str(v)
+    return '"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\n" in t else t
+
+
 def write_series_csv(path: str | Path, columns: dict[str, np.ndarray | list]) -> None:
-    """Write named columns of equal length; an array as its ``tolist()``, so floats are exact."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    """Write named columns of equal length (else ``ValueError``) as a header line and one
+    line per row, byte for byte what ``csv.writer(fh, lineterminator="\\n")`` writes."""
+    lengths = {name: len(c) for name, c in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal lengths: {lengths}")
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*values))
+        def emit(cols: list) -> None:  # a lone empty field is quoted: its row is no blank line
+            texts = [list(map(str, c.tolist())  # a number's text needs no quotes
+                          if isinstance(c, np.ndarray) and c.dtype.kind in "biufc"
+                          else map(_field, c)) for c in cols]
+            texts = [[t or '""' for t in texts[0]]] if len(texts) == 1 else texts
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        emit([[name] for name in columns])
+        for start in range(0, max(lengths.values(), default=0), 1024):  # blocks bound memory
+            emit([c[start:start + 1024] for c in columns.values()])
 
 
 def write_json(path: str | Path, document) -> None:

@@ -36,7 +36,7 @@ spectra, which ``process --format csv`` exports, come from
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -151,14 +151,19 @@ def band_waveforms(series, sample_rate: float) -> dict:
 
     Keys ``resp_filtered``/``heart_filtered`` and their rectangular spectra
     ``resp_spectrum``/``heart_spectrum``: ``process --format csv`` exports them.
+    Each spectrum ends at the last bin at or below its band's ``stop_high``, past
+    which the band's filter attenuates by at least ``dsp.STOPBAND_ATTEN_DB``.
     """
     x = _detrended(series)
     nfft = SPECTRUM_PAD * x.size
     out = {}
     for name, band in (("resp", RESP_BAND), ("heart", HEART_BAND)):
-        out[f"{name}_filtered"] = _zero_phase(x, sample_rate, band)
-        out[f"{name}_spectrum"] = dsp.spectrum(out[f"{name}_filtered"], sample_rate,
-                                               "rectangular", nfft)
+        out[f"{name}_filtered"] = y = _zero_phase(x, sample_rate, band)
+        full = dsp.spectrum(y, sample_rate, "rectangular", nfft)
+        keep = full.frequencies.searchsorted(dsp.BandpassSpec(*band, sample_rate).stop_high,
+                                             "right")
+        out[f"{name}_spectrum"] = replace(full, frequencies=full.frequencies[:keep],
+                                          magnitudes=full.magnitudes[:keep])
     return out
 
 
@@ -304,7 +309,7 @@ class FrameAnalysis:
     def __init__(self, frames: DechirpFrameSet):
         self.frames = frames
         m_count, n_count = frames.samples.shape
-        window = np.hanning(n_count)
+        window = dsp.hann_window(n_count)
         self.spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
         self.magnitudes = np.empty(self.spectra.shape)
 

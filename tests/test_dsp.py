@@ -188,6 +188,14 @@ class TestSpectrum:
         assert sp.window == "hann"
         assert sp.frequencies[np.argmax(sp.magnitudes)] == pytest.approx(0.35, abs=1e-12)
 
+    def test_hann_spectrum_is_the_one_shot_expression_on_every_call(self):
+        x = np.random.default_rng(3).normal(size=3000)
+        want = np.abs(np.fft.rfft(x * np.hanning(x.size), 8 * x.size))
+        for _ in range(2):
+            np.testing.assert_array_equal(spectrum(x, 50.0, "hann", 8 * x.size).magnitudes, want)
+        with pytest.raises(ValueError):  # the window is shared between calls
+            dsp.hann_window(x.size)[0] = 1.0
+
     def test_zero_padding(self):
         t = np.arange(300) / 50.0
         sp = spectrum(np.sin(2 * np.pi * 0.35 * t), 50.0, nfft=2400)

@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import re
 import struct
@@ -182,6 +184,38 @@ class TestCsvExports:
         formats.write_series_csv(path, {"x": np.array([0.1, -0.0, 1e22]),
                                         "label": ["a", "b, c", None]})
         assert path.read_text() == 'x,label\n0.1,a\n-0.0,"b, c"\n1e+22,\n'
+
+    @pytest.mark.parametrize("columns", [
+        {"text": ["a,b", 'say "hi"', "two\nlines", "car\rriage", "", None, "plain"],
+         "x": np.array([0.1, -0.0, 1e22, np.nan, -1.5, 5e-324, 2.0])},
+        {"lone": [""]},
+        {"lone": [None]},
+        {"lone": ["", None, "a"]},
+        {"rate": [np.float64(0.1), np.float64(-0.0), None], "n": [3, True, False]},
+        {"i": np.arange(3), "b": np.array([True, False, True]),
+         "f": np.array([-0.0, 1e22, np.nan])},
+        {"name, with comma": np.array([1.0]), 'q"uote': ["x"]},
+        {"": np.array([1.0])},
+        {},
+        {"text": [None, "", "a,b"] * 700, "x": np.arange(2100.0) / 7},
+        {"lone": [""] * 1025},
+    ], ids=["text", "lone-empty", "lone-none", "lone-mixed", "numpy-scalars", "arrays",
+            "header", "lone-empty-name", "no-columns", "several-blocks", "lone-past-a-block"])
+    def test_series_csv_bytes_are_csv_writer_bytes(self, tmp_path, columns):
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns.values()]))
+        path = tmp_path / "rows.csv"
+        formats.write_series_csv(path, columns)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_series_csv_rejects_ragged_columns(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="unequal lengths"):
+            formats.write_series_csv(path, {"a": np.arange(5.0), "b": np.arange(3.0)})
+        assert not path.exists()
 
 
 class TestScenarioConfig:

@@ -154,15 +154,23 @@ class TestMeasuringOnly:
     def test_band_waveforms_are_the_zero_phase_bands_of_the_detrended_series(self, fbg,
                                                                             subjects):
         x = contact_record(subjects["subject-a"], fbg, noise_rms=0.005).samples
-        waves = band_waveforms(x, 50.0)
-        for band, name in ((RESP_BAND, "resp"), (HEART_BAND, "heart")):
-            want = dsp.filter_zero_phase(
-                dsp.design_bandpass(dsp.BandpassSpec(*band, 50.0)), x - x.mean())
-            np.testing.assert_array_equal(waves[f"{name}_filtered"], want)
-            spec = waves[f"{name}_spectrum"]
-            want_spec = dsp.spectrum(want, 50.0, "rectangular", 8 * x.size)
-            np.testing.assert_array_equal(spec.frequencies, want_spec.frequencies)
-            np.testing.assert_array_equal(spec.magnitudes, want_spec.magnitudes)
+        for rate in (50.0, 4.5):  # at 4.5 Sa/s the heart band's stop_high is past Nyquist
+            waves = band_waveforms(x, rate)
+            for band, name in ((RESP_BAND, "resp"), (HEART_BAND, "heart")):
+                bp = dsp.BandpassSpec(*band, rate)
+                want = dsp.filter_zero_phase(dsp.design_bandpass(bp), x - x.mean())
+                np.testing.assert_array_equal(waves[f"{name}_filtered"], want)
+                spec = waves[f"{name}_spectrum"]
+                full = dsp.spectrum(want, rate, "rectangular", 8 * x.size)
+                keep = spec.frequencies.size  # a prefix of the full spectrum, bit for bit
+                np.testing.assert_array_equal(spec.frequencies, full.frequencies[:keep])
+                np.testing.assert_array_equal(spec.magnitudes, full.magnitudes[:keep])
+                assert spec.frequencies[-1] <= bp.stop_high
+                if bp.stop_high < bp.nyquist:
+                    assert full.frequencies[keep] > bp.stop_high
+                else:
+                    assert keep == full.frequencies.size
+        assert waves["heart_spectrum"].frequencies[-1] == 2.25  # the 4.5 Sa/s Nyquist bin
 
 
 class TestRangeProfile:
