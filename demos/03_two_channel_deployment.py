@@ -64,8 +64,7 @@ loaded = read_bundle(out)
 rows = []
 for ch in loaded.channels:
     if ch.intensity is not None:
-        rep = contact_rates(ch.intensity, ch.contact_sample_rate,
-                            truth=ch.contact_subject)
+        rep = contact_rates(ch.intensity, truth=ch.contact_subject)
         rows.append((rep, ch.wavelength_nm, ch.contact_subject))
     if ch.frames is not None:
         for rep, tgt in zip(contactless_rates(ch.frames), ch.frames.truth):

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, formats, physio, pipelines
-from .scenario import channel_name, run_scenario, validate_scenario
+from . import dsp, formats, pipelines
+from .scenario import bundle_reports, bundle_sweeps, run_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,79 +85,14 @@ def _load_bundle(bundle_dir: str):
         return None, EXIT_VALIDATION
 
 
-def _channels(loaded, duration=None):
-    """Each channel as ``(tag, contact, analysis, targets)``, cut to ``duration`` s.
-
-    ``tag`` is ``<channel name>nm``; ``contact`` is ``(series, sample_rate,
-    subject, name)`` or None; ``analysis`` is the cut frames'
-    :class:`pipelines.FrameAnalysis` or None, and ``targets`` its targets or
-    empty.  A cut past either record raises ``ValueError``.  Every command
-    labels its outputs ``<name>@<tag>`` from these names.  The walk drops
-    each analysis before it builds the next.
-    """
-    for ch in loaded.channels:
-        contact, analysis, targets = None, None, []
-        if ch.intensity is not None:
-            series, rate = ch.intensity, ch.contact_sample_rate
-            if duration is not None:
-                series = series[:physio.prefix_length(duration, rate, series.size)]
-            subject = ch.contact_subject
-            contact = (series, rate, subject, subject.id if subject else "contact")
-        if ch.frames is not None:
-            frames = ch.frames if duration is None else ch.frames.truncated(duration)
-            analysis = pipelines.FrameAnalysis(frames)
-            targets = analysis.targets()
-        yield f"{channel_name(ch.wavelength_nm)}nm", contact, analysis, targets
-
-
-def _series_files(tag, contact, analysis, targets) -> dict:
-    """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
-    files = {}
-    if contact is not None:
-        series, rate, _, _ = contact
-        waves = pipelines.band_waveforms(series, rate)
-        files[f"contact_{tag}_waveforms.csv"] = {
-            "t_s": np.arange(waves["resp_filtered"].size) / rate,
-            "resp_filtered": waves["resp_filtered"],
-            "heart_filtered": waves["heart_filtered"],
-        }
-        for band in ("resp", "heart"):
-            sp = waves[f"{band}_spectrum"]
-            files[f"contact_{tag}_{band}_spectrum.csv"] = {
-                "freq_hz": sp.frequencies, "magnitude": sp.magnitudes}
-    if analysis is not None:
-        profile = analysis.profile()
-        files[f"range_profile_{tag}.csv"] = {
-            "range_m": profile.ranges, "magnitude": profile.magnitudes}
-        phases = analysis.phases([r for r, _ in targets])
-        for (_, name), ext in zip(targets, phases):
-            if isinstance(ext, pipelines.PhaseSeries):  # else its report holds the error
-                files[f"phase_{tag}_{name}.csv"] = {
-                    "t_s": np.arange(ext.phase.size) / analysis.frames.slow_rate,
-                    "phase_rad": ext.phase}
-    return files
-
-
 def cmd_process(args) -> int:
     loaded, status = _load_bundle(args.bundle)
     if loaded is None:
         return status
     out = _resolve_out(args.out, Path(args.bundle).name + "-reports")
-    reports, files = [], {}
     try:
-        for tag, contact, analysis, targets in _channels(loaded, args.duration):
-            if contact is not None:
-                series, rate, subject, name = contact
-                reports.append(pipelines.contact_rates(series, rate, truth=subject,
-                                                       label=f"{name}@{tag}"))
-            if targets:
-                found = pipelines.contactless_rates(analysis, [r for r, _ in targets])
-                for rep, (_, name) in zip(found, targets):
-                    rep.label = f"{name}@{tag}"
-                reports.extend(found)
-            if args.format == "csv":
-                files.update(_series_files(tag, contact, analysis, targets))
-            del analysis  # one frame transform alive at a time
+        reports, files = bundle_reports(loaded.channels, args.duration,
+                                        series=args.format == "csv")
     except ValueError as exc:
         print(f"processing failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
@@ -190,18 +125,8 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
 
     out = _resolve_out(args.out, Path(args.bundle).name + "-sweep")
-    rows = []
     try:
-        for tag, contact, analysis, targets in _channels(loaded):
-            if contact is not None:
-                series, rate, subject, name = contact
-                rows.extend(pipelines.resolution_sweep(
-                    series, durations, sample_rate=rate, truth=subject,
-                    label=f"{name}@{tag}").to_rows())
-            for rng, name in targets:
-                rows.extend(pipelines.resolution_sweep(
-                    analysis, durations, target_range=rng, label=f"{name}@{tag}").to_rows())
-            del analysis  # one frame transform alive at a time
+        rows = bundle_sweeps(loaded.channels, durations)
     except ValueError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PROCESSING

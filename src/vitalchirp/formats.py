@@ -23,7 +23,8 @@ corrupt.  The frames' truth is the header's ``truth`` (``truth.json`` copies it)
 
 Bundle directory layout
 -----------------------
-``scenario.json`` (resolved config), ``truth.json``, ``manifest.json``,
+``scenario.json`` (resolved config), ``truth.json`` (each channel's
+``contact_subject``, contact ``edge_warning`` and ``targets``), ``manifest.json``,
 and one ``channel_<name>/`` per channel, named by ``scenario.channel_name``,
 holding the record file of each of its roles and no other: ``contact.csv``
 (columns t_s, intensity) for the contact role, ``frames.bin`` for the
@@ -46,7 +47,8 @@ from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
 from .physio import PRESET_SUBJECTS, SubjectVitals, make_time_grid
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
-from .scenario import CONTACT_ROLE, CONTACTLESS_ROLE, Scenario, WdmChannel, channel_name
+from .scenario import CONTACT_ROLE, CONTACTLESS_ROLE, ChannelResult, Scenario, WdmChannel
+from .scenario import channel_name
 
 __all__ = [
     "FRAMES_MAGIC",
@@ -62,7 +64,6 @@ __all__ = [
     "build_manifest",
     "write_bundle",
     "read_bundle",
-    "LoadedChannel",
     "LoadedBundle",
 ]
 
@@ -332,8 +333,7 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         entry = {"contact_subject": None, "targets": []}
         if result.intensity is not None:
             write_intensity_csv(chdir / RECORD_FILES[CONTACT_ROLE], result.intensity)
-            entry["contact_subject"] = _subject_to_dict(result.channel.contact_subject)
-            entry["contact_sample_rate"] = result.intensity.sample_rate
+            entry["contact_subject"] = _subject_to_dict(result.contact_subject)
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:
             write_frames(result.frames, chdir / RECORD_FILES[CONTACTLESS_ROLE])
@@ -348,17 +348,8 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
 
 
 @dataclass
-class LoadedChannel:
-    wavelength_nm: float
-    intensity: np.ndarray | None = None
-    contact_sample_rate: float | None = None
-    contact_subject: SubjectVitals | None = None
-    frames: DechirpFrameSet | None = None
-
-
-@dataclass
 class LoadedBundle:
-    channels: list[LoadedChannel] = field(default_factory=list)
+    channels: list[ChannelResult] = field(default_factory=list)
 
 
 def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
@@ -369,7 +360,9 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
     ``RECORD_FILES`` of its roles; a missing one raises ``FileNotFoundError``.
     Each ``contact.csv`` must hold the ``duration_s`` record at
     ``contact_sample_rate``: its row count, and ``t_s`` the row index over
-    that rate.  A malformed document or file raises ``ValueError``.
+    that rate.  ``truth.json`` gives each contact record its ``edge_warning``
+    (a JSON bool, default false) and its subject.  A malformed document or file
+    raises ``ValueError``.
     """
     root = Path(bundle_dir)
     scenario_path = root / "scenario.json"
@@ -404,15 +397,19 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
             if role not in roles and path.exists():
                 raise ValueError(f"{path}: channel {name} has no {role} role")
         entry = _object(truth.get(name, {}), f"truth.json channel {name}")
-        lc = LoadedChannel(wavelength_nm=wl)
+        lc = ChannelResult(wavelength_nm=wl)
         if CONTACT_ROLE in roles:
             contact_csv = chdir / RECORD_FILES[CONTACT_ROLE]
-            t_s, lc.intensity = read_intensity_csv(contact_csv)
-            lc.contact_sample_rate = rate = float(config["contact_sample_rate"])
+            t_s, samples = read_intensity_csv(contact_csv)
+            rate = float(config["contact_sample_rate"])
             count = make_time_grid(float(config["duration_s"]), rate).count
             if not np.array_equal(np.rint(t_s * rate), np.arange(count)):
                 raise ValueError(f"{contact_csv}: t_s ({t_s.size} rows) is not k / {rate} for "
                                  f"k < {count}, the samples of {config['duration_s']} s")
+            if not isinstance(edge := entry.get("edge_warning", False), bool):
+                raise ValueError(f"truth.json channel {name} edge_warning {edge!r} is not "
+                                 f"a JSON bool")
+            lc.intensity = IntensityRecord(samples, rate, edge)
             if entry.get("contact_subject"):
                 lc.contact_subject = _subject_from_dict(entry["contact_subject"])
         if CONTACTLESS_ROLE in roles:

@@ -15,11 +15,11 @@ processing chain consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .physio import TimeGrid
+from .physio import TimeGrid, prefix_length
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -179,6 +179,11 @@ class IntensityRecord:
     samples: np.ndarray
     sample_rate: float
     edge_warning: bool = False
+
+    def truncated(self, duration: float) -> IntensityRecord:
+        """First ``duration`` seconds of the record as a new record."""
+        rows = prefix_length(duration, self.sample_rate, self.samples.size)
+        return replace(self, samples=self.samples[:rows])
 
 
 def contact_intensity(

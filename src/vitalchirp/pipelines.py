@@ -235,20 +235,16 @@ def contact_rates(
     Needs at least 5 s of finite samples.  A band with no spectral
     energy is reported as not detected rather than raising.
     """
-    if isinstance(intensity, IntensityRecord):
-        series = intensity.samples
-        sample_rate = intensity.sample_rate
-    else:
-        series = np.asarray(intensity, dtype=float)
+    if not isinstance(intensity, IntensityRecord):
+        intensity = IntensityRecord(np.asarray(intensity, dtype=float), sample_rate)
+    series, sample_rate = intensity.samples, intensity.sample_rate
     if not np.all(np.isfinite(series)):
         raise ValueError(f"record holds {np.sum(~np.isfinite(series))} non-finite samples")
     duration = series.size / sample_rate
     _check_duration(duration)
 
-    return _rates_report(
-        series, sample_rate, label or (truth.id if truth is not None else "contact"),
-        "contact", truth, _processing_metadata(sample_rate, duration),
-    )
+    return _rates_report(series, sample_rate, label or (truth.id if truth else "contact"),
+                         "contact", truth, _processing_metadata(sample_rate, duration))
 
 
 @dataclass
@@ -518,17 +514,13 @@ def resolution_sweep(
         def rates(d):
             return contactless_rates(analysis.prefix(d), [rng_req])[0]
     else:
-        if isinstance(source, IntensityRecord):
-            series = source.samples
-            sample_rate = source.sample_rate
-        else:
-            series = np.asarray(source, dtype=float)
-        modality, rate, count = "contact", sample_rate, series.size
+        record = source if isinstance(source, IntensityRecord) else IntensityRecord(
+            np.asarray(source, dtype=float), sample_rate)
+        modality, rate, count = "contact", record.sample_rate, record.samples.size
         default_label = truth.id if truth is not None else "contact"
 
         def rates(d):
-            return contact_rates(series[:prefix_length(d, sample_rate, series.size)],
-                                 sample_rate, truth=truth)
+            return contact_rates(record.truncated(d), truth=truth)
 
     row_label = label or default_label
     entries = []

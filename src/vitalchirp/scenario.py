@@ -9,11 +9,14 @@ channels are ideally isolated and execute independently; per-channel
 noise seeds derive only from (global seed, wavelength), which keeps every
 channel's output bit-identical no matter which other channels exist in
 the scenario.
+
+:func:`bundle_reports` and :func:`bundle_sweeps` walk a bundle's channels,
+simulated or read from disk, to their labelled reports and sweep rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +31,8 @@ from .photonics import (
     derive_chirp,
 )
 from .physio import HEART_BAND, SubjectVitals, band_violations, make_time_grid, synth_motion
-from .pipelines import MIN_DURATION_S
+from .pipelines import MIN_DURATION_S, FrameAnalysis, PhaseSeries, band_waveforms
+from .pipelines import contact_rates, contactless_rates, resolution_sweep
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .radar import scene_violations, synth_dechirp_frames
 
@@ -43,6 +47,8 @@ __all__ = [
     "run_scenario",
     "channel_seeds",
     "channel_name",
+    "bundle_reports",
+    "bundle_sweeps",
 ]
 
 CONTACT_ROLE = "contact"
@@ -201,9 +207,17 @@ def channel_seeds(global_seed: int, wavelength_nm: float) -> tuple[int, int]:
 
 @dataclass
 class ChannelResult:
-    channel: WdmChannel
+    """One channel's records, from :func:`run_scenario` or ``formats.read_bundle``: the
+    contact role's ``intensity`` of ``contact_subject``, the contactless role's ``frames``."""
+
+    wavelength_nm: float
+    contact_subject: SubjectVitals | None = None
     intensity: IntensityRecord | None = None
     frames: DechirpFrameSet | None = None
+
+    @property
+    def contact_sample_rate(self) -> float | None:
+        return None if self.intensity is None else self.intensity.sample_rate
 
 
 @dataclass
@@ -219,34 +233,101 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
     the extraction chains are scale-invariant, so it never moves a rate.
     Bundles are deterministic under the scenario seed.
     """
-    report = validate_scenario(s)
-    if not report.ok:
+    if not (report := validate_scenario(s)).ok:
         raise ScenarioValidationError(report.violations)
 
     results: dict[float, ChannelResult] = {}
     for ch in s.channels:
         contact_seed, radar_seed = channel_seeds(s.seed, ch.wavelength_nm)
-        result = ChannelResult(channel=ch)
-
+        result = results[ch.wavelength_nm] = ChannelResult(ch.wavelength_nm, ch.contact_subject)
         if CONTACT_ROLE in ch.roles:
             grid = make_time_grid(s.acquisition.duration, s.contact_sample_rate)
-            motion = synth_motion(ch.contact_subject, grid)
-            record = contact_intensity(
-                motion,
-                ch.fbg,
-                grid,
-                noise_rms=ch.contact_noise_rms,
-                rng_seed=contact_seed,
-            )
-            record.samples *= ch.loss_scale
-            result.intensity = record
-
+            result.intensity = contact_intensity(
+                synth_motion(ch.contact_subject, grid), ch.fbg, grid,
+                noise_rms=ch.contact_noise_rms, rng_seed=contact_seed)
+            result.intensity.samples *= ch.loss_scale
         if CONTACTLESS_ROLE in ch.roles:
-            chirp = derive_chirp(ch.if_lfm)
-            frames = synth_dechirp_frames(ch.radar_targets, chirp, s.acquisition,
-                                          seed=radar_seed)
-            frames.samples *= ch.loss_scale
-            result.frames = frames
-
-        results[ch.wavelength_nm] = result
+            result.frames = synth_dechirp_frames(ch.radar_targets, derive_chirp(ch.if_lfm),
+                                                 s.acquisition, seed=radar_seed)
+            result.frames.samples *= ch.loss_scale
     return ScenarioBundle(scenario=s, channels=results)
+
+
+def _walk(channels, duration=None):
+    """Each channel cut to ``duration`` s (``ValueError`` past a record) as ``(channel,
+    analysis, targets)``: its frames' :class:`pipelines.FrameAnalysis` and their targets,
+    or None and empty.  The walk drops each analysis before it builds the next."""
+    for ch in channels:
+        if duration is not None:
+            ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
+                         frames=ch.frames and ch.frames.truncated(duration))
+        analysis = ch.frames and FrameAnalysis(ch.frames)
+        yield ch, analysis, analysis.targets() if analysis else []
+        del analysis
+
+
+def _label(ch: ChannelResult, name: str | None = None) -> str:
+    """``<name>@<channel name>nm``; ``name`` defaults to the contact subject's id."""
+    person = name or (ch.contact_subject.id if ch.contact_subject else "contact")
+    return f"{person}@{channel_name(ch.wavelength_nm)}nm"
+
+
+def _series_files(ch: ChannelResult, analysis, targets) -> dict:
+    """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
+    tag, files = f"{channel_name(ch.wavelength_nm)}nm", {}
+    if ch.intensity is not None:
+        rate = ch.intensity.sample_rate
+        waves = band_waveforms(ch.intensity.samples, rate)
+        files[f"contact_{tag}_waveforms.csv"] = {
+            "t_s": np.arange(ch.intensity.samples.size) / rate,
+            **{key: waves[key] for key in ("resp_filtered", "heart_filtered")}}
+        for band in ("resp", "heart"):
+            sp = waves[f"{band}_spectrum"]
+            files[f"contact_{tag}_{band}_spectrum.csv"] = {
+                "freq_hz": sp.frequencies, "magnitude": sp.magnitudes}
+    if analysis is not None:
+        profile = analysis.profile()
+        files[f"range_profile_{tag}.csv"] = {
+            "range_m": profile.ranges, "magnitude": profile.magnitudes}
+        phases = analysis.phases([r for r, _ in targets])
+        for (_, name), ext in zip(targets, phases):
+            if isinstance(ext, PhaseSeries):  # else its report holds the error
+                files[f"phase_{tag}_{name}.csv"] = {
+                    "t_s": np.arange(ext.phase.size) / analysis.frames.slow_rate,
+                    "phase_rad": ext.phase}
+    return files
+
+
+def bundle_reports(channels, duration=None, series=False) -> tuple[list, dict]:
+    """The reports of each person on ``channels`` (:class:`ChannelResult` records) cut
+    to ``duration`` s, labelled ``<id>@<channel name>nm``, and with ``series`` the
+    ``{file name: columns}`` ``process --format csv`` writes (else empty).
+    A record that cannot be processed raises ``ValueError``."""
+    reports, files = [], {}
+    for ch, analysis, targets in _walk(channels, duration):
+        if ch.intensity is not None:
+            reports.append(contact_rates(ch.intensity, truth=ch.contact_subject, label=_label(ch)))
+        if targets:
+            found = contactless_rates(analysis, [r for r, _ in targets])
+            for rep, (_, name) in zip(found, targets):
+                rep.label = _label(ch, name)
+            reports.extend(found)
+        if series:
+            files.update(_series_files(ch, analysis, targets))
+        del analysis  # one frame transform alive at a time
+    return reports, files
+
+
+def bundle_sweeps(channels, durations) -> list[dict]:
+    """The :func:`pipelines.resolution_sweep` rows of each person on ``channels``,
+    labelled and raising as :func:`bundle_reports` does."""
+    rows = []
+    for ch, analysis, targets in _walk(channels):
+        if ch.intensity is not None:
+            rows.extend(resolution_sweep(ch.intensity, durations, truth=ch.contact_subject,
+                                         label=_label(ch)).to_rows())
+        for rng, name in targets:
+            rows.extend(resolution_sweep(analysis, durations, target_range=rng,
+                                         label=_label(ch, name)).to_rows())
+        del analysis  # one frame transform alive at a time
+    return rows

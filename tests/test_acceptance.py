@@ -279,7 +279,7 @@ def test_criterion_9_multichannel_scaling():
             reports = []
             for wl, result in bundle.channels.items():
                 reports.append(
-                    contact_rates(result.intensity, truth=result.channel.contact_subject)
+                    contact_rates(result.intensity, truth=result.contact_subject)
                 )
             return reports, time.perf_counter() - start
 

@@ -9,9 +9,10 @@ import pytest
 
 from vitalchirp.cli import main
 from vitalchirp.formats import read_bundle, read_frames, scenario_from_dict, write_frames
+from vitalchirp.formats import write_json
 from vitalchirp.physio import PRESET_SUBJECTS
-from vitalchirp.pipelines import FrameAnalysis, band_waveforms, contact_rates
-from vitalchirp.scenario import run_scenario
+from vitalchirp.pipelines import FrameAnalysis, band_waveforms
+from vitalchirp.scenario import bundle_reports, bundle_sweeps, run_scenario
 
 from conftest import edit_frames_header, frames_header
 
@@ -259,7 +260,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(write_config(tmp_path, config)),
                      "--out", str(bundle)]) == 0
         (ch,) = read_bundle(bundle).channels
-        assert ch.intensity.size == ch.frames.slow_count == 3001
+        assert ch.intensity.samples.size == ch.frames.slow_count == 3001
         out = tmp_path / "off-grid-reports"
         assert main(["process", str(bundle), "--out", str(out)]) == 0
         reports = json.loads((out / "reports.json").read_text())
@@ -318,27 +319,31 @@ class TestProcess:
         assert len(reports) == 4
         assert all(r["metadata"]["duration_s"] == pytest.approx(5.02) for r in reports)
 
-    def test_bundle_contact_reports_equal_the_in_memory_record(self, bundle_dir, tmp_path):
-        out = tmp_path / "reports"
-        assert main(["process", str(bundle_dir), "--out", str(out)]) == 0
-        on_disk = {r["label"]: r for r in json.loads((out / "reports.json").read_text())}
-        scenario = scenario_from_dict(CONFIG)
-        for wl, result in run_scenario(scenario).channels.items():
-            subject = result.channel.contact_subject
-            label = f"{subject.id}@{wl:g}nm"
-            report = contact_rates(result.intensity.samples, scenario.contact_sample_rate,
-                                   truth=subject, label=label)
-            assert on_disk[label] == json.loads(json.dumps(report.to_dict()))
+    def test_reports_and_sweep_in_memory_equal_the_written_files(self, bundle_dir, tmp_path):
+        for command in ("process", "sweep"):
+            assert main([command, str(bundle_dir), "--out", str(tmp_path / "cli")]) == 0
+        channels = list(run_scenario(scenario_from_dict(CONFIG)).channels.values())
+        reports, files = bundle_reports(channels)
+        assert files == {}
+        write_json(tmp_path / "reports.json", [rep.to_dict() for rep in reports])
+        write_json(tmp_path / "sweep.json",
+                   bundle_sweeps(channels, [5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]))
+        for name in ("reports.json", "sweep.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_csv_format_writes_series(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"
         assert main(["process", str(bundle_dir), "--out", str(out),
                      "--format", "csv"]) == 0
-        assert (out / "range_profile_1549.36nm.csv").is_file()
         assert (out / "contact_1549.36nm_waveforms.csv").is_file()
         assert (out / "phase_1549.36nm_subject-b.csv").is_file()
+        frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
+        profile = FrameAnalysis(frames).profile()
+        data = np.loadtxt(out / "range_profile_1549.36nm.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 0], profile.ranges)
+        np.testing.assert_array_equal(data[:, 1], profile.magnitudes)
 
-    def test_csv_phase_series_match_extract_target_phase(self, bundle_dir, tmp_path):
+    def test_csv_phase_series_are_the_frame_analysis_phases(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"
         assert main(["process", str(bundle_dir), "--out", str(out),
                      "--format", "csv"]) == 0
@@ -347,7 +352,7 @@ class TestProcess:
             data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
                               delimiter=",", skiprows=1)
             want = FrameAnalysis(frames).phases([tgt.nominal_range])[0].phase
-            np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
+            np.testing.assert_array_equal(data[:, 1], want)
 
     def test_removed_dc_comp_option_rejected(self, bundle_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -364,10 +369,10 @@ class TestProcess:
 
         for ch in read_bundle(bundle_dir).channels:  # every value exact
             tag = f"{ch.wavelength_nm:g}nm"
-            waves = band_waveforms(ch.intensity, ch.contact_sample_rate)
+            waves = band_waveforms(ch.intensity.samples, ch.contact_sample_rate)
             data = load(f"contact_{tag}_waveforms.csv")
             np.testing.assert_array_equal(
-                data[:, 0], np.arange(ch.intensity.size) / ch.contact_sample_rate)
+                data[:, 0], np.arange(ch.intensity.samples.size) / ch.contact_sample_rate)
             np.testing.assert_array_equal(data[:, 1], waves["resp_filtered"])
             np.testing.assert_array_equal(data[:, 2], waves["heart_filtered"])
             for band in ("resp", "heart"):
@@ -551,6 +556,28 @@ class TestProcess:
         out = tmp_path / "out"
         assert main(["process", str(broken), "--out", str(out)]) == 2
         assert "must be numbers, not true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_edge_warning_is_read_back(self, tmp_path):
+        config = json.loads(json.dumps(CONFIG))
+        config["channels"][1]["fbg"]["displacement_to_shift"] = 5e9  # past the edge region
+        bundle = tmp_path / "edge"
+        assert main(["simulate", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(bundle)]) == 0
+        assert [ch.intensity.edge_warning for ch in read_bundle(bundle).channels] == [
+            False, True]
+        (bundle / "truth.json").unlink()
+        assert [ch.intensity.edge_warning for ch in read_bundle(bundle).channels] == [
+            False, False]
+
+    def test_edge_warning_not_a_bool_validation_exit(self, bundle_dir, tmp_path, capsys):
+        broken = bundle_copy(bundle_dir, tmp_path / "edge-text")
+        edit_json(broken / "truth.json", lambda truth: truth["channels"]["1549.92"].update(
+            edge_warning="text"))
+        out = tmp_path / "out"
+        assert main(["process", str(broken), "--out", str(out)]) == 2
+        assert ("bundle is malformed: truth.json channel 1549.92 edge_warning 'text' is not "
+                "a JSON bool") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [

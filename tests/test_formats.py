@@ -394,7 +394,9 @@ class TestBundleIO:
         assert np.array_equal(
             ch1.frames.samples, bundle.channels[1549.36].frames.samples
         )
-        np.testing.assert_array_equal(ch1.intensity, bundle.channels[1549.36].intensity.samples)
+        assert type(ch1) is type(bundle.channels[1549.36])
+        np.testing.assert_array_equal(ch1.intensity.samples,
+                                      bundle.channels[1549.36].intensity.samples)
 
     def test_frames_truth_is_read_from_the_frames_header_only(self, tmp_path):
         from vitalchirp.scenario import run_scenario

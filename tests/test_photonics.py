@@ -8,6 +8,7 @@ from vitalchirp.photonics import (
     SPEED_OF_LIGHT,
     FbgProfile,
     IfLfmParams,
+    IntensityRecord,
     contact_intensity,
     derive_chirp,
     fbg_transmission,
@@ -104,6 +105,14 @@ class TestContactIntensity:
         grid = make_time_grid(5.0, 50.0)
         with pytest.raises(ValueError):
             contact_intensity(np.zeros(10), fbg, grid)
+
+    def test_truncated(self):
+        rec = IntensityRecord(np.arange(3000.0), 50.0, edge_warning=True)
+        short = rec.truncated(5.03)  # 251.5 samples: the prefix_length rule keeps 251
+        assert (short.sample_rate, short.edge_warning) == (50.0, True)
+        np.testing.assert_array_equal(short.samples, rec.samples[:251])
+        with pytest.raises(ValueError, match="cannot truncate 60.0 s record to 90 s"):
+            rec.truncated(90)
 
 
 class TestChirpParams:

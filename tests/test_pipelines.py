@@ -33,6 +33,7 @@ from vitalchirp.radar import (
     RadarTarget,
     synth_dechirp_frames,
 )
+from vitalchirp.scenario import ChannelResult
 
 from conftest import traced_peak, two_person_scene, within
 
@@ -624,7 +625,9 @@ class TestOneTransformPerCall:
     (DechirpFrameSet, ["samples", "chirp", "acquisition", "truth"]),
     (PhaseSeries, ["phase", "bin_index", "bin_range"]),
     (IntensityRecord, ["samples", "sample_rate", "edge_warning"]),
+    (ChannelResult, ["wavelength_nm", "contact_subject", "intensity", "frames"]),
 ])
 def test_records_store_no_sampling_fact_twice(record, names):
-    """A frame set's rates are its acquisition's, a phase series' its frames'."""
+    """A frame set's rates are its acquisition's, a phase series' its frames', a
+    channel's its records'."""
     assert [f.name for f in fields(record)] == names

@@ -1,10 +1,13 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vitalchirp import scenario
 from vitalchirp.photonics import FbgProfile, IfLfmParams, derive_chirp
 from vitalchirp.physio import SubjectVitals, band_violations, preset_subject
+from vitalchirp.pipelines import FrameAnalysis
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 from vitalchirp.scenario import (
     Scenario,
@@ -231,3 +234,29 @@ class TestChannelSeeds:
         assert a1 == a2
         assert a1 != b
         assert a1 != c
+
+
+class TestBundleWalk:
+    @pytest.fixture(scope="class")
+    def radar_channels(self):
+        s = Scenario(channels=(channel(1549.36, ["contactless"], targets=two_targets()),
+                               channel(1549.92, ["contactless"], targets=two_targets())),
+                     acquisition=AcquisitionParams(duration=10.0))
+        return list(run_scenario(s).channels.values())
+
+    @pytest.mark.parametrize("walk", [
+        lambda channels: scenario.bundle_reports(channels, 7.3, series=True),
+        lambda channels: scenario.bundle_sweeps(channels, [5.0, 10.0]),
+    ], ids=["reports", "sweeps"])
+    def test_one_frame_transform_alive_at_a_time(self, radar_channels, monkeypatch, walk):
+        alive, seen = weakref.WeakSet(), []
+
+        class Counted(FrameAnalysis):
+            def __init__(self, frames):
+                seen.append(len(alive))  # analyses alive as this one is built
+                super().__init__(frames)
+                alive.add(self)
+
+        monkeypatch.setattr(scenario, "FrameAnalysis", Counted)
+        walk(radar_channels)
+        assert seen == [0, 0]
