@@ -9,7 +9,6 @@ table for all three people.
 import json
 from pathlib import Path
 
-from vitalchirp import contact_rates, contactless_rates
 from vitalchirp.formats import (
     build_manifest,
     read_bundle,
@@ -17,7 +16,7 @@ from vitalchirp.formats import (
     scenario_to_dict,
     write_bundle,
 )
-from vitalchirp.scenario import run_scenario, validate_scenario
+from vitalchirp.scenario import bundle_reports, run_scenario, validate_scenario
 
 config = {
     "duration_s": 60.0,
@@ -60,27 +59,20 @@ resolved = scenario_to_dict(scenario)
 write_bundle(bundle, out, build_manifest("demo", {}, resolved, scenario.seed))
 print(f"bundle written to {out}/")
 
-loaded = read_bundle(out)
-rows = []
-for ch in loaded.channels:
-    if ch.intensity is not None:
-        rep = contact_rates(ch.intensity, truth=ch.contact_subject)
-        rows.append((rep, ch.wavelength_nm, ch.contact_subject))
-    if ch.frames is not None:
-        for rep, tgt in zip(contactless_rates(ch.frames), ch.frames.truth):
-            rows.append((rep, ch.wavelength_nm, tgt.subject))
+# the walk `vitalchirp process` takes: every person, labelled <id>@<channel>nm
+reports, _ = bundle_reports(read_bundle(out).channels)
 
 print()
-print(f"{'person':12s} {'mode':12s} {'ch (nm)':>8s} "
+print(f"{'person@channel':20s} {'mode':12s} "
       f"{'resp meas':>9s} {'actual':>6s} {'err':>5s} "
       f"{'heart meas':>10s} {'actual':>6s} {'err':>5s}")
-for rep, wl, subject in rows:
-    print(f"{subject.id:12s} {rep.modality:12s} {wl:8.2f} "
-          f"{rep.respiration_rpm:9.1f} {subject.respiration_rate:6.1f} "
+for rep in reports:  # an error is measured minus actual
+    print(f"{rep.label:20s} {rep.modality:12s} "
+          f"{rep.respiration_rpm:9.1f} {rep.respiration_rpm - rep.resp_error_rpm:6.1f} "
           f"{rep.resp_error_rpm:+5.1f} "
-          f"{rep.heartbeat_bpm:10.1f} {subject.heartbeat_rate:6.1f} "
+          f"{rep.heartbeat_bpm:10.1f} {rep.heartbeat_bpm - rep.heart_error_bpm:6.1f} "
           f"{rep.heart_error_bpm:+5.1f}")
 
 report_path = out / "report_table.json"
-report_path.write_text(json.dumps([r.to_dict() for r, _, _ in rows], indent=2))
+report_path.write_text(json.dumps([r.to_dict() for r in reports], indent=2))
 print(f"\nreport table in {report_path}")

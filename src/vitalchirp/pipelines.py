@@ -224,26 +224,40 @@ def _rates_report(series, sample_rate, label, modality, truth, metadata,
     return report
 
 
+def _contact_person(intensity, sample_rate, truth) -> tuple[IntensityRecord, str]:
+    """``intensity`` as a record (a bare array needs ``sample_rate``, a record must
+    match it) and the name of its person: ``truth``'s id, else ``contact``."""
+    name = truth.id if truth is not None else "contact"
+    if not isinstance(intensity, IntensityRecord):
+        if sample_rate is None:
+            raise ValueError("sample_rate is required for a bare array")
+        return IntensityRecord(np.asarray(intensity, dtype=float), sample_rate), name
+    if sample_rate not in (None, intensity.sample_rate):
+        raise ValueError(f"sample_rate {sample_rate} differs from the record's "
+                         f"{intensity.sample_rate}")
+    return intensity, name
+
+
 def contact_rates(
     intensity: IntensityRecord | np.ndarray,
-    sample_rate: float = 50.0,
+    sample_rate: float | None = None,
     truth: SubjectVitals | None = None,
     label: str | None = None,
 ) -> VitalsReport:
     """Respiration and heartbeat rates from a contact intensity record.
 
-    Needs at least 5 s of finite samples.  A band with no spectral
+    A bare array needs ``sample_rate``; a record brings its own, which a given one
+    must equal.  Needs at least 5 s of finite samples.  A band with no spectral
     energy is reported as not detected rather than raising.
     """
-    if not isinstance(intensity, IntensityRecord):
-        intensity = IntensityRecord(np.asarray(intensity, dtype=float), sample_rate)
+    intensity, name = _contact_person(intensity, sample_rate, truth)
     series, sample_rate = intensity.samples, intensity.sample_rate
     if not np.all(np.isfinite(series)):
         raise ValueError(f"record holds {np.sum(~np.isfinite(series))} non-finite samples")
     duration = series.size / sample_rate
     _check_duration(duration)
 
-    return _rates_report(series, sample_rate, label or (truth.id if truth else "contact"),
+    return _rates_report(series, sample_rate, label or name,
                          "contact", truth, _processing_metadata(sample_rate, duration))
 
 
@@ -278,16 +292,18 @@ class PhaseSeries:
     bin_range: float
 
 
-def _nearest_truth(frames, target_range):
-    """The truth target nearest ``target_range`` within 2 range bins, or None.
+def _requested(frames, target_ranges) -> list[tuple[float, str, SubjectVitals | None]]:
+    """:meth:`FrameAnalysis.targets` triples for explicit ``target_ranges``.
 
-    That is the tolerance range selection applies, so a request that
-    selects a peak far from every truth target is neither labelled as one
-    nor scored against its rates.
+    Request ``i`` is the truth target nearest it within the 2 range bins selection
+    allows (the first of co-located ones), else ``target-<i>``, named and scored as none.
     """
-    tol = 2.0 * _bin_width(frames)
-    near = [t for t in frames.truth or () if abs(t.nominal_range - target_range) <= tol]
-    return min(near, key=lambda t: abs(t.nominal_range - target_range), default=None)
+    tol, persons = 2.0 * _bin_width(frames), []
+    for i, rng in enumerate(target_ranges):
+        t = min(frames.truth or (), key=lambda t: abs(t.nominal_range - rng), default=None)
+        near = t is not None and abs(t.nominal_range - rng) <= tol
+        persons.append((rng, t.subject.id, t.subject) if near else (rng, f"target-{i}", None))
+    return persons
 
 
 class FrameAnalysis:
@@ -336,21 +352,21 @@ class FrameAnalysis:
         return RangeProfile(frames.chirp.beat_range(freqs),
                             self.magnitudes.mean(axis=0), _bin_width(frames))
 
-    def targets(self) -> list[tuple[float, str]]:
-        """``(range, name)`` of each person the frame set is processed for.
+    def targets(self) -> list[tuple[float, str, SubjectVitals | None]]:
+        """``(range, name, truth)`` of each person the frame set is processed for.
 
-        The truth targets' nominal ranges and subject ids when the frames
-        carry truth; otherwise the peaks of :meth:`profile` of at least
-        0.3 x the strongest, in ascending range, named ``target-<i>``.
+        Each truth target's nominal range, subject id and subject, so persons at one
+        range are named and scored apart; without truth, the peaks of :meth:`profile`
+        of at least 0.3 x the strongest, in ascending range, named ``target-<i>``.
         """
         if self.frames.truth:
-            return [(t.nominal_range, t.subject.id) for t in self.frames.truth]
+            return [(t.nominal_range, t.subject.id, t.subject) for t in self.frames.truth]
         profile = self.profile()
         idx = profile.peak_indices()
         mags = profile.magnitudes[idx]
         keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
         ranges = sorted(float(r) for r in profile.ranges[keep])
-        return [(r, f"target-{i}") for i, r in enumerate(ranges)]
+        return [(r, f"target-{i}", None) for i, r in enumerate(ranges)]
 
     def phases(self, target_ranges) -> list[PhaseSeries | TargetSelectionError]:
         """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
@@ -401,33 +417,25 @@ def contactless_rates(
     frames: DechirpFrameSet | FrameAnalysis,
     target_ranges: list[float] | None = None,
 ) -> list[VitalsReport]:
-    """Per-target rates from a de-chirped frame set of at least 5 s, or its analysis.
+    """Per-person rates from a de-chirped frame set of at least 5 s, or its analysis.
 
-    ``target_ranges`` defaults to the nominal ranges of the frame set's
-    ground truth.  A selection failure on one target is reported in that
-    target's flags without aborting the others.  Requests that resolve
-    to the same range bin read the same phase series, so each of their
-    reports carries ``flags["shared_bin"] = True``.  The frame set's truth
-    subjects are matched to targets by nearest nominal range within 2
-    range bins of the request; an unmatched target is labelled
-    ``target-<i>`` and carries no error fields.
+    One report per :meth:`FrameAnalysis.targets` person, labelled with its name
+    and scored against its truth; explicit ``target_ranges`` resolve to persons
+    by the truth target nearest each within 2 range bins (the first of
+    co-located ones), else ``target-<i>`` with no error fields.  A selection
+    failure on one target is reported in that target's flags without aborting
+    the others.  Requests that resolve to the same range bin read the same
+    phase series, so each of their reports carries ``flags["shared_bin"] = True``.
     """
     analysis = frames if isinstance(frames, FrameAnalysis) else FrameAnalysis(frames)
     frames = analysis.frames
-    if target_ranges is None:
-        if not frames.truth:
-            raise ValueError("no target_ranges given and frames carry no truth")
-        target_ranges = [t.nominal_range for t in frames.truth]
-    if not target_ranges:
-        raise ValueError("at least one target range is required")
     duration = frames.duration
     _check_duration(duration)
-    phases = analysis.phases(target_ranges)
+    persons = analysis.targets() if target_ranges is None else _requested(frames, target_ranges)
+    phases = analysis.phases([rng for rng, _, _ in persons])
     bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
-    for i, (rng_req, extraction) in enumerate(zip(target_ranges, phases)):
-        matched = _nearest_truth(frames, rng_req)
-        label = matched.subject.id if matched is not None else f"target-{i}"
+    for (rng_req, label, truth), extraction in zip(persons, phases):
         metadata = _processing_metadata(frames.slow_rate, duration)
         if isinstance(extraction, TargetSelectionError):
             reports.append(VitalsReport(
@@ -439,8 +447,7 @@ def contactless_rates(
         # no mean is removed before the arctangent: a de-chirped bin has no DC clutter
         metadata.update(requested_range_m=rng_req, dc_compensation=False)
         report = _rates_report(
-            extraction.phase, frames.slow_rate, label, "contactless",
-            matched.subject if matched is not None else None,
+            extraction.phase, frames.slow_rate, label, "contactless", truth,
             metadata, range_m=extraction.bin_range,
         )
         if bins.count(extraction.bin_index) > 1:
@@ -472,7 +479,7 @@ class SweepReport:
 def resolution_sweep(
     source: IntensityRecord | np.ndarray | DechirpFrameSet | FrameAnalysis,
     durations: list[float],
-    sample_rate: float = 50.0,
+    sample_rate: float | None = None,
     truth: SubjectVitals | None = None,
     target_range: float | None = None,
     label: str | None = None,
@@ -488,9 +495,10 @@ def resolution_sweep(
     flagged in the entry's ``skipped`` and the remaining durations still
     run.  Durations below 5 s, infinite or not a number are rejected.
 
-    Every row carries ``label`` if given, else the label the chain gives
-    the source.  Frames take their truth from the frame set, so ``truth``
-    is rejected for them.
+    Frames are swept at ``target_range``, named as :func:`contactless_rates` names
+    it, else at their first :meth:`~FrameAnalysis.targets` person (``ValueError``
+    without one); they carry their own truth and rate, so ``truth`` and ``sample_rate``
+    are rejected for them.  Every row carries ``label`` if given, else the person's name.
     """
     if not durations:
         raise ValueError("at least one duration is required")
@@ -498,31 +506,27 @@ def resolution_sweep(
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s and finite")
 
     if isinstance(source, (DechirpFrameSet, FrameAnalysis)):
-        if truth is not None:
-            raise ValueError("truth applies to contact records; frames carry their own")
+        if truth is not None or sample_rate is not None:
+            raise ValueError("truth and sample_rate apply to contact records, not frames")
         analysis = source if isinstance(source, FrameAnalysis) else FrameAnalysis(source)
         frames = analysis.frames
-        rng_req = target_range
-        if rng_req is None:
-            if not frames.truth:
-                raise ValueError("target_range required for frames without truth")
-            rng_req = frames.truth[0].nominal_range
-        matched = _nearest_truth(frames, rng_req)
+        persons = analysis.targets() if target_range is None else _requested(
+            frames, [target_range])
+        if not persons:
+            raise ValueError("frames hold no target: their range profile has no peak")
+        rng_req, name, _ = persons[0]
         modality, rate, count = "contactless", frames.slow_rate, frames.slow_count
-        default_label = matched.subject.id if matched is not None else "target-0"
 
         def rates(d):
             return contactless_rates(analysis.prefix(d), [rng_req])[0]
     else:
-        record = source if isinstance(source, IntensityRecord) else IntensityRecord(
-            np.asarray(source, dtype=float), sample_rate)
+        record, name = _contact_person(source, sample_rate, truth)
         modality, rate, count = "contact", record.sample_rate, record.samples.size
-        default_label = truth.id if truth is not None else "contact"
 
         def rates(d):
             return contact_rates(record.truncated(d), truth=truth)
 
-    row_label = label or default_label
+    row_label = label or name
     entries = []
     for d in durations:
         try:

@@ -254,25 +254,24 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 
 def _walk(channels, duration=None):
-    """Each channel cut to ``duration`` s (``ValueError`` past a record) as ``(channel,
-    analysis, targets)``: its frames' :class:`pipelines.FrameAnalysis` and their targets,
-    or None and empty.  The walk drops each analysis before it builds the next."""
+    """Each channel cut to ``duration`` s (``ValueError`` past a record) with its frames'
+    :class:`pipelines.FrameAnalysis`, whose ``targets()`` are its contactless persons, or
+    None.  The walk drops each analysis before it builds the next."""
     for ch in channels:
         if duration is not None:
             ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
                          frames=ch.frames and ch.frames.truncated(duration))
         analysis = ch.frames and FrameAnalysis(ch.frames)
-        yield ch, analysis, analysis.targets() if analysis else []
+        yield ch, analysis
         del analysis
 
 
-def _label(ch: ChannelResult, name: str | None = None) -> str:
-    """``<name>@<channel name>nm``; ``name`` defaults to the contact subject's id."""
-    person = name or (ch.contact_subject.id if ch.contact_subject else "contact")
-    return f"{person}@{channel_name(ch.wavelength_nm)}nm"
+def _label(ch: ChannelResult, name: str) -> str:
+    """``<name>@<channel name>nm``: a chain's label placed on its channel."""
+    return f"{name}@{channel_name(ch.wavelength_nm)}nm"
 
 
-def _series_files(ch: ChannelResult, analysis, targets) -> dict:
+def _series_files(ch: ChannelResult, analysis) -> dict:
     """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
     tag, files = f"{channel_name(ch.wavelength_nm)}nm", {}
     if ch.intensity is not None:
@@ -289,8 +288,8 @@ def _series_files(ch: ChannelResult, analysis, targets) -> dict:
         profile = analysis.profile()
         files[f"range_profile_{tag}.csv"] = {
             "range_m": profile.ranges, "magnitude": profile.magnitudes}
-        phases = analysis.phases([r for r, _ in targets])
-        for (_, name), ext in zip(targets, phases):
+        persons = analysis.targets()
+        for (_, name, _), ext in zip(persons, analysis.phases([rng for rng, _, _ in persons])):
             if isinstance(ext, PhaseSeries):  # else its report holds the error
                 files[f"phase_{tag}_{name}.csv"] = {
                     "t_s": np.arange(ext.phase.size) / analysis.frames.slow_rate,
@@ -304,30 +303,26 @@ def bundle_reports(channels, duration=None, series=False) -> tuple[list, dict]:
     ``{file name: columns}`` ``process --format csv`` writes (else empty).
     A record that cannot be processed raises ``ValueError``."""
     reports, files = [], {}
-    for ch, analysis, targets in _walk(channels, duration):
-        if ch.intensity is not None:
-            reports.append(contact_rates(ch.intensity, truth=ch.contact_subject, label=_label(ch)))
-        if targets:
-            found = contactless_rates(analysis, [r for r, _ in targets])
-            for rep, (_, name) in zip(found, targets):
-                rep.label = _label(ch, name)
-            reports.extend(found)
+    for ch, analysis in _walk(channels, duration):
+        found = [contact_rates(ch.intensity, truth=ch.contact_subject)] if ch.intensity else []
+        found += contactless_rates(analysis) if analysis else []
+        reports += [replace(rep, label=_label(ch, rep.label)) for rep in found]
         if series:
-            files.update(_series_files(ch, analysis, targets))
+            files.update(_series_files(ch, analysis))
         del analysis  # one frame transform alive at a time
     return reports, files
 
 
 def bundle_sweeps(channels, durations) -> list[dict]:
     """The :func:`pipelines.resolution_sweep` rows of each person on ``channels``,
-    labelled and raising as :func:`bundle_reports` does."""
+    labelled and raising as :func:`bundle_reports` does; co-located persons keep their names."""
     rows = []
-    for ch, analysis, targets in _walk(channels):
+    for ch, analysis in _walk(channels):
+        sweeps = []
         if ch.intensity is not None:
-            rows.extend(resolution_sweep(ch.intensity, durations, truth=ch.contact_subject,
-                                         label=_label(ch)).to_rows())
-        for rng, name in targets:
-            rows.extend(resolution_sweep(analysis, durations, target_range=rng,
-                                         label=_label(ch, name)).to_rows())
+            sweeps.append(resolution_sweep(ch.intensity, durations, truth=ch.contact_subject))
+        sweeps += [resolution_sweep(analysis, durations, target_range=rng, label=name)
+                   for rng, name, _ in (analysis.targets() if analysis else ())]
+        rows += [dict(row, label=_label(ch, row["label"])) for s in sweeps for row in s.to_rows()]
         del analysis  # one frame transform alive at a time
     return rows

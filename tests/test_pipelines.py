@@ -33,7 +33,7 @@ from vitalchirp.radar import (
     RadarTarget,
     synth_dechirp_frames,
 )
-from vitalchirp.scenario import ChannelResult
+from vitalchirp.scenario import ChannelResult, bundle_reports
 
 from conftest import traced_peak, two_person_scene, within
 
@@ -99,6 +99,20 @@ class TestContactRates:
         assert a.heartbeat_bpm == pytest.approx(b.heartbeat_bpm, rel=1e-9)
         assert a.resp_3db_hz == pytest.approx(b.resp_3db_hz, rel=1e-9)
         assert a.heart_3db_hz == pytest.approx(b.heart_3db_hz, rel=1e-9)
+
+    def test_sample_rate_given_with_a_record_must_match_it(self, fbg, subjects):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.005, seed=2)
+        assert contact_rates(rec, 50.0).to_dict() == contact_rates(rec).to_dict()
+        assert (resolution_sweep(rec, [5.0], sample_rate=50.0).to_rows()
+                == resolution_sweep(rec, [5.0]).to_rows())
+        with pytest.raises(ValueError, match="sample_rate 40.0 differs from the record's 50.0"):
+            contact_rates(rec, 40.0)
+        with pytest.raises(ValueError, match="sample_rate 40.0 differs"):
+            resolution_sweep(rec, [5.0], sample_rate=40.0)
+        with pytest.raises(ValueError, match="sample_rate is required"):
+            contact_rates(rec.samples)
+        with pytest.raises(ValueError, match="sample_rate is required"):
+            resolution_sweep(rec.samples, [5.0])
 
     def test_rates_inside_search_bands_or_flagged(self, fbg, subjects):
         rep = contact_rates(
@@ -413,15 +427,40 @@ class TestContactlessRates:
         assert resolution_sweep(frames, [5.0], target_range=6.0).entries[0].label == "target-0"
 
     def test_targets_sharing_a_bin_flagged(self, chirp, subjects):
-        # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak
-        frames = synth_dechirp_frames(
-            [RadarTarget(subjects["subject-b"], 1.00),
-             RadarTarget(subjects["subject-c"], 1.06)],
-            chirp, AcquisitionParams(), seed=1,
-        )
-        b, c = contactless_rates(frames)
-        assert b.range_m == c.range_m
-        assert b.flags["shared_bin"] and c.flags["shared_bin"]
+        # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak; at
+        # 1.00 m the two persons share a range, and each is still scored as itself
+        for c_range in (1.06, 1.00):
+            frames = synth_dechirp_frames(
+                [RadarTarget(subjects["subject-b"], 1.00),
+                 RadarTarget(subjects["subject-c"], c_range)],
+                chirp, AcquisitionParams(), seed=1,
+            )
+            in_bundle, _ = bundle_reports([ChannelResult(1549.36, frames=frames)])
+            for reports, suffix in ((contactless_rates(frames), ""),
+                                    (in_bundle, "@1549.36nm")):
+                b, c = reports
+                assert b.range_m == c.range_m
+                assert b.flags["shared_bin"] and c.flags["shared_bin"]
+                for rep, name in ((b, "subject-b"), (c, "subject-c")):
+                    truth = subjects[name]
+                    assert rep.label == name + suffix
+                    assert rep.resp_error_rpm == rep.respiration_rpm - truth.respiration_rate
+                    assert rep.heart_error_bpm == rep.heartbeat_bpm - truth.heartbeat_rate
+
+    def test_truthless_frames_default_to_their_detected_targets(self, chirp):
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        frames.truth = None
+        reports = contactless_rates(frames)
+        assert [r.label for r in reports] == ["target-0", "target-1"]
+        in_bundle, _ = bundle_reports([ChannelResult(1549.36, frames=frames)])
+        assert [dict(r.to_dict(), label=r.label.removesuffix("@1549.36nm"))
+                for r in in_bundle] == [r.to_dict() for r in reports]
+
+    def test_empty_request_gives_no_report(self, chirp):
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        assert contactless_rates(frames, []) == []
 
     def test_distinct_bins_carry_no_shared_flag(self, chirp, subjects):
         targets, acq = two_person_scene()
@@ -555,6 +594,25 @@ class TestResolutionSweep:
         frames.truth = None
         with pytest.raises(ValueError, match="truth"):
             resolution_sweep(frames, [5.0], target_range=1.0, truth=subjects["subject-b"])
+        with pytest.raises(ValueError, match="sample_rate"):
+            resolution_sweep(frames, [5.0], target_range=1.0, sample_rate=50.0)
+
+    def test_truthless_frames_sweep_their_first_detected_target(self, chirp):
+        targets, acq = two_person_scene(duration=20.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        frames.truth = None
+        (first, _, _), _ = FrameAnalysis(frames).targets()
+        rows = resolution_sweep(frames, [5.0, 10.0]).to_rows()
+        assert rows == resolution_sweep(frames, [5.0, 10.0], target_range=first).to_rows()
+        assert [r["label"] for r in rows] == ["target-0", "target-0"]
+        assert all(r["skipped"] is None for r in rows)
+
+    def test_truthless_frames_without_a_peak_rejected(self, chirp):
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        frames.truth, frames.samples = None, np.zeros_like(frames.samples)
+        with pytest.raises(ValueError, match="no target"):
+            resolution_sweep(frames, [5.0])
 
 
 class TestOneTransformPerCall:
