@@ -8,11 +8,11 @@ spectra -> peak search -> rates and 3-dB resolutions.
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
-One :class:`FrameAnalysis` transforms a frame set once (hann fast-time FFT,
-row block by row block on up to two threads, bit for bit the one-shot
-transform); its profile, targets and phases read those spectra, and
-:meth:`FrameAnalysis.prefix` gives each sweep duration the analysis of the
-truncated frames from their first rows, bit for bit and without a transform.
+A frame set takes its hann fast-time FFT once
+(:meth:`radar.DechirpFrameSet.transform`), however many calls read it; a
+:class:`FrameAnalysis` reads its profile, targets and phases from those
+spectra, and :meth:`FrameAnalysis.prefix` gives each sweep duration the
+analysis of the truncated frames from their first rows, without a transform.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
@@ -35,7 +35,6 @@ spectra, which ``process --format csv`` exports, come from
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
 from .physio import HEART_BAND, RESP_BAND, SubjectVitals, prefix_length
-from .radar import DechirpFrameSet, run_blocks
+from .radar import DechirpFrameSet
 
 __all__ = [
     "VitalsReport",
@@ -307,39 +306,17 @@ def _requested(frames, target_ranges) -> list[tuple[float, str, SubjectVitals | 
 
 
 class FrameAnalysis:
-    """The hann fast-time transform of a frame set, read by every contactless output.
-
-    The spectra are taken once, from the samples the frames hold at
-    construction, in ``radar.FRAME_BLOCK_ROWS``-row blocks on up to two
-    threads: construction drains :func:`radar.run_blocks`, so it returns
-    once every block is done.  Each worker windows its blocks in its own
-    buffer and transforms them straight into the rows of ``spectra`` and
-    ``magnitudes``.  Each row equals the one-shot transform of the whole
-    matrix bit for bit, whatever the thread count.
-    """
+    """Every contactless output of a frame set, read from the ``spectra`` and
+    ``magnitudes`` of its :meth:`radar.DechirpFrameSet.transform`: the analyses of
+    one frame set share one transform, taken by the first of them."""
 
     def __init__(self, frames: DechirpFrameSet):
         self.frames = frames
-        m_count, n_count = frames.samples.shape
-        window = dsp.hann_window(n_count)
-        self.spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
-        self.magnitudes = np.empty(self.spectra.shape)
-
-        def transform(rows, block):
-            np.multiply(frames.samples[rows], window, out=block)
-            np.fft.rfft(block, axis=1, out=self.spectra[rows])
-            np.abs(self.spectra[rows], out=self.magnitudes[rows])
-
-        for _ in run_blocks(m_count, n_count, transform, "FrameAnalysis"):
-            pass
+        self.spectra, self.magnitudes = frames.transform()
 
     def prefix(self, duration: float) -> FrameAnalysis:
-        """``FrameAnalysis(frames.truncated(duration))`` bit for bit, as views of these rows."""
-        out = copy.copy(self)
-        out.frames = self.frames.truncated(duration)
-        rows = out.frames.slow_count
-        out.spectra, out.magnitudes = self.spectra[:rows], self.magnitudes[:rows]
-        return out
+        """``FrameAnalysis(frames.truncated(duration))``: views of these rows."""
+        return FrameAnalysis(self.frames.truncated(duration))
 
     def profile(self) -> RangeProfile:
         """Slow-time-averaged hann magnitude: the profile targets are selected on.
@@ -426,6 +403,7 @@ def contactless_rates(
     failure on one target is reported in that target's flags without aborting
     the others.  Requests that resolve to the same range bin read the same
     phase series, so each of their reports carries ``flags["shared_bin"] = True``.
+    Frames holding a non-finite sample raise ``ValueError`` naming their count.
     """
     analysis = frames if isinstance(frames, FrameAnalysis) else FrameAnalysis(frames)
     frames = analysis.frames
@@ -489,8 +467,10 @@ def resolution_sweep(
     Each duration is a truncation of the source record anchored at t=0
     (sliding windows are not used) to :func:`physio.prefix_length` samples;
     the matching rates chain runs on the truncation.  Frames are read
-    through one :class:`FrameAnalysis` (the one passed, else one built per
-    call) and its :meth:`~FrameAnalysis.prefix`.  Durations that rule cannot
+    through a :class:`FrameAnalysis` (the one passed, else one of the
+    frames' kept transform) and its :meth:`~FrameAnalysis.prefix`, so a frame
+    set is transformed once however many calls read it; a non-finite sample
+    raises ``ValueError``.  Durations that rule cannot
     cut from the source, and for frames a failed target selection, are
     flagged in the entry's ``skipped`` and the remaining durations still
     run.  Durations below 5 s, infinite or not a number are rejected.

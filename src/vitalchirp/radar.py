@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dsp import hann_window
 from .photonics import SPEED_OF_LIGHT, ChirpParams
 from .physio import SubjectVitals, TimeGrid, make_time_grid, prefix_length, synth_motion
 
@@ -40,7 +41,7 @@ DEFAULT_DURATION = 60.0
 
 # Rows of the frame matrix synthesized or transformed at a time: 256 rows of
 # 600 fast-time samples is 1.2 MB, a block that stays in cache.  Both users,
-# synthesis and the hann transform of ``pipelines.FrameAnalysis``, hand the
+# synthesis and the hann transform a ``DechirpFrameSet`` keeps, hand the
 # blocks to up to two threads through ``run_blocks`` and loop over the
 # finished blocks in row order (synthesis adds and draws the noise there).
 FRAME_BLOCK_ROWS = 256
@@ -115,12 +116,17 @@ def _shared_ids(targets) -> list[str]:
 
 @dataclass
 class DechirpFrameSet:
-    """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``."""
+    """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
+
+    The first :meth:`transform` is kept while the frame set lives, and it and ``samples``
+    are then read-only, so an in-place write raises rather than leave it stale.  Views
+    of ``samples`` taken beforehand stay writable, except a :meth:`truncated` cut's."""
 
     samples: np.ndarray
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
+    _kept = None  # (samples, spectra, magnitudes) once transformed; not a field
 
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
@@ -147,10 +153,44 @@ class DechirpFrameSet:
         return self.slow_count / self.slow_rate
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
-        """First ``duration`` seconds of the record as a new frame set."""
+        """First ``duration`` seconds of the record as a new frame set: read-only views
+        of the first rows of the samples and, once taken, of the transform."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
-        return replace(self, samples=self.samples[:rows],
-                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
+        out = replace(self, samples=self.samples[:rows],
+                      acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
+        out.samples.setflags(write=False)  # a write would change this frame set's samples
+        if self._kept is not None and self._kept[0] is self.samples:
+            out._kept = (out.samples, self._kept[1][:rows], self._kept[2][:rows])
+        return out
+
+    def transform(self) -> tuple[np.ndarray, np.ndarray]:
+        """The complex rFFT of each hann-windowed frame and its magnitudes, kept from the
+        first call until ``samples`` is replaced; ``ValueError`` names non-finite samples.
+
+        ``FRAME_BLOCK_ROWS``-row blocks are windowed in each worker's buffer and
+        transformed straight into the result on up to two threads (:func:`run_blocks`),
+        bit for bit the one-shot transform of the whole matrix, whatever the thread count.
+        """
+        samples = self.samples
+        if self._kept is None or self._kept[0] is not samples:
+            if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
+                raise ValueError(f"frame set holds {bad} non-finite samples")
+            m_count, n_count = samples.shape
+            window = hann_window(n_count)
+            spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
+            magnitudes = np.empty(spectra.shape)
+
+            def work(rows, block):
+                np.multiply(samples[rows], window, out=block)
+                np.fft.rfft(block, axis=1, out=spectra[rows])
+                np.abs(spectra[rows], out=magnitudes[rows])
+
+            for _ in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
+                pass
+            self._kept = (samples, spectra, magnitudes)
+            for kept in self._kept:  # every reader shares them
+                kept.setflags(write=False)
+        return self._kept[1:]
 
 
 def _usable_cpus() -> int:

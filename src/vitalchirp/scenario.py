@@ -254,14 +254,15 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 
 def _walk(channels, duration=None):
-    """Each channel cut to ``duration`` s (``ValueError`` past a record) with its frames'
-    :class:`pipelines.FrameAnalysis`, whose ``targets()`` are its contactless persons, or
-    None.  The walk drops each analysis before it builds the next."""
+    """Each channel cut to ``duration`` s (``ValueError`` past a record) with the
+    :class:`pipelines.FrameAnalysis` of a walk-local cut of its frames, whose ``targets()``
+    are its contactless persons, or None: the record keeps no transform, and the walk
+    drops each analysis before it builds the next."""
     for ch in channels:
         if duration is not None:
             ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
                          frames=ch.frames and ch.frames.truncated(duration))
-        analysis = ch.frames and FrameAnalysis(ch.frames)
+        analysis = ch.frames and FrameAnalysis(ch.frames.truncated(ch.frames.duration))
         yield ch, analysis
         del analysis
 

@@ -1,7 +1,7 @@
 import itertools
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,6 +40,11 @@ from conftest import traced_peak, two_person_scene, within
 
 def static_subject(label="static"):
     return SubjectVitals(label, 15.0, 80.0, resp_amplitude=0.0, heart_amplitude=0.0)
+
+
+def untransformed(frames):
+    """A copy of ``frames`` with samples of its own and no transform taken yet."""
+    return replace(frames, samples=frames.samples.copy())
 
 
 def contact_record(subject, fbg, noise_rms, seed=0, duration=60.0):
@@ -213,16 +218,21 @@ class TestRangeProfile:
 
 
 class TestBlockedTransform:
-    """The row-blocked hann transform equals the one-shot matrix expression,
-    on one worker thread or two."""
+    """The row-blocked hann transform a frame set keeps equals the one-shot matrix
+    expression, on one worker thread or two."""
 
     ROWS = {"under-one-block": FRAME_BLOCK_ROWS - 7, "one-block": FRAME_BLOCK_ROWS,
             "one-block-plus-one": FRAME_BLOCK_ROWS + 1, "60s": 3000}
 
     @pytest.fixture(scope="class")
-    def frames(self, chirp):
+    def synthesized(self, chirp):
         targets, acq = two_person_scene()
         return synth_dechirp_frames(targets, chirp, acq, seed=6)
+
+    @pytest.fixture()
+    def frames(self, synthesized):
+        # each test takes the transform afresh: a frame set keeps the first one
+        return untransformed(synthesized)
 
     @staticmethod
     def assert_one_shot(analysis, frames):
@@ -231,18 +241,26 @@ class TestBlockedTransform:
         assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
         assert np.array_equal(analysis.magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
 
-    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames", "prefix"])
+    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames", "prefix",
+                                        "truncated-before-memo", "truncated-after-memo"])
     def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
+        parent = frames
+        if source == "truncated-after-memo":
+            FrameAnalysis(parent)  # the cut is handed views of these spectra
         if source == "prefix":
             analysis, frames = FrameAnalysis(frames).prefix(5.03), frames.truncated(5.03)
         else:
-            if source == "truncated":
+            if source.startswith("truncated"):
                 frames = frames.truncated(5.03)
             elif source == "read_frames":
                 write_frames(frames, tmp_path / "frames.bin")
                 frames = read_frames(tmp_path / "frames.bin")
+            if source == "truncated-before-memo":
+                FrameAnalysis(parent)  # too late for the cut, which transforms itself
             analysis = FrameAnalysis(frames)
         self.assert_one_shot(analysis, frames)
+        views = source in ("full", "prefix", "truncated-after-memo")
+        assert np.shares_memory(analysis.spectra, parent.transform()[0]) == views
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("rows", ROWS)
@@ -282,7 +300,8 @@ class TestBlockedTransform:
         monkeypatch.setattr(np.fft, "rfft", failing_rfft)
         error = within(30, lambda: FrameAnalysis(frames))
         assert isinstance(error, FloatingPointError) and str(error) == "rfft failed"
-        assert not [t for t in threading.enumerate() if t.name.startswith("FrameAnalysis")]
+        assert not [t for t in threading.enumerate() if t.name.startswith("DechirpFrameSet")]
+        assert frames.samples.flags.writeable  # nothing kept, so nothing to keep fresh
 
     def test_bytes_hold_under_frequent_thread_switches(self, frames, monkeypatch):
         monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
@@ -300,6 +319,34 @@ class TestBlockedTransform:
         analysis, peak = traced_peak(lambda: FrameAnalysis(frames))
         assert frames.samples.shape == (3000, 600)
         assert peak <= analysis.spectra.nbytes + analysis.magnitudes.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda frames: contactless_rates(frames),
+        lambda frames: resolution_sweep(frames, [5.0, 60.0], target_range=1.00),
+        lambda frames: FrameAnalysis(frames),
+    ], ids=["contactless_rates", "resolution_sweep", "FrameAnalysis"])
+    def test_non_finite_samples_raise_naming_their_count(self, frames, call, bad):
+        frames.samples[100, 5] = frames.samples[2999, 0] = bad
+        with pytest.raises(ValueError, match="frame set holds 2 non-finite samples"):
+            call(frames)
+        assert frames.samples.flags.writeable
+
+    def test_samples_read_only_once_transformed(self, frames):
+        frames.samples *= 0.5  # before the transform, as run_scenario's link loss
+        early = frames.truncated(5.0)  # a view of the samples taken before it
+        analysis = FrameAnalysis(frames)
+        for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
+                     analysis.spectra, analysis.magnitudes, analysis.prefix(5.0).spectra):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 1.0
+        self.assert_one_shot(analysis, frames)
+
+    def test_new_samples_transformed_afresh(self, frames):
+        kept = FrameAnalysis(frames).spectra
+        frames.samples = -frames.samples
+        assert FrameAnalysis(frames).spectra is not kept
+        self.assert_one_shot(FrameAnalysis(frames), frames)
 
 
 class TestExtractTargetPhase:
@@ -616,14 +663,20 @@ class TestResolutionSweep:
 
 
 class TestOneTransformPerCall:
-    """The frame matrix is transformed once per call; results match per-call runs."""
+    """A frame set is transformed once, however many calls read it; results match
+    separate runs."""
 
     DURATIONS = [5.0, 7.3, 20.0, 60.0, 70.0]
 
     @pytest.fixture(scope="class")
-    def frames(self, chirp):
+    def synthesized(self, chirp):
         targets, acq = two_person_scene()
         return synth_dechirp_frames(targets, chirp, acq, seed=3)
+
+    @pytest.fixture()
+    def frames(self, synthesized):
+        # each test counts the transform afresh: a frame set keeps the first one
+        return untransformed(synthesized)
 
     def test_sweep_rows_equal_truncated_runs(self, frames):
         for rng in (1.00, 1.65):
@@ -632,8 +685,9 @@ class TestOneTransformPerCall:
                 if entry.duration_s > frames.duration:
                     assert entry.skipped is not None
                     continue
-                (rep,) = contactless_rates(frames.truncated(entry.duration_s),
-                                           target_ranges=[rng])
+                # a fresh cut, transformed on its own rather than read from the parent's
+                part = untransformed(frames).truncated(entry.duration_s)
+                (rep,) = contactless_rates(part, target_ranges=[rng])
                 assert (entry.respiration_rpm, entry.heartbeat_bpm,
                         entry.resp_3db_hz, entry.heart_3db_hz) == (
                     rep.respiration_rpm, rep.heartbeat_bpm,
@@ -648,13 +702,17 @@ class TestOneTransformPerCall:
             assert dict(rep.to_dict(), label=None) == dict(alone.to_dict(), label=None)
 
     def test_one_fast_time_fft_per_call(self, frames, rfft_2d_calls):
-        # the transform runs in row blocks: together they cover each frame once
-        contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
+        # the first call's transform runs in row blocks that together cover each
+        # frame once; every later call and analysis reads its kept spectra
+        contactless_rates(frames)
+        for rng in (1.00, 1.65, 6.0, 1.00):
+            resolution_sweep(frames, self.DURATIONS, target_range=rng)
+        FrameAnalysis(frames).prefix(7.3)
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
-        rfft_2d_calls.clear()
+
+    def test_a_sweep_alone_transforms_once(self, frames, rfft_2d_calls):
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
-        assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_prefix_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):

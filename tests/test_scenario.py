@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vitalchirp import scenario
+from vitalchirp import radar, scenario
 from vitalchirp.photonics import FbgProfile, IfLfmParams, derive_chirp
 from vitalchirp.physio import SubjectVitals, band_violations, preset_subject
-from vitalchirp.pipelines import FrameAnalysis
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 from vitalchirp.scenario import (
     Scenario,
@@ -249,14 +248,19 @@ class TestBundleWalk:
         lambda channels: scenario.bundle_sweeps(channels, [5.0, 10.0]),
     ], ids=["reports", "sweeps"])
     def test_one_frame_transform_alive_at_a_time(self, radar_channels, monkeypatch, walk):
-        alive, seen = weakref.WeakSet(), []
+        kept, seen = [], []  # weak references to each transform's spectra, as taken
+        take = radar.DechirpFrameSet.transform
 
-        class Counted(FrameAnalysis):
-            def __init__(self, frames):
-                seen.append(len(alive))  # analyses alive as this one is built
-                super().__init__(frames)
-                alive.add(self)
+        def counted(frames):
+            spectra, magnitudes = take(frames)
+            # a transform taken now owns its data; a truncation's is a view of one
+            if spectra.base is None and not any(ref() is spectra for ref in kept):
+                seen.append(sum(ref() is not None for ref in kept))  # others alive
+                kept.append(weakref.ref(spectra))
+            return spectra, magnitudes
 
-        monkeypatch.setattr(scenario, "FrameAnalysis", Counted)
+        monkeypatch.setattr(radar.DechirpFrameSet, "transform", counted)
         walk(radar_channels)
         assert seen == [0, 0]
+        assert [ref() for ref in kept] == [None, None]  # the records keep none
+        assert all(ch.frames.samples.flags.writeable for ch in radar_channels)
