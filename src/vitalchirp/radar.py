@@ -118,9 +118,8 @@ def _shared_ids(targets) -> list[str]:
 class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
 
-    The first :meth:`transform` is kept while the frame set lives, and it and ``samples``
-    are then read-only, so an in-place write raises rather than leave it stale.  Views
-    of ``samples`` taken beforehand stay writable, except a :meth:`truncated` cut's."""
+    Its first :meth:`transform` is kept, read-only like ``samples`` from then on; a view of
+    ``samples`` taken earlier stays writable, and a write through it makes the kept one stale."""
 
     samples: np.ndarray
     chirp: ChirpParams
@@ -153,8 +152,7 @@ class DechirpFrameSet:
         return self.slow_count / self.slow_rate
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
-        """First ``duration`` seconds of the record as a new frame set: read-only views
-        of the first rows of the samples and, once taken, of the transform."""
+        """First ``duration`` seconds of the record as a new frame set of read-only views."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
         out = replace(self, samples=self.samples[:rows],
                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
@@ -164,13 +162,9 @@ class DechirpFrameSet:
         return out
 
     def transform(self) -> tuple[np.ndarray, np.ndarray]:
-        """The complex rFFT of each hann-windowed frame and its magnitudes, kept from the
-        first call until ``samples`` is replaced; ``ValueError`` names non-finite samples.
-
-        ``FRAME_BLOCK_ROWS``-row blocks are windowed in each worker's buffer and
-        transformed straight into the result on up to two threads (:func:`run_blocks`),
-        bit for bit the one-shot transform of the whole matrix, whatever the thread count.
-        """
+        """The hann-windowed rFFT of each frame and its magnitudes, kept until ``samples`` is
+        replaced: blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot
+        transform.  ``ValueError`` names the count of non-finite samples."""
         samples = self.samples
         if self._kept is None or self._kept[0] is not samples:
             if bad := samples.size - np.count_nonzero(np.isfinite(samples)):

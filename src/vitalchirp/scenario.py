@@ -255,13 +255,14 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 def _walk(channels, duration=None):
     """Each channel cut to ``duration`` s (``ValueError`` past a record) with the
-    :class:`pipelines.FrameAnalysis` of a walk-local cut of its frames, whose ``targets()``
-    are its contactless persons, or None: the record keeps no transform, and the walk
-    drops each analysis before it builds the next."""
+    :class:`pipelines.FrameAnalysis` of its frames, whose ``targets()`` are its contactless
+    persons, or None.  The walk drops each analysis before it builds the next."""
     for ch in channels:
         if duration is not None:
             ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
                          frames=ch.frames and ch.frames.truncated(duration))
+        # a cut only the analysis holds: the caller still holds the last channel
+        # yielded while the next analysis is built, so a transform kept there would pile up
         analysis = ch.frames and FrameAnalysis(ch.frames.truncated(ch.frames.duration))
         yield ch, analysis
         del analysis

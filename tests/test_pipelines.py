@@ -705,6 +705,7 @@ class TestOneTransformPerCall:
         # the first call's transform runs in row blocks that together cover each
         # frame once; every later call and analysis reads its kept spectra
         contactless_rates(frames)
+        contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
         for rng in (1.00, 1.65, 6.0, 1.00):
             resolution_sweep(frames, self.DURATIONS, target_range=rng)
         FrameAnalysis(frames).prefix(7.3)
@@ -713,6 +714,7 @@ class TestOneTransformPerCall:
 
     def test_a_sweep_alone_transforms_once(self, frames, rfft_2d_calls):
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
+        assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_prefix_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
