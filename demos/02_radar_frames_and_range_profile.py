@@ -2,9 +2,9 @@
 
 Derives the frequency-quadrupled transmit chirp from its 6.6 GHz / 1 GHz
 IF drive, synthesizes de-chirped frames for two people sitting at 1.00 m
-and 1.65 m, then walks the processing chain on one frame analysis (the
-hann fast-time transform, taken once): range profile, per-target phase
-extraction, and two-band rate recovery.
+and 1.65 m, then walks the processing chain on the frames (their hann
+fast-time transform is taken once and kept): range profile, per-target
+phase extraction, and two-band rate recovery.
 """
 
 from pathlib import Path
@@ -24,7 +24,7 @@ from vitalchirp import (
     unambiguous_range,
 )
 from vitalchirp.formats import write_series_csv
-from vitalchirp.pipelines import FrameAnalysis
+from vitalchirp.pipelines import extract_target_phase, range_profile
 
 out = Path("demo_output/radar")
 out.mkdir(parents=True, exist_ok=True)
@@ -47,15 +47,14 @@ frames = synth_dechirp_frames(targets, chirp, acq, seed=7)
 print(f"frame matrix: {frames.slow_count} x {frames.fast_count} "
       f"(slow rate {frames.slow_rate:.0f} Hz)")
 
-analysis = FrameAnalysis(frames)
-profile = analysis.profile()
+profile = range_profile(frames)
 write_series_csv(out / "range_profile.csv",
                  {"range_m": profile.ranges, "magnitude": profile.magnitudes})
 print("strongest range peaks:",
       ", ".join(f"{r:.2f} m" for r in np.sort(profile.ranges[profile.peak_indices()][:2])))
 
 # pull the phase of the nearer person and compare with the ground truth
-(extraction,) = analysis.phases([1.00])  # a PhaseSeries, or the selection's error
+(extraction,) = extract_target_phase(frames, [1.00])  # a PhaseSeries, or the selection's error
 truth_motion = synth_motion(targets[0].subject, make_time_grid(60.0, 50.0))
 phase_truth = 4 * np.pi * (truth_motion * 1e-3) / chirp.carrier_wavelength
 write_series_csv(out / "phase_vs_truth.csv", {
@@ -64,7 +63,7 @@ write_series_csv(out / "phase_vs_truth.csv", {
     "truth_rad": phase_truth - phase_truth.mean(),
 })
 
-for report in contactless_rates(analysis):
+for report in contactless_rates(frames):
     print(f"{report.label}: range {report.range_m:.2f} m, "
           f"respiration {report.respiration_rpm:.1f} rpm "
           f"(err {report.resp_error_rpm:+.2f}), "

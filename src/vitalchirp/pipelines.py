@@ -9,10 +9,10 @@ Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 A frame set takes its hann fast-time FFT once
-(:meth:`radar.DechirpFrameSet.transform`), however many calls read it; a
-:class:`FrameAnalysis` reads its profile, targets and phases from those
-spectra, and :meth:`FrameAnalysis.prefix` gives each sweep duration the
-analysis of the truncated frames from their first rows, without a transform.
+(:meth:`radar.DechirpFrameSet.transform`), however many calls read it:
+:func:`range_profile`, :func:`persons` and :func:`extract_target_phase` read
+the kept spectra, and each sweep duration's cut of a transformed frame set
+(:meth:`radar.DechirpFrameSet.truncated`) reads their first rows.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
@@ -51,9 +51,11 @@ __all__ = [
     "SweepEntry",
     "SweepReport",
     "TargetSelectionError",
-    "FrameAnalysis",
     "contact_rates",
     "band_waveforms",
+    "range_profile",
+    "persons",
+    "extract_target_phase",
     "contactless_rates",
     "resolution_sweep",
 ]
@@ -291,129 +293,116 @@ class PhaseSeries:
     bin_range: float
 
 
-def _requested(frames, target_ranges) -> list[tuple[float, str, SubjectVitals | None]]:
-    """:meth:`FrameAnalysis.targets` triples for explicit ``target_ranges``.
-
-    Request ``i`` is the truth target nearest it within the 2 range bins selection
-    allows (the first of co-located ones), else ``target-<i>``, named and scored as none.
+def range_profile(frames: DechirpFrameSet) -> RangeProfile:
+    """Slow-time-averaged magnitude of the frames' kept hann transform
+    (:meth:`radar.DechirpFrameSet.transform`): the profile persons are detected and
+    selected on.  Its frequency axis maps to range through the de-chirp relation
+    :meth:`photonics.ChirpParams.beat_range`.
     """
-    tol, persons = 2.0 * _bin_width(frames), []
-    for i, rng in enumerate(target_ranges):
-        t = min(frames.truth or (), key=lambda t: abs(t.nominal_range - rng), default=None)
-        near = t is not None and abs(t.nominal_range - rng) <= tol
-        persons.append((rng, t.subject.id, t.subject) if near else (rng, f"target-{i}", None))
-    return persons
+    magnitudes = frames.transform()[1]
+    freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
+    return RangeProfile(frames.chirp.beat_range(freqs), magnitudes.mean(axis=0),
+                        _bin_width(frames))
 
 
-class FrameAnalysis:
-    """Every contactless output of a frame set, read from the ``spectra`` and
-    ``magnitudes`` of its :meth:`radar.DechirpFrameSet.transform`: the analyses of
-    one frame set share one transform, taken by the first of them."""
+def persons(
+    frames: DechirpFrameSet,
+    target_ranges: list[float] | None = None,
+) -> list[tuple[float, str, SubjectVitals | None]]:
+    """``(range, name, truth)`` of each person the frame set is processed for.
 
-    def __init__(self, frames: DechirpFrameSet):
-        self.frames = frames
-        self.spectra, self.magnitudes = frames.transform()
+    Each truth target's nominal range, subject id and subject, so persons at one
+    range are named and scored apart; without truth, the peaks of :func:`range_profile`
+    of at least 0.3 x the strongest, in ascending range, named ``target-<i>``.
+    Request ``i`` of ``target_ranges`` is instead the truth target nearest it within
+    the 2 range bins selection allows (the first of co-located ones), else
+    ``target-<i>``, named and scored as none.
+    """
+    if target_ranges is not None:
+        tol, found = 2.0 * _bin_width(frames), []
+        for i, rng in enumerate(target_ranges):
+            t = min(frames.truth or (), key=lambda t: abs(t.nominal_range - rng), default=None)
+            near = t is not None and abs(t.nominal_range - rng) <= tol
+            found.append((rng, t.subject.id, t.subject) if near else (rng, f"target-{i}", None))
+        return found
+    if frames.truth:
+        return [(t.nominal_range, t.subject.id, t.subject) for t in frames.truth]
+    profile = range_profile(frames)
+    idx = profile.peak_indices()
+    mags = profile.magnitudes[idx]
+    keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
+    ranges = sorted(float(r) for r in profile.ranges[keep])
+    return [(r, f"target-{i}", None) for i, r in enumerate(ranges)]
 
-    def prefix(self, duration: float) -> FrameAnalysis:
-        """``FrameAnalysis(frames.truncated(duration))``: views of these rows."""
-        return FrameAnalysis(self.frames.truncated(duration))
 
-    def profile(self) -> RangeProfile:
-        """Slow-time-averaged hann magnitude: the profile targets are selected on.
+def extract_target_phase(
+    frames: DechirpFrameSet,
+    target_ranges: list[float],
+) -> list[PhaseSeries | TargetSelectionError]:
+    """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
 
-        The frequency axis maps to range through the de-chirp relation
-        :meth:`photonics.ChirpParams.beat_range`.
-        """
-        frames = self.frames
-        freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-        return RangeProfile(frames.chirp.beat_range(freqs),
-                            self.magnitudes.mean(axis=0), _bin_width(frames))
+    The bin is the :func:`range_profile` peak nearest the request, which avoids
+    bin hopping from chest motion; with no peak within 2 bins the request
+    gets a :class:`TargetSelectionError` instead, naming the nearest peak.
+    The hann window of the per-frame values suppresses the real beat
+    tone's negative-frequency image, whose leakage otherwise perturbs the
+    phase by a few milliradians.
 
-    def targets(self) -> list[tuple[float, str, SubjectVitals | None]]:
-        """``(range, name, truth)`` of each person the frame set is processed for.
-
-        Each truth target's nominal range, subject id and subject, so persons at one
-        range are named and scored apart; without truth, the peaks of :meth:`profile`
-        of at least 0.3 x the strongest, in ascending range, named ``target-<i>``.
-        """
-        if self.frames.truth:
-            return [(t.nominal_range, t.subject.id, t.subject) for t in self.frames.truth]
-        profile = self.profile()
-        idx = profile.peak_indices()
-        mags = profile.magnitudes[idx]
-        keep = idx[mags >= 0.3 * mags.max(initial=0.0)]
-        ranges = sorted(float(r) for r in profile.ranges[keep])
-        return [(r, f"target-{i}", None) for i, r in enumerate(ranges)]
-
-    def phases(self, target_ranges) -> list[PhaseSeries | TargetSelectionError]:
-        """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
-
-        The bin is the :meth:`profile` peak nearest the request, which avoids
-        bin hopping from chest motion; with no peak within 2 bins the request
-        gets a :class:`TargetSelectionError` instead, naming the nearest peak.
-        The hann window of the per-frame values suppresses the real beat
-        tone's negative-frequency image, whose leakage otherwise perturbs the
-        phase by a few milliradians.
-
-        A fixed-bin DFT references phase to the window center, so the raw
-        bin phase slope versus range is 4 pi / lambda_c plus
-        2 pi chirp_rate (N-1) / (c fast_rate).  Each series is rescaled by
-        the known ratio so that its swing obeys the de-chirp relation
-        delta_phi = 4 pi delta_x / lambda_c exactly.
-        """
-        frames = self.frames
-        profile = self.profile()
-        peaks = profile.peak_indices()
-        slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
-        slope_window = (
-            2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
-            / (SPEED_OF_LIGHT * frames.fast_rate)
-        )
-        scale = slope_motion / (slope_motion + slope_window)
-        results = []
-        for target_range in target_ranges:
-            if peaks.size == 0:
-                results.append(TargetSelectionError("range profile has no peaks"))
-                continue
-            nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-            if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
-                results.append(TargetSelectionError(
-                    f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
-                    f"at {profile.ranges[nearest]:.3f} m"
-                ))
-                continue
-            results.append(PhaseSeries(
-                phase=dsp.unwrap_phase(np.angle(self.spectra[:, nearest])) * scale,
-                bin_index=nearest,
-                bin_range=float(profile.ranges[nearest]),
+    A fixed-bin DFT references phase to the window center, so the raw
+    bin phase slope versus range is 4 pi / lambda_c plus
+    2 pi chirp_rate (N-1) / (c fast_rate).  Each series is rescaled by
+    the known ratio so that its swing obeys the de-chirp relation
+    delta_phi = 4 pi delta_x / lambda_c exactly.
+    """
+    profile = range_profile(frames)
+    spectra = frames.transform()[0]
+    peaks = profile.peak_indices()
+    slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
+    slope_window = (
+        2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
+        / (SPEED_OF_LIGHT * frames.fast_rate)
+    )
+    scale = slope_motion / (slope_motion + slope_window)
+    results = []
+    for target_range in target_ranges:
+        if peaks.size == 0:
+            results.append(TargetSelectionError("range profile has no peaks"))
+            continue
+        nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
+        if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
+            results.append(TargetSelectionError(
+                f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
+                f"at {profile.ranges[nearest]:.3f} m"
             ))
-        return results
+            continue
+        results.append(PhaseSeries(
+            phase=dsp.unwrap_phase(np.angle(spectra[:, nearest])) * scale,
+            bin_index=nearest,
+            bin_range=float(profile.ranges[nearest]),
+        ))
+    return results
 
 
 def contactless_rates(
-    frames: DechirpFrameSet | FrameAnalysis,
+    frames: DechirpFrameSet,
     target_ranges: list[float] | None = None,
 ) -> list[VitalsReport]:
-    """Per-person rates from a de-chirped frame set of at least 5 s, or its analysis.
+    """Per-person rates from a de-chirped frame set of at least 5 s.
 
-    One report per :meth:`FrameAnalysis.targets` person, labelled with its name
-    and scored against its truth; explicit ``target_ranges`` resolve to persons
-    by the truth target nearest each within 2 range bins (the first of
-    co-located ones), else ``target-<i>`` with no error fields.  A selection
+    One report per :func:`persons` person of ``target_ranges``, labelled with its
+    name and scored against its truth (none for ``target-<i>``).  A selection
     failure on one target is reported in that target's flags without aborting
     the others.  Requests that resolve to the same range bin read the same
     phase series, so each of their reports carries ``flags["shared_bin"] = True``.
     Frames holding a non-finite sample raise ``ValueError`` naming their count.
     """
-    analysis = frames if isinstance(frames, FrameAnalysis) else FrameAnalysis(frames)
-    frames = analysis.frames
     duration = frames.duration
     _check_duration(duration)
-    persons = analysis.targets() if target_ranges is None else _requested(frames, target_ranges)
-    phases = analysis.phases([rng for rng, _, _ in persons])
+    people = persons(frames, target_ranges)
+    phases = extract_target_phase(frames, [rng for rng, _, _ in people])
     bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
-    for (rng_req, label, truth), extraction in zip(persons, phases):
+    for (rng_req, label, truth), extraction in zip(people, phases):
         metadata = _processing_metadata(frames.slow_rate, duration)
         if isinstance(extraction, TargetSelectionError):
             reports.append(VitalsReport(
@@ -455,7 +444,7 @@ class SweepReport:
 
 
 def resolution_sweep(
-    source: IntensityRecord | np.ndarray | DechirpFrameSet | FrameAnalysis,
+    source: IntensityRecord | np.ndarray | DechirpFrameSet,
     durations: list[float],
     sample_rate: float | None = None,
     truth: SubjectVitals | None = None,
@@ -466,17 +455,17 @@ def resolution_sweep(
 
     Each duration is a truncation of the source record anchored at t=0
     (sliding windows are not used) to :func:`physio.prefix_length` samples;
-    the matching rates chain runs on the truncation.  Frames are read
-    through a :class:`FrameAnalysis` (the one passed, else one of the
-    frames' kept transform) and its :meth:`~FrameAnalysis.prefix`, so a frame
-    set is transformed once however many calls read it; a non-finite sample
-    raises ``ValueError``.  Durations that rule cannot
-    cut from the source, and for frames a failed target selection, are
-    flagged in the entry's ``skipped`` and the remaining durations still
-    run.  Durations below 5 s, infinite or not a number are rejected.
+    the matching rates chain runs on the truncation.  Frames are transformed
+    before the first cut (:meth:`radar.DechirpFrameSet.transform`), so every
+    cut reads views of the kept spectra and a frame set is transformed once
+    however many calls read it; a non-finite sample raises ``ValueError``.
+    Durations that rule cannot cut from the source, and for frames a failed
+    target selection, are flagged in the entry's ``skipped`` and the
+    remaining durations still run.  Durations below 5 s, infinite or not a
+    number are rejected.
 
     Frames are swept at ``target_range``, named as :func:`contactless_rates` names
-    it, else at their first :meth:`~FrameAnalysis.targets` person (``ValueError``
+    it, else at their first :func:`persons` person (``ValueError``
     without one); they carry their own truth and rate, so ``truth`` and ``sample_rate``
     are rejected for them.  Every row carries ``label`` if given, else the person's name.
     """
@@ -485,20 +474,18 @@ def resolution_sweep(
     if any(not MIN_DURATION_S <= d < np.inf for d in durations):
         raise ValueError(f"durations must be >= {MIN_DURATION_S} s and finite")
 
-    if isinstance(source, (DechirpFrameSet, FrameAnalysis)):
+    if isinstance(source, DechirpFrameSet):
         if truth is not None or sample_rate is not None:
             raise ValueError("truth and sample_rate apply to contact records, not frames")
-        analysis = source if isinstance(source, FrameAnalysis) else FrameAnalysis(source)
-        frames = analysis.frames
-        persons = analysis.targets() if target_range is None else _requested(
-            frames, [target_range])
-        if not persons:
+        source.transform()  # before any cut, which would otherwise transform itself
+        found = persons(source, None if target_range is None else [target_range])
+        if not found:
             raise ValueError("frames hold no target: their range profile has no peak")
-        rng_req, name, _ = persons[0]
-        modality, rate, count = "contactless", frames.slow_rate, frames.slow_count
+        rng_req, name, _ = found[0]
+        modality, rate, count = "contactless", source.slow_rate, source.slow_count
 
         def rates(d):
-            return contactless_rates(analysis.prefix(d), [rng_req])[0]
+            return contactless_rates(source.truncated(d), [rng_req])[0]
     else:
         record, name = _contact_person(source, sample_rate, truth)
         modality, rate, count = "contact", record.sample_rate, record.samples.size

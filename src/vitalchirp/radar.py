@@ -130,6 +130,10 @@ class DechirpFrameSet:
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
             raise ValueError("; ".join(shared))
+        acq = self.acquisition
+        if self.samples.shape != (acq.slow_count, acq.fast_count):
+            raise ValueError(f"samples of shape {self.samples.shape} disagree with the "
+                             f"acquisition's {acq.slow_count}x{acq.fast_count} frames")
 
     @property
     def slow_rate(self) -> float:

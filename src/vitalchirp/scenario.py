@@ -31,8 +31,9 @@ from .photonics import (
     derive_chirp,
 )
 from .physio import HEART_BAND, SubjectVitals, band_violations, make_time_grid, synth_motion
-from .pipelines import MIN_DURATION_S, FrameAnalysis, PhaseSeries, band_waveforms
-from .pipelines import contact_rates, contactless_rates, resolution_sweep
+from .pipelines import MIN_DURATION_S, PhaseSeries, band_waveforms, contact_rates
+from .pipelines import contactless_rates, extract_target_phase, persons, range_profile
+from .pipelines import resolution_sweep
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
 from .radar import scene_violations, synth_dechirp_frames
 
@@ -254,18 +255,15 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 
 def _walk(channels, duration=None):
-    """Each channel cut to ``duration`` s (``ValueError`` past a record) with the
-    :class:`pipelines.FrameAnalysis` of its frames, whose ``targets()`` are its contactless
-    persons, or None.  The walk drops each analysis before it builds the next."""
+    """Each channel cut to ``duration`` s (``ValueError`` past a record), its frames a
+    fresh cut: a transform taken of them goes with the yielded channel, and the
+    records passed in keep none."""
     for ch in channels:
         if duration is not None:
-            ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
-                         frames=ch.frames and ch.frames.truncated(duration))
-        # a cut only the analysis holds: the caller still holds the last channel
-        # yielded while the next analysis is built, so a transform kept there would pile up
-        analysis = ch.frames and FrameAnalysis(ch.frames.truncated(ch.frames.duration))
-        yield ch, analysis
-        del analysis
+            ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration))
+        frames = ch.frames
+        yield replace(ch, frames=frames and frames.truncated(
+            frames.duration if duration is None else duration))
 
 
 def _label(ch: ChannelResult, name: str) -> str:
@@ -273,7 +271,7 @@ def _label(ch: ChannelResult, name: str) -> str:
     return f"{name}@{channel_name(ch.wavelength_nm)}nm"
 
 
-def _series_files(ch: ChannelResult, analysis) -> dict:
+def _series_files(ch: ChannelResult) -> dict:
     """The series ``process --format csv`` writes for one channel, as ``{file: columns}``."""
     tag, files = f"{channel_name(ch.wavelength_nm)}nm", {}
     if ch.intensity is not None:
@@ -286,15 +284,16 @@ def _series_files(ch: ChannelResult, analysis) -> dict:
             sp = waves[f"{band}_spectrum"]
             files[f"contact_{tag}_{band}_spectrum.csv"] = {
                 "freq_hz": sp.frequencies, "magnitude": sp.magnitudes}
-    if analysis is not None:
-        profile = analysis.profile()
+    if (frames := ch.frames) is not None:
+        profile = range_profile(frames)
         files[f"range_profile_{tag}.csv"] = {
             "range_m": profile.ranges, "magnitude": profile.magnitudes}
-        persons = analysis.targets()
-        for (_, name, _), ext in zip(persons, analysis.phases([rng for rng, _, _ in persons])):
+        people = persons(frames)
+        for (_, name, _), ext in zip(people, extract_target_phase(
+                frames, [rng for rng, _, _ in people])):
             if isinstance(ext, PhaseSeries):  # else its report holds the error
                 files[f"phase_{tag}_{name}.csv"] = {
-                    "t_s": np.arange(ext.phase.size) / analysis.frames.slow_rate,
+                    "t_s": np.arange(ext.phase.size) / frames.slow_rate,
                     "phase_rad": ext.phase}
     return files
 
@@ -305,13 +304,13 @@ def bundle_reports(channels, duration=None, series=False) -> tuple[list, dict]:
     ``{file name: columns}`` ``process --format csv`` writes (else empty).
     A record that cannot be processed raises ``ValueError``."""
     reports, files = [], {}
-    for ch, analysis in _walk(channels, duration):
+    for ch in _walk(channels, duration):
         found = [contact_rates(ch.intensity, truth=ch.contact_subject)] if ch.intensity else []
-        found += contactless_rates(analysis) if analysis else []
+        found += contactless_rates(ch.frames) if ch.frames else []
         reports += [replace(rep, label=_label(ch, rep.label)) for rep in found]
         if series:
-            files.update(_series_files(ch, analysis))
-        del analysis  # one frame transform alive at a time
+            files.update(_series_files(ch))
+        del ch  # and its frames' transform, before the walk moves on
     return reports, files
 
 
@@ -319,12 +318,13 @@ def bundle_sweeps(channels, durations) -> list[dict]:
     """The :func:`pipelines.resolution_sweep` rows of each person on ``channels``,
     labelled and raising as :func:`bundle_reports` does; co-located persons keep their names."""
     rows = []
-    for ch, analysis in _walk(channels):
-        sweeps = []
+    for ch in _walk(channels):
+        # the frames are swept first, the contact rows still listed first: a transform
+        # taken after the contact sweep raised `sweep`'s peak RSS by about 1 MiB
+        sweeps = [resolution_sweep(ch.frames, durations, target_range=rng, label=name)
+                  for rng, name, _ in (persons(ch.frames) if ch.frames else ())]
         if ch.intensity is not None:
-            sweeps.append(resolution_sweep(ch.intensity, durations, truth=ch.contact_subject))
-        sweeps += [resolution_sweep(analysis, durations, target_range=rng, label=name)
-                   for rng, name, _ in (analysis.targets() if analysis else ())]
+            sweeps.insert(0, resolution_sweep(ch.intensity, durations, truth=ch.contact_subject))
         rows += [dict(row, label=_label(ch, row["label"])) for s in sweeps for row in s.to_rows()]
-        del analysis  # one frame transform alive at a time
+        del ch  # and its frames' transform, before the walk moves on
     return rows

@@ -24,9 +24,10 @@ from vitalchirp.physio import (
     synth_motion,
 )
 from vitalchirp.pipelines import (
-    FrameAnalysis,
     contact_rates,
     contactless_rates,
+    extract_target_phase,
+    range_profile,
     resolution_sweep,
 )
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
@@ -73,7 +74,7 @@ def test_criterion_2_range_accuracy(chirp):
             [RadarTarget(static("near"), 1.00), RadarTarget(static("far"), 1.65)],
             chirp, acq,
         )
-        profile = FrameAnalysis(frames).profile()
+        profile = range_profile(frames)
         elapsed = time.perf_counter() - start
         peaks = np.sort(profile.ranges[profile.peak_indices()][:2])
         assert abs(peaks[0] - 1.00) <= 0.0375
@@ -124,7 +125,7 @@ def test_criterion_5_phase_motion_inversion(chirp):
         subject = preset_subject("subject-a")
         acq = AcquisitionParams(noise_rms=0.0)
         frames = synth_dechirp_frames([RadarTarget(subject, 1.00)], chirp, acq)
-        ext = FrameAnalysis(frames).phases([1.00])[0]
+        ext = extract_target_phase(frames, [1.00])[0]
         x = synth_motion(subject, make_time_grid(60.0, 50.0)) * 1e-3
         want = 4 * np.pi * x / chirp.carrier_wavelength
         got = ext.phase - ext.phase.mean()
@@ -135,9 +136,8 @@ def test_criterion_5_phase_motion_inversion(chirp):
         static = SubjectVitals("s", 15.0, 80.0, resp_amplitude=0.0, heart_amplitude=0.0)
         f1 = synth_dechirp_frames([RadarTarget(static, 1.000)], chirp, acq)
         f2 = synth_dechirp_frames([RadarTarget(static, 1.001)], chirp, acq)
-        stacked = f1.truncated(30.0)
-        stacked.samples = np.vstack([f1.samples[:1500], f2.samples[:1500]])
-        step = FrameAnalysis(stacked).phases([1.0])[0].phase
+        stacked = replace(f1, samples=np.vstack([f1.samples[:1500], f2.samples[:1500]]))
+        step = extract_target_phase(stacked, [1.0])[0].phase
         assert step[-10] - step[10] == pytest.approx(1.023, abs=0.001)
 
 

@@ -11,7 +11,7 @@ from vitalchirp.cli import main
 from vitalchirp.formats import read_bundle, read_frames, scenario_from_dict, write_frames
 from vitalchirp.formats import write_json
 from vitalchirp.physio import PRESET_SUBJECTS
-from vitalchirp.pipelines import FrameAnalysis, band_waveforms
+from vitalchirp.pipelines import band_waveforms, extract_target_phase, range_profile
 from vitalchirp.scenario import bundle_reports, bundle_sweeps, run_scenario
 
 from conftest import edit_frames_header, frames_header
@@ -338,12 +338,12 @@ class TestProcess:
         assert (out / "contact_1549.36nm_waveforms.csv").is_file()
         assert (out / "phase_1549.36nm_subject-b.csv").is_file()
         frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
-        profile = FrameAnalysis(frames).profile()
+        profile = range_profile(frames)
         data = np.loadtxt(out / "range_profile_1549.36nm.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 0], profile.ranges)
         np.testing.assert_array_equal(data[:, 1], profile.magnitudes)
 
-    def test_csv_phase_series_are_the_frame_analysis_phases(self, bundle_dir, tmp_path):
+    def test_csv_phase_series_match_extract_target_phase(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"
         assert main(["process", str(bundle_dir), "--out", str(out),
                      "--format", "csv"]) == 0
@@ -351,7 +351,7 @@ class TestProcess:
         for tgt in frames.truth:
             data = np.loadtxt(out / f"phase_1549.36nm_{tgt.subject.id}.csv",
                               delimiter=",", skiprows=1)
-            want = FrameAnalysis(frames).phases([tgt.nominal_range])[0].phase
+            want = extract_target_phase(frames, [tgt.nominal_range])[0].phase
             np.testing.assert_array_equal(data[:, 1], want)
 
     def test_removed_dc_comp_option_rejected(self, bundle_dir, tmp_path):
@@ -421,7 +421,7 @@ class TestProcess:
         for i, rep in enumerate(contactless):
             data = np.loadtxt(out / f"phase_1549.36nm_target-{i}.csv",
                               delimiter=",", skiprows=1)
-            want = FrameAnalysis(frames).phases([rep["metadata"]["requested_range_m"]])[0].phase
+            want = extract_target_phase(frames, [rep["metadata"]["requested_range_m"]])[0].phase
             np.testing.assert_allclose(data[:, 1], want, rtol=1e-11, atol=1e-12)
 
     def test_contactless_record_under_five_seconds_processing_exit(

@@ -18,12 +18,14 @@ from vitalchirp.physio import (
     synth_motion,
 )
 from vitalchirp.pipelines import (
-    FrameAnalysis,
     PhaseSeries,
     TargetSelectionError,
     band_waveforms,
     contact_rates,
     contactless_rates,
+    extract_target_phase,
+    persons,
+    range_profile,
     resolution_sweep,
 )
 from vitalchirp.radar import (
@@ -197,7 +199,7 @@ class TestRangeProfile:
     def test_two_targets_within_one_bin(self, chirp):
         targets, acq = two_person_scene(noise_rms=0.0)
         frames = synth_dechirp_frames(targets, chirp, acq)
-        profile = FrameAnalysis(frames).profile()
+        profile = range_profile(frames)
         assert profile.bin_width == pytest.approx(0.0375, abs=4e-4)
         peaks = np.sort(profile.ranges[profile.peak_indices()][:2])
         assert abs(peaks[0] - 1.00) <= profile.bin_width
@@ -207,12 +209,12 @@ class TestRangeProfile:
         frames = synth_dechirp_frames(
             [RadarTarget(preset_subject("subject-e"), 0.88)], chirp, acq_quiet
         )
-        profile = FrameAnalysis(frames).profile()
+        profile = range_profile(frames)
         assert abs(profile.ranges[profile.peak_indices()[0]] - 0.88) <= profile.bin_width
 
     def test_empty_scene_zero_profile(self, chirp, acq_quiet):
         frames = synth_dechirp_frames([], chirp, acq_quiet)
-        profile = FrameAnalysis(frames).profile()
+        profile = range_profile(frames)
         assert np.all(profile.magnitudes == 0.0)
         assert profile.peak_indices().size == 0
 
@@ -235,32 +237,29 @@ class TestBlockedTransform:
         return untransformed(synthesized)
 
     @staticmethod
-    def assert_one_shot(analysis, frames):
+    def assert_one_shot(frames):
+        spectra, magnitudes = frames.transform()
         want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
-        assert analysis.spectra.shape == want.shape
-        assert np.array_equal(analysis.spectra.view(np.uint8), want.view(np.uint8))
-        assert np.array_equal(analysis.magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
+        assert spectra.shape == want.shape
+        assert np.array_equal(spectra.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
 
-    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames", "prefix",
+    @pytest.mark.parametrize("source", ["full", "truncated", "read_frames",
                                         "truncated-before-memo", "truncated-after-memo"])
     def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
         parent = frames
         if source == "truncated-after-memo":
-            FrameAnalysis(parent)  # the cut is handed views of these spectra
-        if source == "prefix":
-            analysis, frames = FrameAnalysis(frames).prefix(5.03), frames.truncated(5.03)
-        else:
-            if source.startswith("truncated"):
-                frames = frames.truncated(5.03)
-            elif source == "read_frames":
-                write_frames(frames, tmp_path / "frames.bin")
-                frames = read_frames(tmp_path / "frames.bin")
-            if source == "truncated-before-memo":
-                FrameAnalysis(parent)  # too late for the cut, which transforms itself
-            analysis = FrameAnalysis(frames)
-        self.assert_one_shot(analysis, frames)
-        views = source in ("full", "prefix", "truncated-after-memo")
-        assert np.shares_memory(analysis.spectra, parent.transform()[0]) == views
+            parent.transform()  # the cut is handed views of these spectra
+        if source.startswith("truncated"):
+            frames = frames.truncated(5.03)
+        elif source == "read_frames":
+            write_frames(frames, tmp_path / "frames.bin")
+            frames = read_frames(tmp_path / "frames.bin")
+        if source == "truncated-before-memo":
+            parent.transform()  # too late for the cut, which transforms itself
+        self.assert_one_shot(frames)
+        views = source in ("full", "truncated-after-memo")
+        assert np.shares_memory(frames.transform()[0], parent.transform()[0]) == views
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("rows", ROWS)
@@ -268,7 +267,7 @@ class TestBlockedTransform:
         monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
         part = frames.truncated(self.ROWS[rows] / frames.slow_rate)
         assert part.slow_count == self.ROWS[rows]
-        self.assert_one_shot(FrameAnalysis(part), part)
+        self.assert_one_shot(part)
 
     @pytest.mark.parametrize("cpus, cap", [(1, 1), (2, 2), (64, 2)])
     def test_threads_started_up_to_the_cap_and_joined(self, frames, monkeypatch, cpus, cap):
@@ -281,7 +280,7 @@ class TestBlockedTransform:
 
         monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(radar.threading, "Thread", Recorded)
-        FrameAnalysis(frames)
+        frames.transform()
         assert len(started) == cap
         assert not any(thread.is_alive() for thread in started)
 
@@ -298,7 +297,7 @@ class TestBlockedTransform:
 
         monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(np.fft, "rfft", failing_rfft)
-        error = within(30, lambda: FrameAnalysis(frames))
+        error = within(30, frames.transform)
         assert isinstance(error, FloatingPointError) and str(error) == "rfft failed"
         assert not [t for t in threading.enumerate() if t.name.startswith("DechirpFrameSet")]
         assert frames.samples.flags.writeable  # nothing kept, so nothing to keep fresh
@@ -308,24 +307,25 @@ class TestBlockedTransform:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(2e-6)
         try:
-            analysis = within(60, lambda: FrameAnalysis(frames))
+            within(60, frames.transform)
         finally:
             sys.setswitchinterval(interval)
-        self.assert_one_shot(analysis, frames)
+        self.assert_one_shot(frames)
 
     def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames, monkeypatch):
         # one window buffer per worker, both under 4 MiB
         monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
-        analysis, peak = traced_peak(lambda: FrameAnalysis(frames))
+        (spectra, magnitudes), peak = traced_peak(frames.transform)
         assert frames.samples.shape == (3000, 600)
-        assert peak <= analysis.spectra.nbytes + analysis.magnitudes.nbytes + 4 * 2**20
+        assert peak <= spectra.nbytes + magnitudes.nbytes + 4 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("call", [
         lambda frames: contactless_rates(frames),
         lambda frames: resolution_sweep(frames, [5.0, 60.0], target_range=1.00),
-        lambda frames: FrameAnalysis(frames),
-    ], ids=["contactless_rates", "resolution_sweep", "FrameAnalysis"])
+        lambda frames: range_profile(frames),
+        lambda frames: extract_target_phase(frames, [1.00]),
+    ], ids=["contactless_rates", "resolution_sweep", "range_profile", "extract_target_phase"])
     def test_non_finite_samples_raise_naming_their_count(self, frames, call, bad):
         frames.samples[100, 5] = frames.samples[2999, 0] = bad
         with pytest.raises(ValueError, match="frame set holds 2 non-finite samples"):
@@ -335,28 +335,28 @@ class TestBlockedTransform:
     def test_samples_read_only_once_transformed(self, frames):
         frames.samples *= 0.5  # before the transform, as run_scenario's link loss
         early = frames.truncated(5.0)  # a view of the samples taken before it
-        analysis = FrameAnalysis(frames)
+        spectra, magnitudes = frames.transform()
         for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
-                     analysis.spectra, analysis.magnitudes, analysis.prefix(5.0).spectra):
+                     spectra, magnitudes, frames.truncated(5.0).transform()[0]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 1.0
-        self.assert_one_shot(analysis, frames)
+        self.assert_one_shot(frames)
 
     def test_new_samples_transformed_afresh(self, frames):
-        kept = FrameAnalysis(frames).spectra
+        kept = frames.transform()[0]
         frames.samples = -frames.samples
-        assert FrameAnalysis(frames).spectra is not kept
-        self.assert_one_shot(FrameAnalysis(frames), frames)
+        assert frames.transform()[0] is not kept
+        self.assert_one_shot(frames)
 
 
 class TestExtractTargetPhase:
-    """Phase extraction: :meth:`FrameAnalysis.phases`."""
+    """Phase extraction: :func:`pipelines.extract_target_phase`."""
 
     def test_phase_matches_motion(self, chirp, acq_quiet, subjects):
         frames = synth_dechirp_frames(
             [RadarTarget(subjects["subject-a"], 1.00)], chirp, acq_quiet
         )
-        ext = FrameAnalysis(frames).phases([1.00])[0]
+        ext = extract_target_phase(frames, [1.00])[0]
         x = synth_motion(subjects["subject-a"], make_time_grid(60.0, 50.0)) * 1e-3
         truth = 4 * np.pi * x / chirp.carrier_wavelength
         got = ext.phase - ext.phase.mean()
@@ -368,16 +368,15 @@ class TestExtractTargetPhase:
         frames = synth_dechirp_frames(
             [RadarTarget(static_subject(), 1.00)], chirp, acq_quiet
         )
-        ext = FrameAnalysis(frames).phases([1.00])[0]
+        ext = extract_target_phase(frames, [1.00])[0]
         assert np.ptp(ext.phase) < 1e-9
 
     def test_one_mm_step_phase(self, chirp, acq_quiet):
         # 1 mm of displacement maps to 4*pi*1mm/lambda_c ~ 1.023 rad
         f1 = synth_dechirp_frames([RadarTarget(static_subject(), 1.000)], chirp, acq_quiet)
         f2 = synth_dechirp_frames([RadarTarget(static_subject(), 1.001)], chirp, acq_quiet)
-        stacked = f1.truncated(30.0)
-        stacked.samples = np.vstack([f1.samples[:1500], f2.samples[:1500]])
-        ext = FrameAnalysis(stacked).phases([1.0])[0]
+        stacked = replace(f1, samples=np.vstack([f1.samples[:1500], f2.samples[:1500]]))
+        ext = extract_target_phase(stacked, [1.0])[0]
         step = ext.phase[-10] - ext.phase[10]
         assert step == pytest.approx(1.023, abs=0.001)
         assert step == pytest.approx(4 * np.pi * 1e-3 / chirp.carrier_wavelength, abs=1e-4)
@@ -386,7 +385,7 @@ class TestExtractTargetPhase:
         frames = synth_dechirp_frames(
             [RadarTarget(static_subject(), 1.00)], chirp, acq_quiet
         )
-        (error,) = FrameAnalysis(frames).phases([5.0])
+        (error,) = extract_target_phase(frames, [5.0])
         assert isinstance(error, TargetSelectionError)
         assert str(error).startswith("no range peak within 2 bins of 5.000 m; nearest peak at ")
 
@@ -423,7 +422,7 @@ class TestContactlessRates:
             [RadarTarget(subjects["subject-b"], 1.00)], chirp,
             AcquisitionParams(noise_rms=0.0),
         )
-        ext = FrameAnalysis(frames).phases([1.00])[0]
+        ext = extract_target_phase(frames, [1.00])[0]
         t = np.arange(ext.phase.size) / 50.0
         p = ext.phase - ext.phase.mean()
         line = lambda f: abs(np.sum(p * np.exp(-2j * np.pi * f * t)))
@@ -648,7 +647,7 @@ class TestResolutionSweep:
         targets, acq = two_person_scene(duration=20.0)
         frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
         frames.truth = None
-        (first, _, _), _ = FrameAnalysis(frames).targets()
+        (first, _, _), _ = persons(frames)
         rows = resolution_sweep(frames, [5.0, 10.0]).to_rows()
         assert rows == resolution_sweep(frames, [5.0, 10.0], target_range=first).to_rows()
         assert [r["label"] for r in rows] == ["target-0", "target-0"]
@@ -703,12 +702,12 @@ class TestOneTransformPerCall:
 
     def test_one_fast_time_fft_per_call(self, frames, rfft_2d_calls):
         # the first call's transform runs in row blocks that together cover each
-        # frame once; every later call and analysis reads its kept spectra
+        # frame once; every later call and cut reads its kept spectra
         contactless_rates(frames)
         contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
         for rng in (1.00, 1.65, 6.0, 1.00):
             resolution_sweep(frames, self.DURATIONS, target_range=rng)
-        FrameAnalysis(frames).prefix(7.3)
+        extract_target_phase(frames.truncated(7.3), [1.00])
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
@@ -717,26 +716,34 @@ class TestOneTransformPerCall:
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
-    def test_prefix_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
-        analysis = FrameAnalysis(frames)
+    def test_a_cut_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
+        spectra, magnitudes = frames.transform()
         rfft_2d_calls.clear()
-        short = analysis.prefix(7.3)
+        short = frames.truncated(7.3)
+        short_spectra, short_magnitudes = short.transform()
         assert rfft_2d_calls == []
-        assert short.frames.slow_count == short.spectra.shape[0] == 365
-        assert np.shares_memory(short.spectra, analysis.spectra)
-        assert np.shares_memory(short.magnitudes, analysis.magnitudes)
-        assert analysis.frames is frames and analysis.spectra.shape[0] == 3000
+        assert short.slow_count == short_spectra.shape[0] == 365
+        assert np.shares_memory(short_spectra, spectra)
+        assert np.shares_memory(short_magnitudes, magnitudes)
+        assert frames.slow_count == spectra.shape[0] == 3000
 
-    def test_a_given_analysis_is_read_without_a_transform(self, frames, rfft_2d_calls):
-        analysis = FrameAnalysis(frames)
-        want_sweep = resolution_sweep(frames, self.DURATIONS, target_range=1.65).to_rows()
-        want_rates = [r.to_dict() for r in contactless_rates(frames)]
+    def test_a_transformed_frame_set_is_read_without_a_transform(self, frames, rfft_2d_calls):
+        def read(frames):
+            return (range_profile(frames).magnitudes, persons(frames),
+                    [p.phase for p in extract_target_phase(frames, [1.00, 1.65])],
+                    resolution_sweep(frames, self.DURATIONS, target_range=1.65).to_rows(),
+                    [r.to_dict() for r in contactless_rates(frames)])
+
+        want = read(untransformed(frames))  # a transform of its own
+        frames.transform()
         rfft_2d_calls.clear()
-        got_sweep = resolution_sweep(analysis, self.DURATIONS, target_range=1.65).to_rows()
-        got_rates = contactless_rates(analysis)
-        assert got_sweep == want_sweep
-        assert [r.to_dict() for r in got_rates] == want_rates
+        got = read(frames)
         assert rfft_2d_calls == []
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        for got_phase, want_phase in zip(got[2], want[2], strict=True):
+            np.testing.assert_array_equal(got_phase, want_phase)
+        assert got[3:] == want[3:]
 
 
 @pytest.mark.parametrize("record, names", [

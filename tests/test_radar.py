@@ -151,6 +151,14 @@ class TestSynthFrames:
         with pytest.raises(ValueError):
             frames.truncated(120.0)
 
+    @pytest.mark.parametrize("shape", [(100, 600), (3000, 599)], ids=["rows", "columns"])
+    def test_samples_must_match_the_acquisition(self, chirp, shape):
+        # a 60 s acquisition is 3000 x 600: other samples would make a frames file
+        # that read_frames rejects
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\) disagree "
+                                             r"with the acquisition's 3000x600 frames"):
+            radar.DechirpFrameSet(np.zeros(shape), chirp, AcquisitionParams())
+
 
 def one_shot_frames(targets, chirp, acq, seed):
     """Oracle: the frame matrix as whole-matrix expressions, one term per target."""
