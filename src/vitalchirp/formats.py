@@ -397,7 +397,7 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
             if role not in roles and path.exists():
                 raise ValueError(f"{path}: channel {name} has no {role} role")
         entry = _object(truth.get(name, {}), f"truth.json channel {name}")
-        lc = ChannelResult(wavelength_nm=wl)
+        intensity = frames = subject = None
         if CONTACT_ROLE in roles:
             contact_csv = chdir / RECORD_FILES[CONTACT_ROLE]
             t_s, samples = read_intensity_csv(contact_csv)
@@ -409,10 +409,10 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
             if not isinstance(edge := entry.get("edge_warning", False), bool):
                 raise ValueError(f"truth.json channel {name} edge_warning {edge!r} is not "
                                  f"a JSON bool")
-            lc.intensity = IntensityRecord(samples, rate, edge)
+            intensity = IntensityRecord(samples, rate, edge)
             if entry.get("contact_subject"):
-                lc.contact_subject = _subject_from_dict(entry["contact_subject"])
+                subject = _subject_from_dict(entry["contact_subject"])
         if CONTACTLESS_ROLE in roles:
-            lc.frames = read_frames(chdir / RECORD_FILES[CONTACTLESS_ROLE])
-        loaded.channels.append(lc)
+            frames = read_frames(chdir / RECORD_FILES[CONTACTLESS_ROLE])
+        loaded.channels.append(ChannelResult(wl, subject, intensity, frames))
     return loaded

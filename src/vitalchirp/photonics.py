@@ -172,7 +172,7 @@ def fbg_transmission(fbg: FbgProfile, freq_offset) -> np.ndarray:
     return 10.0 ** (fbg_transmission_db(fbg, freq_offset) / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntensityRecord:
     """Detected optical power from the contact channel, sample ``n`` at ``n / sample_rate`` s."""
 
@@ -180,8 +180,11 @@ class IntensityRecord:
     sample_rate: float
     edge_warning: bool = False
 
+    def __post_init__(self):
+        self.samples.setflags(write=False)  # from construction, the array passed in too
+
     def truncated(self, duration: float) -> IntensityRecord:
-        """First ``duration`` seconds of the record as a new record."""
+        """First ``duration`` seconds of the record as a new record of views."""
         rows = prefix_length(duration, self.sample_rate, self.samples.size)
         return replace(self, samples=self.samples[:rows])
 

@@ -8,11 +8,11 @@ spectra -> peak search -> rates and 3-dB resolutions.
 Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
-A frame set takes its hann fast-time FFT once
-(:meth:`radar.DechirpFrameSet.transform`), however many calls read it:
-:func:`range_profile`, :func:`persons` and :func:`extract_target_phase` read
-the kept spectra, and each sweep duration's cut of a transformed frame set
-(:meth:`radar.DechirpFrameSet.truncated`) reads their first rows.
+A frame set, read-only from construction like every record, takes its hann
+fast-time FFT once (:meth:`radar.DechirpFrameSet.transform`), however many
+calls read it: :func:`range_profile`, :func:`persons` and
+:func:`extract_target_phase` read the kept spectra, and each sweep
+duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
@@ -232,7 +232,7 @@ def _contact_person(intensity, sample_rate, truth) -> tuple[IntensityRecord, str
     if not isinstance(intensity, IntensityRecord):
         if sample_rate is None:
             raise ValueError("sample_rate is required for a bare array")
-        return IntensityRecord(np.asarray(intensity, dtype=float), sample_rate), name
+        return IntensityRecord(np.array(intensity, dtype=float), sample_rate), name
     if sample_rate not in (None, intensity.sample_rate):
         raise ValueError(f"sample_rate {sample_rate} differs from the record's "
                          f"{intensity.sample_rate}")
@@ -456,13 +456,11 @@ def resolution_sweep(
     Each duration is a truncation of the source record anchored at t=0
     (sliding windows are not used) to :func:`physio.prefix_length` samples;
     the matching rates chain runs on the truncation.  Frames are transformed
-    before the first cut (:meth:`radar.DechirpFrameSet.transform`), so every
-    cut reads views of the kept spectra and a frame set is transformed once
-    however many calls read it; a non-finite sample raises ``ValueError``.
-    Durations that rule cannot cut from the source, and for frames a failed
-    target selection, are flagged in the entry's ``skipped`` and the
-    remaining durations still run.  Durations below 5 s, infinite or not a
-    number are rejected.
+    before the first cut, which reads views of the kept spectra; a non-finite
+    sample raises ``ValueError``.  Durations that rule cannot cut from the
+    source, and for frames a failed target selection, are flagged in the
+    entry's ``skipped`` and the remaining durations still run.  Durations
+    below 5 s, infinite or not a number are rejected.
 
     Frames are swept at ``target_range``, named as :func:`contactless_rates` names
     it, else at their first :func:`persons` person (``ValueError``

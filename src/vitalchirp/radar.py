@@ -39,11 +39,7 @@ __all__ = [
 DEFAULT_RADAR_NOISE_RMS = 0.5
 DEFAULT_DURATION = 60.0
 
-# Rows of the frame matrix synthesized or transformed at a time: 256 rows of
-# 600 fast-time samples is 1.2 MB, a block that stays in cache.  Both users,
-# synthesis and the hann transform a ``DechirpFrameSet`` keeps, hand the
-# blocks to up to two threads through ``run_blocks`` and loop over the
-# finished blocks in row order (synthesis adds and draws the noise there).
+# Rows per block synthesized or transformed (``run_blocks``): 256 x 600 floats, 1.2 MB, in cache.
 FRAME_BLOCK_ROWS = 256
 
 
@@ -114,18 +110,18 @@ def _shared_ids(targets) -> list[str]:
             for i in sorted(set(ids)) if ids.count(i) > 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
 
-    Its first :meth:`transform` is kept, read-only like ``samples`` from then on; a view of
-    ``samples`` taken earlier stays writable, and a write through it makes the kept one stale."""
+    ``samples`` is read-only from construction, the array passed in too, and so is the
+    first :meth:`transform`, which the frame set keeps: new samples make a new frame set."""
 
     samples: np.ndarray
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
-    _kept = None  # (samples, spectra, magnitudes) once transformed; not a field
+    _kept = None  # (spectra, magnitudes) once transformed; not a field
 
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
@@ -134,6 +130,7 @@ class DechirpFrameSet:
         if self.samples.shape != (acq.slow_count, acq.fast_count):
             raise ValueError(f"samples of shape {self.samples.shape} disagree with the "
                              f"acquisition's {acq.slow_count}x{acq.fast_count} frames")
+        self.samples.setflags(write=False)
 
     @property
     def slow_rate(self) -> float:
@@ -156,21 +153,20 @@ class DechirpFrameSet:
         return self.slow_count / self.slow_rate
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
-        """First ``duration`` seconds of the record as a new frame set of read-only views."""
+        """First ``duration`` seconds as a new frame set of views, of the kept transform too."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
         out = replace(self, samples=self.samples[:rows],
                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
-        out.samples.setflags(write=False)  # a write would change this frame set's samples
-        if self._kept is not None and self._kept[0] is self.samples:
-            out._kept = (out.samples, self._kept[1][:rows], self._kept[2][:rows])
+        if self._kept is not None:
+            object.__setattr__(out, "_kept", tuple(kept[:rows] for kept in self._kept))
         return out
 
     def transform(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hann-windowed rFFT of each frame and its magnitudes, kept until ``samples`` is
-        replaced: blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot
+        """The hann-windowed rFFT of each frame and its magnitudes, taken on the first call
+        and kept: blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot
         transform.  ``ValueError`` names the count of non-finite samples."""
-        samples = self.samples
-        if self._kept is None or self._kept[0] is not samples:
+        if self._kept is None:
+            samples = self.samples
             if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
                 raise ValueError(f"frame set holds {bad} non-finite samples")
             m_count, n_count = samples.shape
@@ -185,10 +181,10 @@ class DechirpFrameSet:
 
             for _ in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
                 pass
-            self._kept = (samples, spectra, magnitudes)
-            for kept in self._kept:  # every reader shares them
+            for kept in (spectra, magnitudes):  # every reader shares them
                 kept.setflags(write=False)
-        return self._kept[1:]
+            object.__setattr__(self, "_kept", (spectra, magnitudes))
+        return self._kept
 
 
 def _usable_cpus() -> int:
@@ -288,6 +284,7 @@ def synth_dechirp_frames(
     chirp: ChirpParams,
     acq: AcquisitionParams,
     seed: int = 0,
+    loss_scale: float = 1.0,
 ) -> DechirpFrameSet:
     """Synthesize de-chirped frames for a scene of moving targets.
 
@@ -302,15 +299,14 @@ def synth_dechirp_frames(
     A_j = reflectivity_j / R0_j^amplitude_exponent.  Receiver noise is
     white Gaussian, one stream seeded by ``seed`` and drawn in row order
     (equal to a single draw of the whole matrix), scaled by ``noise_rms``
-    times the strongest target amplitude (or 1.0 for an empty scene).  An
-    empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
+    relative to the echo of reflectivity 1 at 1 m, whoever is in the scene.
+    An empty scene yields pure noise frames; ``noise_rms == 0`` draws none.
+    Every sample is then multiplied by the link's power scale ``loss_scale``.
 
-    The terms are summed in ``FRAME_BLOCK_ROWS``-row blocks on up to two
-    worker threads (:func:`run_blocks`).  The calling thread's loop over the
-    finished blocks adds each block's noise and draws the next block's, so
-    the noise is drawn serially in row order while the workers run.  Each
-    element is summed in the one-shot expressions' order, so the bytes equal
-    theirs whatever the thread count.  A worker's exception is raised here.
+    The terms are summed in row blocks on worker threads (:func:`run_blocks`)
+    while this thread draws the noise in row order, so the bytes equal the
+    one-shot expressions' whatever the thread count.  A worker's exception is
+    raised here.
     """
     problems = scene_violations(targets, chirp, acq)
     if problems:
@@ -328,14 +324,12 @@ def synth_dechirp_frames(
         phase = 4.0 * np.pi * rng_range / chirp.carrier_wavelength
         amp = tgt.reflectivity / tgt.nominal_range**acq.amplitude_exponent
         terms.append((2.0 * np.pi * beat, phase, amp))
-    noise_scale = acq.noise_rms * max((amp for _, _, amp in terms), default=1.0)
     rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
-    # Each element is zeros + the terms in target order + the noise, the
-    # one-shot matrix expressions bit for bit.  The loop adds a block's noise
-    # once its terms are in, then draws the next block's while the workers sum
-    # its terms.  The first block's is drawn in the loop as well, so that every
-    # draw runs beside the workers.
+    # Each element is (zeros + the terms in target order + the noise) * loss_scale.
+    # The loop adds a block's noise once its terms are in and scales the block, then
+    # draws the next block's noise while the workers sum its terms.  The first
+    # block's is drawn in the loop as well, so that every draw runs beside them.
     samples = np.zeros((m_count, n_count))
     noise = np.empty((min(FRAME_BLOCK_ROWS, m_count), n_count)) if rng is not None else None
 
@@ -350,7 +344,7 @@ def synth_dechirp_frames(
     def draw_noise(start):
         block = noise[:min(FRAME_BLOCK_ROWS, m_count - start)]
         rng.standard_normal(out=block)
-        block *= noise_scale
+        block *= acq.noise_rms
 
     for rows in run_blocks(m_count, n_count, add_terms, "synth_dechirp_frames"):
         if rng is not None:
@@ -358,6 +352,7 @@ def synth_dechirp_frames(
                 draw_noise(0)
             samples[rows] += noise[:rows.stop - rows.start]
             draw_noise(rows.stop)
+        samples[rows] *= loss_scale
 
     return DechirpFrameSet(samples=samples, chirp=chirp, acquisition=acq,
                            truth=tuple(targets) if targets else None)

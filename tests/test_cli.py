@@ -2,7 +2,7 @@ import csv
 import json
 import shutil
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -92,9 +92,7 @@ def truthless_dir(bundle_dir, tmp_path_factory):
     anon = bundle_copy(bundle_dir, tmp_path_factory.mktemp("truthless") / "anon",
                        drop=["truth.json"])
     frames_path = anon / "channel_1549.36" / "frames.bin"
-    frames = read_frames(frames_path)
-    frames.truth = None
-    write_frames(frames, frames_path)
+    write_frames(replace(read_frames(frames_path), truth=None), frames_path)
     return anon
 
 

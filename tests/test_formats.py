@@ -4,7 +4,7 @@ import io
 import json
 import re
 import struct
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from vitalchirp import formats
 from vitalchirp.photonics import FbgProfile, contact_intensity
 from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
-from vitalchirp.scenario import WdmChannel, validate_scenario
+from vitalchirp.scenario import WdmChannel, run_scenario, validate_scenario
 
 from conftest import edit_frames_header
 from test_scenario import two_channel_scenario
@@ -39,11 +39,11 @@ class TestFramesContainer:
         assert loaded.acquisition == small_frames.acquisition
         assert loaded.truth[0].subject.id == "subject-b"
 
-    def test_read_samples_are_one_writable_contiguous_array(self, small_frames, tmp_path):
+    def test_read_samples_are_one_read_only_contiguous_array(self, small_frames, tmp_path):
         path = tmp_path / "frames.bin"
         formats.write_frames(small_frames, path)
         samples = formats.read_frames(path).samples
-        assert samples.flags.writeable
+        assert not samples.flags.writeable
         assert samples.flags.c_contiguous
         assert samples.dtype == np.float64
         assert np.array_equal(samples, small_frames.samples)
@@ -144,9 +144,9 @@ class TestFramesContainer:
 
     def test_non_finite_payload_rejected(self, small_frames, tmp_path):
         path = tmp_path / "frames.bin"
-        frames = replace(small_frames, samples=small_frames.samples.copy())
-        frames.samples[3, 5] = np.nan
-        formats.write_frames(frames, path)
+        samples = small_frames.samples.copy()
+        samples[3, 5] = np.nan
+        formats.write_frames(replace(small_frames, samples=samples), path)
         with pytest.raises(formats.CorruptFramesError, match="non-finite samples in payload"):
             formats.read_frames(path)
 
@@ -404,9 +404,8 @@ class TestBundleIO:
         out = formats.write_bundle(run_scenario(two_channel_scenario(duration=10.0, seed=4)),
                                    tmp_path / "bundle")
         frames_path = out / "channel_1549.36" / "frames.bin"
-        frames = formats.read_frames(frames_path)
-        frames.truth = None
-        formats.write_frames(frames, frames_path)
+        formats.write_frames(replace(formats.read_frames(frames_path), truth=None),
+                             frames_path)
         (ch1,) = [c for c in formats.read_bundle(out).channels if c.wavelength_nm == 1549.36]
         assert ch1.frames.truth is None
         assert ch1.contact_subject.id == "subject-a"
@@ -428,3 +427,39 @@ class TestBundleIO:
         (out / "scenario.json").write_text(json.dumps(config))
         with pytest.raises(KeyError, match="contact_sample_rate"):
             formats.read_bundle(out)
+
+
+@pytest.mark.parametrize("producer", ["synth_dechirp_frames", "truncated", "read_frames",
+                                      "contact_intensity", "read_bundle", "run_scenario"])
+def test_records_read_only_from_construction(producer, small_frames, tmp_path):
+    """A view of a record's samples taken as its producer returns it cannot be written,
+    and no record or channel takes new fields: new samples make a new record."""
+    grid = make_time_grid(5.0, 50.0)
+    intensity = contact_intensity(synth_motion(preset_subject("subject-a"), grid),
+                                  FbgProfile(17.70, 11.2e9), grid)
+    channels = []
+    if producer == "synth_dechirp_frames":
+        records = [small_frames]
+    elif producer == "contact_intensity":
+        records = [intensity]
+    elif producer == "truncated":
+        records = [small_frames.truncated(1.0), intensity.truncated(1.0)]
+    elif producer == "read_frames":
+        formats.write_frames(small_frames, tmp_path / "frames.bin")
+        records = [formats.read_frames(tmp_path / "frames.bin")]
+    else:
+        bundle = run_scenario(two_channel_scenario(duration=5.0, seed=4))
+        channels = list(bundle.channels.values())
+        if producer == "read_bundle":
+            channels = formats.read_bundle(
+                formats.write_bundle(bundle, tmp_path / "bundle")).channels
+        records = [r for ch in channels for r in (ch.intensity, ch.frames) if r is not None]
+    for record in records:
+        view = record.samples[:]
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            record.samples = view.copy()
+    for ch in channels:
+        with pytest.raises(FrozenInstanceError):
+            ch.frames = None

@@ -45,8 +45,8 @@ def static_subject(label="static"):
 
 
 def untransformed(frames):
-    """A copy of ``frames`` with samples of its own and no transform taken yet."""
-    return replace(frames, samples=frames.samples.copy())
+    """``frames`` as a new frame set of the same samples, with no transform taken yet."""
+    return replace(frames)
 
 
 def contact_record(subject, fbg, noise_rms, seed=0, duration=60.0):
@@ -64,6 +64,13 @@ class TestContactRates:
         rep = contact_rates(series, 50.0)
         assert rep.respiration_rpm == pytest.approx(24.0, abs=0.01)
         assert rep.heartbeat_bpm == pytest.approx(72.0, abs=0.01)
+
+    def test_a_bare_array_stays_writable(self):
+        # the record a bare array is wrapped in holds a copy: records are read-only
+        series = 1.0 + 0.2 * np.sin(2 * np.pi * 0.4 * make_time_grid(10.0, 50.0).instants())
+        contact_rates(series, 50.0)
+        resolution_sweep(series, [5.0, 10.0], sample_rate=50.0)
+        assert series.flags.writeable
 
     def test_preset_through_fbg_default_noise(self, fbg, subjects):
         rep = contact_rates(
@@ -300,7 +307,8 @@ class TestBlockedTransform:
         error = within(30, frames.transform)
         assert isinstance(error, FloatingPointError) and str(error) == "rfft failed"
         assert not [t for t in threading.enumerate() if t.name.startswith("DechirpFrameSet")]
-        assert frames.samples.flags.writeable  # nothing kept, so nothing to keep fresh
+        assert not frames.samples.flags.writeable
+        assert frames._kept is None  # nothing kept, so the next call transforms afresh
 
     def test_bytes_hold_under_frequent_thread_switches(self, frames, monkeypatch):
         monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
@@ -327,25 +335,20 @@ class TestBlockedTransform:
         lambda frames: extract_target_phase(frames, [1.00]),
     ], ids=["contactless_rates", "resolution_sweep", "range_profile", "extract_target_phase"])
     def test_non_finite_samples_raise_naming_their_count(self, frames, call, bad):
-        frames.samples[100, 5] = frames.samples[2999, 0] = bad
+        samples = frames.samples.copy()
+        samples[100, 5] = samples[2999, 0] = bad
+        frames = replace(frames, samples=samples)
         with pytest.raises(ValueError, match="frame set holds 2 non-finite samples"):
             call(frames)
-        assert frames.samples.flags.writeable
+        assert not frames.samples.flags.writeable
 
-    def test_samples_read_only_once_transformed(self, frames):
-        frames.samples *= 0.5  # before the transform, as run_scenario's link loss
-        early = frames.truncated(5.0)  # a view of the samples taken before it
+    def test_samples_and_kept_transform_read_only(self, frames):
+        early = frames.truncated(5.0)  # a view of the samples taken before the transform
         spectra, magnitudes = frames.transform()
         for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
                      spectra, magnitudes, frames.truncated(5.0).transform()[0]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 1.0
-        self.assert_one_shot(frames)
-
-    def test_new_samples_transformed_afresh(self, frames):
-        kept = frames.transform()[0]
-        frames.samples = -frames.samples
-        assert frames.transform()[0] is not kept
         self.assert_one_shot(frames)
 
 
@@ -495,8 +498,7 @@ class TestContactlessRates:
 
     def test_truthless_frames_default_to_their_detected_targets(self, chirp):
         targets, acq = two_person_scene(duration=10.0)
-        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
-        frames.truth = None
+        frames = replace(synth_dechirp_frames(targets, chirp, acq, seed=1), truth=None)
         reports = contactless_rates(frames)
         assert [r.label for r in reports] == ["target-0", "target-1"]
         in_bundle, _ = bundle_reports([ChannelResult(1549.36, frames=frames)])
@@ -517,7 +519,7 @@ class TestContactlessRates:
         targets, acq = two_person_scene()
         frames = synth_dechirp_frames(targets, chirp, acq, seed=5)
         base = contactless_rates(frames, target_ranges=[1.00])[0]
-        frames.samples = frames.samples * 123.0
+        frames = replace(frames, samples=frames.samples * 123.0)
         scaled = contactless_rates(frames, target_ranges=[1.00])[0]
         assert base.respiration_rpm == pytest.approx(scaled.respiration_rpm, rel=1e-9)
         assert base.heartbeat_bpm == pytest.approx(scaled.heartbeat_bpm, rel=1e-9)
@@ -636,8 +638,7 @@ class TestResolutionSweep:
 
     def test_options_of_the_other_source_rejected(self, chirp, subjects):
         targets, acq = two_person_scene(duration=10.0)
-        frames = synth_dechirp_frames(targets, chirp, acq)
-        frames.truth = None
+        frames = replace(synth_dechirp_frames(targets, chirp, acq), truth=None)
         with pytest.raises(ValueError, match="truth"):
             resolution_sweep(frames, [5.0], target_range=1.0, truth=subjects["subject-b"])
         with pytest.raises(ValueError, match="sample_rate"):
@@ -645,8 +646,7 @@ class TestResolutionSweep:
 
     def test_truthless_frames_sweep_their_first_detected_target(self, chirp):
         targets, acq = two_person_scene(duration=20.0)
-        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
-        frames.truth = None
+        frames = replace(synth_dechirp_frames(targets, chirp, acq, seed=1), truth=None)
         (first, _, _), _ = persons(frames)
         rows = resolution_sweep(frames, [5.0, 10.0]).to_rows()
         assert rows == resolution_sweep(frames, [5.0, 10.0], target_range=first).to_rows()
@@ -656,7 +656,7 @@ class TestResolutionSweep:
     def test_truthless_frames_without_a_peak_rejected(self, chirp):
         targets, acq = two_person_scene(duration=10.0)
         frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
-        frames.truth, frames.samples = None, np.zeros_like(frames.samples)
+        frames = replace(frames, truth=None, samples=np.zeros_like(frames.samples))
         with pytest.raises(ValueError, match="no target"):
             resolution_sweep(frames, [5.0])
 

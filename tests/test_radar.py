@@ -9,6 +9,7 @@ import pytest
 from vitalchirp import radar
 from vitalchirp.photonics import SPEED_OF_LIGHT
 from vitalchirp.physio import PRESET_SUBJECTS, SubjectVitals, TimeGrid, synth_motion
+from vitalchirp.pipelines import range_profile
 from vitalchirp.radar import (
     FRAME_BLOCK_ROWS,
     AcquisitionParams,
@@ -100,6 +101,38 @@ class TestSynthFrames:
         fab = synth_dechirp_frames(a + b, chirp, acq_quiet)
         assert np.allclose(fab.samples, fa.samples + fb.samples, atol=1e-12)
 
+    def test_noise_does_not_depend_on_the_scene(self, chirp):
+        # the noise is relative to the echo of reflectivity 1 at 1 m: a near person
+        # adds its echo to the frames and leaves the noise as it is
+        acq = AcquisitionParams(duration=2.0)
+
+        def frames(*targets):
+            return synth_dechirp_frames(list(targets), chirp, acq, seed=7).samples
+
+        a = RadarTarget(static_subject("a"), 1.65)
+        b = RadarTarget(static_subject("b"), 0.50)
+        np.testing.assert_allclose(frames(a, b) - frames(a), frames(b) - frames(),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lone_far_person_has_a_low_profile_snr(self, chirp, seed):
+        # a lone person's echo falls as 1/R^2 against a fixed noise: at 5 m the
+        # profile magnitude of its bin is within 3 dB of the profile's median
+        target = RadarTarget(PRESET_SUBJECTS["subject-c"], 5.0)
+        frames = synth_dechirp_frames([target], chirp, AcquisitionParams(duration=10.0),
+                                      seed=seed)
+        profile = range_profile(frames)
+        at = profile.magnitudes[np.argmin(np.abs(profile.ranges - 5.0))]
+        assert 20.0 * np.log10(at / np.median(profile.magnitudes)) < 3.0
+
+    def test_loss_scale_multiplies_every_sample(self, chirp):
+        # the block loop scales each block once its noise is in: the finished
+        # frames times the scale, bit for bit
+        targets, acq = two_person_scene(duration=(FRAME_BLOCK_ROWS + 1) * 20e-3)
+        lossless = synth_dechirp_frames(targets, chirp, acq, seed=2).samples
+        lossy = synth_dechirp_frames(targets, chirp, acq, seed=2, loss_scale=0.828).samples
+        assert np.array_equal(lossy, lossless * 0.828)
+
     def test_deterministic_under_seed(self, chirp):
         targets, acq = two_person_scene(duration=2.0)
         fa = synth_dechirp_frames(targets, chirp, acq, seed=9)
@@ -165,18 +198,15 @@ def one_shot_frames(targets, chirp, acq, seed):
     t_fast = np.arange(acq.fast_count) / acq.fast_rate
     grid = TimeGrid(sample_rate=acq.slow_rate, count=acq.slow_count)
     samples = np.zeros((acq.slow_count, acq.fast_count))
-    amps = []
     for tgt in targets:
         rng_range = tgt.nominal_range + synth_motion(tgt.subject, grid) * 1e-3
         beat = 2.0 * chirp.chirp_rate * rng_range / SPEED_OF_LIGHT
         phase = 4.0 * np.pi * rng_range / chirp.carrier_wavelength
         amp = tgt.reflectivity / tgt.nominal_range**acq.amplitude_exponent
-        amps.append(amp)
         samples += amp * np.cos(2.0 * np.pi * beat[:, None] * t_fast[None, :] + phase[:, None])
     if acq.noise_rms > 0:
-        ref = max(amps) if amps else 1.0
         rng = np.random.default_rng(seed)
-        samples = samples + acq.noise_rms * ref * rng.standard_normal(samples.shape)
+        samples = samples + acq.noise_rms * rng.standard_normal(samples.shape)
     return samples
 
 
