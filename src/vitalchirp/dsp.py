@@ -3,7 +3,9 @@
 The one elliptic bandpass design and its zero-phase application, windowed
 magnitude spectra, phase unwrapping, peak search with sub-bin refinement, and
 3-dB bandwidth measurement.  All kernels are pure functions over immutable
-inputs and safe for concurrent use on disjoint data.
+inputs and safe for concurrent use on disjoint data.  What depends only on a
+length, a rate or a design (hann windows, rfft frequency grids, filter
+responses) is built once and shared between calls, bounded and read-only.
 
 The elliptic prototype is a table of its zeros, poles and gain, equal to
 ``scipy.signal.ellipap(4, 1, 40)``; see S. J. Orfanidis, "Lecture Notes on
@@ -297,9 +299,22 @@ def hann_window(n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=32)  # bounded: lengths and rates come from callers
+def _rfft_grid(n: int, sample_rate: float) -> np.ndarray:
+    """``np.fft.rfftfreq(n, 1 / sample_rate)``, read-only since it is shared between calls."""
+    f = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    f.setflags(write=False)
+    return f
+
+
 @dataclass
 class MagnitudeSpectrum:
-    """Single-sided magnitude spectrum with its bin frequencies."""
+    """Single-sided magnitude spectrum with its bin frequencies.
+
+    ``frequencies`` ascend.  From :func:`spectrum` they are the rfft grid of
+    the spectrum's length and rate, one read-only array shared by every
+    spectrum of that length and rate.
+    """
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
@@ -340,7 +355,7 @@ def spectrum(
     if n < x.size:
         raise ValueError("nfft must be >= series length")
     return MagnitudeSpectrum(
-        frequencies=np.fft.rfftfreq(n, 1.0 / sample_rate),
+        frequencies=_rfft_grid(n, sample_rate),
         magnitudes=np.abs(np.fft.rfft(xw, n)),
         window=window,
         sample_rate=sample_rate,
@@ -377,23 +392,23 @@ def peak_search(spec: MagnitudeSpectrum, band: tuple[float, float]) -> Peak | No
     """
     lo, hi = band
     freqs, mags = spec.frequencies, spec.magnitudes
-    if lo >= hi or lo < freqs[0] or hi > freqs[-1]:
+    if not lo < hi or lo < freqs[0] or hi > freqs[-1]:
         raise ValueError(f"band {band} outside spectrum range")
-    idx = np.flatnonzero((freqs >= lo) & (freqs <= hi))
-    if idx.size < 3:
+    first, end = freqs.searchsorted(lo, "left"), freqs.searchsorted(hi, "right")
+    if end - first < 3:
         raise ValueError(f"band {band} must contain at least 3 bins")
-    band_mags = mags[idx]
+    band_mags = mags[first:end]
     if not np.any(band_mags > 0):
         return None
-    k = idx[int(np.argmax(band_mags))]
-    at_edge = k == idx[0] or k == idx[-1]
+    k = first + int(np.argmax(band_mags))
+    at_edge = k == first or k == end - 1
     if at_edge or k == 0 or k == mags.size - 1:
         return Peak(freqs[k], mags[k], freqs[k], at_edge=True)
     floor = mags[k] * 1e-12
     la, lb, lg = np.log(np.maximum(mags[k - 1 : k + 2], floor))
     denom = la - 2.0 * lb + lg
     delta = 0.0 if denom == 0 else 0.5 * (la - lg) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
+    delta = float(min(max(delta, -1.0), 1.0))  # np.clip's result, without its overhead
     return Peak(freqs[k], mags[k], freqs[k] + delta * spec.bin_spacing, at_edge=False)
 
 
@@ -415,11 +430,17 @@ class Bandwidth3dB:
 def bandwidth_3db(spec: MagnitudeSpectrum, peak_freq: float) -> Bandwidth3dB:
     """Width between half-power crossings bracketing the peak at ``peak_freq``.
 
-    Crossings are linearly interpolated between bins at magnitude
-    peak / sqrt(2) (half power).
+    The peak is the bin nearest ``peak_freq``, the lower one on a tie; only
+    the two bins around ``peak_freq`` are compared, and a NaN has no nearest
+    bin (``ValueError``).  Crossings are linearly interpolated between bins
+    at magnitude peak / sqrt(2) (half power).
     """
+    if math.isnan(peak_freq):
+        raise ValueError("peak_freq is NaN")
     freqs, mags = spec.frequencies, spec.magnitudes
-    k = int(np.argmin(np.abs(freqs - peak_freq)))
+    j = int(freqs.searchsorted(peak_freq))
+    k = min(range(max(j - 1, 0), min(j + 1, freqs.size)),
+            key=lambda i: abs(freqs[i] - peak_freq))
     if mags[k] <= 0:
         raise ValueError(f"no peak at {peak_freq} Hz: zero magnitude")
     thr = mags[k] / np.sqrt(2.0)

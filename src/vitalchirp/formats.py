@@ -33,6 +33,7 @@ contactless role.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -208,6 +209,15 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
 
 # ------------------------------------------------------------ CSV and JSON
 
+class _NumberTexts(tuple):
+    """A column of number texts, written as they are: a number's text needs no quotes.
+    A slice is one too, so the writer's blocks keep the mark."""
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return _NumberTexts(item) if isinstance(key, slice) else item
+
+
 def _field(v) -> str:
     """``v`` as ``csv.writer`` writes it under a ``"\\n"`` line end: None empty, text quoted."""
     t = "" if v is None else str(v)
@@ -222,9 +232,10 @@ def write_series_csv(path: str | Path, columns: dict[str, np.ndarray | list]) ->
         raise ValueError(f"columns of unequal lengths: {lengths}")
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         def emit(cols: list) -> None:  # a lone empty field is quoted: its row is no blank line
-            texts = [list(map(str, c.tolist())  # a number's text needs no quotes
-                          if isinstance(c, np.ndarray) and c.dtype.kind in "biufc"
-                          else map(_field, c)) for c in cols]
+            texts = [c if isinstance(c, _NumberTexts)
+                     else list(map(str, c.tolist()))  # a number's text needs no quotes
+                     if isinstance(c, np.ndarray) and c.dtype.kind in "biufc"
+                     else map(_field, c) for c in cols]
             texts = [[t or '""' for t in texts[0]]] if len(texts) == 1 else texts
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
         emit([[name] for name in columns])
@@ -237,8 +248,19 @@ def write_json(path: str | Path, document) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True), encoding="utf-8")
 
 
+@functools.lru_cache(maxsize=4)  # bounded: one entry per record length and rate
+def _time_texts(count: int, rate: float) -> _NumberTexts:
+    """The ``t_s`` column of ``count`` samples at ``rate``, ``k / rate`` as text."""
+    return _NumberTexts(map(str, (np.arange(count) / rate).tolist()))
+
+
 def write_intensity_csv(path: str | Path, record: IntensityRecord) -> None:
-    write_series_csv(path, {"t_s": np.arange(record.samples.size) / record.sample_rate,
+    """Write ``record`` as the columns ``t_s`` (``k / sample_rate``) and ``intensity``.
+
+    Every contact channel of a bundle shares its sample count and rate, so the
+    ``t_s`` text is formatted once per count and rate and shared (an immutable tuple).
+    """
+    write_series_csv(path, {"t_s": _time_texts(record.samples.size, record.sample_rate),
                             "intensity": record.samples})
 
 

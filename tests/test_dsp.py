@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -196,6 +198,16 @@ class TestSpectrum:
         with pytest.raises(ValueError):  # the window is shared between calls
             dsp.hann_window(x.size)[0] = 1.0
 
+    def test_frequencies_are_one_shared_read_only_rfftfreq_grid(self):
+        x = np.random.default_rng(4).normal(size=3000)
+        first = spectrum(x, 50.0, "hann", 8 * x.size).frequencies
+        assert first.tobytes() == np.fft.rfftfreq(8 * x.size, 1 / 50.0).tobytes()
+        assert spectrum(x[::-1], 50.0, "rectangular", 8 * x.size).frequencies is first
+        other = spectrum(x, 33.3, "hann", 8 * x.size).frequencies
+        assert other.tobytes() == np.fft.rfftfreq(8 * x.size, 1 / 33.3).tobytes()
+        with pytest.raises(ValueError):  # the grid is shared between calls
+            first[1] = 0.0
+
     def test_zero_padding(self):
         t = np.arange(300) / 50.0
         sp = spectrum(np.sin(2 * np.pi * 0.35 * t), 50.0, nfft=2400)
@@ -341,3 +353,119 @@ class TestBandwidth3dB:
         assert bw.right_freq == freqs[-1]
         assert not bw.left_open
         assert bw.left_freq == pytest.approx(24.9 - 0.3 * np.sqrt(np.log(2)), abs=1e-4)
+
+
+def full_scan_peak_search(spec, band):
+    """Oracle: ``peak_search`` as it was defined before its band was binary-searched."""
+    lo, hi = band
+    freqs, mags = spec.frequencies, spec.magnitudes
+    if lo >= hi or lo < freqs[0] or hi > freqs[-1]:
+        raise ValueError(f"band {band} outside spectrum range")
+    idx = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+    if idx.size < 3:
+        raise ValueError(f"band {band} must contain at least 3 bins")
+    band_mags = mags[idx]
+    if not np.any(band_mags > 0):
+        return None
+    k = idx[int(np.argmax(band_mags))]
+    at_edge = k == idx[0] or k == idx[-1]
+    if at_edge or k == 0 or k == mags.size - 1:
+        return dsp.Peak(freqs[k], mags[k], freqs[k], at_edge=True)
+    floor = mags[k] * 1e-12
+    la, lb, lg = np.log(np.maximum(mags[k - 1 : k + 2], floor))
+    denom = la - 2.0 * lb + lg
+    delta = 0.0 if denom == 0 else 0.5 * (la - lg) / denom
+    delta = float(np.clip(delta, -1.0, 1.0))
+    return dsp.Peak(freqs[k], mags[k], freqs[k] + delta * spec.bin_spacing, at_edge=False)
+
+
+def full_scan_bandwidth_3db(spec, peak_freq):
+    """Oracle: ``bandwidth_3db`` as it was defined before its peak bin was binary-searched."""
+    freqs, mags = spec.frequencies, spec.magnitudes
+    k = int(np.argmin(np.abs(freqs - peak_freq)))
+    if mags[k] <= 0:
+        raise ValueError(f"no peak at {peak_freq} Hz: zero magnitude")
+    thr = mags[k] / np.sqrt(2.0)
+    i = k
+    while i > 0 and mags[i] >= thr:
+        i -= 1
+    if mags[i] >= thr:
+        left, left_open = freqs[0], True
+    else:
+        frac = (thr - mags[i]) / (mags[i + 1] - mags[i])
+        left, left_open = freqs[i] + frac * (freqs[i + 1] - freqs[i]), False
+    j = k
+    last = mags.size - 1
+    while j < last and mags[j] >= thr:
+        j += 1
+    if mags[j] >= thr:
+        right, right_open = freqs[last], True
+    else:
+        frac = (thr - mags[j - 1]) / (mags[j] - mags[j - 1])
+        right, right_open = freqs[j - 1] + frac * (freqs[j] - freqs[j - 1]), False
+    return dsp.Bandwidth3dB(right - left, left, right, left_open, right_open)
+
+
+def outcome(call, *args):
+    """``call(*args)`` as a tuple of its fields, ``None``, or the ValueError it raised."""
+    try:
+        result = call(*args)
+    except ValueError:
+        return ValueError
+    return None if result is None else dataclasses.astuple(result)
+
+
+def oracle_spectra():
+    """A 60 s record zero-padded 8x (the bin spacing inexact in binary), and a 400-sample
+    one at 50 Sa/s (0.125 Hz bins, exact): noise, a tone on bin 50, and zeros."""
+    rng = np.random.default_rng(7)
+    for n, pad in ((3000, 8), (400, 1)):
+        t = np.arange(n) / 50.0
+        f50 = 50.0 * 50 / (n * pad)
+        for x in (rng.normal(size=n), np.sin(2 * np.pi * f50 * t) + 0.01 * rng.normal(size=n),
+                  np.zeros(n)):
+            for window in ("rectangular", "hann"):
+                yield spectrum(x, 50.0, window, n * pad)
+
+
+class TestAgainstFullScan:
+    """``peak_search`` and ``bandwidth_3db`` find their bins by binary search on the
+    ascending grid; they return what the full scans returned, field for field."""
+
+    def test_peak_search(self):
+        for sp in oracle_spectra():
+            f, step = sp.frequencies, sp.bin_spacing
+            last = f.size - 1
+            bands = [(f[10], f[50]), (f[50], f[90]),  # edges on bins; the tone's bin at an edge
+                     (f[10] + 0.3 * step, f[90] - 0.6 * step),  # edges between bins
+                     (f[0], f[60]), (f[0] + 0.5 * step, f[60]),  # at and past freqs[0]
+                     (f[last - 60], f[-1]), (f[last - 60], f[-1] - 0.5 * step),  # freqs[-1]
+                     (f[0], f[-1]), (f[20], f[22]), (f[20], f[21]),  # all, 3 and 2 bins
+                     (f[20] - 0.5 * step, f[22] + 0.5 * step),  # 3 bins, edges midway
+                     (0.13, 0.5), (0.8, 1.9), (f[30], f[30]), (f[-1], f[0])]
+            for band in bands:
+                assert outcome(peak_search, sp, band) == outcome(full_scan_peak_search, sp,
+                                                                 band), band
+
+    def test_bandwidth_3db(self):
+        for sp in oracle_spectra():
+            f, step = sp.frequencies, sp.bin_spacing
+            peak = peak_search(sp, (f[10], f[90]))
+            freqs = [*f[:3], *f[-3:], *f[45:56], f[50] + 0.3 * step, f[50] - 0.3 * step,
+                     *((f[:-1] + f[1:]) / 2)[[0, 49, 50, -1]],  # midway between two bins
+                     f[0] - step, f[-1] + step, *([peak.refined_freq] if peak else [])]
+            for peak_freq in freqs:
+                assert outcome(bandwidth_3db, sp, peak_freq) == outcome(
+                    full_scan_bandwidth_3db, sp, peak_freq), peak_freq
+            with pytest.raises(ValueError, match="NaN"):  # the full scan measured at bin 0
+                bandwidth_3db(sp, np.nan)
+
+    def test_midway_peak_freq_takes_the_lower_bin(self):
+        sp = spectrum(np.random.default_rng(8).normal(size=400), 50.0)
+        f = sp.frequencies
+        for k in (1, 20, 100):
+            mid = (f[k] + f[k + 1]) / 2
+            assert mid - f[k] == f[k + 1] - mid  # an exact tie on the 0.125 Hz grid
+            lower, upper = bandwidth_3db(sp, f[k]), bandwidth_3db(sp, f[k + 1])
+            assert lower != upper
+            assert bandwidth_3db(sp, mid) == lower == full_scan_bandwidth_3db(sp, mid)

@@ -14,10 +14,21 @@ from vitalchirp import formats
 from vitalchirp.photonics import FbgProfile, contact_intensity
 from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
-from vitalchirp.scenario import WdmChannel, run_scenario, validate_scenario
+from vitalchirp.scenario import (Scenario, WdmChannel, channel_name, run_scenario,
+                                 validate_scenario)
 
 from conftest import edit_frames_header
-from test_scenario import two_channel_scenario
+from test_scenario import channel, two_channel_scenario
+
+
+def csv_writer_bytes(columns: dict) -> bytes:
+    """Oracle: the bytes ``csv.writer(fh, lineterminator="\\n")`` writes for ``columns``."""
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                           for c in columns.values()]))
+    return want.getvalue().encode("utf-8")
 
 
 @pytest.fixture()
@@ -202,14 +213,9 @@ class TestCsvExports:
     ], ids=["text", "lone-empty", "lone-none", "lone-mixed", "numpy-scalars", "arrays",
             "header", "lone-empty-name", "no-columns", "several-blocks", "lone-past-a-block"])
     def test_series_csv_bytes_are_csv_writer_bytes(self, tmp_path, columns):
-        want = io.StringIO(newline="")
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
-                               for c in columns.values()]))
         path = tmp_path / "rows.csv"
         formats.write_series_csv(path, columns)
-        assert path.read_bytes() == want.getvalue().encode("utf-8")
+        assert path.read_bytes() == csv_writer_bytes(columns)
 
     def test_series_csv_rejects_ragged_columns(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -413,6 +419,23 @@ class TestBundleIO:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             formats.read_bundle(tmp_path / "nope")
+
+    def test_contact_csv_bytes_are_csv_writer_bytes_at_each_rate(self, tmp_path):
+        # the t_s text is formatted once per sample count and rate, and shared; each
+        # bundle here holds 250 samples per channel, so only the rate tells them apart
+        for k, (duration, rate) in enumerate(((5.0, 50.0), (10.0, 25.0), (5.0, 50.0))):
+            scenario = Scenario(channels=(
+                channel(1549.36, ["contact"], subject=preset_subject("subject-a")),
+                channel(1549.92, ["contact"], subject=preset_subject("subject-d"))),
+                acquisition=AcquisitionParams(duration=duration), seed=k,
+                contact_sample_rate=rate)
+            bundle = run_scenario(scenario)
+            out = formats.write_bundle(bundle, tmp_path / f"bundle{k}")
+            for wl, result in bundle.channels.items():
+                samples = result.intensity.samples
+                path = out / f"channel_{channel_name(wl)}" / "contact.csv"
+                assert path.read_bytes() == csv_writer_bytes(
+                    {"t_s": np.arange(samples.size) / rate, "intensity": samples})
 
     def test_contact_rate_is_the_recorded_one(self, tmp_path):
         from dataclasses import replace
