@@ -10,8 +10,8 @@ complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 A frame set, read-only from construction like every record, takes its hann
 fast-time FFT once (:meth:`radar.DechirpFrameSet.transform`), however many
-calls read it: :func:`range_profile`, :func:`persons` and
-:func:`extract_target_phase` read the kept spectra, and each sweep
+calls read it: :func:`range_profile` reads one row of the kept running
+magnitude sums, :func:`extract_target_phase` the kept spectra, and each sweep
 duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
@@ -296,12 +296,13 @@ class PhaseSeries:
 def range_profile(frames: DechirpFrameSet) -> RangeProfile:
     """Slow-time-averaged magnitude of the frames' kept hann transform
     (:meth:`radar.DechirpFrameSet.transform`): the profile persons are detected and
-    selected on.  Its frequency axis maps to range through the de-chirp relation
-    :meth:`photonics.ChirpParams.beat_range`.
+    selected on: the last row of its running sums over the row count, in O(width) for any
+    cut, is ``np.abs(spectra).mean(axis=0)`` bit for bit.  Its frequency axis maps to range
+    through the de-chirp relation :meth:`photonics.ChirpParams.beat_range`.
     """
-    magnitudes = frames.transform()[1]
+    running = frames.transform()[1]
     freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    return RangeProfile(frames.chirp.beat_range(freqs), magnitudes.mean(axis=0),
+    return RangeProfile(frames.chirp.beat_range(freqs), running[-1] / running.shape[0],
                         _bin_width(frames))
 
 

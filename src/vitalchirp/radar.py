@@ -114,14 +114,15 @@ def _shared_ids(targets) -> list[str]:
 class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
 
-    ``samples`` is read-only from construction, the array passed in too, and so is the
-    first :meth:`transform`, which the frame set keeps: new samples make a new frame set."""
+    ``samples`` is read-only from construction, the array passed in too, and so are the
+    spectra and running magnitude sums of the first :meth:`transform`, which the frame set
+    keeps: new samples make a new frame set."""
 
     samples: np.ndarray
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
-    _kept = None  # (spectra, magnitudes) once transformed; not a field
+    _kept = None  # (spectra, running) once transformed; not a field
 
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
@@ -162,9 +163,10 @@ class DechirpFrameSet:
         return out
 
     def transform(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hann-windowed rFFT of each frame and its magnitudes, taken on the first call
-        and kept: blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot
-        transform.  ``ValueError`` names the count of non-finite samples."""
+        """The hann-windowed rFFT of each frame and the running sums of its magnitudes down
+        the rows, ``np.cumsum(np.abs(spectra), axis=0)``, taken on the first call and kept:
+        blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot arrays.
+        ``ValueError`` names the count of non-finite samples."""
         if self._kept is None:
             samples = self.samples
             if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
@@ -172,18 +174,20 @@ class DechirpFrameSet:
             m_count, n_count = samples.shape
             window = hann_window(n_count)
             spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
-            magnitudes = np.empty(spectra.shape)
+            running = np.empty(spectra.shape)
 
             def work(rows, block):
                 np.multiply(samples[rows], window, out=block)
                 np.fft.rfft(block, axis=1, out=spectra[rows])
-                np.abs(spectra[rows], out=magnitudes[rows])
+                np.abs(spectra[rows], out=running[rows])
 
-            for _ in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
-                pass
-            for kept in (spectra, magnitudes):  # every reader shares them
+            for rows in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
+                if rows.start:  # carry the sums so far, while workers take later blocks
+                    running[rows.start] += running[rows.start - 1]
+                np.cumsum(running[rows], axis=0, out=running[rows])
+            for kept in (spectra, running):  # every reader shares them
                 kept.setflags(write=False)
-            object.__setattr__(self, "_kept", (spectra, magnitudes))
+            object.__setattr__(self, "_kept", (spectra, running))
         return self._kept
 
 

@@ -11,7 +11,7 @@ from vitalchirp.cli import main
 from vitalchirp.formats import read_bundle, read_frames, scenario_from_dict, write_frames
 from vitalchirp.formats import write_json
 from vitalchirp.physio import PRESET_SUBJECTS
-from vitalchirp.pipelines import band_waveforms, extract_target_phase, range_profile
+from vitalchirp.pipelines import band_waveforms, extract_target_phase
 from vitalchirp.scenario import bundle_reports, bundle_sweeps, run_scenario
 
 from conftest import edit_frames_header, frames_header
@@ -329,17 +329,21 @@ class TestProcess:
         for name in ("reports.json", "sweep.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
-    def test_csv_format_writes_series(self, bundle_dir, tmp_path):
+    @pytest.mark.parametrize("duration, rows", [(None, 3000), ("7.3", 365)])
+    def test_csv_format_writes_series(self, bundle_dir, tmp_path, duration, rows):
         out = tmp_path / "reports-csv"
+        cut = [] if duration is None else ["--duration", duration]
         assert main(["process", str(bundle_dir), "--out", str(out),
-                     "--format", "csv"]) == 0
+                     "--format", "csv", *cut]) == 0
         assert (out / "contact_1549.36nm_waveforms.csv").is_file()
         assert (out / "phase_1549.36nm_subject-b.csv").is_file()
         frames = read_frames(bundle_dir / "channel_1549.36" / "frames.bin")
-        profile = range_profile(frames)
+        n = frames.fast_count  # the profile's definition, not range_profile
+        spectra = np.fft.rfft(frames.samples[:rows] * np.hanning(n), axis=1)
         data = np.loadtxt(out / "range_profile_1549.36nm.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 0], profile.ranges)
-        np.testing.assert_array_equal(data[:, 1], profile.magnitudes)
+        np.testing.assert_array_equal(
+            data[:, 0], frames.chirp.beat_range(np.fft.rfftfreq(n, 1.0 / frames.fast_rate)))
+        np.testing.assert_array_equal(data[:, 1], np.abs(spectra).mean(axis=0))
 
     def test_csv_phase_series_match_extract_target_phase(self, bundle_dir, tmp_path):
         out = tmp_path / "reports-csv"

@@ -243,13 +243,18 @@ class TestBlockedTransform:
         # each test takes the transform afresh: a frame set keeps the first one
         return untransformed(synthesized)
 
+    @pytest.fixture(scope="class")
+    def one_shot(self, synthesized):
+        return np.fft.rfft(synthesized.samples * np.hanning(synthesized.fast_count), axis=1)
+
     @staticmethod
     def assert_one_shot(frames):
-        spectra, magnitudes = frames.transform()
+        spectra, running = frames.transform()
         want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
         assert spectra.shape == want.shape
         assert np.array_equal(spectra.view(np.uint8), want.view(np.uint8))
-        assert np.array_equal(magnitudes.view(np.uint8), np.abs(want).view(np.uint8))
+        assert np.array_equal(running.view(np.uint8),
+                              np.cumsum(np.abs(want), axis=0).view(np.uint8))
 
     @pytest.mark.parametrize("source", ["full", "truncated", "read_frames",
                                         "truncated-before-memo", "truncated-after-memo"])
@@ -323,9 +328,43 @@ class TestBlockedTransform:
     def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames, monkeypatch):
         # one window buffer per worker, both under 4 MiB
         monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
-        (spectra, magnitudes), peak = traced_peak(frames.transform)
+        (spectra, running), peak = traced_peak(frames.transform)
         assert frames.samples.shape == (3000, 600)
-        assert peak <= spectra.nbytes + magnitudes.nbytes + 4 * 2**20
+        assert peak <= spectra.nbytes + running.nbytes + 4 * 2**20
+
+    # rows either side of a block edge, a 7.3 s cut, and the bench sweep's 5-60 s cuts
+    PROFILE_ROWS = [1, FRAME_BLOCK_ROWS - 1, FRAME_BLOCK_ROWS, FRAME_BLOCK_ROWS + 1, 365,
+                    2999, 3000, 250, 500, 1000, 1500, 2000, 2500]
+
+    @pytest.mark.parametrize("cut", ["before-transform", "after-transform"])
+    @pytest.mark.parametrize("rows", PROFILE_ROWS)
+    def test_profile_of_a_cut_is_the_mean_of_its_magnitude_rows(self, frames, one_shot,
+                                                                rows, cut):
+        if cut == "after-transform":
+            frames.transform()  # the cut is handed a prefix of these running sums
+        part = frames.truncated(rows / frames.slow_rate)
+        assert part.slow_count == rows
+        got = range_profile(part).magnitudes
+        want = np.abs(one_shot[:rows]).mean(axis=0)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_profile_of_a_cut_reduces_no_rows(self, frames):
+        calls = []  # (ufunc, method) of each ufunc the second kept array meets
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append((ufunc.__name__, method))
+                inputs = [x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        spectra, second = frames.transform()
+        object.__setattr__(frames, "_kept", (spectra, second.view(Spy)))
+        for duration in (5.0, 7.3, 60.0):
+            part = frames.truncated(duration)
+            got = range_profile(part).magnitudes
+            want = np.abs(spectra[:part.slow_count]).mean(axis=0)
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert calls and all(method == "__call__" for _, method in calls), calls
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("call", [
@@ -344,9 +383,9 @@ class TestBlockedTransform:
 
     def test_samples_and_kept_transform_read_only(self, frames):
         early = frames.truncated(5.0)  # a view of the samples taken before the transform
-        spectra, magnitudes = frames.transform()
+        spectra, running = frames.transform()
         for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
-                     spectra, magnitudes, frames.truncated(5.0).transform()[0]):
+                     spectra, running, frames.truncated(5.0).transform()[0]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 1.0
         self.assert_one_shot(frames)
@@ -717,14 +756,14 @@ class TestOneTransformPerCall:
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_a_cut_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
-        spectra, magnitudes = frames.transform()
+        spectra, running = frames.transform()
         rfft_2d_calls.clear()
         short = frames.truncated(7.3)
-        short_spectra, short_magnitudes = short.transform()
+        short_spectra, short_running = short.transform()
         assert rfft_2d_calls == []
         assert short.slow_count == short_spectra.shape[0] == 365
         assert np.shares_memory(short_spectra, spectra)
-        assert np.shares_memory(short_magnitudes, magnitudes)
+        assert np.shares_memory(short_running, running)
         assert frames.slow_count == spectra.shape[0] == 3000
 
     def test_a_transformed_frame_set_is_read_without_a_transform(self, frames, rfft_2d_calls):
