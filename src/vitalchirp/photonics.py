@@ -174,7 +174,10 @@ def fbg_transmission(fbg: FbgProfile, freq_offset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityRecord:
-    """Detected optical power from the contact channel, sample ``n`` at ``n / sample_rate`` s."""
+    """Detected optical power from the contact channel, sample ``n`` at ``n / sample_rate`` s.
+
+    Read-only from construction; the record object keeps the band measurements the rates
+    chain takes of it (``pipelines``), so later calls on it read them back."""
 
     samples: np.ndarray
     sample_rate: float
@@ -182,11 +185,13 @@ class IntensityRecord:
 
     def __post_init__(self):
         self.samples.setflags(write=False)  # from construction, the array passed in too
+        object.__setattr__(self, "_measured", {})  # the rates chain's memo; not a field
 
     def truncated(self, duration: float) -> IntensityRecord:
-        """First ``duration`` seconds of the record as a new record of views."""
+        """First ``duration`` seconds of the record: the record itself, memo and all, when
+        that is every sample, else a new record of views with an empty memo."""
         rows = prefix_length(duration, self.sample_rate, self.samples.size)
-        return replace(self, samples=self.samples[:rows])
+        return self if rows == self.samples.size else replace(self, samples=self.samples[:rows])
 
 
 def contact_intensity(

@@ -14,6 +14,14 @@ calls read it: :func:`range_profile` reads one row of the kept running
 magnitude sums, :func:`extract_target_phase` the kept spectra, and each sweep
 duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.
 
+A record is also measured once, however many calls read it: the record object keeps the
+respiration and heartbeat :class:`dsp.Peak` and :class:`dsp.Bandwidth3dB` the rates chain
+takes of it (None for a band with no energy), a frame set one entry per range bin, and each
+later report reads them back, with its own label, truth, errors, flags and metadata.  A cut
+of every row is the record itself, so a sweep's full-length row reads the report's
+measurements; a shorter cut is a new record, measured afresh.  The memo belongs to the
+object, not to its content: an equal copy is measured again.
+
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
 ``dsp.STOPBAND_ATTEN_DB`` 40 dB stopband), applied zero-phase, and every
@@ -124,27 +132,39 @@ def _zero_phase(x, sample_rate, band) -> np.ndarray:
         dsp.design_bandpass(dsp.BandpassSpec(band[0], band[1], sample_rate)), x)
 
 
-def _measure_band(x, sample_rate, band) -> tuple[float | None, float | None, bool]:
-    """Rate per minute, 3-dB width and edge flag of the strongest line of ``x`` in ``band``.
+def _measure_band(x, sample_rate, band) -> tuple[dsp.Peak, dsp.Bandwidth3dB] | None:
+    """The refined peak of the strongest line of ``x`` in ``band`` and its 3-dB width.
 
     Rate estimation uses a hann window: it suppresses the tone's own
     negative-frequency image, whose leakage biases the refined peak by
     up to a bin on short records.  The 3-dB resolution is measured on
     the rectangular-window spectrum, whose main lobe is the textbook
-    0.886/T.  A band with no spectral energy yields ``(None, None, False)``.
+    0.886/T.  A band with no spectral energy yields None.
     """
     nfft = SPECTRUM_PAD * x.size
     peak = dsp.peak_search(dsp.spectrum(x, sample_rate, "hann", nfft), band)
     if peak is None:
-        return None, None, False
-    width = dsp.bandwidth_3db(dsp.spectrum(x, sample_rate, "rectangular", nfft),
-                              peak.refined_freq)
-    return 60.0 * peak.refined_freq, width.width, peak.at_edge
+        return None
+    return peak, dsp.bandwidth_3db(dsp.spectrum(x, sample_rate, "rectangular", nfft),
+                                   peak.refined_freq)
 
 
 def _detrended(series) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     return x - x.mean()
+
+
+def _band_measurements(record, key, series, sample_rate) -> tuple:
+    """The respiration and heartbeat :func:`_measure_band` of ``series``, the series of
+    ``record`` at ``key`` (a range bin of a frame set, None for a contact record): taken on
+    the first call for the record object and kept in its memo, which later calls read."""
+    memo = record._measured
+    if key not in memo:
+        x = _detrended(series)
+        memo[key] = (_measure_band(x, sample_rate, RESP_BAND),
+                     _measure_band(_zero_phase(x, sample_rate, HEART_BAND), sample_rate,
+                                   HEART_BAND))
+    return memo[key]
 
 
 def band_waveforms(series, sample_rate: float) -> dict:
@@ -193,25 +213,25 @@ def _processing_metadata(sample_rate, duration) -> dict:
     }
 
 
-def _rates_report(series, sample_rate, label, modality, truth, metadata,
+def _rates_report(record, key, series, sample_rate, label, modality, truth, metadata,
                   **fields) -> VitalsReport:
-    """Both bands of ``series`` as one report; errors against ``truth`` if given."""
-    x = _detrended(series)
-    resp_rate, resp_width, resp_edge = _measure_band(x, sample_rate, RESP_BAND)
-    heart_rate, heart_width, heart_edge = _measure_band(
-        _zero_phase(x, sample_rate, HEART_BAND), sample_rate, HEART_BAND)
+    """Both bands of ``series`` (:func:`_band_measurements`) as a new report; errors against
+    ``truth`` if given."""
+    resp, heart = _band_measurements(record, key, series, sample_rate)
+    resp_rate = None if resp is None else 60.0 * resp[0].refined_freq
+    heart_rate = None if heart is None else 60.0 * heart[0].refined_freq
     report = VitalsReport(
         label=label,
         modality=modality,
         respiration_rpm=resp_rate,
         heartbeat_bpm=heart_rate,
-        resp_3db_hz=resp_width,
-        heart_3db_hz=heart_width,
+        resp_3db_hz=None if resp is None else resp[1].width,
+        heart_3db_hz=None if heart is None else heart[1].width,
         flags={
-            "resp_detected": resp_rate is not None,
-            "heart_detected": heart_rate is not None,
-            "resp_edge_peak": resp_edge,
-            "heart_edge_peak": heart_edge,
+            "resp_detected": resp is not None,
+            "heart_detected": heart is not None,
+            "resp_edge_peak": resp is not None and resp[0].at_edge,
+            "heart_edge_peak": heart is not None and heart[0].at_edge,
         },
         metadata=metadata,
         **fields,
@@ -258,7 +278,7 @@ def contact_rates(
     duration = series.size / sample_rate
     _check_duration(duration)
 
-    return _rates_report(series, sample_rate, label or name,
+    return _rates_report(intensity, None, series, sample_rate, label or name,
                          "contact", truth, _processing_metadata(sample_rate, duration))
 
 
@@ -415,8 +435,8 @@ def contactless_rates(
         # no mean is removed before the arctangent: a de-chirped bin has no DC clutter
         metadata.update(requested_range_m=rng_req, dc_compensation=False)
         report = _rates_report(
-            extraction.phase, frames.slow_rate, label, "contactless", truth,
-            metadata, range_m=extraction.bin_range,
+            frames, extraction.bin_index, extraction.phase, frames.slow_rate, label,
+            "contactless", truth, metadata, range_m=extraction.bin_range,
         )
         if bins.count(extraction.bin_index) > 1:
             report.flags["shared_bin"] = True
@@ -456,9 +476,11 @@ def resolution_sweep(
 
     Each duration is a truncation of the source record anchored at t=0
     (sliding windows are not used) to :func:`physio.prefix_length` samples;
-    the matching rates chain runs on the truncation.  Frames are transformed
-    before the first cut, which reads views of the kept spectra; a non-finite
-    sample raises ``ValueError``.  Durations that rule cannot cut from the
+    the matching rates chain runs on the truncation.  A truncation of every
+    sample is the source record itself, so the full-length row reads the band
+    measurements an earlier report took of that record object.  Frames are
+    transformed before the first cut, which reads views of the kept spectra; a
+    non-finite sample raises ``ValueError``.  Durations that rule cannot cut from the
     source, and for frames a failed target selection, are flagged in the
     entry's ``skipped`` and the remaining durations still run.  Durations
     below 5 s, infinite or not a number are rejected.

@@ -116,7 +116,8 @@ class DechirpFrameSet:
 
     ``samples`` is read-only from construction, the array passed in too, and so are the
     spectra and running magnitude sums of the first :meth:`transform`, which the frame set
-    keeps: new samples make a new frame set."""
+    keeps: new samples make a new frame set.  It also keeps the band measurements the rates
+    chain takes of each range bin's phase (``pipelines``), so later calls read them back."""
 
     samples: np.ndarray
     chirp: ChirpParams
@@ -132,6 +133,7 @@ class DechirpFrameSet:
             raise ValueError(f"samples of shape {self.samples.shape} disagree with the "
                              f"acquisition's {acq.slow_count}x{acq.fast_count} frames")
         self.samples.setflags(write=False)
+        object.__setattr__(self, "_measured", {})  # the rates chain's memo; not a field
 
     @property
     def slow_rate(self) -> float:
@@ -154,8 +156,12 @@ class DechirpFrameSet:
         return self.slow_count / self.slow_rate
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
-        """First ``duration`` seconds as a new frame set of views, of the kept transform too."""
+        """First ``duration`` seconds: the frame set itself, kept transform and memo and all,
+        when that is every row, else a new frame set of views, of the kept transform too,
+        with an empty memo."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
+        if rows == self.slow_count:
+            return self
         out = replace(self, samples=self.samples[:rows],
                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
         if self._kept is not None:

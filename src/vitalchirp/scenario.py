@@ -258,16 +258,16 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 def _walk(channels, duration=None):
     """Each channel cut to ``duration`` s (``ValueError`` past a record), its frames a
-    fresh cut: a transform taken of them goes with the yielded channel, and the
-    records passed in keep none.  Both walks process a channel's frames before its
-    contact record and list the contact results first: a frame transform taken after
-    the contact chain raised peak RSS (``process`` 0.2-0.4 MiB, ``sweep`` about 1 MiB)."""
+    fresh frame set (``replace``; a cut of every row is the record itself): a transform
+    taken of them goes with the yielded channel, and the records passed in keep none.
+    Both walks process a channel's frames before its contact record and list the
+    contact results first: a frame transform taken after the contact chain raised peak
+    RSS (``process`` 0.2-0.4 MiB, ``sweep`` about 1 MiB)."""
     for ch in channels:
         if duration is not None:
-            ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration))
-        frames = ch.frames
-        yield replace(ch, frames=frames and frames.truncated(
-            frames.duration if duration is None else duration))
+            ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
+                         frames=ch.frames and ch.frames.truncated(duration))
+        yield replace(ch, frames=ch.frames and replace(ch.frames))
 
 
 def _label(ch: ChannelResult, name: str) -> str:

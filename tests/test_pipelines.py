@@ -177,8 +177,72 @@ class TestMeasuringOnly:
         frames = synth_dechirp_frames(targets, chirp, acq)
         contactless_rates(frames, target_ranges=[1.00])
         assert counts == {"filter_zero_phase": 1, "spectrum": 4}
+        contactless_rates(frames)  # the 1.00 m person's bin reads the first call's memo
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}
+
+    @staticmethod
+    def measured(report):
+        return (report.respiration_rpm, report.heartbeat_bpm, report.resp_3db_hz,
+                report.heart_3db_hz, report.flags.get("resp_edge_peak"),
+                report.flags.get("heart_edge_peak"))
+
+    def test_a_contact_sweep_reads_the_report_at_full_length(self, fbg, subjects, counts):
+        subject = subjects["subject-a"]
+        rec = contact_record(subject, fbg, noise_rms=0.005)
+        rep = contact_rates(rec, truth=subject)
+        rows = resolution_sweep(rec, [5.0, 60.0]).entries
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}
+        assert (rows[1].respiration_rpm, rows[1].heartbeat_bpm, rows[1].resp_3db_hz,
+                rows[1].heart_3db_hz) == self.measured(rep)[:4]
+        # each call still makes its own report: label, truth, errors, flags and metadata
+        again = contact_rates(rec, label="again")
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}
+        assert self.measured(again) == self.measured(rep)
+        assert (again.label, again.resp_error_rpm, rep.label) == ("again", None, subject.id)
+        assert rep.resp_error_rpm is not None and "truth_amplitudes_assumed" in rep.metadata
+        assert again.flags is not rep.flags and again.metadata is not rep.metadata
+        assert "truth_amplitudes_assumed" not in again.metadata
+
+    def test_a_contactless_sweep_reads_the_report_at_full_length(self, chirp, counts):
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        reports = contactless_rates(frames)
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}
+        for rep, target in zip(reports, targets, strict=True):
+            rows = resolution_sweep(frames, [5.0, 10.0], target_range=target.nominal_range)
+            full = rows.entries[1]
+            assert (full.respiration_rpm, full.heartbeat_bpm, full.resp_3db_hz,
+                    full.heart_3db_hz) == self.measured(rep)[:4]
+        assert counts == {"filter_zero_phase": 4, "spectrum": 16}  # the 5 s cuts only
+
+    def test_requests_sharing_a_bin_are_measured_once(self, chirp, counts):
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        first, second = contactless_rates(frames, target_ranges=[1.00, 1.01])
+        assert first.flags["shared_bin"] and second.flags["shared_bin"]
+        assert counts == {"filter_zero_phase": 1, "spectrum": 4}
+        assert self.measured(first) == self.measured(second)
+        assert (first.metadata["requested_range_m"],
+                second.metadata["requested_range_m"]) == (1.00, 1.01)
+
+    def test_an_equal_copy_is_measured_again(self, fbg, subjects, counts):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.005)
+        rep = contact_rates(rec)
+        copy = contact_rates(replace(rec, samples=rec.samples.copy()))
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}  # not keyed on content
+        assert self.measured(copy) == self.measured(rep)
+
+    def test_a_cut_of_every_row_is_the_record_itself(self, fbg, subjects, chirp):
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.005, duration=10.0)
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        contact_rates(rec)
         contactless_rates(frames)
-        assert counts == {"filter_zero_phase": 3, "spectrum": 12}
+        for record in (rec, frames):
+            assert record.truncated(10.0) is record
+            assert record.truncated(10.0 + 0.5e-2 / 50.0) is record  # prefix_length floors
+            short = record.truncated(9.0)  # a new record, measured afresh
+            assert short is not record and record._measured and short._measured == {}
 
     def test_band_waveforms_are_the_zero_phase_bands_of_the_detrended_series(self, fbg,
                                                                             subjects):
