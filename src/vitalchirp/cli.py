@@ -5,7 +5,8 @@
     vitalchirp sweep bundle/ [--durations 5,10,20,30,40,50,60] [--out dir/]
     vitalchirp filter-design --band 0.13 0.5 --sample-rate 50 [--out dir/]
 
-Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 processing failure.
+Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 processing failure (for
+``simulate``, a scenario whose records do not fit in memory).
 When ``--out`` is omitted, outputs land under ``$VITALCHIRP_OUT`` (default
 current directory) in a directory derived from the inputs.
 """
@@ -59,6 +60,9 @@ def cmd_simulate(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a valid scenario too large to synthesize
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_PROCESSING
 
     config = formats.scenario_to_dict(scenario)
     out = _resolve_out(args.out, f"run-{formats.scenario_hash(config)[:8]}")

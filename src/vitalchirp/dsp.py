@@ -318,8 +318,6 @@ class MagnitudeSpectrum:
 
     frequencies: np.ndarray
     magnitudes: np.ndarray
-    window: str
-    sample_rate: float
 
     @property
     def bin_spacing(self) -> float:
@@ -357,8 +355,6 @@ def spectrum(
     return MagnitudeSpectrum(
         frequencies=_rfft_grid(n, sample_rate),
         magnitudes=np.abs(np.fft.rfft(xw, n)),
-        window=window,
-        sample_rate=sample_rate,
     )
 
 

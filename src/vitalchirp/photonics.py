@@ -127,7 +127,8 @@ class FbgProfile:
         sigma = fwhm / (2 sqrt(2 ln(depth/3)))
 
     which places the -3 dB points exactly at +/- fwhm/2.  Depths of 3 dB
-    or less leave the 3-dB width undefined and are rejected.
+    or less leave the 3-dB width undefined and are rejected, and so are
+    widths whose 2 sigma^2 is not a positive float.
 
     ``displacement_to_shift`` maps chest displacement (mm) to Bragg
     shift (Hz); it lumps the strain-transfer physics of the taped
@@ -151,6 +152,9 @@ class FbgProfile:
             )
         if self.fwhm_3db <= 0:
             raise ValueError(f"fwhm_3db must be > 0, got {self.fwhm_3db}")
+        if not 0 < 2.0 * (sigma := float(self.sigma)) * sigma < np.inf:  # floats: no OverflowError
+            raise ValueError(f"fwhm_3db {self.fwhm_3db} puts the notch's 2 sigma^2 past the "
+                             f"float range")
 
     @property
     def sigma(self) -> float:
@@ -160,7 +164,8 @@ class FbgProfile:
 def fbg_transmission_db(fbg: FbgProfile, freq_offset) -> np.ndarray:
     """Transmission in dB at ``freq_offset`` Hz from the notch center."""
     delta = np.asarray(freq_offset, dtype=float)
-    return -fbg.notch_depth_db * np.exp(-(delta**2) / (2.0 * fbg.sigma**2))
+    with np.errstate(over="ignore"):  # an exponent past the float range is -inf: 0 dB
+        return -fbg.notch_depth_db * np.exp(-(delta**2) / (2.0 * fbg.sigma**2))
 
 
 def fbg_transmission(fbg: FbgProfile, freq_offset) -> np.ndarray:
@@ -176,20 +181,28 @@ def fbg_transmission(fbg: FbgProfile, freq_offset) -> np.ndarray:
 class IntensityRecord:
     """Detected optical power from the contact channel, sample ``n`` at ``n / sample_rate`` s.
 
-    Read-only from construction; the record object keeps the band measurements the rates
-    chain takes of it (``pipelines``), so later calls on it read them back."""
+    ``sample_rate`` is a finite number > 0.  Read-only from construction; the record object
+    keeps the band measurements the rates chain takes of it (``pipelines``), so later calls
+    on it read them back."""
 
     samples: np.ndarray
     sample_rate: float
     edge_warning: bool = False
 
     def __post_init__(self):
+        if isinstance(self.sample_rate, bool) or not 0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate {self.sample_rate!r} is not a finite number > 0")
         self.samples.setflags(write=False)  # from construction, the array passed in too
         object.__setattr__(self, "_measured", {})  # the rates chain's memo; not a field
 
+    @property
+    def duration(self) -> float:
+        return self.samples.size / self.sample_rate
+
     def truncated(self, duration: float) -> IntensityRecord:
-        """First ``duration`` seconds of the record: the record itself, memo and all, when
-        that is every sample, else a new record of views with an empty memo."""
+        """First ``duration`` seconds by :func:`physio.prefix_length`, whose ``ValueError`` it
+        raises: the record itself, memo and all, when that is every sample, else a new record
+        of views with an empty memo."""
         rows = prefix_length(duration, self.sample_rate, self.samples.size)
         return self if rows == self.samples.size else replace(self, samples=self.samples[:rows])
 

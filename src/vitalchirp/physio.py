@@ -44,10 +44,6 @@ class TimeGrid:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
-    @property
-    def duration(self) -> float:
-        return self.count / self.sample_rate
-
     def instants(self) -> np.ndarray:
         """Sampling instants t_n = n / sample_rate."""
         return np.arange(self.count) / self.sample_rate

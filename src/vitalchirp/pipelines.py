@@ -12,7 +12,8 @@ A frame set, read-only from construction like every record, takes its hann
 fast-time FFT once (:meth:`radar.DechirpFrameSet.transform`), however many
 calls read it: :func:`range_profile` reads one row of the kept running
 magnitude sums, :func:`extract_target_phase` the kept spectra, and each sweep
-duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.
+duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.  Every
+record makes its own cuts and knows its own ``duration``; the chains restate neither.
 
 A record is also measured once, however many calls read it: the record object keeps the
 respiration and heartbeat :class:`dsp.Peak` and :class:`dsp.Bandwidth3dB` the rates chain
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import dsp
 from .photonics import SPEED_OF_LIGHT, IntensityRecord
-from .physio import HEART_BAND, RESP_BAND, SubjectVitals, prefix_length
+from .physio import HEART_BAND, RESP_BAND, SubjectVitals
 from .radar import DechirpFrameSet
 
 __all__ = [
@@ -73,6 +74,8 @@ __all__ = [
 SPECTRUM_PAD = 8
 
 MIN_DURATION_S = 5.0
+
+SELECTION_TOLERANCE_BINS = 2  # a requested range selects what lies at most this many bins off
 
 
 class TargetSelectionError(RuntimeError):
@@ -275,11 +278,10 @@ def contact_rates(
     series, sample_rate = intensity.samples, intensity.sample_rate
     if not np.all(np.isfinite(series)):
         raise ValueError(f"record holds {np.sum(~np.isfinite(series))} non-finite samples")
-    duration = series.size / sample_rate
-    _check_duration(duration)
+    _check_duration(intensity.duration)
 
-    return _rates_report(intensity, None, series, sample_rate, label or name,
-                         "contact", truth, _processing_metadata(sample_rate, duration))
+    return _rates_report(intensity, None, series, sample_rate, label or name, "contact",
+                         truth, _processing_metadata(sample_rate, intensity.duration))
 
 
 @dataclass
@@ -336,14 +338,14 @@ def persons(
     range are named and scored apart; without truth, the peaks of :func:`range_profile`
     of at least 0.3 x the strongest, in ascending range, named ``target-<i>``.
     Request ``i`` of ``target_ranges`` is instead the truth target nearest it within
-    the 2 range bins selection allows (the first of co-located ones), else
-    ``target-<i>``, named and scored as none.
+    ``SELECTION_TOLERANCE_BINS`` range bins (the first of co-located ones), else
+    ``target-<i>``, named and scored as none; so is a request that is not a number.
     """
     if target_ranges is not None:
-        tol, found = 2.0 * _bin_width(frames), []
+        tol, found = SELECTION_TOLERANCE_BINS * _bin_width(frames), []
         for i, rng in enumerate(target_ranges):
             t = min(frames.truth or (), key=lambda t: abs(t.nominal_range - rng), default=None)
-            near = t is not None and abs(t.nominal_range - rng) <= tol
+            near = t is not None and abs(t.nominal_range - rng) <= tol  # false for nan
             found.append((rng, t.subject.id, t.subject) if near else (rng, f"target-{i}", None))
         return found
     if frames.truth:
@@ -363,8 +365,8 @@ def extract_target_phase(
     """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
 
     The bin is the :func:`range_profile` peak nearest the request, which avoids
-    bin hopping from chest motion; with no peak within 2 bins the request
-    gets a :class:`TargetSelectionError` instead, naming the nearest peak.
+    bin hopping from chest motion; with no peak within ``SELECTION_TOLERANCE_BINS`` bins
+    (a nan request has none) it gets a :class:`TargetSelectionError`, naming the nearest.
     The hann window of the per-frame values suppresses the real beat
     tone's negative-frequency image, whose leakage otherwise perturbs the
     phase by a few milliradians.
@@ -377,7 +379,7 @@ def extract_target_phase(
     """
     profile = range_profile(frames)
     spectra = frames.transform()[0]
-    peaks = profile.peak_indices()
+    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
     slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
     slope_window = (
         2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
@@ -390,10 +392,10 @@ def extract_target_phase(
             results.append(TargetSelectionError("range profile has no peaks"))
             continue
         nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-        if abs(profile.ranges[nearest] - target_range) > 2.0 * profile.bin_width:
+        if not abs(profile.ranges[nearest] - target_range) <= tol:  # true for nan
             results.append(TargetSelectionError(
-                f"no range peak within 2 bins of {target_range:.3f} m; nearest peak "
-                f"at {profile.ranges[nearest]:.3f} m"
+                f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
+                f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m"
             ))
             continue
         results.append(PhaseSeries(
@@ -474,16 +476,15 @@ def resolution_sweep(
 ) -> SweepReport:
     """Rates and 3-dB resolutions at several record lengths.
 
-    Each duration is a truncation of the source record anchored at t=0
-    (sliding windows are not used) to :func:`physio.prefix_length` samples;
-    the matching rates chain runs on the truncation.  A truncation of every
+    Each duration's row runs the matching rates chain on the source's own cut
+    ``truncated(d)``, anchored at t=0 (sliding windows are not used).  A cut of every
     sample is the source record itself, so the full-length row reads the band
     measurements an earlier report took of that record object.  Frames are
-    transformed before the first cut, which reads views of the kept spectra; a
-    non-finite sample raises ``ValueError``.  Durations that rule cannot cut from the
-    source, and for frames a failed target selection, are flagged in the
-    entry's ``skipped`` and the remaining durations still run.  Durations
-    below 5 s, infinite or not a number are rejected.
+    transformed before the first cut, which reads views of the kept spectra.  A
+    duration the cut rejects, and for frames a failed target selection, is flagged in
+    the entry's ``skipped`` and the remaining durations still run; the rates chain's
+    ``ValueError``, as for a non-finite sample, is raised.  Durations below 5 s,
+    infinite or not a number are rejected.
 
     Frames are swept at ``target_range``, named as :func:`contactless_rates` names
     it, else at their first :func:`persons` person (``ValueError``
@@ -503,27 +504,27 @@ def resolution_sweep(
         if not found:
             raise ValueError("frames hold no target: their range profile has no peak")
         rng_req, name, _ = found[0]
-        modality, rate, count = "contactless", source.slow_rate, source.slow_count
+        record, modality = source, "contactless"
 
-        def rates(d):
-            return contactless_rates(source.truncated(d), [rng_req])[0]
+        def rates(cut):
+            return contactless_rates(cut, [rng_req])[0]
     else:
         record, name = _contact_person(source, sample_rate, truth)
-        modality, rate, count = "contact", record.sample_rate, record.samples.size
+        modality = "contact"
 
-        def rates(d):
-            return contact_rates(record.truncated(d), truth=truth)
+        def rates(cut):
+            return contact_rates(cut, truth=truth)
 
     row_label = label or name
     entries = []
     for d in durations:
         try:
-            prefix_length(d, rate, count)  # the cut ``rates`` makes, checked first
+            cut = record.truncated(d)
         except ValueError:
-            entries.append(SweepEntry(d, modality, row_label,
-                                      skipped=f"duration exceeds {count / rate:.1f} s record"))
+            entries.append(SweepEntry(d, modality, row_label, skipped=f"duration exceeds "
+                                      f"{record.duration:.1f} s record"))
             continue
-        r = rates(d)
+        r = rates(cut)
         entries.append(SweepEntry(d, modality, row_label, r.respiration_rpm, r.heartbeat_bpm,
                                   r.resp_3db_hz, r.heart_3db_hz,
                                   r.flags.get("selection_error")))

@@ -156,9 +156,9 @@ class DechirpFrameSet:
         return self.slow_count / self.slow_rate
 
     def truncated(self, duration: float) -> "DechirpFrameSet":
-        """First ``duration`` seconds: the frame set itself, kept transform and memo and all,
-        when that is every row, else a new frame set of views, of the kept transform too,
-        with an empty memo."""
+        """First ``duration`` seconds by :func:`physio.prefix_length`, whose ``ValueError``
+        it raises: the frame set itself, kept transform and memo and all, when that is every
+        row, else a new frame set of views, of the kept transform too, with an empty memo."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
         if rows == self.slow_count:
             return self
@@ -268,12 +268,20 @@ def unambiguous_range(chirp: ChirpParams, fast_rate: float) -> float:
     return chirp.beat_range(fast_rate / 2.0)
 
 
+def _echo_amplitude(target: RadarTarget, exponent: float) -> float:
+    """reflectivity / R0^exponent, inf where that is past the float range or divides by 0."""
+    try:
+        return target.reflectivity / target.nominal_range**exponent
+    except (OverflowError, ZeroDivisionError):
+        return np.inf
+
+
 def scene_violations(targets, chirp: ChirpParams, acq: AcquisitionParams) -> list[str]:
     """One message per capture rule ``acq`` breaks for ``targets`` under ``chirp``.
 
     Each frame must fit inside the chirp pulse, bursts must not repeat
     faster than the pulses, every target must sit inside the unambiguous
-    range, and no two targets may share a subject id.
+    range with a finite echo amplitude, and no two targets may share a subject id.
     """
     problems = _shared_ids(targets)
     if acq.frame_width > chirp.pulse_width:
@@ -286,6 +294,9 @@ def scene_violations(targets, chirp: ChirpParams, acq: AcquisitionParams) -> lis
     problems += [f"target {t.subject.id!r} at {t.nominal_range:.2f} m is beyond the "
                  f"unambiguous range R_max = {r_max:.2f} m"
                  for t in targets if t.nominal_range >= r_max]
+    problems += [f"target {t.subject.id!r} at {t.nominal_range:g} m has an echo amplitude "
+                 f"reflectivity / range^{acq.amplitude_exponent:g} that is not finite"
+                 for t in targets if not _echo_amplitude(t, acq.amplitude_exponent) < np.inf]
     return problems
 
 
@@ -332,8 +343,7 @@ def synth_dechirp_frames(
         rng_range = tgt.nominal_range + x_m
         beat = 2.0 * chirp.chirp_rate * rng_range / SPEED_OF_LIGHT
         phase = 4.0 * np.pi * rng_range / chirp.carrier_wavelength
-        amp = tgt.reflectivity / tgt.nominal_range**acq.amplitude_exponent
-        terms.append((2.0 * np.pi * beat, phase, amp))
+        terms.append((2.0 * np.pi * beat, phase, _echo_amplitude(tgt, acq.amplitude_exponent)))
     rng = np.random.default_rng(seed) if acq.noise_rms > 0 else None
 
     # Each element is (zeros + the terms in target order + the noise) * loss_scale.

@@ -1,6 +1,7 @@
 """Import structure: nothing in the package imports scipy, so no command pays
-for it, only ``formats`` encodes files, only ``radar`` starts threads, and no
-module reaches into a sibling module's private names."""
+for it, only ``formats`` encodes files, only ``radar`` starts threads, only the
+records cut by ``physio.prefix_length``, and no module reaches into a sibling
+module's private names."""
 
 import ast
 import json
@@ -97,6 +98,25 @@ def test_no_command_loads_scipy(tmp_path):
     assert steps == {"import vitalchirp": [],
                      **{name: [0, []] for name in ("simulate", "process", "process --format csv",
                                                    "sweep", "filter-design")}}
+
+
+def _names(path):
+    """Every identifier ``path`` binds, reads or imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_records_cut_by_the_prefix_rule():
+    # one cut rule: a record's own ``truncated``; every other caller cuts through it
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "prefix_length" in _names(p))
+    assert users == ["photonics", "physio", "radar"]
 
 
 def _sibling_private_names(path, siblings):

@@ -43,6 +43,17 @@ class TestFbgTransmission:
         with pytest.raises(ValueError):
             FbgProfile(notch_depth_db=2.0, fwhm_3db=10e9)
 
+    @pytest.mark.parametrize("fwhm", [1e-300, 1e300])
+    def test_width_past_the_float_range_rejected(self, fwhm):
+        # 2 sigma^2 would be 0 or inf, and the transmission nan
+        with pytest.raises(ValueError, match="fwhm_3db"):
+            FbgProfile(notch_depth_db=17.7, fwhm_3db=fwhm)
+
+    def test_far_outside_a_narrow_notch_is_0_db(self):
+        # the exponent -(delta^2) / (2 sigma^2) is past the float range here
+        narrow = FbgProfile(notch_depth_db=17.7, fwhm_3db=1e-150)
+        assert fbg_transmission_db(narrow, 2e8) == 0.0
+
     def test_even_monotone_and_limit(self, fbg):
         offsets = np.linspace(0, 8 * fbg.sigma, 500)
         t = fbg_transmission(fbg, offsets)
@@ -113,6 +124,13 @@ class TestContactIntensity:
         np.testing.assert_array_equal(short.samples, rec.samples[:251])
         with pytest.raises(ValueError, match="cannot truncate 60.0 s record to 90 s"):
             rec.truncated(90)
+        assert (rec.duration, short.duration) == (60.0, 251 / 50.0)
+
+    @pytest.mark.parametrize("rate", [0.0, np.nan, np.inf, -50.0, True],
+                             ids=["zero", "nan", "inf", "negative", "true"])
+    def test_sample_rate_not_a_finite_number_above_zero_rejected(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate"):
+            IntensityRecord(np.ones(3000), rate)
 
 
 class TestChirpParams:

@@ -101,6 +101,12 @@ class TestContactRates:
         with pytest.raises(ValueError, match="2 non-finite"):
             contact_rates(series, 50.0)
 
+    @pytest.mark.parametrize("rate", [0.0, np.nan, np.inf, -50.0, True],
+                             ids=["zero", "nan", "inf", "negative", "true"])
+    def test_sample_rate_not_a_finite_number_above_zero_named(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate"):
+            contact_rates(np.ones(3000), rate)
+
     def test_too_short_record(self):
         with pytest.raises(ValueError):
             contact_rates(np.ones(100), 50.0)
@@ -578,6 +584,23 @@ class TestContactlessRates:
         assert near.label == "subject-b" and near.resp_error_rpm is not None
         assert resolution_sweep(frames, [5.0], target_range=6.0).entries[0].label == "target-0"
 
+    def test_a_request_that_is_not_a_number_selects_nothing(self, chirp):
+        # nan is no distance from anything: neither the strongest peak nor any truth
+        targets, acq = two_person_scene(duration=20.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        (selection,) = extract_target_phase(frames, [np.nan])
+        assert isinstance(selection, TargetSelectionError)
+        assert [(name, truth) for _, name, truth in persons(frames, [np.nan])] == [
+            ("target-0", None)]
+        (report,) = contactless_rates(frames, [np.nan])
+        assert report.label == "target-0"
+        assert report.flags["selection_error"] == str(selection)
+        assert (report.respiration_rpm, report.heartbeat_bpm, report.range_m) == (
+            None, None, None)
+        for e in resolution_sweep(frames, [5.0, 10.0], target_range=np.nan).entries:
+            assert e.skipped == str(selection)
+            assert (e.label, e.respiration_rpm, e.heartbeat_bpm) == ("target-0", None, None)
+
     def test_targets_sharing_a_bin_flagged(self, chirp, subjects):
         # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak; at
         # 1.00 m the two persons share a range, and each is still scored as itself
@@ -703,6 +726,24 @@ class TestResolutionSweep:
         assert sweep.entries[1].skipped is not None
         assert sweep.entries[0].respiration_rpm is not None
         assert sweep.entries[2].respiration_rpm is not None
+
+    def test_a_non_finite_sample_raises_after_rows_before_it(self, fbg, subjects):
+        # the 5 s cut is finite; the 10 s cut holds the nan: an error, not a skipped row
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=20.0)
+        samples = rec.samples.copy()
+        samples[400] = np.nan
+        rec = IntensityRecord(samples, rec.sample_rate)
+        assert resolution_sweep(rec, [5.0]).entries[0].respiration_rpm is not None
+        with pytest.raises(ValueError, match="1 non-finite samples"):
+            resolution_sweep(rec, [5.0, 10.0, 60.0])
+
+    def test_a_duration_past_the_record_names_its_length(self, chirp, fbg, subjects):
+        targets, acq = two_person_scene(duration=20.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        rec = contact_record(subjects["subject-a"], fbg, noise_rms=0.0, duration=30.0)
+        for source, length in ((frames, "20.0"), (rec, "30.0")):
+            (entry,) = resolution_sweep(source, [40.0]).entries
+            assert entry.skipped == f"duration exceeds {length} s record"
 
     def test_fractional_duration_cut_to_whole_samples_below_it(self, fbg, subjects):
         # 5.03 s x 50 Sa/s = 251.5 samples: the cut keeps 251, as a frame set does

@@ -14,6 +14,7 @@ from vitalchirp.radar import (
     FRAME_BLOCK_ROWS,
     AcquisitionParams,
     RadarTarget,
+    scene_violations,
     synth_dechirp_frames,
     unambiguous_range,
 )
@@ -165,6 +166,16 @@ class TestSynthFrames:
         kwargs = {"subject": static_subject(), "nominal_range": 1.0, field: True}
         with pytest.raises(ValueError, match=f"^{field} must be numbers, not true or false"):
             RadarTarget(**kwargs)
+
+    @pytest.mark.parametrize("nominal_range, exponent", [(1e-300, 2.0), (1.65, 1e300)])
+    def test_echo_amplitude_past_the_float_range_named(self, chirp, nominal_range, exponent):
+        acq = AcquisitionParams(duration=5.0, amplitude_exponent=exponent)
+        target = RadarTarget(static_subject("too-loud"), nominal_range)
+        assert scene_violations([target], chirp, acq) == [
+            f"target 'too-loud' at {nominal_range:g} m has an echo amplitude reflectivity "
+            f"/ range^{exponent:g} that is not finite"]
+        with pytest.raises(ValueError, match="too-loud"):
+            synth_dechirp_frames([target], chirp, acq)
 
     def test_frame_width_exceeding_pulse(self, chirp):
         acq = AcquisitionParams(frame_width=80e-6)
