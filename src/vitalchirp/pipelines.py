@@ -10,18 +10,21 @@ complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 A frame set, read-only from construction like every record, takes its hann
 fast-time FFT once (:meth:`radar.DechirpFrameSet.transform`), however many
-calls read it: :func:`range_profile` reads one row of the kept running
-magnitude sums, :func:`extract_target_phase` the kept spectra, and each sweep
-duration's cut (:meth:`radar.DechirpFrameSet.truncated`) their first rows.  Every
-record makes its own cuts and knows its own ``duration``; the chains restate neither.
+calls read it: :func:`range_profile` reads one of the kept one-second marks of
+the magnitude sums and the magnitudes of the fewer than a second of spectra rows
+after it, :func:`extract_target_phase` the kept spectra, and each sweep duration's
+cut (:meth:`radar.DechirpFrameSet.truncated`) the first rows of the spectra and
+the marks whole.  Every record makes its own cuts and knows its own ``duration``;
+the chains restate neither.
 
 A record is also measured once, however many calls read it: the record object keeps the
 respiration and heartbeat :class:`dsp.Peak` and :class:`dsp.Bandwidth3dB` the rates chain
 takes of it (None for a band with no energy), a frame set one entry per range bin, and each
-later report reads them back, with its own label, truth, errors, flags and metadata.  A cut
-of every row is the record itself, so a sweep's full-length row reads the report's
-measurements; a shorter cut is a new record, measured afresh.  The memo belongs to the
-object, not to its content: an equal copy is measured again.
+later report reads them back, with its own label, truth, errors, flags and metadata; a
+bin's phase is extracted only when its entry is missing.  A cut of every row is the
+record itself, so a sweep's full-length row reads the report's measurements; a shorter
+cut is a new record, measured afresh.  The memo belongs to the object, not to its
+content: an equal copy is measured again.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
@@ -160,7 +163,8 @@ def _detrended(series) -> np.ndarray:
 def _band_measurements(record, key, series, sample_rate) -> tuple:
     """The respiration and heartbeat :func:`_measure_band` of ``series``, the series of
     ``record`` at ``key`` (a range bin of a frame set, None for a contact record): taken on
-    the first call for the record object and kept in its memo, which later calls read."""
+    the first call for the record object and kept in its memo, which later calls read, so
+    they may pass None for ``series``."""
     memo = record._measured
     if key not in memo:
         x = _detrended(series)
@@ -318,13 +322,12 @@ class PhaseSeries:
 def range_profile(frames: DechirpFrameSet) -> RangeProfile:
     """Slow-time-averaged magnitude of the frames' kept hann transform
     (:meth:`radar.DechirpFrameSet.transform`): the profile persons are detected and
-    selected on: the last row of its running sums over the row count, in O(width) for any
-    cut, is ``np.abs(spectra).mean(axis=0)`` bit for bit.  Its frequency axis maps to range
+    selected on, read from a kept magnitude-sum mark and fewer than a second of rows
+    (:meth:`radar.DechirpFrameSet.mean_magnitudes`).  Its frequency axis maps to range
     through the de-chirp relation :meth:`photonics.ChirpParams.beat_range`.
     """
-    running = frames.transform()[1]
     freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    return RangeProfile(frames.chirp.beat_range(freqs), running[-1] / running.shape[0],
+    return RangeProfile(frames.chirp.beat_range(freqs), frames.mean_magnitudes(),
                         _bin_width(frames))
 
 
@@ -358,15 +361,36 @@ def persons(
     return [(r, f"target-{i}", None) for i, r in enumerate(ranges)]
 
 
+def _select_bins(profile: RangeProfile, target_ranges) -> list[int | TargetSelectionError]:
+    """The bin of the ``profile`` peak nearest each of ``target_ranges``, which avoids bin
+    hopping from chest motion, or a :class:`TargetSelectionError`: for a request that is not
+    a number, and where no peak lies within ``SELECTION_TOLERANCE_BINS`` bins (naming the
+    nearest)."""
+    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
+    selected = []
+    for target_range in target_ranges:
+        if np.isnan(target_range):  # no distance from it is a number
+            error = f"requested range {target_range} is not a number"
+        elif peaks.size == 0:
+            error = "range profile has no peaks"
+        else:
+            nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
+            error = None if abs(profile.ranges[nearest] - target_range) <= tol else (
+                f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
+                f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m")
+        selected.append(nearest if error is None else TargetSelectionError(error))
+    return selected
+
+
 def extract_target_phase(
     frames: DechirpFrameSet,
     target_ranges: list[float],
 ) -> list[PhaseSeries | TargetSelectionError]:
-    """Unwrapped phase history of the range bin nearest each of ``target_ranges``.
+    """Unwrapped phase history of the range bin selected for each of ``target_ranges``.
 
-    The bin is the :func:`range_profile` peak nearest the request, which avoids
-    bin hopping from chest motion; with no peak within ``SELECTION_TOLERANCE_BINS`` bins
-    (a nan request has none) it gets a :class:`TargetSelectionError`, naming the nearest.
+    The bin is the :func:`range_profile` peak nearest the request; with no peak within
+    ``SELECTION_TOLERANCE_BINS`` bins, or for a request that is not a number, the request
+    gets a :class:`TargetSelectionError`.
     The hann window of the per-frame values suppresses the real beat
     tone's negative-frequency image, whose leakage otherwise perturbs the
     phase by a few milliradians.
@@ -379,31 +403,17 @@ def extract_target_phase(
     """
     profile = range_profile(frames)
     spectra = frames.transform()[0]
-    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
     slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
     slope_window = (
         2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
         / (SPEED_OF_LIGHT * frames.fast_rate)
     )
     scale = slope_motion / (slope_motion + slope_window)
-    results = []
-    for target_range in target_ranges:
-        if peaks.size == 0:
-            results.append(TargetSelectionError("range profile has no peaks"))
-            continue
-        nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-        if not abs(profile.ranges[nearest] - target_range) <= tol:  # true for nan
-            results.append(TargetSelectionError(
-                f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
-                f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m"
-            ))
-            continue
-        results.append(PhaseSeries(
-            phase=dsp.unwrap_phase(np.angle(spectra[:, nearest])) * scale,
-            bin_index=nearest,
-            bin_range=float(profile.ranges[nearest]),
-        ))
-    return results
+    return [selected if isinstance(selected, TargetSelectionError) else PhaseSeries(
+                phase=dsp.unwrap_phase(np.angle(spectra[:, selected])) * scale,
+                bin_index=selected,
+                bin_range=float(profile.ranges[selected]))
+            for selected in _select_bins(profile, target_ranges)]
 
 
 def contactless_rates(
@@ -417,30 +427,39 @@ def contactless_rates(
     failure on one target is reported in that target's flags without aborting
     the others.  Requests that resolve to the same range bin read the same
     phase series, so each of their reports carries ``flags["shared_bin"] = True``.
-    Frames holding a non-finite sample raise ``ValueError`` naming their count.
+    A bin's phase is extracted (:func:`extract_target_phase`) only when the frame set has
+    not measured that bin yet.  Frames holding a non-finite sample raise ``ValueError``
+    naming their count.
     """
     duration = frames.duration
     _check_duration(duration)
     people = persons(frames, target_ranges)
-    phases = extract_target_phase(frames, [rng for rng, _, _ in people])
-    bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
+    profile = range_profile(frames)
+    selected = _select_bins(profile, [rng for rng, _, _ in people])
+    bins = [b for b in selected if isinstance(b, int)]
+    # one request per bin the memo lacks, extracted through the public call
+    missing = {b: rng for (rng, _, _), b in zip(people, selected)
+               if isinstance(b, int) and b not in frames._measured}
+    phases = {}
+    if missing:
+        phases = {p.bin_index: p.phase for p in extract_target_phase(frames, [*missing.values()])}
     reports = []
-    for (rng_req, label, truth), extraction in zip(people, phases):
+    for (rng_req, label, truth), selection in zip(people, selected):
         metadata = _processing_metadata(frames.slow_rate, duration)
-        if isinstance(extraction, TargetSelectionError):
+        if isinstance(selection, TargetSelectionError):
             reports.append(VitalsReport(
                 label, "contactless", metadata=metadata,
                 flags={"resp_detected": False, "heart_detected": False,
-                       "selection_error": str(extraction)},
+                       "selection_error": str(selection)},
             ))
             continue
         # no mean is removed before the arctangent: a de-chirped bin has no DC clutter
         metadata.update(requested_range_m=rng_req, dc_compensation=False)
         report = _rates_report(
-            frames, extraction.bin_index, extraction.phase, frames.slow_rate, label,
-            "contactless", truth, metadata, range_m=extraction.bin_range,
+            frames, selection, phases.get(selection), frames.slow_rate, label,
+            "contactless", truth, metadata, range_m=float(profile.ranges[selection]),
         )
-        if bins.count(extraction.bin_index) > 1:
+        if bins.count(selection) > 1:
             report.flags["shared_bin"] = True
         reports.append(report)
     return reports

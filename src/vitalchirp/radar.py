@@ -115,7 +115,7 @@ class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
 
     ``samples`` is read-only from construction, the array passed in too, and so are the
-    spectra and running magnitude sums of the first :meth:`transform`, which the frame set
+    spectra and magnitude-sum marks of the first :meth:`transform`, which the frame set
     keeps: new samples make a new frame set.  It also keeps the band measurements the rates
     chain takes of each range bin's phase (``pipelines``), so later calls read them back."""
 
@@ -123,7 +123,7 @@ class DechirpFrameSet:
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
-    _kept = None  # (spectra, running) once transformed; not a field
+    _kept = None  # (spectra, marks) once transformed; not a field
 
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
@@ -155,46 +155,78 @@ class DechirpFrameSet:
     def duration(self) -> float:
         return self.slow_count / self.slow_rate
 
+    @property
+    def _mark_rows(self) -> int:
+        """Rows from one mark of :meth:`transform` to the next: one second's by
+        :func:`physio.prefix_length`, or one row where a row is longer; a cut shares it."""
+        return prefix_length(max(1.0, self.acquisition.slow_period), self.slow_rate, np.inf)
+
     def truncated(self, duration: float) -> "DechirpFrameSet":
         """First ``duration`` seconds by :func:`physio.prefix_length`, whose ``ValueError``
         it raises: the frame set itself, kept transform and memo and all, when that is every
-        row, else a new frame set of views, of the kept transform too, with an empty memo."""
+        row, else a new frame set of views, of the kept spectra too, handed the kept marks
+        whole, with an empty memo."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
         if rows == self.slow_count:
             return self
         out = replace(self, samples=self.samples[:rows],
                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
         if self._kept is not None:
-            object.__setattr__(out, "_kept", tuple(kept[:rows] for kept in self._kept))
+            spectra, marks = self._kept
+            object.__setattr__(out, "_kept", (spectra[:rows], marks))
         return out
 
     def transform(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hann-windowed rFFT of each frame and the running sums of its magnitudes down
-        the rows, ``np.cumsum(np.abs(spectra), axis=0)``, taken on the first call and kept:
-        blocks on up to two threads (:func:`run_blocks`), bit for bit the one-shot arrays.
-        ``ValueError`` names the count of non-finite samples."""
+        """The hann-windowed rFFT of each frame and the marks of its magnitudes: with s the
+        rows of one second at the slow rate, mark k is the sum of ``np.abs(spectra)`` over
+        rows [0, k x s), added row by row in order (:meth:`mean_magnitudes` reads them).
+        Taken on the first call and kept: blocks on up to two threads (:func:`run_blocks`),
+        bit for bit the one-shot arrays.  ``ValueError`` names the count of non-finite
+        samples."""
         if self._kept is None:
             samples = self.samples
             if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
                 raise ValueError(f"frame set holds {bad} non-finite samples")
             m_count, n_count = samples.shape
-            window = hann_window(n_count)
+            window, step = hann_window(n_count), self._mark_rows
             spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
-            running = np.empty(spectra.shape)
+            marks = np.zeros((m_count // step + 1, spectra.shape[1]))
+            mags = np.empty((min(FRAME_BLOCK_ROWS, m_count), spectra.shape[1]))
+            total = marks[0]
 
             def work(rows, block):
                 np.multiply(samples[rows], window, out=block)
                 np.fft.rfft(block, axis=1, out=spectra[rows])
-                np.abs(spectra[rows], out=running[rows])
 
             for rows in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
-                if rows.start:  # carry the sums so far, while workers take later blocks
-                    running[rows.start] += running[rows.start - 1]
-                np.cumsum(running[rows], axis=0, out=running[rows])
-            for kept in (spectra, running):  # every reader shares them
+                # add the block's magnitudes to the sums while workers take later blocks
+                np.abs(spectra[rows], out=mags[:rows.stop - rows.start])
+                start = rows.start
+                while start < rows.stop:  # to the next mark or the block's end
+                    stop = min(start // step * step + step, rows.stop)
+                    total = _add_rows(total, mags[start - rows.start:stop - rows.start])
+                    if stop % step == 0:
+                        marks[stop // step] = total
+                    start = stop
+            for kept in (spectra, marks):  # every reader shares them
                 kept.setflags(write=False)
-            object.__setattr__(self, "_kept", (spectra, running))
+            object.__setattr__(self, "_kept", (spectra, marks))
         return self._kept
+
+    def mean_magnitudes(self) -> np.ndarray:
+        """Mean over the frames of the magnitudes of the kept :meth:`transform`, bit for bit
+        ``np.abs(spectra).mean(axis=0)``: the mark at or below the row count plus the
+        magnitudes of the fewer than one second of rows after it (none at a whole second),
+        added in order, over the row count."""
+        spectra, marks = self.transform()
+        k = self.slow_count // self._mark_rows
+        return _add_rows(marks[k], np.abs(spectra[k * self._mark_rows:])) / self.slow_count
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each of ``rows`` in turn: numpy reduces axis 0 of a C-ordered array
+    row by row, in order, as ``np.abs(spectra).mean(axis=0)`` sums them."""
+    return np.add.reduce(np.concatenate((total[None], rows)), axis=0)
 
 
 def _usable_cpus() -> int:

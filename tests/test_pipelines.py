@@ -221,6 +221,22 @@ class TestMeasuringOnly:
                     full.heart_3db_hz) == self.measured(rep)[:4]
         assert counts == {"filter_zero_phase": 4, "spectrum": 16}  # the 5 s cuts only
 
+    def test_a_measured_bin_extracts_no_phase(self, chirp, monkeypatch):
+        targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq)
+        unwraps, unwrap = [], dsp.unwrap_phase
+
+        def counting(*args, **kwargs):
+            unwraps.append(args)
+            return unwrap(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "unwrap_phase", counting)
+        contactless_rates(frames, target_ranges=[1.00])
+        first = [r.to_dict() for r in contactless_rates(frames)]
+        assert len(unwraps) == 2  # the 1.65 m person's bin only, on the second call
+        again = [r.to_dict() for r in contactless_rates(frames)]
+        assert len(unwraps) == 2 and again == first
+
     def test_requests_sharing_a_bin_are_measured_once(self, chirp, counts):
         targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
         frames = synth_dechirp_frames(targets, chirp, acq)
@@ -319,12 +335,17 @@ class TestBlockedTransform:
 
     @staticmethod
     def assert_one_shot(frames):
-        spectra, running = frames.transform()
+        spectra, marks = frames.transform()
         want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
         assert spectra.shape == want.shape
         assert np.array_equal(spectra.view(np.uint8), want.view(np.uint8))
-        assert np.array_equal(running.view(np.uint8),
-                              np.cumsum(np.abs(want), axis=0).view(np.uint8))
+        sums = [np.zeros(want.shape[1])]  # sums[r]: magnitude rows [0, r), added in order
+        for row in np.abs(want):
+            sums.append(sums[-1] + row)
+        # mark k sums the first k spacings of rows; a cut is handed its parent's marks
+        want_marks = np.array(sums[::frames._mark_rows])
+        assert np.array_equal(marks[:len(want_marks)].view(np.uint8),
+                              want_marks.view(np.uint8))
 
     @pytest.mark.parametrize("source", ["full", "truncated", "read_frames",
                                         "truncated-before-memo", "truncated-after-memo"])
@@ -396,11 +417,12 @@ class TestBlockedTransform:
         self.assert_one_shot(frames)
 
     def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames, monkeypatch):
-        # one window buffer per worker, both under 4 MiB
+        # one window buffer per worker and one block of magnitudes, under 4 MiB together
         monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
-        (spectra, running), peak = traced_peak(frames.transform)
-        assert frames.samples.shape == (3000, 600)
-        assert peak <= spectra.nbytes + running.nbytes + 4 * 2**20
+        (spectra, marks), peak = traced_peak(frames.transform)
+        assert frames.samples.shape == (3000, 600) and frames._mark_rows == 50
+        assert marks.shape == (3000 // 50 + 1, 301)  # a mark per second, not a row per frame
+        assert peak <= spectra.nbytes + marks.nbytes + 4 * 2**20
 
     # rows either side of a block edge, a 7.3 s cut, and the bench sweep's 5-60 s cuts
     PROFILE_ROWS = [1, FRAME_BLOCK_ROWS - 1, FRAME_BLOCK_ROWS, FRAME_BLOCK_ROWS + 1, 365,
@@ -411,30 +433,35 @@ class TestBlockedTransform:
     def test_profile_of_a_cut_is_the_mean_of_its_magnitude_rows(self, frames, one_shot,
                                                                 rows, cut):
         if cut == "after-transform":
-            frames.transform()  # the cut is handed a prefix of these running sums
+            frames.transform()  # the cut is handed these marks
         part = frames.truncated(rows / frames.slow_rate)
         assert part.slow_count == rows
         got = range_profile(part).magnitudes
         want = np.abs(one_shot[:rows]).mean(axis=0)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
-    def test_profile_of_a_cut_reduces_no_rows(self, frames):
-        calls = []  # (ufunc, method) of each ufunc the second kept array meets
+    def test_profile_of_a_cut_reads_a_mark_and_fewer_rows_than_its_spacing(self, frames):
+        read = []  # rows of the kept spectra each ufunc meets
 
         class Spy(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                calls.append((ufunc.__name__, method))
+                read.extend(len(x) for x in inputs if isinstance(x, Spy))
                 inputs = [x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        spectra, second = frames.transform()
-        object.__setattr__(frames, "_kept", (spectra, second.view(Spy)))
+        spectra, marks = frames.transform()
+        object.__setattr__(frames, "_kept", (spectra.view(Spy), marks))
+        rows_read = {}
         for duration in (5.0, 7.3, 60.0):
+            read.clear()
             part = frames.truncated(duration)
             got = range_profile(part).magnitudes
             want = np.abs(spectra[:part.slow_count]).mean(axis=0)
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-        assert calls and all(method == "__call__" for _, method in calls), calls
+            rows_read[duration] = sum(read)
+        # a whole second reads its mark alone; 365 rows read the mark at 350 and 15 rows
+        assert rows_read == {5.0: 0, 7.3: 365 % frames._mark_rows, 60.0: 0}
+        assert rows_read[7.3] < frames._mark_rows
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("call", [
@@ -453,9 +480,9 @@ class TestBlockedTransform:
 
     def test_samples_and_kept_transform_read_only(self, frames):
         early = frames.truncated(5.0)  # a view of the samples taken before the transform
-        spectra, running = frames.transform()
+        spectra, marks = frames.transform()
         for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
-                     spectra, running, frames.truncated(5.0).transform()[0]):
+                     spectra, marks, frames.truncated(5.0).transform()[0]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 1.0
         self.assert_one_shot(frames)
@@ -500,6 +527,15 @@ class TestExtractTargetPhase:
         (error,) = extract_target_phase(frames, [5.0])
         assert isinstance(error, TargetSelectionError)
         assert str(error).startswith("no range peak within 2 bins of 5.000 m; nearest peak at ")
+
+    def test_a_request_that_is_not_a_number_names_no_peak(self, chirp, acq_quiet):
+        # every distance from nan is nan, so no peak is the nearest
+        frames = synth_dechirp_frames(
+            [RadarTarget(static_subject(), 1.00)], chirp, acq_quiet
+        )
+        (error,) = extract_target_phase(frames, [np.nan])
+        assert isinstance(error, TargetSelectionError)
+        assert str(error) == "requested range nan is not a number"
 
 
 class TestContactlessRates:
@@ -861,14 +897,14 @@ class TestOneTransformPerCall:
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_a_cut_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
-        spectra, running = frames.transform()
+        spectra, marks = frames.transform()
         rfft_2d_calls.clear()
         short = frames.truncated(7.3)
-        short_spectra, short_running = short.transform()
+        short_spectra, short_marks = short.transform()
         assert rfft_2d_calls == []
         assert short.slow_count == short_spectra.shape[0] == 365
         assert np.shares_memory(short_spectra, spectra)
-        assert np.shares_memory(short_running, running)
+        assert short_marks is marks  # handed whole, not a slice
         assert frames.slow_count == spectra.shape[0] == 3000
 
     def test_a_transformed_frame_set_is_read_without_a_transform(self, frames, rfft_2d_calls):

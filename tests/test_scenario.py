@@ -254,12 +254,12 @@ class TestBundleWalk:
         take = radar.DechirpFrameSet.transform
 
         def counted(frames):
-            spectra, running = take(frames)
+            spectra, marks = take(frames)
             # a transform taken now owns its data; a truncation's is a view of one
             if spectra.base is None and not any(ref() is spectra for ref in kept):
                 seen.append(sum(ref() is not None for ref in kept))  # others alive
                 kept.append(weakref.ref(spectra))
-            return spectra, running
+            return spectra, marks
 
         monkeypatch.setattr(radar.DechirpFrameSet, "transform", counted)
         walk(radar_channels)
