@@ -57,7 +57,10 @@ def cmd_simulate(args) -> int:
                 print(violation, file=sys.stderr)
             return EXIT_VALIDATION
         bundle = run_scenario(scenario)
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        print(f"invalid scenario: missing entry {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ValueError, TypeError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # a valid scenario too large to synthesize
@@ -84,7 +87,10 @@ def _load_bundle(bundle_dir: str):
     except (FileNotFoundError, formats.CorruptFramesError) as exc:
         print(str(exc), file=sys.stderr)
         return None, EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"bundle is malformed: missing entry {exc}", file=sys.stderr)
+        return None, EXIT_VALIDATION
+    except (TypeError, ValueError) as exc:
         print(f"bundle is malformed: {exc}", file=sys.stderr)
         return None, EXIT_VALIDATION
 

@@ -287,8 +287,11 @@ def _channel_to_dict(ch: WdmChannel) -> dict:
 
 def _channel_from_dict(d: dict) -> WdmChannel:
     d = dict(d)
+    if not (isinstance(roles := d.pop("roles", []), list)
+            and all(isinstance(r, str) for r in roles)):
+        raise ValueError(f"channel roles {roles!r} is not a JSON list of strings")
     subject, fbg = d.pop("contact_subject", None), d.pop("fbg", None)
-    return WdmChannel(roles=frozenset(d.pop("roles", [])),
+    return WdmChannel(roles=frozenset(roles),
                       if_lfm=IfLfmParams(**d.pop("if_lfm")),
                       fbg=FbgProfile(**fbg) if fbg else None,
                       contact_subject=_resolve_subject(subject) if subject else None,
@@ -312,10 +315,13 @@ def scenario_from_dict(config: dict) -> Scenario:
 
     Each object is built from its own entries, so every default is its
     dataclass's and an unknown entry at any level raises ``TypeError``
-    naming it.  Subject entries may be preset names or full parameter dicts.
+    naming it.  Subject entries may be preset names or full parameter dicts.  A
+    document or channel entry that is not a JSON object, a channel list that is not a
+    list, and ``roles`` that are not a list of strings raise ``ValueError`` naming them.
     """
-    config = dict(config)
-    channels = tuple(map(_channel_from_dict, config.pop("channels", [])))
+    config = dict(_object(config, "config"))
+    channels = tuple(map(_channel_from_dict, _objects(config.pop("channels", []),
+                                                      "config channels")))
     acquisition = AcquisitionParams(**config.pop("acquisition", {}),
                                     duration=config.pop("duration_s", AcquisitionParams.duration))
     return Scenario(channels=channels, acquisition=acquisition, **config)

@@ -20,11 +20,10 @@ the chains restate neither.
 A record is also measured once, however many calls read it: the record object keeps the
 respiration and heartbeat :class:`dsp.Peak` and :class:`dsp.Bandwidth3dB` the rates chain
 takes of it (None for a band with no energy), a frame set one entry per range bin, and each
-later report reads them back, with its own label, truth, errors, flags and metadata; a
-bin's phase is extracted only when its entry is missing.  A cut of every row is the
-record itself, so a sweep's full-length row reads the report's measurements; a shorter
-cut is a new record, measured afresh.  The memo belongs to the object, not to its
-content: an equal copy is measured again.
+later report reads them back, with its own label, truth, errors, flags and metadata.  A
+cut of every row is the record itself, so a sweep's full-length row reads the report's
+measurements; a shorter cut is a new record, measured afresh.  The memo belongs to the
+object, not to its content: an equal copy is measured again.
 
 The chain is fixed: both filters are the one :func:`dsp.design_bandpass`
 design (elliptic, ``dsp.ORDER`` 4, ``dsp.PASSBAND_RIPPLE_DB`` 1 dB ripple,
@@ -163,8 +162,7 @@ def _detrended(series) -> np.ndarray:
 def _band_measurements(record, key, series, sample_rate) -> tuple:
     """The respiration and heartbeat :func:`_measure_band` of ``series``, the series of
     ``record`` at ``key`` (a range bin of a frame set, None for a contact record): taken on
-    the first call for the record object and kept in its memo, which later calls read, so
-    they may pass None for ``series``."""
+    the first call for the record object and kept in its memo, which later calls read."""
     memo = record._measured
     if key not in memo:
         x = _detrended(series)
@@ -361,36 +359,16 @@ def persons(
     return [(r, f"target-{i}", None) for i, r in enumerate(ranges)]
 
 
-def _select_bins(profile: RangeProfile, target_ranges) -> list[int | TargetSelectionError]:
-    """The bin of the ``profile`` peak nearest each of ``target_ranges``, which avoids bin
-    hopping from chest motion, or a :class:`TargetSelectionError`: for a request that is not
-    a number, and where no peak lies within ``SELECTION_TOLERANCE_BINS`` bins (naming the
-    nearest)."""
-    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
-    selected = []
-    for target_range in target_ranges:
-        if np.isnan(target_range):  # no distance from it is a number
-            error = f"requested range {target_range} is not a number"
-        elif peaks.size == 0:
-            error = "range profile has no peaks"
-        else:
-            nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-            error = None if abs(profile.ranges[nearest] - target_range) <= tol else (
-                f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
-                f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m")
-        selected.append(nearest if error is None else TargetSelectionError(error))
-    return selected
-
-
 def extract_target_phase(
     frames: DechirpFrameSet,
     target_ranges: list[float],
 ) -> list[PhaseSeries | TargetSelectionError]:
     """Unwrapped phase history of the range bin selected for each of ``target_ranges``.
 
-    The bin is the :func:`range_profile` peak nearest the request; with no peak within
-    ``SELECTION_TOLERANCE_BINS`` bins, or for a request that is not a number, the request
-    gets a :class:`TargetSelectionError`.
+    The bin is the :func:`range_profile` peak nearest the request, which avoids bin
+    hopping from chest motion; a request that is not a finite number, or with no peak
+    within ``SELECTION_TOLERANCE_BINS`` bins (naming the nearest), gets a
+    :class:`TargetSelectionError`.
     The hann window of the per-frame values suppresses the real beat
     tone's negative-frequency image, whose leakage otherwise perturbs the
     phase by a few milliradians.
@@ -403,17 +381,29 @@ def extract_target_phase(
     """
     profile = range_profile(frames)
     spectra = frames.transform()[0]
+    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
     slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
     slope_window = (
         2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
         / (SPEED_OF_LIGHT * frames.fast_rate)
     )
     scale = slope_motion / (slope_motion + slope_window)
-    return [selected if isinstance(selected, TargetSelectionError) else PhaseSeries(
-                phase=dsp.unwrap_phase(np.angle(spectra[:, selected])) * scale,
-                bin_index=selected,
-                bin_range=float(profile.ranges[selected]))
-            for selected in _select_bins(profile, target_ranges)]
+    results = []
+    for target_range in target_ranges:
+        if not np.isfinite(target_range):  # no distance from it picks a peak
+            error = f"requested range {target_range} is not a finite number"
+        elif peaks.size == 0:
+            error = "range profile has no peaks"
+        else:
+            nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
+            error = None if abs(profile.ranges[nearest] - target_range) <= tol else (
+                f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
+                f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m")
+        results.append(TargetSelectionError(error) if error else PhaseSeries(
+            phase=dsp.unwrap_phase(np.angle(spectra[:, nearest])) * scale,
+            bin_index=nearest,
+            bin_range=float(profile.ranges[nearest])))
+    return results
 
 
 def contactless_rates(
@@ -423,43 +413,35 @@ def contactless_rates(
     """Per-person rates from a de-chirped frame set of at least 5 s.
 
     One report per :func:`persons` person of ``target_ranges``, labelled with its
-    name and scored against its truth (none for ``target-<i>``).  A selection
+    name and scored against its truth (none for ``target-<i>``), from one
+    :func:`extract_target_phase` call for every person.  A selection
     failure on one target is reported in that target's flags without aborting
     the others.  Requests that resolve to the same range bin read the same
     phase series, so each of their reports carries ``flags["shared_bin"] = True``.
-    A bin's phase is extracted (:func:`extract_target_phase`) only when the frame set has
-    not measured that bin yet.  Frames holding a non-finite sample raise ``ValueError``
-    naming their count.
+    Frames holding a non-finite sample raise ``ValueError`` naming their count.
     """
     duration = frames.duration
     _check_duration(duration)
     people = persons(frames, target_ranges)
-    profile = range_profile(frames)
-    selected = _select_bins(profile, [rng for rng, _, _ in people])
-    bins = [b for b in selected if isinstance(b, int)]
-    # one request per bin the memo lacks, extracted through the public call
-    missing = {b: rng for (rng, _, _), b in zip(people, selected)
-               if isinstance(b, int) and b not in frames._measured}
-    phases = {}
-    if missing:
-        phases = {p.bin_index: p.phase for p in extract_target_phase(frames, [*missing.values()])}
+    phases = extract_target_phase(frames, [rng for rng, _, _ in people])
+    bins = [p.bin_index for p in phases if isinstance(p, PhaseSeries)]
     reports = []
-    for (rng_req, label, truth), selection in zip(people, selected):
+    for (rng_req, label, truth), extraction in zip(people, phases):
         metadata = _processing_metadata(frames.slow_rate, duration)
-        if isinstance(selection, TargetSelectionError):
+        if isinstance(extraction, TargetSelectionError):
             reports.append(VitalsReport(
                 label, "contactless", metadata=metadata,
                 flags={"resp_detected": False, "heart_detected": False,
-                       "selection_error": str(selection)},
+                       "selection_error": str(extraction)},
             ))
             continue
         # no mean is removed before the arctangent: a de-chirped bin has no DC clutter
         metadata.update(requested_range_m=rng_req, dc_compensation=False)
         report = _rates_report(
-            frames, selection, phases.get(selection), frames.slow_rate, label,
-            "contactless", truth, metadata, range_m=float(profile.ranges[selection]),
+            frames, extraction.bin_index, extraction.phase, frames.slow_rate, label,
+            "contactless", truth, metadata, range_m=extraction.bin_range,
         )
-        if bins.count(selection) > 1:
+        if bins.count(extraction.bin_index) > 1:
             report.flags["shared_bin"] = True
         reports.append(report)
     return reports

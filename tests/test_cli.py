@@ -224,6 +224,31 @@ class TestSimulate:
         edit(bad)
         assert "no channels" in simulate_rejected(tmp_path, capsys, bad)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: [c], "config is a list, not a JSON object"),
+        (lambda c: "text", "config is a str, not a JSON object"),
+        (lambda c: {**c, "channels": "text"}, "config channels is a str, not a JSON list"),
+        (lambda c: {**c, "channels": {}}, "config channels is a dict, not a JSON list"),
+        (lambda c: {**c, "channels": [c["channels"][0], 1.5]},
+         "config channels[1] is a float, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "roles": "contact"}]},
+         "channel roles 'contact' is not a JSON list of strings"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "roles": [["contact"]]}]},
+         "channel roles [['contact']] is not a JSON list of strings"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "roles": None}]},
+         "channel roles None is not a JSON list of strings"),
+    ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
+            "channel-a-number", "roles-a-string", "roles-nested", "roles-null"])
+    def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
+        err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
+        assert f"invalid scenario: {message}" in err
+
+    def test_missing_entry_named_validation_exit(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CONFIG))
+        del bad["channels"][1]["if_lfm"]
+        err = simulate_rejected(tmp_path, capsys, bad)
+        assert "invalid scenario: missing entry 'if_lfm'" in err
+
     def test_targets_sharing_a_subject_id_validation_exit(self, tmp_path, capsys):
         bad = json.loads(json.dumps(CONFIG))
         bad["channels"][0]["radar_targets"][1]["subject"] = "subject-b"
@@ -284,6 +309,13 @@ class TestProcess:
         (broken / "scenario.json").write_text(json.dumps(config))
         assert main(["process", str(broken), "--out", str(tmp_path / "r")]) == 2
         assert "'contact_sample_rate'" in capsys.readouterr().err
+
+    def test_missing_entry_named_validation_exit(self, bundle_dir, tmp_path, capsys):
+        broken = bundle_copy(bundle_dir, tmp_path / "broken")
+        edit_json(broken / "scenario.json", lambda config: config["channels"][1].pop(
+            "wavelength_nm"))
+        assert main(["process", str(broken), "--out", str(tmp_path / "r")]) == 2
+        assert "bundle is malformed: missing entry 'wavelength_nm'" in capsys.readouterr().err
 
     def test_reports_monitored_vs_actual(self, bundle_dir, tmp_path):
         out = tmp_path / "reports"

@@ -221,21 +221,33 @@ class TestMeasuringOnly:
                     full.heart_3db_hz) == self.measured(rep)[:4]
         assert counts == {"filter_zero_phase": 4, "spectrum": 16}  # the 5 s cuts only
 
-    def test_a_measured_bin_extracts_no_phase(self, chirp, monkeypatch):
+    def test_one_profile_read_and_one_extraction_per_call(self, chirp, counts, monkeypatch):
+        import vitalchirp.pipelines as pipelines
+
         targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
         frames = synth_dechirp_frames(targets, chirp, acq)
-        unwraps, unwrap = [], dsp.unwrap_phase
+        profiles, requests = [], []
+        profile, extract = pipelines.range_profile, pipelines.extract_target_phase
 
-        def counting(*args, **kwargs):
-            unwraps.append(args)
-            return unwrap(*args, **kwargs)
+        def counting_profile(frames):
+            profiles.append(frames)
+            return profile(frames)
 
-        monkeypatch.setattr(dsp, "unwrap_phase", counting)
-        contactless_rates(frames, target_ranges=[1.00])
+        def counting_extract(frames, target_ranges):
+            requests.append(list(target_ranges))
+            return extract(frames, target_ranges)
+
+        monkeypatch.setattr(pipelines, "range_profile", counting_profile)
+        monkeypatch.setattr(pipelines, "extract_target_phase", counting_extract)
         first = [r.to_dict() for r in contactless_rates(frames)]
-        assert len(unwraps) == 2  # the 1.65 m person's bin only, on the second call
+        assert (len(profiles), requests) == (1, [[t.nominal_range for t in targets]])
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8}
         again = [r.to_dict() for r in contactless_rates(frames)]
-        assert len(unwraps) == 2 and again == first
+        assert (len(profiles), len(requests)) == (2, 2)
+        assert counts == {"filter_zero_phase": 2, "spectrum": 8} and again == first
+        # without truth, persons detects its targets on a profile of its own
+        contactless_rates(replace(frames, truth=None))
+        assert (len(profiles), len(requests)) == (4, 3)
 
     def test_requests_sharing_a_bin_are_measured_once(self, chirp, counts):
         targets, acq = two_person_scene(noise_rms=0.0, duration=10.0)
@@ -535,7 +547,7 @@ class TestExtractTargetPhase:
         )
         (error,) = extract_target_phase(frames, [np.nan])
         assert isinstance(error, TargetSelectionError)
-        assert str(error) == "requested range nan is not a number"
+        assert str(error) == "requested range nan is not a finite number"
 
 
 class TestContactlessRates:
@@ -636,6 +648,19 @@ class TestContactlessRates:
         for e in resolution_sweep(frames, [5.0, 10.0], target_range=np.nan).entries:
             assert e.skipped == str(selection)
             assert (e.label, e.respiration_rpm, e.heartbeat_bpm) == ("target-0", None, None)
+
+    @pytest.mark.parametrize("request_m", [np.nan, np.inf, -np.inf])
+    def test_a_request_that_is_not_finite_names_no_peak(self, chirp, request_m):
+        # every distance from it is nan or infinite, so no peak is the nearest
+        targets, acq = two_person_scene(duration=20.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=1)
+        message = f"requested range {request_m} is not a finite number"
+        (selection,) = extract_target_phase(frames, [request_m])
+        assert isinstance(selection, TargetSelectionError) and str(selection) == message
+        (report,) = contactless_rates(frames, [request_m])
+        assert report.flags["selection_error"] == message
+        rows = resolution_sweep(frames, [5.0, 10.0, 20.0], target_range=request_m).entries
+        assert [e.skipped for e in rows] == [message] * 3
 
     def test_targets_sharing_a_bin_flagged(self, chirp, subjects):
         # 1.06 m lies more than a bin from 1.00 m, yet both snap to one peak; at
