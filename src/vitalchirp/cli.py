@@ -7,6 +7,9 @@
 
 Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 processing failure (for
 ``simulate``, a scenario whose records do not fit in memory).
+A failing command raises, and ``main`` prints its one stderr line,
+``<what>: <reason>``, and returns its code; ``simulate`` prints a scenario's
+warnings first, and its validation violations one per line.
 When ``--out`` is omitted, outputs land under ``$VITALCHIRP_OUT`` (default
 current directory) in a directory derived from the inputs.
 """
@@ -14,6 +17,7 @@ current directory) in a directory derived from the inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import asdict, fields
@@ -30,22 +34,34 @@ EXIT_IO = 3
 EXIT_PROCESSING = 4
 
 
+class _Failure(Exception):
+    """A command's failure; ``args`` are its exit code and the stderr line ``main`` prints."""
+
+
+@contextlib.contextmanager
+def _exits(code: int, what: str, *kinds: type[Exception]):
+    """Turn an exception of ``kinds`` into a ``_Failure`` of ``code`` whose line is
+    ``what: <exc>`` (``what: missing entry <key>`` for a ``KeyError``), or the
+    exception's own text when ``what`` is empty."""
+    try:
+        yield
+    except kinds as exc:
+        reason = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise _Failure(code, f"{what}: {reason}" if what else reason) from exc
+
+
 def _resolve_out(explicit: str | None, default_name: str) -> Path:
     return Path(explicit or Path(os.environ.get("VITALCHIRP_OUT", ".")) / default_name)
 
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
-    try:
+    with _exits(EXIT_IO, "cannot read config", OSError), \
+            _exits(EXIT_VALIDATION, "config is not valid JSON", ValueError):  # or not finite
         raw = formats.loads_finite(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:  # also a number that is not finite
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
-    try:
+    with _exits(EXIT_PROCESSING, "simulation failed", MemoryError), \
+            _exits(EXIT_VALIDATION, "invalid scenario", KeyError, ValueError, TypeError):
         scenario = formats.scenario_from_dict(raw)
         if args.seed is not None:
             scenario.seed = args.seed
@@ -53,68 +69,38 @@ def cmd_simulate(args) -> int:
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if not report.ok:
-            for violation in report.violations:
-                print(violation, file=sys.stderr)
-            return EXIT_VALIDATION
-        bundle = run_scenario(scenario)
-    except KeyError as exc:
-        print(f"invalid scenario: missing entry {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, TypeError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:  # a valid scenario too large to synthesize
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+            raise _Failure(EXIT_VALIDATION, "\n".join(report.violations))
+        bundle = run_scenario(scenario)  # MemoryError: a valid scenario too large
 
     config = formats.scenario_to_dict(scenario)
     out = _resolve_out(args.out, f"run-{formats.scenario_hash(config)[:8]}")
     manifest = formats.build_manifest(
         "simulate", {"config": str(config_path)}, config, scenario.seed
     )
-    try:
+    with _exits(EXIT_IO, "cannot write bundle", OSError):
         formats.write_bundle(bundle, out, manifest)
-    except OSError as exc:
-        print(f"cannot write bundle: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"bundle written to {out}")
     return EXIT_OK
 
 
-def _load_bundle(bundle_dir: str):
-    try:
-        return formats.read_bundle(bundle_dir), EXIT_OK
-    except (FileNotFoundError, formats.CorruptFramesError) as exc:
-        print(str(exc), file=sys.stderr)
-        return None, EXIT_IO
-    except KeyError as exc:
-        print(f"bundle is malformed: missing entry {exc}", file=sys.stderr)
-        return None, EXIT_VALIDATION
-    except (TypeError, ValueError) as exc:
-        print(f"bundle is malformed: {exc}", file=sys.stderr)
-        return None, EXIT_VALIDATION
+def _load_bundle(bundle_dir: str) -> formats.LoadedBundle:
+    with _exits(EXIT_IO, "", FileNotFoundError, formats.CorruptFramesError), \
+            _exits(EXIT_VALIDATION, "bundle is malformed", KeyError, TypeError, ValueError):
+        return formats.read_bundle(bundle_dir)
 
 
 def cmd_process(args) -> int:
-    loaded, status = _load_bundle(args.bundle)
-    if loaded is None:
-        return status
+    loaded = _load_bundle(args.bundle)
     out = _resolve_out(args.out, Path(args.bundle).name + "-reports")
-    try:
+    with _exits(EXIT_PROCESSING, "processing failed", ValueError):
         reports, files = bundle_reports(loaded.channels, args.duration,
                                         series=args.format == "csv")
-    except ValueError as exc:
-        print(f"processing failed: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
 
-    try:
+    with _exits(EXIT_IO, "cannot write reports", OSError):
         out.mkdir(parents=True, exist_ok=True)
         formats.write_json(out / "reports.json", [rep.to_dict() for rep in reports])
         for name, columns in files.items():
             formats.write_series_csv(out / name, columns)
-    except OSError as exc:
-        print(f"cannot write reports: {exc}", file=sys.stderr)
-        return EXIT_IO
 
     for rep in reports:
         resp = "n/a" if rep.respiration_rpm is None else f"{rep.respiration_rpm:.1f}"
@@ -125,48 +111,36 @@ def cmd_process(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    loaded, status = _load_bundle(args.bundle)
-    if loaded is None:
-        return status
+    loaded = _load_bundle(args.bundle)
     try:
         durations = [float(v) for v in args.durations.split(",") if v.strip()]
     except ValueError:
-        print(f"cannot parse durations {args.durations!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise _Failure(EXIT_VALIDATION, f"cannot parse durations {args.durations!r}") from None
 
     out = _resolve_out(args.out, Path(args.bundle).name + "-sweep")
-    try:
+    with _exits(EXIT_PROCESSING, "sweep failed", ValueError):
         rows = bundle_sweeps(loaded.channels, durations)
-    except ValueError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
 
-    try:
+    with _exits(EXIT_IO, "cannot write sweep outputs", OSError):
         out.mkdir(parents=True, exist_ok=True)
         formats.write_json(out / "sweep.json", rows)
         formats.write_series_csv(out / "sweep.csv", {
             f.name: [row[f.name] for row in rows] for f in fields(pipelines.SweepEntry)})
-    except OSError as exc:
-        print(f"cannot write sweep outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"sweep written to {out}")
     return EXIT_OK
 
 
 def cmd_filter_design(args) -> int:
-    try:
+    with _exits(EXIT_VALIDATION, "filter design failed", ValueError, dsp.FilterDesignError):
         spec = dsp.BandpassSpec(*args.band, args.sample_rate)
         coeffs = dsp.design_bandpass(spec)
-    except (ValueError, dsp.FilterDesignError) as exc:
-        print(f"filter design failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     print("second-order sections (b0, b1, b2, a1, a2):")
     for section in coeffs.sections:
         print("  " + ", ".join(f"{v:.12g}" for v in section))
 
     out = _resolve_out(args.out, f"filter-{args.band[0]:g}-{args.band[1]:g}")
-    try:
+    with _exits(EXIT_IO, "cannot write filter outputs", OSError):
         out.mkdir(parents=True, exist_ok=True)
         freqs, h = dsp.frequency_response(coeffs)
         mag_db = 20 * np.log10(np.maximum(np.abs(h), 1e-300))
@@ -176,11 +150,9 @@ def cmd_filter_design(args) -> int:
             "sos": [list(s) for s in coeffs.sections], "gain": 1.0,
             "spec": {**asdict(spec), "passband_ripple": dsp.PASSBAND_RIPPLE_DB,
                      "stopband_atten": dsp.STOPBAND_ATTEN_DB, "order": dsp.ORDER}})
-    except OSError as exc:
-        print(f"cannot write filter outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"response written to {out}")
     return EXIT_OK
+
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        code, line = failure.args
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -115,21 +115,21 @@ def _subject_to_dict(subject: SubjectVitals) -> dict:
     return d
 
 
-def _subject_from_dict(d: dict) -> SubjectVitals:
-    d = dict(d)
+def _subject_from_dict(d, where: str) -> SubjectVitals:
+    d = dict(_object(d, where))
     if "resp_harmonics" in d:
         d["resp_harmonics"] = tuple(map(tuple, d["resp_harmonics"]))
     return SubjectVitals(**d)
 
 
-def _resolve_subject(entry) -> SubjectVitals:
+def _resolve_subject(entry, where: str) -> SubjectVitals:
     if isinstance(entry, str):
         if entry not in PRESET_SUBJECTS:
             raise ValueError(
                 f"unknown subject preset {entry!r}; available: {sorted(PRESET_SUBJECTS)}"
             )
         return PRESET_SUBJECTS[entry]
-    return _subject_from_dict(entry)
+    return _subject_from_dict(entry, where)
 
 
 def _target_to_dict(tgt: RadarTarget) -> dict:
@@ -140,10 +140,17 @@ def _target_to_dict(tgt: RadarTarget) -> dict:
     }
 
 
-def _target_from_dict(d: dict) -> RadarTarget:
+def _target_from_dict(d: dict, where: str) -> RadarTarget:
     d = dict(d)
-    return RadarTarget(subject=_resolve_subject(d.pop("subject")),
+    return RadarTarget(subject=_resolve_subject(d.pop("subject"), f"{where} subject"),
                        nominal_range=d.pop("range_m"), **d)
+
+
+def _targets_from_list(entries, where: str) -> tuple[RadarTarget, ...]:
+    """The targets of the JSON list ``entries``; ``ValueError`` naming ``where``, or the
+    entry or its subject, if one is not of its JSON type."""
+    return tuple(_target_from_dict(d, f"{where}[{k}]")
+                 for k, d in enumerate(_objects(entries, where)))
 
 
 def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
@@ -202,7 +209,7 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     samples = np.fromfile(path, header["dtype"], slow * fast, offset=4 + hlen).reshape(slow, fast)
     if not np.all(np.isfinite(samples)):
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
-    truth = tuple(_target_from_dict(t) for t in header.get("truth", [])) or None
+    truth = _targets_from_list(header.get("truth", []), f"{path}: header truth") or None
     return DechirpFrameSet(samples=samples, chirp=ChirpParams(**header["chirp"]),
                            acquisition=acq, truth=truth)
 
@@ -294,8 +301,10 @@ def _channel_from_dict(d: dict) -> WdmChannel:
     return WdmChannel(roles=frozenset(roles),
                       if_lfm=IfLfmParams(**d.pop("if_lfm")),
                       fbg=FbgProfile(**fbg) if fbg else None,
-                      contact_subject=_resolve_subject(subject) if subject else None,
-                      radar_targets=tuple(map(_target_from_dict, d.pop("radar_targets", []))),
+                      contact_subject=(_resolve_subject(subject, "channel contact_subject")
+                                       if subject else None),
+                      radar_targets=_targets_from_list(d.pop("radar_targets", []),
+                                                       "channel radar_targets"),
                       **d)
 
 
@@ -316,8 +325,9 @@ def scenario_from_dict(config: dict) -> Scenario:
     Each object is built from its own entries, so every default is its
     dataclass's and an unknown entry at any level raises ``TypeError``
     naming it.  Subject entries may be preset names or full parameter dicts.  A
-    document or channel entry that is not a JSON object, a channel list that is not a
-    list, and ``roles`` that are not a list of strings raise ``ValueError`` naming them.
+    document, channel, target or subject entry that is not a JSON object, a channel or
+    target list that is not a list, and ``roles`` that are not a list of strings raise
+    ``ValueError`` naming them.
     """
     config = dict(_object(config, "config"))
     channels = tuple(map(_channel_from_dict, _objects(config.pop("channels", []),
@@ -439,7 +449,8 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
                                  f"a JSON bool")
             intensity = IntensityRecord(samples, rate, edge)
             if entry.get("contact_subject"):
-                subject = _subject_from_dict(entry["contact_subject"])
+                subject = _subject_from_dict(entry["contact_subject"],
+                                             f"truth.json channel {name} contact_subject")
         if CONTACTLESS_ROLE in roles:
             frames = read_frames(chdir / RECORD_FILES[CONTACTLESS_ROLE])
         loaded.channels.append(ChannelResult(wl, subject, intensity, frames))

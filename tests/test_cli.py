@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import shutil
 import struct
 from dataclasses import asdict, replace
@@ -44,6 +46,9 @@ CONFIG = {
         },
     ],
 }
+
+
+FRAMES = "channel_1549.36/frames.bin"  # the CLI bundle's one frames file
 
 
 def write_config(tmp_path, config=CONFIG, name="scenario.json"):
@@ -237,8 +242,30 @@ class TestSimulate:
          "channel roles [['contact']] is not a JSON list of strings"),
         (lambda c: {**c, "channels": [{**c["channels"][0], "roles": None}]},
          "channel roles None is not a JSON list of strings"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": "subject-b"}]},
+         "channel radar_targets is a str, not a JSON list"),
+        (lambda c: {**c, "channels": [{**c["channels"][0],
+                                       "radar_targets": {"subject": "subject-b", "range_m": 1}}]},
+         "channel radar_targets is a dict, not a JSON list"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": [1.5]}]},
+         "channel radar_targets[0] is a float, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": [["subject-b"]]}]},
+         "channel radar_targets[0] is a list, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "contact_subject": 1.5}]},
+         "channel contact_subject is a float, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "contact_subject": ["subject-a"]}]},
+         "channel contact_subject is a list, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": [
+            {"subject": 1.5, "range_m": 1.0}]}]},
+         "channel radar_targets[0] subject is a float, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": [
+            {"subject": ["subject-b"], "range_m": 1.0}]}]},
+         "channel radar_targets[0] subject is a list, not a JSON object"),
     ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
-            "channel-a-number", "roles-a-string", "roles-nested", "roles-null"])
+            "channel-a-number", "roles-a-string", "roles-nested", "roles-null",
+            "targets-a-string", "targets-an-object", "target-a-number", "target-a-list",
+            "contact-subject-a-number", "contact-subject-a-list", "target-subject-a-number",
+            "target-subject-a-list"])
     def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
         err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
         assert f"invalid scenario: {message}" in err
@@ -614,22 +641,35 @@ class TestProcess:
                 "a JSON bool") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda config: config.update(channels={}),
+    @pytest.mark.parametrize("document, edit, message", [
+        ("scenario.json", lambda config: config.update(channels={}),
          "scenario.json channels is a dict, not a JSON list"),
-        (lambda config: config.pop("channels"), "scenario.json has no channels"),
-        (lambda config: config["channels"].__setitem__(1, 1549.92),
+        ("scenario.json", lambda config: config.pop("channels"), "scenario.json has no channels"),
+        ("scenario.json", lambda config: config["channels"].__setitem__(1, 1549.92),
          "scenario.json channels[1] is a float, not a JSON object"),
-    ], ids=["object", "missing", "entry-not-an-object"])
+        (FRAMES, lambda header: header.update(truth=header["truth"][0]),
+         "{frames}: header truth is a dict, not a JSON list"),
+        (FRAMES, lambda header: header["truth"].__setitem__(1, 1.5),
+         "{frames}: header truth[1] is a float, not a JSON object"),
+        (FRAMES, lambda header: header["truth"][0].update(subject=1.5),
+         "{frames}: header truth[0] subject is a float, not a JSON object"),
+        ("truth.json", lambda truth: truth["channels"]["1549.36"].update(contact_subject=1.5),
+         "truth.json channel 1549.36 contact_subject is a float, not a JSON object"),
+        ("truth.json", lambda truth: truth["channels"]["1549.36"].update(
+            contact_subject=["subject-a"]),
+         "truth.json channel 1549.36 contact_subject is a list, not a JSON object"),
+    ], ids=["object", "missing", "entry-not-an-object", "header-truth-an-object",
+            "header-truth-a-number", "header-subject-a-number", "contact-subject-a-number",
+            "contact-subject-a-list"])
     def test_channel_list_not_a_list_of_objects_validation_exit(self, bundle_dir, tmp_path,
-                                                                capsys, edit, message):
+                                                                capsys, document, edit,
+                                                                message):
         broken = bundle_copy(bundle_dir, tmp_path / "channels")
-        config = json.loads((broken / "scenario.json").read_text())
-        edit(config)
-        (broken / "scenario.json").write_text(json.dumps(config))
+        (edit_frames_header if document == FRAMES else edit_json)(broken / document, edit)
         out = tmp_path / "out"
         assert main(["process", str(broken), "--out", str(out)]) == 2
-        assert f"bundle is malformed: {message}" in capsys.readouterr().err
+        assert (f"bundle is malformed: {message.format(frames=broken / FRAMES)}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["process", "sweep"])
@@ -775,6 +815,96 @@ class TestOutputIsAFile:
         assert message in capsys.readouterr().err
         assert out.read_text() == "kept\n"
         assert sorted(tmp_path.iterdir()) == before
+
+
+def _os_error(code, path):
+    """The text of the ``OSError`` of errno ``code`` on ``path``."""
+    return str(OSError(code, os.strerror(code), str(path)))
+
+
+def _off_grid(*wavelengths):
+    return "".join(f"warning: wavelength {wl} nm is more than 1 GHz off the 50 GHz ITU grid\n"
+                   for wl in wavelengths)
+
+
+def _short_config(tmp, edit=lambda config: None):
+    """``CONFIG`` cut to 10 s with ``edit`` applied, written to a file; its path."""
+    config = json.loads(json.dumps({**CONFIG, "duration_s": 10.0}))
+    edit(config)
+    return str(write_config(tmp, config, "short.json"))
+
+
+def _text_file(tmp, text):
+    (path := tmp / "text.json").write_text(text)
+    return str(path)
+
+
+def _scenario_a_list(bundle, tmp):
+    (broken := bundle_copy(bundle, tmp / "list")).joinpath("scenario.json").write_text("[]")
+    return str(broken)
+
+
+# id: (scratch dir, bundle, --out target) -> (argv, exit status, the whole stderr)
+FAILURE_LINES = {
+    "simulate-config-a-directory": lambda tmp, bundle, out: (
+        ["simulate", "--config", str(tmp)], 3,
+        f"cannot read config: {_os_error(errno.EISDIR, tmp)}\n"),
+    "simulate-bad-json": lambda tmp, bundle, out: (
+        ["simulate", "--config", _text_file(tmp, "not json")], 2,
+        "config is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+    "simulate-missing-entry": lambda tmp, bundle, out: (
+        ["simulate", "--config", _short_config(tmp, lambda c: c["channels"][1].pop("if_lfm"))],
+        2, "invalid scenario: missing entry 'if_lfm'\n"),
+    "simulate-violation-after-warnings": lambda tmp, bundle, out: (
+        ["simulate", "--config", _short_config(tmp, lambda c: c["channels"][1].update(
+            wavelength_nm=1549.7)), "--seed", "-1"], 2,
+        _off_grid(1549.36, 1549.7) + "seed -1 is not an integer in [0, 2**32)\n"),
+    "simulate-out-a-file": lambda tmp, bundle, out: (
+        ["simulate", "--config", _short_config(tmp), "--out", str(out)], 3,
+        _off_grid(1549.36, 1549.92) + f"cannot write bundle: {_os_error(errno.EEXIST, out)}\n"),
+    "process-no-bundle": lambda tmp, bundle, out: (
+        ["process", str(tmp / "nothing")], 3,
+        f"{tmp / 'nothing'} is not a bundle: missing scenario.json\n"),
+    "process-malformed-scenario": lambda tmp, bundle, out: (
+        ["process", _scenario_a_list(bundle, tmp)], 2,
+        "bundle is malformed: scenario.json is a list, not a JSON object\n"),
+    "process-zero-duration": lambda tmp, bundle, out: (
+        ["process", str(bundle), "--duration", "0"], 4,
+        "processing failed: cannot truncate 60.0 s record to 0.0 s\n"),
+    "process-out-a-file": lambda tmp, bundle, out: (
+        ["process", str(bundle), "--out", str(out)], 3,
+        f"cannot write reports: {_os_error(errno.EEXIST, out)}\n"),
+    "sweep-unparsable-durations": lambda tmp, bundle, out: (
+        ["sweep", str(bundle), "--durations", "5,abc"], 2, "cannot parse durations '5,abc'\n"),
+    "sweep-no-durations": lambda tmp, bundle, out: (
+        ["sweep", str(bundle), "--durations", ","], 4,
+        "sweep failed: at least one duration is required\n"),
+    "sweep-out-a-file": lambda tmp, bundle, out: (
+        ["sweep", str(bundle), "--durations", "5", "--out", str(out)], 3,
+        f"cannot write sweep outputs: {_os_error(errno.EEXIST, out)}\n"),
+    "filter-design-nan-edge": lambda tmp, bundle, out: (
+        ["filter-design", "--band", "nan", "0.5", "--sample-rate", "50"], 2,
+        "filter design failed: band edges must satisfy 0 < low < high < Nyquist < inf, "
+        "got (nan, 0.5) at 50.0 Sa/s\n"),
+    "filter-design-out-a-file": lambda tmp, bundle, out: (
+        ["filter-design", "--band", "0.13", "0.5", "--sample-rate", "50", "--out", str(out)],
+        3, f"cannot write filter outputs: {_os_error(errno.EEXIST, out)}\n"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_LINES.values(), ids=FAILURE_LINES)
+def test_failure_exit_status_and_whole_stderr(bundle_dir, tmp_path, monkeypatch, capsys,
+                                              case):
+    """Each failure class exits with its status, writes exactly its stderr lines and no file."""
+    monkeypatch.setenv("VITALCHIRP_OUT", str(tmp_path / "default"))
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    argv, status, err = case(tmp_path, bundle_dir, out)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == status
+    assert capsys.readouterr().err == err
+    assert out.read_text() == "kept\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSweep:

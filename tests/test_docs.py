@@ -1,8 +1,9 @@
 """The docs name only what the package has: every backticked ``<module>.<name>``
 in README.md resolves, each command line in the README and in the CLI's usage
 text lists every option its subcommand defines, every ``--option`` either
-text names is defined by some subcommand, and the README and the ``formats``
-docstring list the keys ``formats.write_frames`` writes."""
+text names is defined by some subcommand, the README and the ``formats``
+docstring list the keys ``formats.write_frames`` writes, and the README and the
+CLI's usage text list the CLI's exit codes."""
 
 import argparse
 import importlib
@@ -107,3 +108,17 @@ def test_frames_header_keys_are_the_written_ones(listed, chirp, tmp_path):
     written = sorted(frames_header(path)[0])
     assert "truth" in written
     assert listed == written
+
+
+def _exit_codes(text):
+    """``{code: meaning}`` as the sentence that starts "Exit codes:" in ``text`` lists them."""
+    sentence = " ".join(text.split()).split("Exit codes:", 1)[1].split(".", 1)[0]
+    items = re.sub(r"\(.*?\)", "", sentence.replace("`", "")).split(",")
+    return dict(item.strip().split(" ", 1) for item in items)
+
+
+@pytest.mark.parametrize("text", [README, cli.__doc__], ids=["readme", "cli-usage"])
+def test_exit_codes_are_the_cli_ones(text):
+    assert _exit_codes(text) == {
+        str(cli.EXIT_OK): "ok", str(cli.EXIT_VALIDATION): "validation failure",
+        str(cli.EXIT_IO): "I/O failure", str(cli.EXIT_PROCESSING): "processing failure"}
