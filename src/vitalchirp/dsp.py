@@ -124,9 +124,19 @@ class FilterCoeffs:
         return [tuple(row[[0, 1, 2, 4, 5]]) for row in self.sos]
 
     def poles(self) -> np.ndarray:
-        return np.concatenate(
-            [np.roots(np.concatenate(([1.0], row[4:]))) for row in self.sos]
-        )
+        """The roots of each section's z**2 + a1 z + a2, in closed form (no LAPACK): a
+        conjugate pair, or two real roots q and a2 / q, where q adds the square root of
+        the discriminant with the sign of -a1, so it does not cancel."""
+        roots = []
+        for a1, a2 in self.sos[:, 4:].tolist():
+            disc = a1 * a1 - 4.0 * a2
+            if disc < 0:
+                root = complex(-a1 / 2.0, math.sqrt(-disc) / 2.0)
+                roots += [root, root.conjugate()]
+            else:
+                q = -(a1 + math.copysign(math.sqrt(disc), a1)) / 2.0
+                roots += [q, a2 / q if q else 0.0]
+        return np.array(roots, dtype=complex)
 
 
 def _one_per_pair(v: np.ndarray) -> np.ndarray:
@@ -210,7 +220,7 @@ def _check_conformance(coeffs: FilterCoeffs, spec: BandpassSpec) -> None:
     tol_db = 0.01
     if not np.all(np.isfinite(coeffs.sos)):
         raise FilterDesignError(f"cannot design order {ORDER}: non-finite sections")
-    if np.any(np.abs(coeffs.poles()) >= 1.0):
+    if not np.all(np.abs(coeffs.poles()) < 1.0):  # a NaN root is no stable one
         raise FilterDesignError("unstable design: pole on or outside the unit circle")
     n = DENSE_GRID_POINTS // 4
     reach = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, n)))  # from an edge outwards

@@ -34,7 +34,6 @@ contactless role.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import struct
 import warnings
@@ -47,7 +46,7 @@ import numpy as np
 from . import __version__
 from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
 from .physio import PRESET_SUBJECTS, SubjectVitals, make_time_grid
-from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget
+from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget, non_finite_count
 from .scenario import CONTACT_ROLE, CONTACTLESS_ROLE, ChannelResult, Scenario, WdmChannel
 from .scenario import channel_name
 
@@ -116,10 +115,7 @@ def _subject_to_dict(subject: SubjectVitals) -> dict:
 
 
 def _subject_from_dict(d, where: str) -> SubjectVitals:
-    d = dict(_object(d, where))
-    if "resp_harmonics" in d:
-        d["resp_harmonics"] = tuple(map(tuple, d["resp_harmonics"]))
-    return SubjectVitals(**d)
+    return SubjectVitals(**_object(d, where))
 
 
 def _resolve_subject(entry, where: str) -> SubjectVitals:
@@ -207,7 +203,7 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
             f"expected {expected} ({slow}x{fast} float64)"
         )
     samples = np.fromfile(path, header["dtype"], slow * fast, offset=4 + hlen).reshape(slow, fast)
-    if not np.all(np.isfinite(samples)):
+    if non_finite_count(samples):
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
     truth = _targets_from_list(header.get("truth", []), f"{path}: header truth") or None
     return DechirpFrameSet(samples=samples, chirp=ChirpParams(**header["chirp"]),
@@ -339,6 +335,7 @@ def scenario_from_dict(config: dict) -> Scenario:
 
 def scenario_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of a resolved config."""
+    import hashlib  # here: it loads OpenSSL, which only a run that names or writes a bundle needs
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

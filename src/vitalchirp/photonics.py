@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .physio import TimeGrid, prefix_length
+from .physio import TimeGrid, check_numbers, is_number, prefix_length
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -53,6 +53,7 @@ class IfLfmParams:
     pulse_width: float
 
     def __post_init__(self):
+        check_numbers(self)
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if not 0 < self.pulse_width <= self.pulse_period:
@@ -81,7 +82,7 @@ class ChirpParams:
 
     def __post_init__(self):
         bad = [f.name for f in fields(self)
-               if isinstance(v := getattr(self, f.name), bool) or not 0 < v < np.inf]
+               if not is_number(v := getattr(self, f.name)) or not 0 < v < np.inf]
         if bad:
             raise ValueError(f"chirp {', '.join(bad)} must be positive, finite numbers")
 
@@ -145,6 +146,7 @@ class FbgProfile:
     displacement_to_shift: float = 0.05e9
 
     def __post_init__(self):
+        check_numbers(self)
         if self.notch_depth_db <= 3.0:
             raise ValueError(
                 f"notch depth must exceed 3 dB for a defined 3-dB width, "
@@ -190,7 +192,7 @@ class IntensityRecord:
     edge_warning: bool = False
 
     def __post_init__(self):
-        if isinstance(self.sample_rate, bool) or not 0 < self.sample_rate < np.inf:
+        if not is_number(self.sample_rate) or not 0 < self.sample_rate < np.inf:
             raise ValueError(f"sample_rate {self.sample_rate!r} is not a finite number > 0")
         self.samples.setflags(write=False)  # from construction, the array passed in too
         object.__setattr__(self, "_measured", {})  # the rates chain's memo; not a field

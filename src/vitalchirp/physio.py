@@ -8,6 +8,7 @@ millimetres on a uniform :class:`TimeGrid`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -23,12 +24,36 @@ __all__ = [
     "RESP_BAND",
     "HEART_BAND",
     "band_violations",
+    "is_number",
+    "check_numbers",
 ]
 
 # Filter passbands of the downstream rate-extraction chain, in Hz.
 # Preset subjects must have their fundamentals inside these bands.
 RESP_BAND = (0.13, 0.5)
 HEART_BAND = (0.8, 1.9)
+
+_KINDS = {bool: "true or false", str: "text", type(None): "null"}  # as JSON names them
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool, which Python counts as one, is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_numbers(obj, names=None) -> None:
+    """``ValueError`` naming each field of ``names`` (default: every field) of the dataclass
+    ``obj`` that is no real number (:func:`is_number`), or is a tuple of pairs holding one:
+    "<names> must be numbers, not <what they hold>"."""
+    kinds = {}
+    for name in names or [f.name for f in fields(obj)]:
+        value = getattr(obj, name)
+        for item in sum(value, ()) if isinstance(value, tuple) else (value,):
+            if not is_number(item):
+                kinds.setdefault(name, _KINDS.get(type(item), type(item).__name__))
+    if kinds:
+        raise ValueError(f"{', '.join(kinds)} must be numbers, not "
+                         f"{', '.join(sorted(set(kinds.values())))}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +131,14 @@ class SubjectVitals:
     rng_seed: int = 0
 
     def __post_init__(self):
-        flags = [f.name for f in fields(self) if isinstance(getattr(self, f.name), bool)]
-        if any(isinstance(v, bool) for pair in self.resp_harmonics for v in pair):
-            flags.append("resp_harmonics")
-        if flags:
-            raise ValueError(f"{', '.join(flags)} must be numbers, not true or false")
-        if not self.id or "/" in self.id or "\\" in self.id:  # it names files
+        pairs = self.resp_harmonics
+        if not (isinstance(pairs, (list, tuple))
+                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
+            raise ValueError(f"resp_harmonics {pairs!r} is not a list of [order, relative "
+                             f"amplitude] pairs")
+        object.__setattr__(self, "resp_harmonics", tuple(map(tuple, pairs)))
+        check_numbers(self, [f.name for f in fields(self)][1:])  # all but the id
+        if not (isinstance(self.id, str) and self.id) or "/" in self.id or "\\" in self.id:
             raise ValueError(f"subject id {self.id!r} must be a non-empty name without / or \\")
         if not 0 < self.respiration_rate <= 60:
             raise ValueError(
@@ -126,7 +153,7 @@ class SubjectVitals:
         if self.motion_noise_rms < 0:
             raise ValueError("motion_noise_rms must be >= 0")
         for order, rel in self.resp_harmonics:
-            if order < 2 or int(order) != order:
+            if order < 2 or not float(order).is_integer():
                 raise ValueError(f"harmonic order must be an integer >= 2, got {order}")
             if not 0 <= rel <= 1:
                 raise ValueError(f"harmonic relative amplitude must be in [0, 1], got {rel}")

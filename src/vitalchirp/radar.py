@@ -23,13 +23,15 @@ import numpy as np
 
 from .dsp import hann_window
 from .photonics import SPEED_OF_LIGHT, ChirpParams
-from .physio import SubjectVitals, TimeGrid, make_time_grid, prefix_length, synth_motion
+from .physio import SubjectVitals, TimeGrid, check_numbers, make_time_grid, prefix_length
+from .physio import synth_motion
 
 __all__ = [
     "RadarTarget",
     "AcquisitionParams",
     "DechirpFrameSet",
     "FRAME_BLOCK_ROWS",
+    "non_finite_count",
     "unambiguous_range",
     "scene_violations",
     "run_blocks",
@@ -52,10 +54,7 @@ class RadarTarget:
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        flags = [name for name in ("nominal_range", "reflectivity")
-                 if isinstance(getattr(self, name), bool)]
-        if flags:
-            raise ValueError(f"{', '.join(flags)} must be numbers, not true or false")
+        check_numbers(self, ["nominal_range", "reflectivity"])
         if self.nominal_range <= 0:
             raise ValueError(f"nominal_range must be > 0, got {self.nominal_range}")
         if self.reflectivity < 0:
@@ -81,6 +80,7 @@ class AcquisitionParams:
     amplitude_exponent: float = 2.0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.fast_rate <= 0 or self.slow_period <= 0 or self.frame_width <= 0:
             raise ValueError("rates and periods must be > 0")
         if self.duration <= 0:
@@ -185,7 +185,7 @@ class DechirpFrameSet:
         samples."""
         if self._kept is None:
             samples = self.samples
-            if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
+            if bad := non_finite_count(samples):
                 raise ValueError(f"frame set holds {bad} non-finite samples")
             m_count, n_count = samples.shape
             window, step = hann_window(n_count), self._mark_rows
@@ -221,6 +221,17 @@ class DechirpFrameSet:
         spectra, marks = self.transform()
         k = self.slow_count // self._mark_rows
         return _add_rows(marks[k], np.abs(spectra[k * self._mark_rows:])) / self.slow_count
+
+
+def non_finite_count(samples: np.ndarray) -> int:
+    """Non-finite elements of the 2-D ``samples``, flagged a ``FRAME_BLOCK_ROWS``-row block
+    at a time into one block of flags, so no frame-sized temporary is made."""
+    flags = np.empty((min(FRAME_BLOCK_ROWS, len(samples)), samples.shape[1]), dtype=bool)
+    finite = 0
+    for start in range(0, len(samples), FRAME_BLOCK_ROWS):
+        block = samples[start:start + FRAME_BLOCK_ROWS]
+        finite += np.count_nonzero(np.isfinite(block, out=flags[:len(block)]))
+    return samples.size - finite
 
 
 def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from .photonics import (
     contact_intensity,
     derive_chirp,
 )
-from .physio import HEART_BAND, SubjectVitals, band_violations, make_time_grid, synth_motion
+from .physio import HEART_BAND, SubjectVitals, band_violations, check_numbers, make_time_grid
+from .physio import synth_motion
 from .pipelines import MIN_DURATION_S, PhaseSeries, band_waveforms, contact_rates
 from .pipelines import contactless_rates, extract_target_phase, persons, range_profile
 from .pipelines import resolution_sweep
@@ -90,6 +91,7 @@ class WdmChannel:
     radar_targets: tuple[RadarTarget, ...] = ()
 
     def __post_init__(self):
+        check_numbers(self, ["wavelength_nm", "fiber_length_km", "contact_noise_rms"])
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength must be > 0")
         bad = set(self.roles) - {CONTACT_ROLE, CONTACTLESS_ROLE}
@@ -114,6 +116,9 @@ class Scenario:
     acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
     seed: int = 0
     contact_sample_rate: float = 50.0
+
+    def __post_init__(self):
+        check_numbers(self, ["contact_sample_rate"])  # ``validate_scenario`` checks the rest
 
 
 @dataclass

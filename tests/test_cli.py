@@ -57,6 +57,12 @@ def write_config(tmp_path, config=CONFIG, name="scenario.json"):
     return path
 
 
+def subject_with(**entries):
+    """An edit that gives the first channel, alone, a full contact subject with ``entries``."""
+    subject = {"id": "subject-x", "respiration_rate": 16.0, "heartbeat_rate": 70.0, **entries}
+    return lambda c: {**c, "channels": [{**c["channels"][0], "contact_subject": subject}]}
+
+
 def simulate_rejected(tmp_path, capsys, config, *options):
     """Run ``simulate`` on ``config``; assert exit 2 and nothing written, return stderr."""
     out = tmp_path / "b"
@@ -261,11 +267,35 @@ class TestSimulate:
         (lambda c: {**c, "channels": [{**c["channels"][0], "radar_targets": [
             {"subject": ["subject-b"], "range_m": 1.0}]}]},
          "channel radar_targets[0] subject is a list, not a JSON object"),
+        *[(subject_with(resp_harmonics=value), f"resp_harmonics {shown} is not a list of "
+           f"[order, relative amplitude] pairs")
+          for value, shown in [(5, "5"), ([5], "[5]"), ("ab", "'ab'"), ([[2]], "[[2]]"),
+                               ([[2, 0.3, 1]], "[[2, 0.3, 1]]")]],
+        (subject_with(resp_harmonics=[[2, "x"]]), "resp_harmonics must be numbers, not text"),
+        (subject_with(respiration_rate="15"), "respiration_rate must be numbers, not text"),
+        (subject_with(heart_amplitude=None), "heart_amplitude must be numbers, not null"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "fbg": {
+            **c["channels"][0]["fbg"], "notch_depth_db": "17"}}]},
+         "notch_depth_db must be numbers, not text"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "fiber_length_km": "4"}]},
+         "fiber_length_km must be numbers, not text"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "if_lfm": {
+            **c["channels"][0]["if_lfm"], "bandwidth": "1e9"}}]},
+         "bandwidth must be numbers, not text"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "wavelength_nm": "1549.92"}]},
+         "wavelength_nm must be numbers, not text"),
+        (lambda c: {**c, "contact_sample_rate": "50"},
+         "contact_sample_rate must be numbers, not text"),
+        (lambda c: {**c, "acquisition": {"noise_rms": "0.5"}}, "noise_rms must be numbers, not text"),
     ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
             "channel-a-number", "roles-a-string", "roles-nested", "roles-null",
             "targets-a-string", "targets-an-object", "target-a-number", "target-a-list",
             "contact-subject-a-number", "contact-subject-a-list", "target-subject-a-number",
-            "target-subject-a-list"])
+            "target-subject-a-list", "harmonics-a-number", "harmonics-not-pairs",
+            "harmonics-a-string", "harmonic-too-short", "harmonic-too-long",
+            "harmonic-amplitude-text", "subject-rate-text", "subject-amplitude-null",
+            "fbg-depth-text", "fiber-length-text", "if-lfm-bandwidth-text", "wavelength-text",
+            "contact-rate-text", "acquisition-noise-text"])
     def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
         err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
         assert f"invalid scenario: {message}" in err

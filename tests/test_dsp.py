@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +120,64 @@ class TestDesignBandpass:
         for _ in range(2):
             with pytest.raises(FilterDesignError, match="stopband"):
                 design_bandpass(spec)
+
+
+class TestPoles:
+    """``FilterCoeffs.poles`` in closed form, against ``np.roots`` of each section."""
+
+    # the chain's bands, the other bands the suite designs and a few more, at 10-1000 Sa/s
+    BANDS = [(0.13, 0.5), (0.8, 1.9), (0.25, 0.5), (0.1, 0.7), (5.0, 40.0), (0.1, 0.6),
+             (0.5, 3.0), (0.2, 0.45)]
+    RATES = [10.0, 20.0, 25.0, 50.0, 100.0, 200.0, 500.0, 1000.0]
+
+    def designs(self):
+        """Each band of ``BANDS`` at each rate of ``RATES`` that designs, and the chain's
+        bands at the higher rates the suite designs them at."""
+        specs = [BandpassSpec(low, high, rate)
+                 for (low, high), rate in itertools.product(self.BANDS, self.RATES)
+                 if high < rate / 2]
+        specs += [BandpassSpec(spec.low_edge, spec.high_edge, rate)
+                  for spec in (RESP_SPEC, HEART_SPEC) for rate in (5000.0, 20000.0)]
+        designs = []
+        for spec in specs + [BandpassSpec(0.25, 0.5, 5000.0)]:
+            try:
+                designs.append(design_bandpass(spec))
+            except FilterDesignError:
+                continue
+        return designs
+
+    @staticmethod
+    def roots(coeffs):
+        return np.concatenate([np.roots(np.concatenate(([1.0], row[4:])))
+                               for row in coeffs.sos])
+
+    def test_poles_are_each_sections_roots(self):
+        # at 20 kSa/s the poles crowd z = 1 and np.roots is itself 1.3e-12 from the roots
+        # (the closed form 5e-13, both against a 50-digit evaluation): checked by the tail
+        designs = [c for c in self.designs() if c.spec.sample_rate <= 5000.0]
+        assert len(designs) >= 40
+        for coeffs in designs:
+            got, want = coeffs.poles(), self.roots(coeffs)
+            distance = np.abs(got[:, None] - want[None, :])  # as sets: each has a match
+            assert got.shape == want.shape
+            assert distance.min(axis=0).max() <= 1e-12, coeffs.spec
+            assert distance.min(axis=1).max() <= 1e-12, coeffs.spec
+
+    def test_tail_is_the_one_from_np_roots(self):
+        for coeffs in self.designs():
+            radius = max(np.abs(self.roots(coeffs)).max(), 1e-300)
+            want = math.ceil(-17 * math.log(10) / math.log(radius)) + 2 * len(coeffs.sos)
+            assert dsp._tail(coeffs) == want, coeffs.spec
+
+    @pytest.mark.parametrize("a1, a2, want", [
+        (-3.0, 2.0, [2.0, 1.0]),  # real roots
+        (1e8, 1.0, [-1e8, -1e-8]),  # real roots far apart: the small one does not cancel
+        (0.0, 0.0, [0.0, 0.0]),
+        (-1.0, 0.5, [0.5 + 0.5j, 0.5 - 0.5j]),
+    ])
+    def test_closed_form_of_one_section(self, a1, a2, want):
+        coeffs = dsp.FilterCoeffs(sos=np.array([[1.0, 0.0, 0.0, 1.0, a1, a2]]), spec=RESP_SPEC)
+        assert np.allclose(coeffs.poles(), want, rtol=1e-15, atol=0)
 
 
 class TestFilterZeroPhase:

@@ -13,11 +13,12 @@ import pytest
 from vitalchirp import formats
 from vitalchirp.photonics import FbgProfile, contact_intensity
 from vitalchirp.physio import SubjectVitals, make_time_grid, preset_subject, synth_motion
-from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
+from vitalchirp.radar import FRAME_BLOCK_ROWS, AcquisitionParams, DechirpFrameSet, RadarTarget
+from vitalchirp.radar import synth_dechirp_frames
 from vitalchirp.scenario import (Scenario, WdmChannel, channel_name, run_scenario,
                                  validate_scenario)
 
-from conftest import edit_frames_header
+from conftest import edit_frames_header, traced_peak
 from test_scenario import channel, two_channel_scenario
 
 
@@ -160,6 +161,16 @@ class TestFramesContainer:
         formats.write_frames(replace(small_frames, samples=samples), path)
         with pytest.raises(formats.CorruptFramesError, match="non-finite samples in payload"):
             formats.read_frames(path)
+
+    def test_peak_memory_is_the_payload_and_one_block(self, chirp, tmp_path):
+        # the finiteness check flags a block of rows at a time: no bool copy of the payload
+        acq = AcquisitionParams()
+        path = tmp_path / "frames.bin"
+        formats.write_frames(DechirpFrameSet(np.zeros((acq.slow_count, acq.fast_count)), chirp,
+                                             acq), path)
+        frames, peak = traced_peak(lambda: formats.read_frames(path))
+        assert frames.samples.shape == (3000, 600)
+        assert peak <= frames.samples.nbytes + FRAME_BLOCK_ROWS * 600 * 8
 
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "frames.bin"

@@ -1,7 +1,8 @@
 """Import structure: nothing in the package imports scipy, so no command pays
-for it, only ``formats`` encodes files, only ``radar`` starts threads, only the
-records cut by ``physio.prefix_length``, and no module reaches into a sibling
-module's private names."""
+for it, no processing command loads OpenSSL or calls LAPACK, only ``formats``
+encodes files, only ``radar`` starts threads, only the records cut by
+``physio.prefix_length``, and no module reaches into a sibling module's private
+names."""
 
 import ast
 import json
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import vitalchirp
+from vitalchirp.cli import main
 
 PACKAGE = Path(vitalchirp.__file__).parent
 
@@ -66,38 +68,56 @@ SMALL_CONFIG = {
     }],
 }
 
-# Runs in a fresh interpreter: import the package, then each command in turn,
-# and print the scipy modules loaded after each step.
+# Runs in a fresh interpreter: import the package, then each command in turn, on the
+# bundle the test wrote, and print after each step the scipy modules loaded, and whether
+# OpenSSL's ``_hashlib`` is loaded and how often ``numpy.roots`` (LAPACK) was called.
+# ``simulate`` runs last: it names its bundle by a SHA-256, so it may load ``_hashlib``.
 COMMANDS = """
 import json, sys
+import numpy
+roots, calls = numpy.roots, []
+def counted(p):
+    calls.append(p)
+    return roots(p)
+numpy.roots = counted
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def footprint():
+    return ["_hashlib" in sys.modules, len(calls)]
 import vitalchirp
 steps = {"import vitalchirp": loaded()}
+footprints = {"import vitalchirp": footprint()}
 from vitalchirp.cli import main
 work = sys.argv[1]
 for name, argv in [
-    ("simulate", ["simulate", "--config", f"{work}/config.json", "--out", f"{work}/b"]),
     ("process", ["process", f"{work}/b", "--out", f"{work}/r"]),
     ("process --format csv", ["process", f"{work}/b", "--format", "csv", "--out", f"{work}/c"]),
     ("sweep", ["sweep", f"{work}/b", "--durations", "5,10", "--out", f"{work}/s"]),
     ("filter-design", ["filter-design", "--band", "0.8", "1.9", "--sample-rate", "50",
                        "--out", f"{work}/f"]),
+    ("simulate", ["simulate", "--config", f"{work}/config.json", "--out", f"{work}/b2"]),
 ]:
     steps[name] = [main(argv), loaded()]
-print(json.dumps(steps))
+    footprints[name] = footprint()
+print(json.dumps([steps, footprints]))
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "b")]) == 0
     done = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path)],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    steps = json.loads(done.stdout.splitlines()[-1])
+    steps, footprints = json.loads(done.stdout.splitlines()[-1])
     assert steps == {"import vitalchirp": [],
                      **{name: [0, []] for name in ("simulate", "process", "process --format csv",
                                                    "sweep", "filter-design")}}
+    # no OpenSSL and no LAPACK on the processing path; only simulate hashes its config
+    lean = ["import vitalchirp", "process", "process --format csv", "sweep", "filter-design"]
+    assert {name: footprints[name] for name in lean} == {name: [False, 0] for name in lean}
+    assert footprints["simulate"][1] == 0
 
 
 def _names(path):
