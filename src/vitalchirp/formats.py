@@ -21,6 +21,13 @@ Byte-exact layout, little-endian throughout:
 rate keys disagree with it, or that holds a number that is not finite, is
 corrupt.  The frames' truth is the header's ``truth`` (``truth.json`` copies it).
 
+``read_frames`` maps the payload read-only and copies nothing: the samples are
+the file's pages, each block of them released from the process once read
+(``radar.non_finite_count``, ``radar.DechirpFrameSet.transform``) and reloaded
+from the file if read again.  So a frames file must not be rewritten in place
+while a process reads it; ``write_frames`` writes ``<name>.part`` and renames it
+over the file.
+
 Bundle directory layout
 -----------------------
 ``scenario.json`` (resolved config), ``truth.json`` (each channel's
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -75,7 +83,7 @@ RECORD_FILES = {CONTACT_ROLE: "contact.csv", CONTACTLESS_ROLE: "frames.bin"}  # 
 
 
 class CorruptFramesError(IOError):
-    """Frames container failed structural validation."""
+    """Frames container failed structural validation, or its payload could not be mapped."""
 
 
 def _finite(text: str, kind=float):
@@ -165,9 +173,15 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
     if frames.truth:
         header["truth"] = [_target_to_dict(t) for t in frames.truth]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<I", len(blob)) + blob)
-        fh.write(np.ascontiguousarray(frames.samples, dtype=_FRAMES_LAYOUT["dtype"]))
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:  # replaced, never truncated: a map of the old file reads on (truncated, it faults)
+        with part.open("wb") as fh:
+            fh.write(struct.pack("<I", len(blob)) + blob)
+            fh.write(np.ascontiguousarray(frames.samples, dtype=_FRAMES_LAYOUT["dtype"]))
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def read_frames(path: str | Path) -> DechirpFrameSet:
@@ -202,8 +216,15 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
             f"{path}: payload of {payload_len} bytes at offset {4 + hlen}, "
             f"expected {expected} ({slow}x{fast} float64)"
         )
-    samples = np.fromfile(path, header["dtype"], slow * fast, offset=4 + hlen).reshape(slow, fast)
-    if non_finite_count(samples):
+    import mmap  # here: only a run that reads frames maps one
+    try:
+        with path.open("rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise CorruptFramesError(f"{path}: cannot map the payload: {exc}") from exc
+    samples = np.frombuffer(mapped, header["dtype"], slow * fast, offset=4 + hlen)
+    samples = samples.reshape(slow, fast)
+    if non_finite_count(samples):  # which releases each block of the map once checked
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
     truth = _targets_from_list(header.get("truth", []), f"{path}: header truth") or None
     return DechirpFrameSet(samples=samples, chirp=ChirpParams(**header["chirp"]),

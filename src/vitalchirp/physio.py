@@ -152,6 +152,8 @@ class SubjectVitals:
             raise ValueError("amplitudes must be >= 0")
         if self.motion_noise_rms < 0:
             raise ValueError("motion_noise_rms must be >= 0")
+        if type(self.rng_seed) is not int or not 0 <= self.rng_seed < 2**64:
+            raise ValueError(f"rng_seed {self.rng_seed!r} is not an integer in [0, 2**64)")
         for order, rel in self.resp_harmonics:
             if order < 2 or not float(order).is_integer():
                 raise ValueError(f"harmonic order must be an integer >= 2, got {order}")

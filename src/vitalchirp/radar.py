@@ -181,24 +181,34 @@ class DechirpFrameSet:
         rows of one second at the slow rate, mark k is the sum of ``np.abs(spectra)`` over
         rows [0, k x s), added row by row in order (:meth:`mean_magnitudes` reads them).
         Taken on the first call and kept: blocks on up to two threads (:func:`run_blocks`),
-        bit for bit the one-shot arrays.  ``ValueError`` names the count of non-finite
-        samples."""
+        bit for bit the one-shot arrays.  A block's non-finite samples are counted before
+        it is transformed, and its pages released after (:func:`_release_pages`), so each
+        page is loaded once.  ``ValueError`` names the count of non-finite samples, and
+        nothing is kept."""
         if self._kept is None:
             samples = self.samples
-            if bad := non_finite_count(samples):
-                raise ValueError(f"frame set holds {bad} non-finite samples")
             m_count, n_count = samples.shape
             window, step = hann_window(n_count), self._mark_rows
             spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
             marks = np.zeros((m_count // step + 1, spectra.shape[1]))
             mags = np.empty((min(FRAME_BLOCK_ROWS, m_count), spectra.shape[1]))
             total = marks[0]
+            bad = []  # the non-finite count of each block that has any; append is atomic
 
             def work(rows, block):
-                np.multiply(samples[rows], window, out=block)
-                np.fft.rfft(block, axis=1, out=spectra[rows])
+                # flag the samples in the scratch's bytes, then overwrite them with the
+                # windowed samples; a block with a non-finite sample is counted, not transformed
+                finite = np.isfinite(samples[rows], out=block.view(bool)[:, :n_count])
+                if count := finite.size - np.count_nonzero(finite):
+                    bad.append(count)
+                else:
+                    np.multiply(samples[rows], window, out=block)
+                    np.fft.rfft(block, axis=1, out=spectra[rows])
+                _release_pages(samples[rows])
 
             for rows in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
+                if bad:  # the call raises: sum no rows that were not transformed
+                    continue
                 # add the block's magnitudes to the sums while workers take later blocks
                 np.abs(spectra[rows], out=mags[:rows.stop - rows.start])
                 start = rows.start
@@ -208,6 +218,8 @@ class DechirpFrameSet:
                     if stop % step == 0:
                         marks[stop // step] = total
                     start = stop
+            if bad:
+                raise ValueError(f"frame set holds {sum(bad)} non-finite samples")
             for kept in (spectra, marks):  # every reader shares them
                 kept.setflags(write=False)
             object.__setattr__(self, "_kept", (spectra, marks))
@@ -225,13 +237,38 @@ class DechirpFrameSet:
 
 def non_finite_count(samples: np.ndarray) -> int:
     """Non-finite elements of the 2-D ``samples``, flagged a ``FRAME_BLOCK_ROWS``-row block
-    at a time into one block of flags, so no frame-sized temporary is made."""
+    at a time into one block of flags, so no frame-sized temporary is made; each block's
+    pages are released once flagged (:func:`_release_pages`)."""
     flags = np.empty((min(FRAME_BLOCK_ROWS, len(samples)), samples.shape[1]), dtype=bool)
     finite = 0
     for start in range(0, len(samples), FRAME_BLOCK_ROWS):
         block = samples[start:start + FRAME_BLOCK_ROWS]
         finite += np.count_nonzero(np.isfinite(block, out=flags[:len(block)]))
+        _release_pages(block)
     return samples.size - finite
+
+
+def _release_pages(rows: np.ndarray) -> None:
+    """Drop the whole pages of ``rows``, C-ordered samples read and done with, from this
+    process where they are mapped read-only from a file (``formats.read_frames``): a page
+    read again reloads from the file, so the values stay.  Other memory is never released:
+    anonymous pages, such as synthesized samples, would read back as zeros, a copy-on-write
+    map's as its file, and a writable map is left alone too.  Where ``madvise`` is missing
+    the pages simply stay resident."""
+    import mmap  # here: only a run that counts or transforms samples needs it
+    mapped = rows
+    while isinstance(mapped, (np.ndarray, memoryview)):  # to the memory's owner
+        mapped = mapped.base if isinstance(mapped, np.ndarray) else mapped.obj
+    if not (isinstance(mapped, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")):
+        return
+    whole = np.frombuffer(mapped, np.uint8)
+    if whole.flags.writeable:  # a writable or copy-on-write map
+        return
+    start = rows.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE  # the map starts on a page
+    stop = (start + rows.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if stop > first:
+        mapped.madvise(mmap.MADV_DONTNEED, first, stop - first)
 
 
 def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -287,6 +288,8 @@ class TestSimulate:
         (lambda c: {**c, "contact_sample_rate": "50"},
          "contact_sample_rate must be numbers, not text"),
         (lambda c: {**c, "acquisition": {"noise_rms": "0.5"}}, "noise_rms must be numbers, not text"),
+        *[(subject_with(rng_seed=value), f"rng_seed {value!r} is not an integer in [0, 2**64)")
+          for value in [1.5, 1e20, -1, 2**64]],
     ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
             "channel-a-number", "roles-a-string", "roles-nested", "roles-null",
             "targets-a-string", "targets-an-object", "target-a-number", "target-a-list",
@@ -295,7 +298,8 @@ class TestSimulate:
             "harmonics-a-string", "harmonic-too-short", "harmonic-too-long",
             "harmonic-amplitude-text", "subject-rate-text", "subject-amplitude-null",
             "fbg-depth-text", "fiber-length-text", "if-lfm-bandwidth-text", "wavelength-text",
-            "contact-rate-text", "acquisition-noise-text"])
+            "contact-rate-text", "acquisition-noise-text", "rng-seed-fractional",
+            "rng-seed-a-float", "rng-seed-negative", "rng-seed-past-64-bits"])
     def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
         err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
         assert f"invalid scenario: {message}" in err
@@ -417,6 +421,21 @@ class TestProcess:
                    bundle_sweeps(channels, [5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]))
         for name in ("reports.json", "sweep.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_read_bundle_gives_the_bits_of_the_simulated_channels(self, bundle_dir):
+        # the disk path (a mapped frames payload, released block by block) and the memory
+        # path give every report dict and every series column bit for bit
+        def bits(channels):
+            reports, files = bundle_reports(channels, series=True)
+            return (json.dumps([rep.to_dict() for rep in reports], sort_keys=True),
+                    {name: {column: (values.dtype.str, values.tobytes())
+                            for column, values in columns.items()}
+                     for name, columns in files.items()})
+
+        from_disk = bits(read_bundle(bundle_dir).channels)
+        in_memory = bits(list(run_scenario(scenario_from_dict(CONFIG)).channels.values()))
+        assert from_disk[1].keys() == in_memory[1].keys() != set()
+        assert from_disk == in_memory
 
     @pytest.mark.parametrize("duration, rows", [(None, 3000), ("7.3", 365)])
     def test_csv_format_writes_series(self, bundle_dir, tmp_path, duration, rows):
@@ -564,6 +583,17 @@ class TestProcess:
         frames.write_bytes(raw[:4] + blob + raw[4 + hlen:])
         assert main(["process", str(broken), "--out", str(tmp_path / "out")]) == 3
         assert "header order 'F'" in capsys.readouterr().err
+
+    def test_unmappable_frames_io_exit(self, bundle_dir, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        out = tmp_path / "out"
+        assert main(["process", str(bundle_dir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"{bundle_dir / FRAMES}: cannot map the payload: "
+                                           f"{OSError(errno.ENODEV, os.strerror(errno.ENODEV))}\n")
+        assert not out.exists()
 
     def test_header_rate_disagreeing_with_acquisition_io_exit(self, bundle_dir, tmp_path,
                                                                capsys):

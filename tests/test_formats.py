@@ -2,8 +2,12 @@ import copy
 import csv
 import io
 import json
+import mmap
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -20,6 +24,26 @@ from vitalchirp.scenario import (Scenario, WdmChannel, channel_name, run_scenari
 
 from conftest import edit_frames_header, traced_peak
 from test_scenario import channel, two_channel_scenario
+
+
+SOURCE = Path(formats.__file__).parent.parent
+
+# Runs in a fresh interpreter on the directory the test wrote: transform the small frames
+# first (threads, FFT plans, the mmap module), then print how far reading and transforming
+# the 3000 x 600 frames raised the peak RSS, in bytes, and the bytes of their spectra.  The
+# peak is the process's VmHWM: Linux carries the parent's peak into a child's ru_maxrss,
+# which would hide the growth under the test process's own.
+PEAK_GROWTH = """
+import json, sys
+from vitalchirp import formats
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+formats.read_frames(sys.argv[1] + "/small.bin").transform()
+before = peak()
+spectra, _ = formats.read_frames(sys.argv[1] + "/frames.bin").transform()
+print(json.dumps([peak() - before, spectra.nbytes]))
+"""
 
 
 def csv_writer_bytes(columns: dict) -> bytes:
@@ -162,15 +186,49 @@ class TestFramesContainer:
         with pytest.raises(formats.CorruptFramesError, match="non-finite samples in payload"):
             formats.read_frames(path)
 
-    def test_peak_memory_is_the_payload_and_one_block(self, chirp, tmp_path):
-        # the finiteness check flags a block of rows at a time: no bool copy of the payload
+    def test_peak_memory_is_one_block(self, chirp, tmp_path):
+        # the payload is mapped, not copied, and the finiteness check flags a block of rows
+        # at a time: no copy of the payload and no bool copy of it
         acq = AcquisitionParams()
         path = tmp_path / "frames.bin"
         formats.write_frames(DechirpFrameSet(np.zeros((acq.slow_count, acq.fast_count)), chirp,
                                              acq), path)
         frames, peak = traced_peak(lambda: formats.read_frames(path))
         assert frames.samples.shape == (3000, 600)
-        assert peak <= frames.samples.nbytes + FRAME_BLOCK_ROWS * 600 * 8
+        assert peak <= FRAME_BLOCK_ROWS * 600 * 8
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED") or sys.platform != "linux",
+                        reason="pages are released by madvise; the peak is read from /proc")
+    def test_read_and_transform_hold_the_spectra_not_the_samples(self, small_frames, chirp,
+                                                                 tmp_path):
+        # each block of the mapped payload is released once read: the child's peak grows by
+        # the kept spectra and a few blocks (the workers' scratch, the magnitudes, the blocks
+        # in flight), where a copy of the samples would add 14.4 MB more
+        acq = AcquisitionParams()
+        formats.write_frames(small_frames, tmp_path / "small.bin")
+        samples = np.random.default_rng(5).normal(size=(acq.slow_count, acq.fast_count))
+        formats.write_frames(DechirpFrameSet(samples, chirp, acq), tmp_path / "frames.bin")
+        done = subprocess.run([sys.executable, "-c", PEAK_GROWTH, str(tmp_path)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(SOURCE)})
+        growth, spectra_bytes = json.loads(done.stdout)
+        assert spectra_bytes == 3000 * 301 * 16
+        assert growth < spectra_bytes + 8 * FRAME_BLOCK_ROWS * 600 * 8
+
+    def test_rewriting_a_read_file_leaves_the_read_frames_intact(self, small_frames,
+                                                                 tmp_path):
+        # write_frames replaces the file whole: the old frames' map keeps the old file, so
+        # its released pages reload as they were; truncated in place, the map would fault
+        path = tmp_path / "frames.bin"
+        formats.write_frames(small_frames, path)
+        old = formats.read_frames(path)
+        cut = small_frames.truncated(0.5)
+        formats.write_frames(replace(cut, samples=np.zeros_like(cut.samples)), path)
+        assert old.samples.tobytes() == small_frames.samples.tobytes()
+        assert [a.tobytes() for a in old.transform()] == [
+            a.tobytes() for a in small_frames.transform()]
+        assert formats.read_frames(path).slow_count == cut.slow_count
+        assert list(tmp_path.iterdir()) == [path]  # no .part left
 
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "frames.bin"

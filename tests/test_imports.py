@@ -1,5 +1,6 @@
 """Import structure: nothing in the package imports scipy, so no command pays
-for it, no processing command loads OpenSSL or calls LAPACK, only ``formats``
+for it, no processing command loads OpenSSL or calls LAPACK, only a command that reads
+frames loads ``mmap`` (each maps its frames file once), only ``formats``
 encodes files, only ``radar`` starts threads, only the records cut by
 ``physio.prefix_length``, and no module reaches into a sibling module's private
 names."""
@@ -69,9 +70,10 @@ SMALL_CONFIG = {
 }
 
 # Runs in a fresh interpreter: import the package, then each command in turn, on the
-# bundle the test wrote, and print after each step the scipy modules loaded, and whether
-# OpenSSL's ``_hashlib`` is loaded and how often ``numpy.roots`` (LAPACK) was called.
-# ``simulate`` runs last: it names its bundle by a SHA-256, so it may load ``_hashlib``.
+# bundle the test wrote, and print after each step the scipy modules loaded, whether
+# OpenSSL's ``_hashlib`` is loaded, how often ``numpy.roots`` (LAPACK) was called and how
+# many files were mapped so far; and whether the imports loaded ``mmap``.  ``simulate``
+# runs last: it names its bundle by a SHA-256, so it may load ``_hashlib``.
 COMMANDS = """
 import json, sys
 import numpy
@@ -88,6 +90,15 @@ import vitalchirp
 steps = {"import vitalchirp": loaded()}
 footprints = {"import vitalchirp": footprint()}
 from vitalchirp.cli import main
+imports_map = "mmap" in sys.modules
+import mmap
+maps = []
+class CountedMap(mmap.mmap):
+    def __new__(cls, *args, **kwargs):
+        maps.append(args)
+        return super().__new__(cls, *args, **kwargs)
+mmap.mmap = CountedMap
+mapped = {}
 work = sys.argv[1]
 for name, argv in [
     ("process", ["process", f"{work}/b", "--out", f"{work}/r"]),
@@ -99,7 +110,8 @@ for name, argv in [
 ]:
     steps[name] = [main(argv), loaded()]
     footprints[name] = footprint()
-print(json.dumps([steps, footprints]))
+    mapped[name] = len(maps)
+print(json.dumps([steps, footprints, imports_map, mapped]))
 """
 
 
@@ -110,7 +122,7 @@ def test_no_command_loads_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path)],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    steps, footprints = json.loads(done.stdout.splitlines()[-1])
+    steps, footprints, imports_map, mapped = json.loads(done.stdout.splitlines()[-1])
     assert steps == {"import vitalchirp": [],
                      **{name: [0, []] for name in ("simulate", "process", "process --format csv",
                                                    "sweep", "filter-design")}}
@@ -118,6 +130,10 @@ def test_no_command_loads_scipy(tmp_path):
     lean = ["import vitalchirp", "process", "process --format csv", "sweep", "filter-design"]
     assert {name: footprints[name] for name in lean} == {name: [False, 0] for name in lean}
     assert footprints["simulate"][1] == 0
+    # no import loads mmap; each command that reads the bundle maps its one frames file
+    assert not imports_map
+    assert mapped == {"process": 1, "process --format csv": 2, "sweep": 3, "filter-design": 3,
+                      "simulate": 3}
 
 
 def _names(path):

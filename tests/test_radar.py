@@ -1,4 +1,5 @@
 import itertools
+import mmap
 import sys
 import threading
 import time
@@ -376,6 +377,33 @@ class TestRunBlocks:
         assert sorted(sum(claimed.values(), [])) == list(range(0, 12 * FRAME_BLOCK_ROWS,
                                                                 FRAME_BLOCK_ROWS))
         assert len(claimed["probe-0"]) < len(claimed["probe-1"])
+
+
+class TestReleasedPages:
+    """A frame set's samples are released block by block only where a file's read-only map
+    holds them: released anonymous pages read back as zeros, a copy-on-write map's as its file."""
+
+    def test_synthesized_samples_are_never_released(self, chirp):
+        targets, acq = two_person_scene(duration=10.0)
+        frames = synth_dechirp_frames(targets, chirp, acq, seed=4)
+        before = frames.samples.copy()
+        assert radar.non_finite_count(frames.samples) == 0
+        frames.transform()
+        assert frames.samples.tobytes() == before.tobytes()
+
+    def test_a_copy_on_write_map_is_never_released(self, chirp, tmp_path):
+        acq = AcquisitionParams(duration=10.0)
+        path = tmp_path / "zeros.bin"
+        path.write_bytes(bytes(acq.slow_count * acq.fast_count * 8))
+        with path.open("rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        samples = np.frombuffer(mapped).reshape(acq.slow_count, acq.fast_count)
+        samples[:] = np.random.default_rng(4).normal(size=samples.shape)
+        before = samples.copy()
+        frames = radar.DechirpFrameSet(samples, chirp, acq)
+        assert radar.non_finite_count(frames.samples) == 0
+        frames.transform()
+        assert frames.samples.tobytes() == before.tobytes()
 
 
 class TestAcquisitionParams:
