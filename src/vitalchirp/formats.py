@@ -40,10 +40,13 @@ contactless role.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
 import struct
+import types
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -52,8 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .photonics import ChirpParams, FbgProfile, IfLfmParams, IntensityRecord
-from .physio import PRESET_SUBJECTS, SubjectVitals, make_time_grid
+from .photonics import ChirpParams, IntensityRecord
+from .physio import PRESET_SUBJECTS, SubjectVitals, check_fields, make_time_grid
 from .radar import AcquisitionParams, DechirpFrameSet, RadarTarget, non_finite_count
 from .scenario import CONTACT_ROLE, CONTACTLESS_ROLE, ChannelResult, Scenario, WdmChannel
 from .scenario import channel_name
@@ -107,55 +110,70 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _objects(value, where: str) -> list[dict]:
-    """``value``, a list of JSON objects; ``ValueError`` naming ``where`` or its entry if not."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} is a {type(value).__name__}, not a JSON list")
-    return [_object(item, f"{where}[{k}]") for k, item in enumerate(value)]
+_KEYS = {"nominal_range": "range_m"}  # a field a document names otherwise
+_LIST_TEXTS = {  # the texts a list of these has always been refused with
+    frozenset[str]: "{where} {value!r} is not a JSON list of strings",
+    tuple[tuple[int, float], ...]: ("resp_harmonics {value!r} is not a list of [order, "
+                                    "relative amplitude] pairs"),
+}
+
+
+def _to_json(obj) -> dict:
+    """The dataclass ``obj`` as a JSON object: each field under its key, a set sorted."""
+    return asdict(obj, dict_factory=lambda pairs: {
+        _KEYS.get(k, k): sorted(v) if isinstance(v, frozenset) else v for k, v in pairs})
+
+
+def _build(hint, value, where: str):
+    """``value`` of a JSON document as the field annotation ``hint`` (:func:`physio.check_fields`),
+    the inverse of :func:`_to_json`: a dataclass from an object of its fields' keys (a subject
+    also from a preset name), a tuple or set from a list, ``X | None`` from null or an X, and a
+    number or text as it is, for its dataclass to check.  ``ValueError`` names ``where`` for a
+    value not of its JSON type, ``TypeError`` an unknown key and ``KeyError`` a missing one."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None: only null is absent
+        return None if value is None else _build(args[0], value, where)
+    if (kind := typing.get_origin(hint)) in (tuple, frozenset):
+        try:
+            if not isinstance(value, (list, tuple)):  # a tuple: as _to_json writes it
+                raise ValueError(f"{where} is a {type(value).__name__}, not a JSON list")
+            items = args[:1] * len(value) if kind is frozenset or args[-1] is ... else args
+            return kind(_build(h, v, f"{where}[{k}]")
+                        for k, (h, v) in enumerate(zip(items, value, strict=True)))
+        except (TypeError, ValueError):  # TypeError: an unhashable item
+            if hint not in _LIST_TEXTS:
+                raise
+            raise ValueError(_LIST_TEXTS[hint].format(where=where, value=value)) from None
+    if hint is SubjectVitals and isinstance(value, str):
+        if value not in PRESET_SUBJECTS:
+            raise ValueError(
+                f"unknown subject preset {value!r}; available: {sorted(PRESET_SUBJECTS)}")
+        return PRESET_SUBJECTS[value]
+    if hint is dict:
+        return _object(value, where)
+    if not dataclasses.is_dataclass(hint):
+        return value
+    entries = dict(_object(value, where))
+    if hint is Scenario:  # the document's duration_s is acquisition.duration
+        acquisition = _object(entries.get("acquisition", {}), f"{where} acquisition")
+        if "duration" in acquisition:
+            raise TypeError(f"{where} acquisition has an unknown entry 'duration'")
+        if "duration_s" in entries:
+            entries["acquisition"] = {**acquisition, "duration": entries.pop("duration_s")}
+    where = "channel" if hint is WdmChannel else where  # as a channel's entries are named
+    hints = check_fields(hint)
+    names = {_KEYS.get(name, name): name for name in hints}  # key: field
+    if unknown := sorted(entries.keys() - names.keys()):
+        raise TypeError(f"{where} has an unknown entry {unknown[0]!r}")
+    required = {_KEYS.get(f.name, f.name) for f in dataclasses.fields(hint)
+                if f.default is f.default_factory is dataclasses.MISSING}
+    if missing := sorted(required - entries.keys()):
+        raise KeyError(missing[0])
+    return hint(**{names[key]: _build(hints[names[key]], v, f"{where} {key}")
+                   for key, v in entries.items()})
 
 
 # ---------------------------------------------------------------- frames bin
-
-def _subject_to_dict(subject: SubjectVitals) -> dict:
-    d = asdict(subject)
-    d["resp_harmonics"] = [list(h) for h in subject.resp_harmonics]
-    return d
-
-
-def _subject_from_dict(d, where: str) -> SubjectVitals:
-    return SubjectVitals(**_object(d, where))
-
-
-def _resolve_subject(entry, where: str) -> SubjectVitals:
-    if isinstance(entry, str):
-        if entry not in PRESET_SUBJECTS:
-            raise ValueError(
-                f"unknown subject preset {entry!r}; available: {sorted(PRESET_SUBJECTS)}"
-            )
-        return PRESET_SUBJECTS[entry]
-    return _subject_from_dict(entry, where)
-
-
-def _target_to_dict(tgt: RadarTarget) -> dict:
-    return {
-        "subject": _subject_to_dict(tgt.subject),
-        "range_m": tgt.nominal_range,
-        "reflectivity": tgt.reflectivity,
-    }
-
-
-def _target_from_dict(d: dict, where: str) -> RadarTarget:
-    d = dict(d)
-    return RadarTarget(subject=_resolve_subject(d.pop("subject"), f"{where} subject"),
-                       nominal_range=d.pop("range_m"), **d)
-
-
-def _targets_from_list(entries, where: str) -> tuple[RadarTarget, ...]:
-    """The targets of the JSON list ``entries``; ``ValueError`` naming ``where``, or the
-    entry or its subject, if one is not of its JSON type."""
-    return tuple(_target_from_dict(d, f"{where}[{k}]")
-                 for k, d in enumerate(_objects(entries, where)))
-
 
 def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
     """Serialize a frame set to the binary container format above."""
@@ -167,11 +185,11 @@ def write_frames(frames: DechirpFrameSet, path: str | Path) -> None:
         "slow_rate_hz": frames.slow_rate,
         "fast_rate_sa_s": frames.fast_rate,
         **_FRAMES_LAYOUT,
-        "chirp": asdict(frames.chirp),
-        "acquisition": asdict(frames.acquisition),
+        "chirp": _to_json(frames.chirp),
+        "acquisition": _to_json(frames.acquisition),
     }
     if frames.truth:
-        header["truth"] = [_target_to_dict(t) for t in frames.truth]
+        header["truth"] = [_to_json(t) for t in frames.truth]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -202,7 +220,7 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
         raise CorruptFramesError(f"{path}: invalid JSON header (offset 4): {exc}") from exc
     if header.get("format") != FRAMES_MAGIC or header.get("version") != FRAMES_VERSION:
         raise CorruptFramesError(f"{path}: not a {FRAMES_MAGIC} v{FRAMES_VERSION} file")
-    acq = AcquisitionParams(**header["acquisition"])
+    acq = _build(AcquisitionParams, header["acquisition"], f"{path}: header acquisition")
     slow, fast = acq.slow_count, acq.fast_count
     for key, value in {**_FRAMES_LAYOUT, "slow_count": slow, "fast_count": fast,
                        "slow_rate_hz": acq.slow_rate, "fast_rate_sa_s": acq.fast_rate}.items():
@@ -226,9 +244,9 @@ def read_frames(path: str | Path) -> DechirpFrameSet:
     samples = samples.reshape(slow, fast)
     if non_finite_count(samples):  # which releases each block of the map once checked
         raise CorruptFramesError(f"{path}: non-finite samples in payload")
-    truth = _targets_from_list(header.get("truth", []), f"{path}: header truth") or None
-    return DechirpFrameSet(samples=samples, chirp=ChirpParams(**header["chirp"]),
-                           acquisition=acq, truth=truth)
+    truth = _build(tuple[RadarTarget, ...], header.get("truth", []), f"{path}: header truth")
+    return DechirpFrameSet(samples=samples, acquisition=acq, truth=truth or None,
+                           chirp=_build(ChirpParams, header["chirp"], f"{path}: header chirp"))
 
 
 # ------------------------------------------------------------ CSV and JSON
@@ -302,56 +320,17 @@ def read_intensity_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 # --------------------------------------------------------- scenario config
 
-def _channel_to_dict(ch: WdmChannel) -> dict:
-    subject = ch.contact_subject
-    return {**asdict(ch), "roles": sorted(ch.roles),
-            "contact_subject": _subject_to_dict(subject) if subject else None,
-            "radar_targets": [_target_to_dict(t) for t in ch.radar_targets]}
-
-
-def _channel_from_dict(d: dict) -> WdmChannel:
-    d = dict(d)
-    if not (isinstance(roles := d.pop("roles", []), list)
-            and all(isinstance(r, str) for r in roles)):
-        raise ValueError(f"channel roles {roles!r} is not a JSON list of strings")
-    subject, fbg = d.pop("contact_subject", None), d.pop("fbg", None)
-    return WdmChannel(roles=frozenset(roles),
-                      if_lfm=IfLfmParams(**d.pop("if_lfm")),
-                      fbg=FbgProfile(**fbg) if fbg else None,
-                      contact_subject=(_resolve_subject(subject, "channel contact_subject")
-                                       if subject else None),
-                      radar_targets=_targets_from_list(d.pop("radar_targets", []),
-                                                       "channel radar_targets"),
-                      **d)
-
-
 def scenario_to_dict(s: Scenario) -> dict:
-    """Fully resolved, JSON-ready scenario description."""
-    return {
-        "duration_s": s.acquisition.duration,
-        "seed": s.seed,
-        "contact_sample_rate": s.contact_sample_rate,
-        "acquisition": {k: v for k, v in asdict(s.acquisition).items() if k != "duration"},
-        "channels": [_channel_to_dict(ch) for ch in s.channels],
-    }
+    """Fully resolved, JSON-ready scenario description; its one duration is ``duration_s``."""
+    config = _to_json(s)
+    config["duration_s"] = config["acquisition"].pop("duration")
+    return config
 
 
 def scenario_from_dict(config: dict) -> Scenario:
-    """Build a Scenario from a config dict (see README for the schema).
-
-    Each object is built from its own entries, so every default is its
-    dataclass's and an unknown entry at any level raises ``TypeError``
-    naming it.  Subject entries may be preset names or full parameter dicts.  A
-    document, channel, target or subject entry that is not a JSON object, a channel or
-    target list that is not a list, and ``roles`` that are not a list of strings raise
-    ``ValueError`` naming them.
-    """
-    config = dict(_object(config, "config"))
-    channels = tuple(map(_channel_from_dict, _objects(config.pop("channels", []),
-                                                      "config channels")))
-    acquisition = AcquisitionParams(**config.pop("acquisition", {}),
-                                    duration=config.pop("duration_s", AcquisitionParams.duration))
-    return Scenario(channels=channels, acquisition=acquisition, **config)
+    """Build a Scenario from a config dict (see README for the schema) by :func:`_build`:
+    every default is its dataclass's, and subject entries may be preset names."""
+    return _build(Scenario, config, "config")
 
 
 def scenario_hash(config: dict) -> str:
@@ -389,11 +368,11 @@ def write_bundle(bundle, outdir: str | Path, manifest: dict | None = None) -> Pa
         entry = {"contact_subject": None, "targets": []}
         if result.intensity is not None:
             write_intensity_csv(chdir / RECORD_FILES[CONTACT_ROLE], result.intensity)
-            entry["contact_subject"] = _subject_to_dict(result.contact_subject)
+            entry["contact_subject"] = _to_json(result.contact_subject)
             entry["edge_warning"] = result.intensity.edge_warning
         if result.frames is not None:
             write_frames(result.frames, chdir / RECORD_FILES[CONTACTLESS_ROLE])
-            entry["targets"] = [_target_to_dict(t) for t in result.frames.truth or ()]
+            entry["targets"] = [_to_json(t) for t in result.frames.truth or ()]
         truth["channels"][channel_name(wl)] = entry
 
     write_json(outdir / "truth.json", truth)
@@ -431,11 +410,12 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         truth = _object(loads_finite(truth_path.read_text(encoding="utf-8")), "truth.json")
         truth = _object(truth.get("channels", {}), "truth.json channels")
 
-    if not (channels := _objects(config.get("channels", []), "scenario.json channels")):
+    if not (channels := _build(tuple[dict, ...], config.get("channels", []),
+                               "scenario.json channels")):
         raise ValueError("scenario.json has no channels")
     loaded = LoadedBundle()
     for chd in channels:
-        wl = float(chd["wavelength_nm"])
+        check_fields(WdmChannel, wavelength_nm=(wl := chd["wavelength_nm"]))
         name = channel_name(wl)
         if any(channel_name(lc.wavelength_nm) == name for lc in loaded.channels):
             raise ValueError(f"scenario.json lists channel {name} twice")
@@ -457,18 +437,19 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
         if CONTACT_ROLE in roles:
             contact_csv = chdir / RECORD_FILES[CONTACT_ROLE]
             t_s, samples = read_intensity_csv(contact_csv)
-            rate = float(config["contact_sample_rate"])
-            count = make_time_grid(float(config["duration_s"]), rate).count
+            rate, duration = config["contact_sample_rate"], config["duration_s"]
+            check_fields(Scenario, contact_sample_rate=rate)
+            check_fields(AcquisitionParams, duration=duration)
+            count = make_time_grid(duration, rate).count
             if not np.array_equal(np.rint(t_s * rate), np.arange(count)):
                 raise ValueError(f"{contact_csv}: t_s ({t_s.size} rows) is not k / {rate} for "
-                                 f"k < {count}, the samples of {config['duration_s']} s")
+                                 f"k < {count}, the samples of {duration} s")
             if not isinstance(edge := entry.get("edge_warning", False), bool):
                 raise ValueError(f"truth.json channel {name} edge_warning {edge!r} is not "
                                  f"a JSON bool")
             intensity = IntensityRecord(samples, rate, edge)
-            if entry.get("contact_subject"):
-                subject = _subject_from_dict(entry["contact_subject"],
-                                             f"truth.json channel {name} contact_subject")
+            subject = _build(SubjectVitals | None, entry.get("contact_subject"),
+                             f"truth.json channel {name} contact_subject")
         if CONTACTLESS_ROLE in roles:
             frames = read_frames(chdir / RECORD_FILES[CONTACTLESS_ROLE])
         loaded.channels.append(ChannelResult(wl, subject, intensity, frames))

@@ -15,11 +15,11 @@ processing chain consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .physio import TimeGrid, check_numbers, is_number, prefix_length
+from .physio import TimeGrid, check_fields, prefix_length
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -53,14 +53,12 @@ class IfLfmParams:
     pulse_width: float
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.bandwidth <= 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if not 0 < self.pulse_width <= self.pulse_period:
-            raise ValueError(
-                f"pulse_width must be in (0, pulse_period], got "
-                f"{self.pulse_width} vs period {self.pulse_period}"
-            )
+            raise ValueError(f"pulse_width must be in (0, pulse_period], got "
+                             f"{self.pulse_width} vs period {self.pulse_period}")
         if self.center_freq <= self.bandwidth / 2:
             raise ValueError("center_freq must exceed bandwidth/2")
 
@@ -81,8 +79,7 @@ class ChirpParams:
     carrier_wavelength: float
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self)
-               if not is_number(v := getattr(self, f.name)) or not 0 < v < np.inf]
+        bad = [name for name in check_fields(self) if not 0 < getattr(self, name) < np.inf]
         if bad:
             raise ValueError(f"chirp {', '.join(bad)} must be positive, finite numbers")
 
@@ -146,12 +143,10 @@ class FbgProfile:
     displacement_to_shift: float = 0.05e9
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.notch_depth_db <= 3.0:
-            raise ValueError(
-                f"notch depth must exceed 3 dB for a defined 3-dB width, "
-                f"got {self.notch_depth_db}"
-            )
+            raise ValueError(f"notch depth must exceed 3 dB for a defined 3-dB width, "
+                             f"got {self.notch_depth_db}")
         if self.fwhm_3db <= 0:
             raise ValueError(f"fwhm_3db must be > 0, got {self.fwhm_3db}")
         if not 0 < 2.0 * (sigma := float(self.sigma)) * sigma < np.inf:  # floats: no OverflowError
@@ -192,7 +187,8 @@ class IntensityRecord:
     edge_warning: bool = False
 
     def __post_init__(self):
-        if not is_number(self.sample_rate) or not 0 < self.sample_rate < np.inf:
+        check_fields(self)
+        if not 0 < self.sample_rate < np.inf:
             raise ValueError(f"sample_rate {self.sample_rate!r} is not a finite number > 0")
         self.samples.setflags(write=False)  # from construction, the array passed in too
         object.__setattr__(self, "_measured", {})  # the rates chain's memo; not a field

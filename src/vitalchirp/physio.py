@@ -8,8 +8,12 @@ millimetres on a uniform :class:`TimeGrid`.
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass, fields, replace
+import types
+import typing
+from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -24,8 +28,7 @@ __all__ = [
     "RESP_BAND",
     "HEART_BAND",
     "band_violations",
-    "is_number",
-    "check_numbers",
+    "check_fields",
 ]
 
 # Filter passbands of the downstream rate-extraction chain, in Hz.
@@ -36,24 +39,51 @@ HEART_BAND = (0.8, 1.9)
 _KINDS = {bool: "true or false", str: "text", type(None): "null"}  # as JSON names them
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is a real number; a bool, which Python counts as one, is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+@functools.cache  # by class: get_type_hints evaluates each annotation, about 100 us a class
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls, include_extras=True)
 
 
-def check_numbers(obj, names=None) -> None:
-    """``ValueError`` naming each field of ``names`` (default: every field) of the dataclass
-    ``obj`` that is no real number (:func:`is_number`), or is a tuple of pairs holding one:
-    "<names> must be numbers, not <what they hold>"."""
-    kinds = {}
-    for name in names or [f.name for f in fields(obj)]:
-        value = getattr(obj, name)
-        for item in sum(value, ()) if isinstance(value, tuple) else (value,):
-            if not is_number(item):
-                kinds.setdefault(name, _KINDS.get(type(item), type(item).__name__))
+def _misfit(hint, value, name: str) -> str | None:
+    """The JSON kind of ``value`` where ``hint`` names a number it is not, else None;
+    ``ValueError`` naming ``name`` for any other misfit."""
+    args, kind = typing.get_args(hint), typing.get_origin(hint)
+    if hint in (float, int) or kind is Annotated:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return _KINDS.get(type(value), type(value).__name__)
+        if hint is float or isinstance(value, int) and (not args or 0 <= value < 2 ** args[1]):
+            return None
+        raise ValueError(f"{name} {value!r} is not an integer"
+                         + (f" in [0, 2**{args[1]})" if args else ""))
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _misfit(args[0], value, name)
+    if kind in (tuple, frozenset) and isinstance(value, kind):
+        items = args[:1] * len(value) if kind is frozenset or args[-1] is ... else args
+        if len(items) == len(value):
+            return next(filter(None, map(_misfit, items, value, [name] * len(items))), None)
+    elif kind is None and isinstance(value, hint):
+        return None
+    raise ValueError(f"{name} {value!r} is not a {hint.__name__}")
+
+
+def check_fields(obj, **values) -> dict:
+    """The annotations of the dataclass ``obj`` or of its class, read once per class, after
+    a check that ``values`` (by default every field of an instance) hold what they name:
+    ``float`` a real number and ``int`` an int, neither a bool; ``Annotated[int, bits]``
+    an int in ``[0, 2**bits)``; ``X | None`` None or an X; ``tuple[...]`` and
+    ``frozenset[...]`` items of their types; a class an instance.  ``ValueError`` names
+    the fields that hold no number where one belongs together, "<names> must be numbers,
+    not <what they hold>", and any other misfit alone."""
+    cls = obj if isinstance(obj, type) else type(obj)
+    hints = _hints(cls)
+    if not values and obj is not cls:
+        values = {name: getattr(obj, name) for name in hints}
+    kinds = {name: kind for name, value in values.items()
+             if (kind := _misfit(hints[name], value, name))}
     if kinds:
         raise ValueError(f"{', '.join(kinds)} must be numbers, not "
                          f"{', '.join(sorted(set(kinds.values())))}")
+    return hints
 
 
 @dataclass(frozen=True)
@@ -128,34 +158,23 @@ class SubjectVitals:
     resp_phase: float = 0.0
     heart_phase: float = 0.0
     motion_noise_rms: float = 0.0
-    rng_seed: int = 0
+    rng_seed: Annotated[int, 64] = 0
 
     def __post_init__(self):
-        pairs = self.resp_harmonics
-        if not (isinstance(pairs, (list, tuple))
-                and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
-            raise ValueError(f"resp_harmonics {pairs!r} is not a list of [order, relative "
-                             f"amplitude] pairs")
-        object.__setattr__(self, "resp_harmonics", tuple(map(tuple, pairs)))
-        check_numbers(self, [f.name for f in fields(self)][1:])  # all but the id
-        if not (isinstance(self.id, str) and self.id) or "/" in self.id or "\\" in self.id:
+        check_fields(self)
+        if not self.id or "/" in self.id or "\\" in self.id:
             raise ValueError(f"subject id {self.id!r} must be a non-empty name without / or \\")
         if not 0 < self.respiration_rate <= 60:
-            raise ValueError(
-                f"respiration_rate must be in (0, 60] rpm, got {self.respiration_rate}"
-            )
+            raise ValueError(f"respiration_rate must be in (0, 60] rpm, got "
+                             f"{self.respiration_rate}")
         if not 0 < self.heartbeat_rate <= 200:
-            raise ValueError(
-                f"heartbeat_rate must be in (0, 200] bpm, got {self.heartbeat_rate}"
-            )
+            raise ValueError(f"heartbeat_rate must be in (0, 200] bpm, got {self.heartbeat_rate}")
         if self.resp_amplitude < 0 or self.heart_amplitude < 0:
             raise ValueError("amplitudes must be >= 0")
         if self.motion_noise_rms < 0:
             raise ValueError("motion_noise_rms must be >= 0")
-        if type(self.rng_seed) is not int or not 0 <= self.rng_seed < 2**64:
-            raise ValueError(f"rng_seed {self.rng_seed!r} is not an integer in [0, 2**64)")
         for order, rel in self.resp_harmonics:
-            if order < 2 or not float(order).is_integer():
+            if order < 2:
                 raise ValueError(f"harmonic order must be an integer >= 2, got {order}")
             if not 0 <= rel <= 1:
                 raise ValueError(f"harmonic relative amplitude must be in [0, 1], got {rel}")

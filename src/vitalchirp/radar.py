@@ -23,7 +23,7 @@ import numpy as np
 
 from .dsp import hann_window
 from .photonics import SPEED_OF_LIGHT, ChirpParams
-from .physio import SubjectVitals, TimeGrid, check_numbers, make_time_grid, prefix_length
+from .physio import SubjectVitals, TimeGrid, check_fields, make_time_grid, prefix_length
 from .physio import synth_motion
 
 __all__ = [
@@ -54,7 +54,7 @@ class RadarTarget:
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        check_numbers(self, ["nominal_range", "reflectivity"])
+        check_fields(self)
         if self.nominal_range <= 0:
             raise ValueError(f"nominal_range must be > 0, got {self.nominal_range}")
         if self.reflectivity < 0:
@@ -80,7 +80,7 @@ class AcquisitionParams:
     amplitude_exponent: float = 2.0
 
     def __post_init__(self):
-        check_numbers(self)
+        check_fields(self)
         if self.fast_rate <= 0 or self.slow_period <= 0 or self.frame_width <= 0:
             raise ValueError("rates and periods must be > 0")
         if self.duration <= 0:

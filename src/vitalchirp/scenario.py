@@ -17,6 +17,7 @@ simulated or read from disk, to their labelled reports and sweep rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .photonics import (
     contact_intensity,
     derive_chirp,
 )
-from .physio import HEART_BAND, SubjectVitals, band_violations, check_numbers, make_time_grid
+from .physio import HEART_BAND, SubjectVitals, band_violations, check_fields, make_time_grid
 from .physio import synth_motion
 from .pipelines import MIN_DURATION_S, PhaseSeries, band_waveforms, contact_rates
 from .pipelines import contactless_rates, extract_target_phase, persons, range_profile
@@ -91,7 +92,7 @@ class WdmChannel:
     radar_targets: tuple[RadarTarget, ...] = ()
 
     def __post_init__(self):
-        check_numbers(self, ["wavelength_nm", "fiber_length_km", "contact_noise_rms"])
+        check_fields(self)
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength must be > 0")
         bad = set(self.roles) - {CONTACT_ROLE, CONTACTLESS_ROLE}
@@ -112,13 +113,13 @@ class Scenario:
 
     ``acquisition.duration`` is the record length of every channel."""
 
-    channels: tuple[WdmChannel, ...]
+    channels: tuple[WdmChannel, ...] = ()
     acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
-    seed: int = 0
+    seed: Annotated[int, 32] = 0
     contact_sample_rate: float = 50.0
 
     def __post_init__(self):
-        check_numbers(self, ["contact_sample_rate"])  # ``validate_scenario`` checks the rest
+        check_fields(self)  # ``validate_scenario`` checks the rest
 
 
 @dataclass
@@ -148,8 +149,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     violations = report.violations
     if not s.channels:
         violations.append("no channels")
-    if type(s.seed) is not int or not 0 <= s.seed < 2**32:
-        violations.append(f"seed {s.seed!r} is not an integer in [0, 2**32)")
+    try:
+        check_fields(s)  # again: a field set since ``s`` was built (``simulate --seed``)
+    except ValueError as exc:
+        violations.append(str(exc))
     if not s.acquisition.duration >= MIN_DURATION_S:
         violations.append(
             f"record of {s.acquisition.duration:.2f} s is shorter than {MIN_DURATION_S} s")

@@ -64,6 +64,13 @@ def subject_with(**entries):
     return lambda c: {**c, "channels": [{**c["channels"][0], "contact_subject": subject}]}
 
 
+def radar_channel_with(**entries):
+    """An edit that leaves the first channel alone, with the contactless role only, no FBG
+    and no contact subject, and then ``entries``."""
+    return lambda c: {**c, "channels": [{**c["channels"][0], "roles": ["contactless"],
+                                         "fbg": None, "contact_subject": None, **entries}]}
+
+
 def simulate_rejected(tmp_path, capsys, config, *options):
     """Run ``simulate`` on ``config``; assert exit 2 and nothing written, return stderr."""
     out = tmp_path / "b"
@@ -290,6 +297,20 @@ class TestSimulate:
         (lambda c: {**c, "acquisition": {"noise_rms": "0.5"}}, "noise_rms must be numbers, not text"),
         *[(subject_with(rng_seed=value), f"rng_seed {value!r} is not an integer in [0, 2**64)")
           for value in [1.5, 1e20, -1, 2**64]],
+        (lambda c: {**c, "acquisition": "text"}, "config acquisition is a str, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "if_lfm": 5}]},
+         "channel if_lfm is a int, not a JSON object"),
+        (lambda c: {**c, "channels": [{**c["channels"][0], "fbg": "x"}]},
+         "channel fbg is a str, not a JSON object"),
+        (lambda c: {**c, "acquisition": {"duration": 10}},
+         "config acquisition has an unknown entry 'duration'"),
+        *[(radar_channel_with(fbg=value), f"channel fbg is a {kind}, not a JSON object")
+          for value, kind in [(0, "int"), ([], "list"), ("", "str")]],
+        *[(radar_channel_with(contact_subject=value), message) for value, message in [
+            (0, "channel contact_subject is a int, not a JSON object"),
+            (False, "channel contact_subject is a bool, not a JSON object"),
+            ("", "unknown subject preset ''")]],
+        (subject_with(resp_harmonics=[[2.0, 0.3]]), "resp_harmonics 2.0 is not an integer"),
     ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
             "channel-a-number", "roles-a-string", "roles-nested", "roles-null",
             "targets-a-string", "targets-an-object", "target-a-number", "target-a-list",
@@ -299,7 +320,10 @@ class TestSimulate:
             "harmonic-amplitude-text", "subject-rate-text", "subject-amplitude-null",
             "fbg-depth-text", "fiber-length-text", "if-lfm-bandwidth-text", "wavelength-text",
             "contact-rate-text", "acquisition-noise-text", "rng-seed-fractional",
-            "rng-seed-a-float", "rng-seed-negative", "rng-seed-past-64-bits"])
+            "rng-seed-a-float", "rng-seed-negative", "rng-seed-past-64-bits",
+            "acquisition-a-string", "if-lfm-a-number", "fbg-a-string", "acquisition-duration",
+            "fbg-zero", "fbg-empty-list", "fbg-empty-string", "contact-subject-zero",
+            "contact-subject-false", "contact-subject-empty-string", "harmonic-order-a-float"])
     def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
         err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
         assert f"invalid scenario: {message}" in err
@@ -679,6 +703,17 @@ class TestProcess:
         assert "must be numbers, not true or false" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subject_preset_name_read_in_either_bundle_document(self, bundle_dir, tmp_path):
+        # one rule wherever a subject is read: a preset's name is that preset
+        named = bundle_copy(bundle_dir, tmp_path / "named")
+        edit_json(named / "truth.json", lambda truth: truth["channels"]["1549.36"].update(
+            contact_subject="subject-a"))
+        edit_frames_header(named / FRAMES, lambda header: header["truth"][0].update(
+            subject="subject-b"))
+        ch = read_bundle(named).channels[0]
+        assert ch.contact_subject == PRESET_SUBJECTS["subject-a"]
+        assert ch.frames.truth[0].subject == PRESET_SUBJECTS["subject-b"]
+
     def test_edge_warning_is_read_back(self, tmp_path):
         config = json.loads(json.dumps(CONFIG))
         config["channels"][1]["fbg"]["displacement_to_shift"] = 5e9  # past the edge region
@@ -718,9 +753,25 @@ class TestProcess:
         ("truth.json", lambda truth: truth["channels"]["1549.36"].update(
             contact_subject=["subject-a"]),
          "truth.json channel 1549.36 contact_subject is a list, not a JSON object"),
+        (FRAMES, lambda header: header.update(chirp="x"),
+         "{frames}: header chirp is a str, not a JSON object"),
+        (FRAMES, lambda header: header.update(acquisition=5),
+         "{frames}: header acquisition is a int, not a JSON object"),
+        ("truth.json", lambda truth: truth["channels"]["1549.36"].update(contact_subject=0),
+         "truth.json channel 1549.36 contact_subject is a int, not a JSON object"),
+        *[("scenario.json", edit, f"{name} must be numbers, not {kind}")
+          for value, kind in [("10", "text"), (True, "true or false")]
+          for name, edit in [
+              ("duration", lambda config, value=value: config.update(duration_s=value)),
+              ("contact_sample_rate",
+               lambda config, value=value: config.update(contact_sample_rate=value)),
+              ("wavelength_nm", lambda config, value=value: config["channels"][0].update(
+                  wavelength_nm=value))]],
     ], ids=["object", "missing", "entry-not-an-object", "header-truth-an-object",
             "header-truth-a-number", "header-subject-a-number", "contact-subject-a-number",
-            "contact-subject-a-list"])
+            "contact-subject-a-list", "header-chirp-a-string", "header-acquisition-a-number",
+            "contact-subject-zero", "duration-text", "contact-rate-text", "wavelength-text",
+            "duration-true", "contact-rate-true", "wavelength-true"])
     def test_channel_list_not_a_list_of_objects_validation_exit(self, bundle_dir, tmp_path,
                                                                 capsys, document, edit,
                                                                 message):

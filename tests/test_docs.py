@@ -2,20 +2,22 @@
 in README.md resolves, each command line in the README and in the CLI's usage
 text lists every option its subcommand defines, every ``--option`` either
 text names is defined by some subcommand, the README and the ``formats``
-docstring list the keys ``formats.write_frames`` writes, and the README and the
-CLI's usage text list the CLI's exit codes."""
+docstring list the keys ``formats.write_frames`` writes, the README lists the
+fields of a subject, and the README and the CLI's usage text list the CLI's exit
+codes."""
 
 import argparse
 import importlib
 import pkgutil
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import vitalchirp
 from vitalchirp import cli, formats
-from vitalchirp.physio import preset_subject
+from vitalchirp.physio import SubjectVitals, preset_subject
 from vitalchirp.radar import AcquisitionParams, RadarTarget, synth_dechirp_frames
 
 from conftest import frames_header
@@ -108,6 +110,11 @@ def test_frames_header_keys_are_the_written_ones(listed, chirp, tmp_path):
     written = sorted(frames_header(path)[0])
     assert "truth" in written
     assert listed == written
+
+
+def test_readme_subject_keys_are_the_fields():
+    listed = _listed_keys(README, "A full subject dict takes", ".")
+    assert listed == sorted(f.name for f in fields(SubjectVitals))
 
 
 def _exit_codes(text):

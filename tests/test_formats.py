@@ -506,6 +506,13 @@ class TestBundleIO:
                 assert path.read_bytes() == csv_writer_bytes(
                     {"t_s": np.arange(samples.size) / rate, "intensity": samples})
 
+    def test_numbers_read_back_as_given(self, tmp_path):
+        # an integer rate stays an integer on disk, as in memory: the reports of both agree
+        scenario = replace(two_channel_scenario(duration=10.0, seed=4), contact_sample_rate=50)
+        out = formats.write_bundle(run_scenario(scenario), tmp_path / "bundle")
+        rates = {c.intensity.sample_rate for c in formats.read_bundle(out).channels}
+        assert rates == {50} and {type(rate) for rate in rates} == {int}
+
     def test_contact_rate_is_the_recorded_one(self, tmp_path):
         from dataclasses import replace
 

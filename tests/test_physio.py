@@ -1,16 +1,24 @@
+import re
+import typing
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from vitalchirp.photonics import FbgProfile, IfLfmParams, derive_chirp
 from vitalchirp.physio import (
     PRESET_SUBJECTS,
     SubjectVitals,
     TimeGrid,
     band_violations,
+    check_fields,
     make_time_grid,
     prefix_length,
     preset_subject,
     synth_motion,
 )
+from vitalchirp.radar import AcquisitionParams, RadarTarget
+from vitalchirp.scenario import Scenario, WdmChannel
 
 from conftest import dft_magnitude
 
@@ -74,16 +82,6 @@ class TestSubjectVitals:
             SubjectVitals("x", 15.0, 80.0, resp_harmonics=((1, 0.3),))
         with pytest.raises(ValueError):
             SubjectVitals("x", 15.0, 80.0, resp_harmonics=((2, 1.5),))
-
-    @pytest.mark.parametrize("field", [
-        "respiration_rate", "heartbeat_rate", "resp_amplitude", "heart_amplitude",
-        "resp_phase", "heart_phase", "motion_noise_rms", "rng_seed", "resp_harmonics",
-    ])
-    def test_true_is_not_a_number(self, field):
-        value = ((2, True),) if field == "resp_harmonics" else True
-        kwargs = {"id": "x", "respiration_rate": 15.0, "heartbeat_rate": 80.0, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be numbers, not true or false"):
-            SubjectVitals(**kwargs)
 
     def test_presets_inside_filter_bands(self):
         for subject in PRESET_SUBJECTS.values():
@@ -164,3 +162,100 @@ class TestSynthMotion:
         )
         total = synth_motion(resp_only, grid) + synth_motion(heart_only, grid)
         assert np.allclose(total, synth_motion(combined, grid), atol=1e-12)
+
+
+def _config_objects():
+    """A valid instance of each of the eight config classes."""
+    subject = SubjectVitals("x", 15.0, 80.0, resp_harmonics=((2, 0.3),))
+    if_lfm, fbg = IfLfmParams(6.6e9, 1e9, 1e-4, 6e-5), FbgProfile(17.7, 11.2e9)
+    channel = WdmChannel(1549.36, frozenset({"contact"}), if_lfm, fbg, contact_subject=subject)
+    return [subject, RadarTarget(subject, 1.0), AcquisitionParams(), if_lfm,
+            derive_chirp(if_lfm), fbg, channel, Scenario((channel,))]
+
+
+CONFIG_OBJECTS = _config_objects()
+VALID_NUMBER = {float: 0.5, int: 2}  # fills a pair's other slot
+
+
+def _number_slots(hint):
+    """``(put, leaf)`` for each place ``hint`` holds a number: ``put(v)`` is a value of
+    ``hint`` with ``v`` there, ``leaf`` the number's own annotation."""
+    args = typing.get_args(hint)
+    if hint in (float, int) or typing.get_origin(hint) is typing.Annotated:
+        yield (lambda v: v), args[0] if args else hint
+    elif typing.get_origin(hint) is tuple and args[-1] is ...:
+        for put, leaf in _number_slots(args[0]):
+            yield (lambda v, put=put: (put(v),)), leaf
+    elif typing.get_origin(hint) is tuple:
+        for k, arg in enumerate(args):
+            for put, leaf in _number_slots(arg):
+                yield (lambda v, k=k, put=put: tuple(
+                    put(v) if j == k else VALID_NUMBER[a] for j, a in enumerate(args))), leaf
+
+
+def _field_cases():
+    """``(obj, field name, number slots)`` for each field of the eight config classes."""
+    for obj in CONFIG_OBJECTS:
+        hints = typing.get_type_hints(type(obj), include_extras=True)
+        for f in fields(obj):
+            yield obj, f.name, list(_number_slots(hints[f.name]))
+
+
+FIELD_CASES = list(_field_cases())
+NOT_NUMBERS = {("SubjectVitals", "id"), ("RadarTarget", "subject"), ("WdmChannel", "roles"),
+               ("WdmChannel", "if_lfm"), ("WdmChannel", "fbg"),
+               ("WdmChannel", "contact_subject"), ("WdmChannel", "radar_targets"),
+               ("Scenario", "channels"), ("Scenario", "acquisition")}
+
+
+def test_every_config_field_holds_numbers_or_is_named():
+    # a new field holds numbers, so the table below checks it, or is added here
+    assert {(type(obj).__name__, name) for obj, name, slots in FIELD_CASES if not slots} == (
+        NOT_NUMBERS)
+
+
+def _refusals(name, leaf):
+    """``(value, text)``: what a number slot of the field ``name`` refuses, and the text."""
+    yield True, f"{name} must be numbers, not true or false"
+    yield "text", f"{name} must be numbers, not text"
+    yield None, f"{name} must be numbers, not null"
+    if leaf is int:
+        yield 1.5, f"{name} 1.5 is not an integer"
+
+
+@pytest.mark.parametrize("obj, name, put, value, message", [
+    pytest.param(obj, name, put, value, message,
+                 id=f"{type(obj).__name__}.{name}[{k}]-{value!r}")
+    for obj, name, slots in FIELD_CASES for k, (put, leaf) in enumerate(slots)
+    for value, message in _refusals(name, leaf)])
+def test_config_number_field_refuses_what_is_not_its_number(obj, name, put, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        replace(obj, **{name: put(value)})
+
+
+@pytest.mark.parametrize("obj, name", [
+    pytest.param(obj, name, id=f"{type(obj).__name__}.{name}")
+    for obj, name, slots in FIELD_CASES if not slots])
+def test_config_field_of_no_number_refuses_a_number(obj, name):
+    with pytest.raises(ValueError, match=f"^{name} 1.5 is not a "):
+        replace(obj, **{name: 1.5})
+
+
+@pytest.mark.parametrize("bits, value", [(64, -1), (64, 2**64), (32, 2**32), (32, -1)])
+def test_seed_outside_its_bits_refused(bits, value):
+    obj, name = (CONFIG_OBJECTS[0], "rng_seed") if bits == 64 else (CONFIG_OBJECTS[-1], "seed")
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value} is not an integer in "
+                                                   f"[0, 2**{bits})")):
+        replace(obj, **{name: value})
+
+
+def test_each_class_reads_its_annotations_once(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("annotations read again")
+
+    for obj in CONFIG_OBJECTS:
+        check_fields(obj)
+    monkeypatch.setattr(typing, "get_type_hints", refuse)
+    for obj in CONFIG_OBJECTS:
+        assert check_fields(type(obj)) is check_fields(obj)
+        replace(obj)

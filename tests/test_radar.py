@@ -162,12 +162,6 @@ class TestSynthFrames:
         with pytest.raises(ValueError, match="too-far"):
             synth_dechirp_frames([bad], chirp, acq)
 
-    @pytest.mark.parametrize("field", ["nominal_range", "reflectivity"])
-    def test_true_is_not_a_number(self, field):
-        kwargs = {"subject": static_subject(), "nominal_range": 1.0, field: True}
-        with pytest.raises(ValueError, match=f"^{field} must be numbers, not true or false"):
-            RadarTarget(**kwargs)
-
     @pytest.mark.parametrize("nominal_range, exponent", [(1e-300, 2.0), (1.65, 1e300)])
     def test_echo_amplitude_past_the_float_range_named(self, chirp, nominal_range, exponent):
         acq = AcquisitionParams(duration=5.0, amplitude_exponent=exponent)
