@@ -24,9 +24,10 @@ corrupt.  The frames' truth is the header's ``truth`` (``truth.json`` copies it)
 ``read_frames`` maps the payload read-only and copies nothing: the samples are
 the file's pages, each block of them released from the process once read
 (``radar.non_finite_count``, ``radar.DechirpFrameSet.transform``) and reloaded
-from the file if read again.  So a frames file must not be rewritten in place
-while a process reads it; ``write_frames`` writes ``<name>.part`` and renames it
-over the file.
+from the file if read again.  A process that reads a frames file so holds neither
+its samples nor their spectra, only the marks and columns its transform keeps.
+So a frames file must not be rewritten in place while a process reads it;
+``write_frames`` writes ``<name>.part`` and renames it over the file.
 
 Bundle directory layout
 -----------------------
@@ -138,8 +139,11 @@ def _build(hint, value, where: str):
             if not isinstance(value, (list, tuple)):  # a tuple: as _to_json writes it
                 raise ValueError(f"{where} is a {type(value).__name__}, not a JSON list")
             items = args[:1] * len(value) if kind is frozenset or args[-1] is ... else args
-            return kind(_build(h, v, f"{where}[{k}]")
-                        for k, (h, v) in enumerate(zip(items, value, strict=True)))
+            built = kind(_build(h, v, f"{where}[{k}]")
+                         for k, (h, v) in enumerate(zip(items, value, strict=True)))
+            if hint in _LIST_TEXTS:  # an item that does not fit is refused as the list
+                check_fields({"items": hint}, items=built)
+            return built
         except (TypeError, ValueError):  # TypeError: an unhashable item
             if hint not in _LIST_TEXTS:
                 raise
@@ -438,8 +442,8 @@ def read_bundle(bundle_dir: str | Path) -> LoadedBundle:
             contact_csv = chdir / RECORD_FILES[CONTACT_ROLE]
             t_s, samples = read_intensity_csv(contact_csv)
             rate, duration = config["contact_sample_rate"], config["duration_s"]
-            check_fields(Scenario, contact_sample_rate=rate)
-            check_fields(AcquisitionParams, duration=duration)
+            check_fields({"contact_sample_rate": float, "duration_s": float},
+                         contact_sample_rate=rate, duration_s=duration)
             count = make_time_grid(duration, rate).count
             if not np.array_equal(np.rint(t_s * rate), np.arange(count)):
                 raise ValueError(f"{contact_csv}: t_s ({t_s.size} rows) is not k / {rate} for "

@@ -40,25 +40,36 @@ _KINDS = {bool: "true or false", str: "text", type(None): "null"}  # as JSON nam
 
 
 @functools.cache  # by class: get_type_hints evaluates each annotation, about 100 us a class
-def _hints(cls) -> dict:
-    return typing.get_type_hints(cls, include_extras=True)
+def _hints(cls) -> tuple[dict, dict]:
+    """The annotations of the class ``cls`` and the :func:`_rule` of each, by field name."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return hints, {name: _rule(hint) for name, hint in hints.items()}
 
 
-def _misfit(hint, value, name: str) -> str | None:
-    """The JSON kind of ``value`` where ``hint`` names a number it is not, else None;
-    ``ValueError`` naming ``name`` for any other misfit."""
-    args, kind = typing.get_args(hint), typing.get_origin(hint)
+@functools.cache  # by annotation: reading one costs more than checking a value against it
+def _rule(hint) -> tuple:
+    """What :func:`_misfit` checks against ``hint``: the hint, its origin, its arguments and
+    their rules."""
+    args = typing.get_args(hint)
+    return hint, typing.get_origin(hint), args, tuple(map(_rule, args))
+
+
+def _misfit(rule, value, name: str) -> str | None:
+    """The JSON kind of ``value`` where the hint of ``rule`` (:func:`_rule`) names a number
+    it is not, else None; ``ValueError`` naming ``name`` for any other misfit."""
+    hint, kind, args, inner = rule
     if hint in (float, int) or kind is Annotated:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if type(value) not in (float, int) and (  # the ABC test is the slow one
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
             return _KINDS.get(type(value), type(value).__name__)
         if hint is float or isinstance(value, int) and (not args or 0 <= value < 2 ** args[1]):
             return None
         raise ValueError(f"{name} {value!r} is not an integer"
                          + (f" in [0, 2**{args[1]})" if args else ""))
-    if isinstance(hint, types.UnionType):  # X | None
-        return None if value is None else _misfit(args[0], value, name)
+    if kind is types.UnionType:  # X | None
+        return None if value is None else _misfit(inner[0], value, name)
     if kind in (tuple, frozenset) and isinstance(value, kind):
-        items = args[:1] * len(value) if kind is frozenset or args[-1] is ... else args
+        items = inner[:1] * len(value) if kind is frozenset or args[-1] is ... else inner
         if len(items) == len(value):
             return next(filter(None, map(_misfit, items, value, [name] * len(items))), None)
     elif kind is None and isinstance(value, hint):
@@ -67,19 +78,23 @@ def _misfit(hint, value, name: str) -> str | None:
 
 
 def check_fields(obj, **values) -> dict:
-    """The annotations of the dataclass ``obj`` or of its class, read once per class, after
-    a check that ``values`` (by default every field of an instance) hold what they name:
-    ``float`` a real number and ``int`` an int, neither a bool; ``Annotated[int, bits]``
-    an int in ``[0, 2**bits)``; ``X | None`` None or an X; ``tuple[...]`` and
+    """The annotations of the dataclass ``obj`` or of its class, read once per class, or
+    ``obj`` itself where it maps names to annotations (as a document names its entries),
+    after a check that ``values`` (by default every field of an instance) hold what they
+    name: ``float`` a real number and ``int`` an int, neither a bool; ``Annotated[int,
+    bits]`` an int in ``[0, 2**bits)``; ``X | None`` None or an X; ``tuple[...]`` and
     ``frozenset[...]`` items of their types; a class an instance.  ``ValueError`` names
     the fields that hold no number where one belongs together, "<names> must be numbers,
     not <what they hold>", and any other misfit alone."""
-    cls = obj if isinstance(obj, type) else type(obj)
-    hints = _hints(cls)
-    if not values and obj is not cls:
-        values = {name: getattr(obj, name) for name in hints}
+    if isinstance(obj, dict):
+        hints, rules = obj, {name: _rule(hint) for name, hint in obj.items()}
+    else:
+        cls = obj if isinstance(obj, type) else type(obj)
+        hints, rules = _hints(cls)
+        if not values and obj is not cls:
+            values = {name: getattr(obj, name) for name in hints}
     kinds = {name: kind for name, value in values.items()
-             if (kind := _misfit(hints[name], value, name))}
+             if (kind := _misfit(rules[name], value, name))}
     if kinds:
         raise ValueError(f"{', '.join(kinds)} must be numbers, not "
                          f"{', '.join(sorted(set(kinds.values())))}")

@@ -9,13 +9,14 @@ Contactless chain: de-chirped frames -> fast-time FFT range profile ->
 complex series at the selected range bin -> four-quadrant arctangent ->
 phase unwrapping -> the same two-band chain on the slow-time phase.
 A frame set, read-only from construction like every record, takes its hann
-fast-time FFT once (:meth:`radar.DechirpFrameSet.transform`), however many
-calls read it: :func:`range_profile` reads one of the kept one-second marks of
-the magnitude sums and the magnitudes of the fewer than a second of spectra rows
-after it, :func:`extract_target_phase` the kept spectra, and each sweep duration's
-cut (:meth:`radar.DechirpFrameSet.truncated`) the first rows of the spectra and
-the marks whole.  Every record makes its own cuts and knows its own ``duration``;
-the chains restate neither.
+fast-time FFT in one pass over its rows (:meth:`radar.DechirpFrameSet.transform`),
+however many calls read it, and keeps the one-second marks of the magnitude sums and
+the spectra columns of the range bins its persons' selections can land on
+(:func:`_columns`), never the whole spectra.  :func:`range_profile` reads a mark and
+the magnitudes of the fewer than a second of rows after it, :func:`extract_target_phase`
+the kept columns, and each sweep duration's cut (:meth:`radar.DechirpFrameSet.truncated`)
+the first rows of the columns and the marks at or below its row count.  Every record
+makes its own cuts and knows its own ``duration``; the chains restate neither.
 
 A record is also measured once, however many calls read it: the record object keeps the
 respiration and heartbeat :class:`dsp.Peak` and :class:`dsp.Bandwidth3dB` the rates chain
@@ -308,6 +309,30 @@ def _bin_width(frames: DechirpFrameSet) -> float:
     return frames.chirp.beat_range(frames.fast_rate / frames.fast_count)
 
 
+def _bin_ranges(frames: DechirpFrameSet) -> np.ndarray:
+    """The range of each bin of the frames' fast-time rFFT, by the de-chirp relation."""
+    return frames.chirp.beat_range(np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate))
+
+
+def _selectable(ranges, target_range, bin_width):
+    """Whether each of ``ranges`` lies within ``SELECTION_TOLERANCE_BINS`` bins of width
+    ``bin_width`` of ``target_range`` (false for nan): the one rule by which a request
+    selects a profile peak or a truth target, and by which a frame set keeps a column."""
+    return np.abs(ranges - target_range) <= SELECTION_TOLERANCE_BINS * bin_width
+
+
+def _columns(frames: DechirpFrameSet, requests=None) -> dict:
+    """The kept spectra columns of the frames (:meth:`radar.DechirpFrameSet.transform`),
+    holding every bin that a selection for ``requests`` or a truth target's range can land
+    on, or every bin where the frames have neither: their persons come from the profile
+    and may be at any bin."""
+    ranges = [*(requests or ()), *(t.nominal_range for t in frames.truth or ())]
+    if requests is None and not ranges:
+        return frames.transform()[0]
+    near = _selectable(_bin_ranges(frames)[:, None], np.array(ranges), _bin_width(frames))
+    return frames.transform(np.flatnonzero(near.any(axis=1)))[0]
+
+
 @dataclass
 class PhaseSeries:
     """Unwrapped slow-time phase of one range bin, sampled at its frames' ``slow_rate``."""
@@ -318,15 +343,15 @@ class PhaseSeries:
 
 
 def range_profile(frames: DechirpFrameSet) -> RangeProfile:
-    """Slow-time-averaged magnitude of the frames' kept hann transform
-    (:meth:`radar.DechirpFrameSet.transform`): the profile persons are detected and
-    selected on, read from a kept magnitude-sum mark and fewer than a second of rows
-    (:meth:`radar.DechirpFrameSet.mean_magnitudes`).  Its frequency axis maps to range
-    through the de-chirp relation :meth:`photonics.ChirpParams.beat_range`.
+    """Slow-time-averaged magnitude of the frames' hann transform, taken, if this call
+    takes it, keeping what its persons can select (:func:`_columns`): the profile persons
+    are detected and selected on, read from a kept magnitude-sum mark and fewer than a
+    second of rows (:meth:`radar.DechirpFrameSet.mean_magnitudes`).  Its frequency axis
+    maps to range through the de-chirp relation :meth:`photonics.ChirpParams.beat_range`.
     """
-    freqs = np.fft.rfftfreq(frames.fast_count, 1.0 / frames.fast_rate)
-    return RangeProfile(frames.chirp.beat_range(freqs), frames.mean_magnitudes(),
-                        _bin_width(frames))
+    if frames._kept is None:  # it reads no column, so it adds none to a kept transform
+        _columns(frames)
+    return RangeProfile(_bin_ranges(frames), frames.mean_magnitudes(), _bin_width(frames))
 
 
 def persons(
@@ -343,10 +368,10 @@ def persons(
     ``target-<i>``, named and scored as none; so is a request that is not a number.
     """
     if target_ranges is not None:
-        tol, found = SELECTION_TOLERANCE_BINS * _bin_width(frames), []
+        width, found = _bin_width(frames), []
         for i, rng in enumerate(target_ranges):
             t = min(frames.truth or (), key=lambda t: abs(t.nominal_range - rng), default=None)
-            near = t is not None and abs(t.nominal_range - rng) <= tol  # false for nan
+            near = t is not None and _selectable(t.nominal_range, rng, width)
             found.append((rng, t.subject.id, t.subject) if near else (rng, f"target-{i}", None))
         return found
     if frames.truth:
@@ -368,7 +393,8 @@ def extract_target_phase(
     The bin is the :func:`range_profile` peak nearest the request, which avoids bin
     hopping from chest motion; a request that is not a finite number, or with no peak
     within ``SELECTION_TOLERANCE_BINS`` bins (naming the nearest), gets a
-    :class:`TargetSelectionError`.
+    :class:`TargetSelectionError`.  The phase is read from the column the frames keep of
+    that bin (:func:`_columns`), taken before the profile so that one pass keeps both.
     The hann window of the per-frame values suppresses the real beat
     tone's negative-frequency image, whose leakage otherwise perturbs the
     phase by a few milliradians.
@@ -379,9 +405,9 @@ def extract_target_phase(
     the known ratio so that its swing obeys the de-chirp relation
     delta_phi = 4 pi delta_x / lambda_c exactly.
     """
+    columns = _columns(frames, target_ranges)
     profile = range_profile(frames)
-    spectra = frames.transform()[0]
-    peaks, tol = profile.peak_indices(), SELECTION_TOLERANCE_BINS * profile.bin_width
+    peaks = profile.peak_indices()
     slope_motion = 4.0 * np.pi / frames.chirp.carrier_wavelength
     slope_window = (
         2.0 * np.pi * frames.chirp.chirp_rate * (frames.fast_count - 1)
@@ -396,11 +422,12 @@ def extract_target_phase(
             error = "range profile has no peaks"
         else:
             nearest = int(peaks[np.argmin(np.abs(profile.ranges[peaks] - target_range))])
-            error = None if abs(profile.ranges[nearest] - target_range) <= tol else (
+            error = None if _selectable(profile.ranges[nearest], target_range,
+                                        profile.bin_width) else (
                 f"no range peak within {SELECTION_TOLERANCE_BINS} bins of "
                 f"{target_range:.3f} m; nearest peak at {profile.ranges[nearest]:.3f} m")
         results.append(TargetSelectionError(error) if error else PhaseSeries(
-            phase=dsp.unwrap_phase(np.angle(spectra[:, nearest])) * scale,
+            phase=dsp.unwrap_phase(np.angle(columns[nearest])) * scale,
             bin_index=nearest,
             bin_range=float(profile.ranges[nearest])))
     return results
@@ -481,7 +508,8 @@ def resolution_sweep(
     ``truncated(d)``, anchored at t=0 (sliding windows are not used).  A cut of every
     sample is the source record itself, so the full-length row reads the band
     measurements an earlier report took of that record object.  Frames are
-    transformed before the first cut, which reads views of the kept spectra.  A
+    transformed before the first cut, keeping the person's columns
+    (:func:`_columns`), and each cut reads views of them.  A
     duration the cut rejects, and for frames a failed target selection, is flagged in
     the entry's ``skipped`` and the remaining durations still run; the rates chain's
     ``ValueError``, as for a non-finite sample, is raised.  Durations below 5 s,
@@ -500,11 +528,11 @@ def resolution_sweep(
     if isinstance(source, DechirpFrameSet):
         if truth is not None or sample_rate is not None:
             raise ValueError("truth and sample_rate apply to contact records, not frames")
-        source.transform()  # before any cut, which would otherwise transform itself
         found = persons(source, None if target_range is None else [target_range])
         if not found:
             raise ValueError("frames hold no target: their range profile has no peak")
         rng_req, name, _ = found[0]
+        _columns(source, [rng_req])  # before any cut, which would otherwise transform itself
         record, modality = source, "contactless"
 
         def rates(cut):

@@ -10,6 +10,11 @@ so the RF waveform is never sampled; frames are generated directly at the
 de-chirped output.  Acquisition is intermittent: one ``frame_width`` burst
 of fast-time samples per ``slow_period``, mirroring an externally
 triggered oscilloscope capture.
+
+A frame set's hann fast-time transform is one pass over its rows, a block at a
+time (:meth:`DechirpFrameSet.transform`): it keeps the one-second marks of the
+magnitude sums and the spectra columns of the range bins asked for, so a frame set
+never holds its rows x bins spectra.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ __all__ = [
 DEFAULT_RADAR_NOISE_RMS = 0.5
 DEFAULT_DURATION = 60.0
 
-# Rows per block synthesized or transformed (``run_blocks``): 256 x 600 floats, 1.2 MB, in cache.
+# Rows per block synthesized (``run_blocks``) or transformed (``_hann_blocks``): 256 x 600
+# floats, 1.2 MB, in cache.
 FRAME_BLOCK_ROWS = 256
 
 
@@ -114,16 +120,17 @@ def _shared_ids(targets) -> list[str]:
 class DechirpFrameSet:
     """Slow-time x fast-time matrix of real de-chirped samples, rates read from ``acquisition``.
 
-    ``samples`` is read-only from construction, the array passed in too, and so are the
-    spectra and magnitude-sum marks of the first :meth:`transform`, which the frame set
-    keeps: new samples make a new frame set.  It also keeps the band measurements the rates
-    chain takes of each range bin's phase (``pipelines``), so later calls read them back."""
+    ``samples`` is read-only from construction, the array passed in too, and so is what its
+    :meth:`transform` keeps: the magnitude-sum marks and the spectra columns of the range bins
+    asked for, never the rows x bins spectra.  New samples make a new frame set.  It also
+    keeps the band measurements the rates chain takes of each range bin's phase
+    (``pipelines``), so later calls read them back."""
 
     samples: np.ndarray
     chirp: ChirpParams
     acquisition: AcquisitionParams
     truth: tuple[RadarTarget, ...] | None = None
-    _kept = None  # (spectra, marks) once transformed; not a field
+    _kept = None  # ({bin: column}, marks) once transformed; not a field
 
     def __post_init__(self):
         if shared := _shared_ids(self.truth or ()):
@@ -164,75 +171,101 @@ class DechirpFrameSet:
     def truncated(self, duration: float) -> "DechirpFrameSet":
         """First ``duration`` seconds by :func:`physio.prefix_length`, whose ``ValueError``
         it raises: the frame set itself, kept transform and memo and all, when that is every
-        row, else a new frame set of views, of the kept spectra too, handed the kept marks
-        whole, with an empty memo."""
+        row, else a new frame set of views, of the kept columns and of the marks at or
+        below its row count too, with an empty memo."""
         rows = prefix_length(duration, self.slow_rate, self.slow_count)
         if rows == self.slow_count:
             return self
         out = replace(self, samples=self.samples[:rows],
                       acquisition=replace(self.acquisition, duration=rows / self.slow_rate))
         if self._kept is not None:
-            spectra, marks = self._kept
-            object.__setattr__(out, "_kept", (spectra[:rows], marks))
+            columns, marks = self._kept
+            object.__setattr__(out, "_kept", ({b: c[:rows] for b, c in columns.items()},
+                                              marks[:rows // self._mark_rows + 1]))
         return out
 
-    def transform(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hann-windowed rFFT of each frame and the marks of its magnitudes: with s the
-        rows of one second at the slow rate, mark k is the sum of ``np.abs(spectra)`` over
-        rows [0, k x s), added row by row in order (:meth:`mean_magnitudes` reads them).
-        Taken on the first call and kept: blocks on up to two threads (:func:`run_blocks`),
-        bit for bit the one-shot arrays.  A block's non-finite samples are counted before
-        it is transformed, and its pages released after (:func:`_release_pages`), so each
-        page is loaded once.  ``ValueError`` names the count of non-finite samples, and
-        nothing is kept."""
+    def transform(self, bins=None) -> tuple[dict, np.ndarray]:
+        """The kept columns of the frames' hann-windowed rFFT, ``{bin: spectra[:, bin]}``,
+        and the marks of its magnitudes: with s the rows of one second at the slow rate,
+        mark k is the sum of ``np.abs(spectra)`` over rows [0, min(k x s, rows)), added row
+        by row in order (:meth:`mean_magnitudes` reads them).  The first call takes the
+        marks and the columns of the range bins ``bins`` (every bin where None) in one pass
+        over the rows (:func:`_hann_blocks`); a later call takes the columns of ``bins``
+        not yet kept in one more pass.  Each column is bit for bit the one-shot matrix
+        expression's.  ``ValueError`` names the count of non-finite samples, and nothing
+        is kept."""
+        wanted = {int(b) for b in (range(self.fast_count // 2 + 1) if bins is None else bins)}
         if self._kept is None:
-            samples = self.samples
-            m_count, n_count = samples.shape
-            window, step = hann_window(n_count), self._mark_rows
-            spectra = np.empty((m_count, n_count // 2 + 1), dtype=complex)
-            marks = np.zeros((m_count // step + 1, spectra.shape[1]))
-            mags = np.empty((min(FRAME_BLOCK_ROWS, m_count), spectra.shape[1]))
-            total = marks[0]
-            bad = []  # the non-finite count of each block that has any; append is atomic
+            kept = self._pass(wanted, marks=True)
+        elif missing := wanted - self._kept[0].keys():
+            kept = ({**self._kept[0], **self._pass(missing)[0]}, self._kept[1])
+        else:
+            return self._kept
+        object.__setattr__(self, "_kept", kept)
+        return kept
 
-            def work(rows, block):
-                # flag the samples in the scratch's bytes, then overwrite them with the
-                # windowed samples; a block with a non-finite sample is counted, not transformed
-                finite = np.isfinite(samples[rows], out=block.view(bool)[:, :n_count])
-                if count := finite.size - np.count_nonzero(finite):
-                    bad.append(count)
-                else:
-                    np.multiply(samples[rows], window, out=block)
-                    np.fft.rfft(block, axis=1, out=spectra[rows])
-                _release_pages(samples[rows])
-
-            for rows in run_blocks(m_count, n_count, work, "DechirpFrameSet"):
-                if bad:  # the call raises: sum no rows that were not transformed
-                    continue
-                # add the block's magnitudes to the sums while workers take later blocks
-                np.abs(spectra[rows], out=mags[:rows.stop - rows.start])
-                start = rows.start
-                while start < rows.stop:  # to the next mark or the block's end
-                    stop = min(start // step * step + step, rows.stop)
-                    total = _add_rows(total, mags[start - rows.start:stop - rows.start])
-                    if stop % step == 0:
-                        marks[stop // step] = total
-                    start = stop
-            if bad:
-                raise ValueError(f"frame set holds {sum(bad)} non-finite samples")
-            for kept in (spectra, marks):  # every reader shares them
-                kept.setflags(write=False)
-            object.__setattr__(self, "_kept", (spectra, marks))
-        return self._kept
+    def _pass(self, bins, marks=False) -> tuple[dict, np.ndarray | None]:
+        """One pass over the rows: the columns of ``bins`` and, with ``marks``, the marks."""
+        width, step = self.fast_count // 2 + 1, self._mark_rows
+        bins = sorted(bins)
+        if bins and not 0 <= bins[0] <= bins[-1] < width:
+            raise IndexError(f"range bins {bins[0]}..{bins[-1]} are not all in [0, {width})")
+        kept = np.empty((self.slow_count, len(bins)), dtype=complex)
+        sums = np.zeros((-(-self.slow_count // step) + 1, width)) if marks else None
+        total = sums[0] if marks else None
+        for first, spectra in _hann_blocks(self.samples):
+            last = first + len(spectra)
+            np.take(spectra, bins, axis=1, out=kept[first:last])
+            start = first
+            while marks and start < last:  # to the next mark or the block's end
+                stop = min(start // step * step + step, last)
+                total = _add_rows(total, np.abs(spectra[start - first:stop - first]))
+                if stop % step == 0 or stop == self.slow_count:  # a mark, or the last row's
+                    sums[-(-stop // step)] = total
+                start = stop
+        for array in (kept, sums) if marks else (kept,):  # every reader shares them
+            array.setflags(write=False)
+        return {b: kept[:, j] for j, b in enumerate(bins)}, sums
 
     def mean_magnitudes(self) -> np.ndarray:
-        """Mean over the frames of the magnitudes of the kept :meth:`transform`, bit for bit
-        ``np.abs(spectra).mean(axis=0)``: the mark at or below the row count plus the
-        magnitudes of the fewer than one second of rows after it (none at a whole second),
-        added in order, over the row count."""
-        spectra, marks = self.transform()
-        k = self.slow_count // self._mark_rows
-        return _add_rows(marks[k], np.abs(spectra[k * self._mark_rows:])) / self.slow_count
+        """Mean over the frames of the magnitudes of their hann rFFT, bit for bit
+        ``np.abs(spectra).mean(axis=0)``: the last mark handed to the frame set
+        (:meth:`transform`, :meth:`truncated`) plus the magnitudes of the fewer than one
+        second of rows after it, added in order, over the row count.  Those rows, of a cut
+        that ends between marks, are transformed again (:func:`_hann_blocks`)."""
+        marks = self.transform(())[1]
+        total = marks[-1]
+        start = min((len(marks) - 1) * self._mark_rows, self.slow_count)
+        for _, spectra in _hann_blocks(self.samples, start):
+            total = _add_rows(total, np.abs(spectra))
+        return total / self.slow_count
+
+
+def _hann_blocks(samples: np.ndarray, start: int = 0):
+    """Yield the first row and the hann-windowed rFFT of each ``FRAME_BLOCK_ROWS``-row
+    block of the 2-D ``samples`` from row ``start`` on, in row order, in a buffer the next
+    block reuses.  A block's non-finite samples are counted before it is transformed, and
+    neither it nor any later block is transformed once one is found; its pages are released
+    after (:func:`_release_pages`), so each page is loaded once.  ``ValueError`` names the
+    count of non-finite samples once every block is counted."""
+    n_count = samples.shape[1]
+    height = min(FRAME_BLOCK_ROWS, len(samples) - start)
+    window = hann_window(n_count)
+    block = np.empty((height, n_count))
+    spectra = np.empty((height, n_count // 2 + 1), dtype=complex)
+    bad = 0
+    for first in range(start, len(samples), FRAME_BLOCK_ROWS):
+        rows = samples[first:first + FRAME_BLOCK_ROWS]
+        # flag the samples in the buffer's bytes, then overwrite them with the windowed samples
+        finite = np.isfinite(rows, out=block.view(bool)[:len(rows), :n_count])
+        if count := finite.size - np.count_nonzero(finite):
+            bad += count
+        elif not bad:
+            np.multiply(rows, window, out=block[:len(rows)])
+            yield first, np.fft.rfft(block[:len(rows)], axis=1, out=spectra[:len(rows)])
+        _release_pages(rows)
+    if bad:
+        raise ValueError(f"frame set holds {bad} non-finite samples")
 
 
 def non_finite_count(samples: np.ndarray) -> int:

@@ -266,11 +266,12 @@ def run_scenario(s: Scenario) -> ScenarioBundle:
 
 def _walk(channels, duration=None):
     """Each channel cut to ``duration`` s (``ValueError`` past a record), its frames a
-    fresh frame set (``replace``; a cut of every row is the record itself): a transform
-    taken of them goes with the yielded channel, and the records passed in keep none.
-    Both walks process a channel's frames before its contact record and list the
-    contact results first: a frame transform taken after the contact chain raised peak
-    RSS (``process`` 0.2-0.4 MiB, ``sweep`` about 1 MiB)."""
+    fresh frame set (``replace``; a cut of every row is the record itself): the marks
+    and columns a transform of them keeps go with the yielded channel, and the records
+    passed in keep none.  Both walks process a channel's frames before its contact
+    record and list the contact results first: a frame transform taken after the
+    contact chain raised peak RSS (``process`` 0.2-0.4 MiB, ``sweep`` about 1 MiB,
+    measured while a transform kept the whole spectra)."""
     for ch in channels:
         if duration is not None:
             ch = replace(ch, intensity=ch.intensity and ch.intensity.truncated(duration),
@@ -323,13 +324,15 @@ def bundle_reports(channels, duration=None, series=False) -> tuple[list, dict]:
         reports += [replace(rep, label=_label(ch, rep.label)) for rep in found]
         if series:
             files.update(_series_files(ch))
-        del ch  # and its frames' transform, before the walk moves on
+        del ch  # and the marks and columns its frames keep, before the walk moves on
     return reports, files
 
 
 def bundle_sweeps(channels, durations) -> list[dict]:
     """The :func:`pipelines.resolution_sweep` rows of each person on ``channels``,
-    labelled and raising as :func:`bundle_reports` does; co-located persons keep their names."""
+    labelled and raising as :func:`bundle_reports` does; co-located persons keep their names.
+    A channel's frames are transformed once: the first sweep's pass keeps the columns of
+    every truth target, or of every bin where the persons come from the profile."""
     rows = []
     for ch in _walk(channels):
         sweeps = [resolution_sweep(ch.frames, durations, target_range=rng, label=name)
@@ -337,5 +340,5 @@ def bundle_sweeps(channels, durations) -> list[dict]:
         if ch.intensity is not None:
             sweeps.insert(0, resolution_sweep(ch.intensity, durations, truth=ch.contact_subject))
         rows += [dict(row, label=_label(ch, row["label"])) for s in sweeps for row in s.to_rows()]
-        del ch  # and its frames' transform, before the walk moves on
+        del ch  # and the marks and columns its frames keep, before the walk moves on
     return rows

@@ -3,8 +3,13 @@ pass/fail line (run with ``pytest -v`` or ``pytest -s`` to see them).
 """
 
 import contextlib
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +261,47 @@ def test_criterion_8_property_suites(tmp_path, chirp):
             [RadarTarget(static("a"), 1.00), RadarTarget(static("b"), 1.65)], chirp, acq0
         )
         assert np.allclose(fab.samples, fa.samples + fb.samples, atol=1e-12)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in a fresh interpreter: the numpy SIMD targets dispatched above the build's baseline,
+# then the contact chain's reports on the bench's 16-channel config at seed 1, as JSON.
+CONTACT_REPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from numpy._core import _multiarray_umath as umath
+from vitalchirp import formats, scenario
+from workloads import contact_config
+bundle = scenario.run_scenario(formats.scenario_from_dict(contact_config(1)))
+reports, _ = scenario.bundle_reports(bundle.channels.values())
+print(json.dumps([[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+                  [r.to_dict() for r in reports]]))
+"""
+
+
+def _contact_reports(**env):
+    done = subprocess.run([sys.executable, "-c", CONTACT_REPORTS, str(ROOT / "bench")],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env})
+    return json.loads(done.stdout)
+
+
+def test_criterion_8_scope_contact_rates_under_the_baseline_simd_loops():
+    """Criterion 8's bytes hold per numpy version and per dispatched SIMD target (README):
+    with every target above the baseline disabled in a child's environment alone, the
+    contact rates and widths move by at most 1e-12 relative, and no 0.1-rounded field."""
+    dispatched, want = _contact_reports()
+    if not dispatched:
+        pytest.skip("numpy dispatches no SIMD target above its baseline here")
+    baseline, got = _contact_reports(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    assert baseline == [] and len(got) == len(want) == 16
+    exact = ("respiration_rpm_exact", "heartbeat_bpm_exact", "resp_3db_hz", "heart_3db_hz")
+    for got_report, want_report in zip(got, want):
+        for key in exact:
+            assert got_report[key] == pytest.approx(want_report[key], rel=1e-12, abs=0)
+        assert {k: v for k, v in got_report.items() if k not in exact} == {
+            k: v for k, v in want_report.items() if k not in exact}
 
 
 def _contact_scenario(n_channels, duration=60.0):

@@ -279,7 +279,13 @@ class TestSimulate:
            f"[order, relative amplitude] pairs")
           for value, shown in [(5, "5"), ([5], "[5]"), ("ab", "'ab'"), ([[2]], "[[2]]"),
                                ([[2, 0.3, 1]], "[[2, 0.3, 1]]")]],
-        (subject_with(resp_harmonics=[[2, "x"]]), "resp_harmonics must be numbers, not text"),
+        *[(subject_with(resp_harmonics=value), f"resp_harmonics {shown} is not a list of "
+           f"[order, relative amplitude] pairs")
+          for value, shown in [([[2, "x"]], "[[2, 'x']]"), ([[2, True]], "[[2, True]]"),
+                               ([[2.0, 0.3]], "[[2.0, 0.3]]"), ([[1.5, 0.3]], "[[1.5, 0.3]]")]],
+        *[(lambda c, value=value: {**c, "channels": [{**c["channels"][0], "roles": value}]},
+           f"channel roles {value!r} is not a JSON list of strings")
+          for value in [[1], ["contact", 2], [None]]],
         (subject_with(respiration_rate="15"), "respiration_rate must be numbers, not text"),
         (subject_with(heart_amplitude=None), "heart_amplitude must be numbers, not null"),
         (lambda c: {**c, "channels": [{**c["channels"][0], "fbg": {
@@ -310,20 +316,21 @@ class TestSimulate:
             (0, "channel contact_subject is a int, not a JSON object"),
             (False, "channel contact_subject is a bool, not a JSON object"),
             ("", "unknown subject preset ''")]],
-        (subject_with(resp_harmonics=[[2.0, 0.3]]), "resp_harmonics 2.0 is not an integer"),
     ], ids=["document-a-list", "document-a-string", "channels-a-string", "channels-an-object",
             "channel-a-number", "roles-a-string", "roles-nested", "roles-null",
             "targets-a-string", "targets-an-object", "target-a-number", "target-a-list",
             "contact-subject-a-number", "contact-subject-a-list", "target-subject-a-number",
             "target-subject-a-list", "harmonics-a-number", "harmonics-not-pairs",
             "harmonics-a-string", "harmonic-too-short", "harmonic-too-long",
-            "harmonic-amplitude-text", "subject-rate-text", "subject-amplitude-null",
+            "harmonic-amplitude-text", "harmonic-amplitude-true", "harmonic-order-a-float",
+            "harmonic-order-fractional", "roles-a-number", "roles-a-string-and-a-number",
+            "roles-a-null", "subject-rate-text", "subject-amplitude-null",
             "fbg-depth-text", "fiber-length-text", "if-lfm-bandwidth-text", "wavelength-text",
             "contact-rate-text", "acquisition-noise-text", "rng-seed-fractional",
             "rng-seed-a-float", "rng-seed-negative", "rng-seed-past-64-bits",
             "acquisition-a-string", "if-lfm-a-number", "fbg-a-string", "acquisition-duration",
             "fbg-zero", "fbg-empty-list", "fbg-empty-string", "contact-subject-zero",
-            "contact-subject-false", "contact-subject-empty-string", "harmonic-order-a-float"])
+            "contact-subject-false", "contact-subject-empty-string"])
     def test_malformed_document_named_validation_exit(self, tmp_path, capsys, edit, message):
         err = simulate_rejected(tmp_path, capsys, edit(json.loads(json.dumps(CONFIG))))
         assert f"invalid scenario: {message}" in err
@@ -759,10 +766,15 @@ class TestProcess:
          "{frames}: header acquisition is a int, not a JSON object"),
         ("truth.json", lambda truth: truth["channels"]["1549.36"].update(contact_subject=0),
          "truth.json channel 1549.36 contact_subject is a int, not a JSON object"),
+        ("truth.json", lambda truth: truth["channels"]["1549.36"]["contact_subject"].update(
+            resp_harmonics=[[2.0, 0.3]]),
+         "resp_harmonics [[2.0, 0.3]] is not a list of [order, relative amplitude] pairs"),
+        (FRAMES, lambda header: header["truth"][0]["subject"].update(resp_harmonics=[[2, "x"]]),
+         "resp_harmonics [[2, 'x']] is not a list of [order, relative amplitude] pairs"),
         *[("scenario.json", edit, f"{name} must be numbers, not {kind}")
           for value, kind in [("10", "text"), (True, "true or false")]
           for name, edit in [
-              ("duration", lambda config, value=value: config.update(duration_s=value)),
+              ("duration_s", lambda config, value=value: config.update(duration_s=value)),
               ("contact_sample_rate",
                lambda config, value=value: config.update(contact_sample_rate=value)),
               ("wavelength_nm", lambda config, value=value: config["channels"][0].update(
@@ -770,7 +782,9 @@ class TestProcess:
     ], ids=["object", "missing", "entry-not-an-object", "header-truth-an-object",
             "header-truth-a-number", "header-subject-a-number", "contact-subject-a-number",
             "contact-subject-a-list", "header-chirp-a-string", "header-acquisition-a-number",
-            "contact-subject-zero", "duration-text", "contact-rate-text", "wavelength-text",
+            "contact-subject-zero", "contact-subject-harmonic-order-a-float",
+            "header-subject-harmonic-amplitude-text", "duration-text", "contact-rate-text",
+            "wavelength-text",
             "duration-true", "contact-rate-true", "wavelength-true"])
     def test_channel_list_not_a_list_of_objects_validation_exit(self, bundle_dir, tmp_path,
                                                                 capsys, document, edit,

@@ -29,10 +29,11 @@ from test_scenario import channel, two_channel_scenario
 SOURCE = Path(formats.__file__).parent.parent
 
 # Runs in a fresh interpreter on the directory the test wrote: transform the small frames
-# first (threads, FFT plans, the mmap module), then print how far reading and transforming
-# the 3000 x 600 frames raised the peak RSS, in bytes, and the bytes of their spectra.  The
-# peak is the process's VmHWM: Linux carries the parent's peak into a child's ru_maxrss,
-# which would hide the growth under the test process's own.
+# first (FFT plans, the mmap module), then print how far reading the 3000 x 600 frames and
+# transforming them, keeping every column or the columns of bins 20-29, raised the peak RSS,
+# in bytes, and the bytes of the kept columns.  The peak is the process's VmHWM: Linux
+# carries the parent's peak into a child's ru_maxrss, which would hide the growth under the
+# test process's own.
 PEAK_GROWTH = """
 import json, sys
 from vitalchirp import formats
@@ -41,8 +42,9 @@ def peak():
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
 formats.read_frames(sys.argv[1] + "/small.bin").transform()
 before = peak()
-spectra, _ = formats.read_frames(sys.argv[1] + "/frames.bin").transform()
-print(json.dumps([peak() - before, spectra.nbytes]))
+bins = None if sys.argv[2] == "every" else range(20, 30)
+columns, _ = formats.read_frames(sys.argv[1] + "/frames.bin").transform(bins)
+print(json.dumps([peak() - before, len(columns) * 3000 * 16]))
 """
 
 
@@ -199,21 +201,22 @@ class TestFramesContainer:
 
     @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED") or sys.platform != "linux",
                         reason="pages are released by madvise; the peak is read from /proc")
-    def test_read_and_transform_hold_the_spectra_not_the_samples(self, small_frames, chirp,
-                                                                 tmp_path):
+    @pytest.mark.parametrize("bins", ["every", "ten"])
+    def test_read_and_transform_hold_the_kept_columns_not_the_samples(self, small_frames,
+                                                                      chirp, tmp_path, bins):
         # each block of the mapped payload is released once read: the child's peak grows by
-        # the kept spectra and a few blocks (the workers' scratch, the magnitudes, the blocks
-        # in flight), where a copy of the samples would add 14.4 MB more
+        # the kept columns and a few blocks (the pass's buffers, the blocks in flight),
+        # where a copy of the samples would add 14.4 MB more, and the spectra 14.4 MB again
         acq = AcquisitionParams()
         formats.write_frames(small_frames, tmp_path / "small.bin")
         samples = np.random.default_rng(5).normal(size=(acq.slow_count, acq.fast_count))
         formats.write_frames(DechirpFrameSet(samples, chirp, acq), tmp_path / "frames.bin")
-        done = subprocess.run([sys.executable, "-c", PEAK_GROWTH, str(tmp_path)],
+        done = subprocess.run([sys.executable, "-c", PEAK_GROWTH, str(tmp_path), bins],
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(SOURCE)})
-        growth, spectra_bytes = json.loads(done.stdout)
-        assert spectra_bytes == 3000 * 301 * 16
-        assert growth < spectra_bytes + 8 * FRAME_BLOCK_ROWS * 600 * 8
+        growth, kept_bytes = json.loads(done.stdout)
+        assert kept_bytes == (301 if bins == "every" else 10) * 3000 * 16
+        assert growth < kept_bytes + 8 * FRAME_BLOCK_ROWS * 600 * 8
 
     def test_rewriting_a_read_file_leaves_the_read_frames_intact(self, small_frames,
                                                                  tmp_path):
@@ -225,8 +228,9 @@ class TestFramesContainer:
         cut = small_frames.truncated(0.5)
         formats.write_frames(replace(cut, samples=np.zeros_like(cut.samples)), path)
         assert old.samples.tobytes() == small_frames.samples.tobytes()
-        assert [a.tobytes() for a in old.transform()] == [
-            a.tobytes() for a in small_frames.transform()]
+        (old_columns, old_marks), (columns, marks) = old.transform(), small_frames.transform()
+        assert old_marks.tobytes() == marks.tobytes() and old_columns.keys() == columns.keys()
+        assert all(old_columns[b].tobytes() == columns[b].tobytes() for b in columns)
         assert formats.read_frames(path).slow_count == cut.slow_count
         assert list(tmp_path.iterdir()) == [path]  # no .part left
 

@@ -18,6 +18,7 @@ from vitalchirp.physio import (
     synth_motion,
 )
 from vitalchirp.pipelines import (
+    SELECTION_TOLERANCE_BINS,
     PhaseSeries,
     TargetSelectionError,
     band_waveforms,
@@ -325,11 +326,12 @@ class TestRangeProfile:
 
 
 class TestBlockedTransform:
-    """The row-blocked hann transform a frame set keeps equals the one-shot matrix
-    expression, on one worker thread or two."""
+    """The one pass a frame set takes of its rows keeps the magnitude-sum marks and the
+    spectra columns asked for, each bit for bit the one-shot matrix expression's."""
 
     ROWS = {"under-one-block": FRAME_BLOCK_ROWS - 7, "one-block": FRAME_BLOCK_ROWS,
             "one-block-plus-one": FRAME_BLOCK_ROWS + 1, "60s": 3000}
+    BINS = [0, 26, 27, 44, 300]  # the two persons' bins near 1.00 and 1.65 m, and both edges
 
     @pytest.fixture(scope="class")
     def synthesized(self, chirp):
@@ -346,46 +348,71 @@ class TestBlockedTransform:
         return np.fft.rfft(synthesized.samples * np.hanning(synthesized.fast_count), axis=1)
 
     @staticmethod
-    def assert_one_shot(frames):
-        spectra, marks = frames.transform()
+    def assert_one_shot(frames, bins=None):
+        columns, marks = frames.transform(bins)
         want = np.fft.rfft(frames.samples * np.hanning(frames.fast_count), axis=1)
-        assert spectra.shape == want.shape
-        assert np.array_equal(spectra.view(np.uint8), want.view(np.uint8))
+        assert columns.keys() >= set(range(want.shape[1]) if bins is None else bins)
+        for b, column in columns.items():
+            assert column.shape == (frames.slow_count,)
+            assert column.tobytes() == want[:, b].tobytes()
         sums = [np.zeros(want.shape[1])]  # sums[r]: magnitude rows [0, r), added in order
         for row in np.abs(want):
             sums.append(sums[-1] + row)
-        # mark k sums the first k spacings of rows; a cut is handed its parent's marks
-        want_marks = np.array(sums[::frames._mark_rows])
-        assert np.array_equal(marks[:len(want_marks)].view(np.uint8),
-                              want_marks.view(np.uint8))
+        # mark k sums the first min(k spacings, every) row; a cut is handed the marks at or
+        # below its row count, and the frame set that took the pass a last one of every row
+        step = frames._mark_rows
+        assert len(marks) - 1 in (frames.slow_count // step, -(-frames.slow_count // step))
+        want_marks = np.array([sums[min(k * step, frames.slow_count)]
+                               for k in range(len(marks))])
+        assert np.array_equal(marks.view(np.uint8), want_marks.view(np.uint8))
 
     @pytest.mark.parametrize("source", ["full", "truncated", "read_frames",
                                         "truncated-before-memo", "truncated-after-memo"])
     def test_bytes_equal_one_shot_transform(self, frames, source, tmp_path):
         parent = frames
         if source == "truncated-after-memo":
-            parent.transform()  # the cut is handed views of these spectra
+            parent.transform(self.BINS)  # the cut is handed views of these columns
         if source.startswith("truncated"):
             frames = frames.truncated(5.03)
         elif source == "read_frames":
             write_frames(frames, tmp_path / "frames.bin")
             frames = read_frames(tmp_path / "frames.bin")
         if source == "truncated-before-memo":
-            parent.transform()  # too late for the cut, which transforms itself
-        self.assert_one_shot(frames)
+            parent.transform(self.BINS)  # too late for the cut, which transforms itself
+        self.assert_one_shot(frames, self.BINS)
         views = source in ("full", "truncated-after-memo")
-        assert np.shares_memory(frames.transform()[0], parent.transform()[0]) == views
+        column, parent_column = frames.transform([26])[0][26], parent.transform([26])[0][26]
+        assert np.shares_memory(column, parent_column) == views
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bins", [None, BINS], ids=["every-bin", "some-bins"])
     @pytest.mark.parametrize("rows", ROWS)
-    def test_bytes_equal_with_one_and_two_workers(self, frames, monkeypatch, rows, cpus):
-        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
+    def test_bytes_equal_at_row_counts_around_the_block_edges(self, frames, rows, bins):
         part = frames.truncated(self.ROWS[rows] / frames.slow_rate)
         assert part.slow_count == self.ROWS[rows]
-        self.assert_one_shot(part)
+        self.assert_one_shot(part, bins)
 
-    @pytest.mark.parametrize("cpus, cap", [(1, 1), (2, 2), (64, 2)])
-    def test_threads_started_up_to_the_cap_and_joined(self, frames, monkeypatch, cpus, cap):
+    def test_a_later_request_runs_one_pass_for_the_columns_not_kept(self, frames,
+                                                                     rfft_2d_calls):
+        first, marks = frames.transform([26, 44])
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
+        rfft_2d_calls.clear()
+        columns, later_marks = frames.transform([26, 27, 300])
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count  # for 27 and 300 alone
+        assert later_marks is marks and columns.keys() == {26, 27, 44, 300}
+        assert all(columns[b] is first[b] for b in (26, 44))
+        rfft_2d_calls.clear()
+        frames.transform([27, 44])
+        frames.transform(())
+        assert rfft_2d_calls == []
+        self.assert_one_shot(frames, [26, 27, 44, 300])
+
+    @pytest.mark.parametrize("bins", [[301], [-1], [0, 301]])
+    def test_a_bin_past_the_spectrum_is_refused_and_nothing_kept(self, frames, bins):
+        with pytest.raises(IndexError, match=r"not all in \[0, 301\)"):
+            frames.transform(bins)
+        assert frames._kept is None
+
+    def test_the_pass_runs_on_the_calling_thread(self, frames, monkeypatch):
         started = []
 
         class Recorded(threading.Thread):
@@ -393,16 +420,20 @@ class TestBlockedTransform:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(radar.threading, "Thread", Recorded)
-        frames.transform()
-        assert len(started) == cap
-        assert not any(thread.is_alive() for thread in started)
+        frames.transform([26])  # the first pass, a column pass and a cut's rows past a mark
+        frames.transform([5])
+        range_profile(frames.truncated(7.3))
+        assert started == []
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("index", [0, 1])
-    def test_worker_exception_reaches_the_caller(self, frames, monkeypatch, index, cpus):
-        # the failing call is the first or the second block transformed
+    @pytest.mark.parametrize("kept", [None, [26]], ids=["first-pass", "column-pass"])
+    def test_an_exception_in_a_pass_reaches_the_caller_and_keeps_nothing(
+            self, frames, monkeypatch, index, kept):
+        # the failing call transforms the first or the second block of the pass
+        if kept is not None:
+            frames.transform(kept)
+        before = frames._kept
         calls, rfft = itertools.count(), np.fft.rfft
 
         def failing_rfft(*args, **kwargs):
@@ -410,31 +441,23 @@ class TestBlockedTransform:
                 raise FloatingPointError("rfft failed")
             return rfft(*args, **kwargs)
 
-        monkeypatch.setattr(radar, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(np.fft, "rfft", failing_rfft)
-        error = within(30, frames.transform)
-        assert isinstance(error, FloatingPointError) and str(error) == "rfft failed"
-        assert not [t for t in threading.enumerate() if t.name.startswith("DechirpFrameSet")]
+        with pytest.raises(FloatingPointError, match="rfft failed"):
+            frames.transform([27])
         assert not frames.samples.flags.writeable
-        assert frames._kept is None  # nothing kept, so the next call transforms afresh
+        assert frames._kept is before  # nothing added, so the next call transforms afresh
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        self.assert_one_shot(frames, [26, 27] if kept else [27])
 
-    def test_bytes_hold_under_frequent_thread_switches(self, frames, monkeypatch):
-        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(2e-6)
-        try:
-            within(60, frames.transform)
-        finally:
-            sys.setswitchinterval(interval)
-        self.assert_one_shot(frames)
-
-    def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames, monkeypatch):
-        # one window buffer per worker and one block of magnitudes, under 4 MiB together
-        monkeypatch.setattr(radar, "_usable_cpus", lambda: 2)
-        (spectra, marks), peak = traced_peak(frames.transform)
+    def test_peak_memory_is_what_it_keeps_and_two_blocks(self, frames):
+        # a block of windowed samples and of spectra, and the magnitudes of a second's rows
+        # at a time: never rows x 301 spectra
+        (columns, marks), peak = traced_peak(lambda: frames.transform(self.BINS))
         assert frames.samples.shape == (3000, 600) and frames._mark_rows == 50
         assert marks.shape == (3000 // 50 + 1, 301)  # a mark per second, not a row per frame
-        assert peak <= spectra.nbytes + marks.nbytes + 4 * 2**20
+        kept = len(self.BINS) * 3000 * 16
+        blocks = FRAME_BLOCK_ROWS * (600 * 8 + 301 * 16)
+        assert kept + marks.nbytes + blocks <= peak <= kept + marks.nbytes + blocks + 2**19
 
     # rows either side of a block edge, a 7.3 s cut, and the bench sweep's 5-60 s cuts
     PROFILE_ROWS = [1, FRAME_BLOCK_ROWS - 1, FRAME_BLOCK_ROWS, FRAME_BLOCK_ROWS + 1, 365,
@@ -445,32 +468,24 @@ class TestBlockedTransform:
     def test_profile_of_a_cut_is_the_mean_of_its_magnitude_rows(self, frames, one_shot,
                                                                 rows, cut):
         if cut == "after-transform":
-            frames.transform()  # the cut is handed these marks
+            frames.transform(self.BINS)  # the cut is handed these marks
         part = frames.truncated(rows / frames.slow_rate)
         assert part.slow_count == rows
         got = range_profile(part).magnitudes
         want = np.abs(one_shot[:rows]).mean(axis=0)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
-    def test_profile_of_a_cut_reads_a_mark_and_fewer_rows_than_its_spacing(self, frames):
-        read = []  # rows of the kept spectra each ufunc meets
-
-        class Spy(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                read.extend(len(x) for x in inputs if isinstance(x, Spy))
-                inputs = [x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs]
-                return getattr(ufunc, method)(*inputs, **kwargs)
-
-        spectra, marks = frames.transform()
-        object.__setattr__(frames, "_kept", (spectra.view(Spy), marks))
-        rows_read = {}
+    def test_profile_of_a_cut_reads_a_mark_and_fewer_rows_than_its_spacing(
+            self, frames, one_shot, rfft_2d_calls):
+        range_profile(frames)  # the pass, keeping the columns of the persons' bins
+        rows_read = {}  # rows each cut's profile transforms again
         for duration in (5.0, 7.3, 60.0):
-            read.clear()
+            rfft_2d_calls.clear()
             part = frames.truncated(duration)
             got = range_profile(part).magnitudes
-            want = np.abs(spectra[:part.slow_count]).mean(axis=0)
+            want = np.abs(one_shot[:part.slow_count]).mean(axis=0)
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-            rows_read[duration] = sum(read)
+            rows_read[duration] = sum(m for m, _ in rfft_2d_calls)
         # a whole second reads its mark alone; 365 rows read the mark at 350 and 15 rows
         assert rows_read == {5.0: 0, 7.3: 365 % frames._mark_rows, 60.0: 0}
         assert rows_read[7.3] < frames._mark_rows
@@ -489,14 +504,33 @@ class TestBlockedTransform:
         with pytest.raises(ValueError, match="frame set holds 2 non-finite samples"):
             call(frames)
         assert not frames.samples.flags.writeable
+        assert frames._kept is None
 
     def test_samples_and_kept_transform_read_only(self, frames):
         early = frames.truncated(5.0)  # a view of the samples taken before the transform
-        spectra, marks = frames.transform()
+        columns, marks = frames.transform(self.BINS)
+        cut_columns, cut_marks = frames.truncated(5.0).transform(self.BINS)
         for kept in (frames.samples, early.samples, frames.truncated(5.0).samples,
-                     spectra, marks, frames.truncated(5.0).transform()[0]):
+                     columns[26], marks, cut_columns[26], cut_marks,
+                     frames.transform([5])[0][5], frames.truncated(5.0).transform([6])[0][6]):
             with pytest.raises(ValueError, match="read-only"):
-                kept[0, 0] = 1.0
+                kept[(0,) * kept.ndim] = 1.0
+        self.assert_one_shot(frames, self.BINS)
+
+    def test_contactless_rates_keeps_the_bins_a_selection_can_land_on(self, frames):
+        # truth ranges and requests alike: every bin within the tolerance, and no other
+        contactless_rates(frames, target_ranges=[2.5, np.nan])
+        profile = range_profile(frames)
+        tol = SELECTION_TOLERANCE_BINS * profile.bin_width
+        want = {b for b, r in enumerate(profile.ranges)
+                for rng in (1.00, 1.65, 2.5) if abs(r - rng) <= tol}
+        assert frames._kept[0].keys() == want
+        assert 4 * 3 <= len(want) <= 5 * 3  # four or five bins a person
+
+    def test_frames_whose_persons_come_from_the_profile_keep_every_bin(self, frames):
+        frames = replace(frames, truth=None)
+        contactless_rates(frames)
+        assert frames._kept[0].keys() == set(range(frames.fast_count // 2 + 1))
         self.assert_one_shot(frames)
 
 
@@ -906,31 +940,45 @@ class TestOneTransformPerCall:
             assert dict(rep.to_dict(), label=None) == dict(alone.to_dict(), label=None)
 
     def test_one_fast_time_fft_per_call(self, frames, rfft_2d_calls):
-        # the first call's transform runs in row blocks that together cover each
-        # frame once; every later call and cut reads its kept spectra
+        # the first call's pass runs in row blocks that together cover each frame once and
+        # keeps what the persons can select; every later call and cut reads the kept columns
+        # and marks, and each 7.3 s cut's profile transforms its 15 rows past the last mark
         contactless_rates(frames)
-        contactless_rates(frames, target_ranges=[1.00, 1.65, 6.0])
-        for rng in (1.00, 1.65, 6.0, 1.00):
+        contactless_rates(frames, target_ranges=[1.00, 1.65, 1.66])
+        for rng in (1.00, 1.65, 1.00):
             resolution_sweep(frames, self.DURATIONS, target_range=rng)
         extract_target_phase(frames.truncated(7.3), [1.00])
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count + 4 * (365 % 50)
+
+    def test_a_request_for_a_bin_not_kept_runs_one_column_pass(self, frames, rfft_2d_calls):
+        (want,) = contactless_rates(untransformed(frames), [6.0])
+        contactless_rates(frames)
+        rfft_2d_calls.clear()
+        _, got = contactless_rates(frames, target_ranges=[1.00, 6.0])  # 6.0 m: none kept
+        assert dict(got.to_dict(), label=None) == dict(want.to_dict(), label=None)
+        contactless_rates(frames, target_ranges=[6.0])
+        resolution_sweep(frames, [5.0, 60.0], target_range=6.0)
         assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
 
     def test_a_sweep_alone_transforms_once(self, frames, rfft_2d_calls):
         resolution_sweep(frames, self.DURATIONS, target_range=1.00)
         assert {n for _, n in rfft_2d_calls} == {frames.fast_count}
-        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count
+        assert sum(m for m, _ in rfft_2d_calls) == frames.slow_count + 365 % 50
 
     def test_a_cut_is_a_view_of_its_parent_without_a_transform(self, frames, rfft_2d_calls):
-        spectra, marks = frames.transform()
+        columns, marks = frames.transform()
         rfft_2d_calls.clear()
         short = frames.truncated(7.3)
-        short_spectra, short_marks = short.transform()
+        short_columns, short_marks = short.transform()
         assert rfft_2d_calls == []
-        assert short.slow_count == short_spectra.shape[0] == 365
-        assert np.shares_memory(short_spectra, spectra)
-        assert short_marks is marks  # handed whole, not a slice
-        assert frames.slow_count == spectra.shape[0] == 3000
+        assert short.slow_count == 365 and short_columns.keys() == columns.keys()
+        for b, column in short_columns.items():
+            assert column.shape == (365,) and np.shares_memory(column, columns[b])
+        # a view of the marks at or below its row count, not a copy
+        assert short_marks.base is marks and len(short_marks) == 365 // 50 + 1
+        assert frames.slow_count == 3000 and len(marks) == 3000 // 50 + 1
+        assert all(column.shape == (3000,) for column in columns.values())
 
     def test_a_transformed_frame_set_is_read_without_a_transform(self, frames, rfft_2d_calls):
         def read(frames):
@@ -943,12 +991,28 @@ class TestOneTransformPerCall:
         frames.transform()
         rfft_2d_calls.clear()
         got = read(frames)
-        assert rfft_2d_calls == []
+        assert [m for m, _ in rfft_2d_calls] == [365 % 50]  # the 7.3 s cut's rows past a mark
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         for got_phase, want_phase in zip(got[2], want[2], strict=True):
             np.testing.assert_array_equal(got_phase, want_phase)
         assert got[3:] == want[3:]
+
+    def test_four_persons_and_their_sweeps_hold_no_spectra(self, chirp):
+        # the bench's radar scene: a pass keeps about five columns a person and the marks
+        targets = [RadarTarget(preset_subject(f"subject-{s}"), rng)
+                   for s, rng in zip("bcde", (1.00, 1.65, 2.30, 3.10))]
+        frames = synth_dechirp_frames(targets, chirp, AcquisitionParams(), seed=2)
+
+        def run():
+            contactless_rates(frames)
+            for t in targets:
+                resolution_sweep(frames, [5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+                                 target_range=t.nominal_range)
+
+        _, peak = traced_peak(run)
+        assert frames.samples.shape == (3000, 600)
+        assert peak < 6 * 2**20  # the 3000 x 301 spectra alone are 13.8 MiB
 
 
 @pytest.mark.parametrize("record, names", [

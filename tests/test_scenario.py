@@ -250,19 +250,29 @@ class TestBundleWalk:
         lambda channels: scenario.bundle_sweeps(channels, [5.0, 10.0]),
     ], ids=["reports", "sweeps"])
     def test_one_frame_transform_alive_at_a_time(self, radar_channels, monkeypatch, walk):
-        kept, seen = [], []  # weak references to each transform's spectra, as taken
+        kept, seen = [], []  # weak references to each transform's marks, as taken
         take = radar.DechirpFrameSet.transform
 
-        def counted(frames):
-            spectra, marks = take(frames)
-            # a transform taken now owns its data; a truncation's is a view of one
-            if spectra.base is None and not any(ref() is spectra for ref in kept):
+        def counted(frames, *bins):
+            columns, marks = take(frames, *bins)
+            # a pass taken now owns its marks; a truncation's are a view of a parent's
+            if marks.base is None and not any(ref() is marks for ref in kept):
                 seen.append(sum(ref() is not None for ref in kept))  # others alive
-                kept.append(weakref.ref(spectra))
-            return spectra, marks
+                kept.append(weakref.ref(marks))
+            return columns, marks
 
         monkeypatch.setattr(radar.DechirpFrameSet, "transform", counted)
         walk(radar_channels)
         assert seen == [0, 0]
         assert [ref() for ref in kept] == [None, None]  # the records keep none
         assert all(ch.frames._kept is None for ch in radar_channels)
+
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "truthless"])
+    def test_sweeps_take_one_pass_per_frame_set(self, radar_channels, rfft_2d_calls, truth):
+        # two persons a channel: the pass keeps both persons' columns before the first sweep
+        channels = [replace(ch, frames=replace(ch.frames, truth=ch.frames.truth if truth
+                                               else None)) for ch in radar_channels]
+        rows = scenario.bundle_sweeps(channels, [5.0, 10.0])
+        assert len(rows) == 2 * 2 * 2 and all(row["skipped"] is None for row in rows)
+        assert {n for _, n in rfft_2d_calls} == {600}
+        assert sum(m for m, _ in rfft_2d_calls) == sum(ch.frames.slow_count for ch in channels)
